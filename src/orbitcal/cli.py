@@ -3,7 +3,8 @@
 Subcommands: gen, decide, closure, degree, oracle, crosscheck.
 Exit codes: 0 in-closure (or agreement), 1 not-in-closure, 2 bad
 parameters, 3 violated precondition, 4 resource limit, 5 inconsistent
-degree data, 6 oracle disagreement.  ORBITCAL_MAX_NNZ overrides the
+degree data, 6 oracle disagreement, 7 internal error (a certificate
+that fails its exact plug-back).  ORBITCAL_MAX_NNZ overrides the
 linear-system size threshold."""
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import os
 import sys
 
 from orbitcal import decider, degbound, elim, repmodel, torusoracle
-from orbitcal.errors import InconsistentDataError, PreconditionError, ResourceLimitError
+from orbitcal.errors import (
+    CertificateError,
+    InconsistentDataError,
+    PreconditionError,
+    ResourceLimitError,
+)
 
 EXIT_IN_CLOSURE = 0
 EXIT_NOT_IN_CLOSURE = 1
@@ -23,6 +29,7 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_INCONSISTENT = 5
 EXIT_DISAGREEMENT = 6
+EXIT_INTERNAL = 7
 
 
 def _parse_weights(text: str):
@@ -293,6 +300,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except (CertificateError, AssertionError) as exc:
+        # exactmath raises a bare AssertionError on a failed plug-back
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

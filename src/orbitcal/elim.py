@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
+from operator import le, sub
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
 from orbitcal.errors import ResourceLimitError
@@ -63,18 +64,15 @@ class OrderedRing:
 
 
 def _divides(e1, e2) -> bool:
-    for a, b in zip(e1, e2):
-        if a > b:
-            return False
-    return True
+    return all(map(le, e1, e2))
 
 
 def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _primitive(poly, ring):
@@ -103,17 +101,21 @@ def _monic(poly, ring):
     return {e: c * inv for e, c in poly.items()}
 
 
-def normal_form(poly, basis, ring: OrderedRing):
+def normal_form(poly, basis, ring: OrderedRing, leads=None):
     """Remainder of full multivariate division; zero iff poly is in the
-    ideal generated by a Groebner basis."""
+    ideal generated by a Groebner basis.  leads, when given, lists the
+    leading monomials of basis in the same order."""
     work = dict(poly)
     remainder = {}
-    leads = [(g, ring.lead(g)) for g in basis if g]
+    if leads is None:
+        reducers = [(g, ring.lead(g)) for g in basis if g]
+    else:
+        reducers = list(zip(basis, leads))
     while work:
         e = ring.lead(work)
         c = work[e]
-        for g, glead in leads:
-            if _divides(glead, e):
+        for g, glead in reducers:
+            if all(map(le, glead, e)):  # _divides, inlined in the hot loop
                 term_times_into(work, g, _exp_sub(e, glead), -c / g[glead])
                 break
         else:
@@ -134,101 +136,94 @@ def s_polynomial(f, g, ring: OrderedRing):
 def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the generated ideal.
 
-    Normal selection strategy with the coprime-lead and chain criteria;
-    intermediate polynomials are kept primitive over Z to control
-    coefficient growth, the final basis is monic, interreduced and
-    sorted by leading monomial, hence canonical.  Basis leads and pair
-    selection keys are computed once, when created."""
-    basis = []
+    Normal selection strategy with the Gebauer-Moeller (1988) pair
+    update: criteria M, F and B, and the coprime-lead criterion per lcm.
+    An element whose lead a newer lead divides retires: it forms no
+    pairs and reduces nothing, but joins the final interreduction.
+    max_pairs bounds the candidate pairs formed, before any criterion.
+    Intermediate polynomials are kept primitive over Z to control
+    coefficient growth; the final basis is monic, interreduced and
+    sorted by leading monomial, hence canonical."""
+    basis: list = []
+    leads: list = []
+    active: list = []
+    # queued pairs and their lcm; the heap is keyed by the lcm in the
+    # order (ties broken by index), so pops replay the normal strategy,
+    # and a popped pair no longer in queued was removed by criterion B
+    queued: dict = {}
+    heap: list = []
+    formed = reduced = 0
+
+    def add(h):
+        nonlocal formed
+        formed += len(active)
+        if formed > max_pairs:
+            raise ResourceLimitError(
+                f"buchberger: pair limit {max_pairs} exceeded (basis "
+                f"{len(basis)} elements, {reduced} S-polynomials reduced)"
+            )
+        new, lh = len(basis), ring.lead(h)
+        partner, coprime = {}, set()  # per lcm: first active partner
+        for i in active:
+            lcm = _exp_lcm(leads[i], lh)
+            partner.setdefault(lcm, i)
+            if not any(map(min, leads[i], lh)):  # coprime leads
+                coprime.add(lcm)
+        for (i, j), lcm in list(queued.items()):
+            if _divides(lh, lcm) and lcm not in (_exp_lcm(leads[i], lh), _exp_lcm(leads[j], lh)):
+                del queued[i, j]
+        # criterion M: a proper divisor has a smaller degree, and if any
+        # lcm divides this one then some minimal lcm does
+        minimal: list = []
+        for lcm in sorted(partner, key=sum):
+            if not any(_divides(m, lcm) for m in minimal):
+                minimal.append(lcm)
+                if lcm not in coprime:
+                    queued[partner[lcm], new] = lcm
+                    heappush(heap, (ring.order_key(lcm), (partner[lcm], new)))
+        basis.append(h)
+        leads.append(lh)
+        active[:] = [i for i in active if not _divides(lh, leads[i])]
+        active.append(new)
+
     for g in generators:
         g = {e: Fraction(c) for e, c in g.items() if c}
         if g:
-            basis.append(_primitive(g, ring))
+            add(_primitive(g, ring))
     if not basis:
         raise ValueError("need at least one nonzero generator")
 
-    leads = [ring.lead(g) for g in basis]
-
-    # every pair enters the heap exactly once, keyed by its lcm in the
-    # order (ties broken by index), so pops replay the normal strategy
-    heap: list = []
-    pending: set = set()
-
-    def push_pair(i, j):
-        heappush(heap, (ring.order_key(_exp_lcm(leads[i], leads[j])), (i, j)))
-        pending.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
-    processed = 0
     while heap:
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceLimitError(f"Groebner pair limit {max_pairs} exceeded")
         _, pair = heappop(heap)
-        pending.discard(pair)
+        if queued.pop(pair, None) is None:
+            continue
         i, j = pair
-        li, lj = leads[i], leads[j]
-        lcm = _exp_lcm(li, lj)
-        if all(a + b == m for a, b, m in zip(li, lj, lcm)):
-            continue  # coprime leads: the S-polynomial reduces to zero
-        if _chain_criterion(i, j, lcm, leads, pending):
-            continue
         s = s_polynomial(basis[i], basis[j], ring)
-        r = normal_form(s, basis, ring)
+        reduced += 1
+        r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
         if r:
-            r = _primitive(r, ring)
-            basis.append(r)
-            leads.append(ring.lead(r))
-            new = len(basis) - 1
-            for k in range(new):
-                push_pair(k, new)
-    return _reduce_basis(basis, ring)
+            add(_primitive(r, ring))
+    return _reduce_basis(basis, leads, ring)
 
 
-def _chain_criterion(i, j, lcm, leads, pairs) -> bool:
-    for k in range(len(leads)):
-        if k == i or k == j:
-            continue
-        if not _divides(leads[k], lcm):
-            continue
-        p1 = (min(i, k), max(i, k))
-        p2 = (min(j, k), max(j, k))
-        if p1 not in pairs and p2 not in pairs:
-            return True
-    return False
-
-
-def _reduce_basis(basis, ring: OrderedRing):
-    # minimalize: drop elements whose lead is divisible by another lead
-    basis = [dict(g) for g in basis if g]
-    keep = []
-    leads = [ring.lead(g) for g in basis]
-    for i, g in enumerate(basis):
-        if any(
-            j != i
-            and _divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # interreduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            r = normal_form(keep[i], others, ring) if others else keep[i]
+def _reduce_basis(basis, leads, ring: OrderedRing):
+    # minimalize: keep an element unless a kept lead divides its lead;
+    # a proper divisor has a smaller degree, so scan by degree (stable,
+    # so the first of equal leads is kept)
+    keep, keep_leads = [], []
+    for g, lead in sorted(zip(basis, leads), key=lambda pair: sum(pair[1])):
+        if not any(_divides(other, lead) for other in keep_leads):
+            keep.append(g)
+            keep_leads.append(lead)
+    # interreduce: no lead divides another, so every lead survives and
+    # one pass leaves no term divisible by another element's lead
+    for i in range(len(keep)):
+        others = keep[:i] + keep[i + 1 :]
+        if others:
+            r = normal_form(keep[i], others, ring, leads=keep_leads[:i] + keep_leads[i + 1 :])
             if r != keep[i]:
-                changed = True
-                if r:
-                    keep[i] = _primitive(r, ring)
-                else:
-                    del keep[i]
-                    break
-    reduced = [_monic(g, ring) for g in keep if g]
+                keep[i] = _primitive(r, ring)
+    reduced = [_monic(g, ring) for g in keep]
     reduced.sort(key=lambda g: ring.order_key(ring.lead(g)))
     return GroebnerBasis(reduced, ring)
 
@@ -443,16 +438,9 @@ def point_in_closure(equations, point) -> bool:
     """True iff every defining polynomial vanishes exactly at the point."""
     point = vector(point)
     for q in equations:
-        total = Fraction(0)
-        for exp, coef in q.items():
-            if len(exp) != len(point):
-                raise ValueError("arity mismatch between equations and point")
-            val = coef
-            for x, e in zip(point, exp):
-                if e:
-                    val *= x**e
-            total += val
-        if total:
+        if any(len(exp) != len(point) for exp in q):
+            raise ValueError("arity mismatch between equations and point")
+        if evaluate_equation(q, point):
             return False
     return True
 

@@ -248,3 +248,25 @@ def test_vector_length_validation(torus12, capsys):
     )
     assert code == 2
     assert "length" in err
+
+
+def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
+    # a failed plug-back must not read as a verdict (code 1 would be
+    # NOT_IN_CLOSURE): both failure kinds leave with EXIT_INTERNAL
+    from orbitcal import decider
+
+    args = ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,1", "--conify",
+            "--degree-bound", "2"]
+    monkeypatch.setattr(decider, "verify", lambda decision, system: False)
+    code, out, err = run(args, capsys)
+    assert code == cli.EXIT_INTERNAL == 7
+    assert out == ""
+    assert "failed exact re-verification" in err
+
+    def failed_plug_back(matrix, rhs):
+        raise AssertionError("internal solution failed plug-back")
+
+    monkeypatch.setattr(decider, "solve_or_refute", failed_plug_back)
+    code, _, err = run(args, capsys)
+    assert code == 7
+    assert "plug-back" in err

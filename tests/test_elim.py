@@ -83,6 +83,16 @@ def test_pair_limit_enforced():
         buchberger(gens, LEX_XY, max_pairs=1)
 
 
+def test_pair_limit_error_names_stage_and_counters():
+    # the guard fires before the third generator's pairs are built
+    gens = [p("x^3 - y"), p("x*y^2 - 1"), p("y^3 - x^2")]
+    with pytest.raises(ResourceLimitError) as info:
+        buchberger(gens, LEX_XY, max_pairs=2)
+    assert str(info.value) == (
+        "buchberger: pair limit 2 exceeded (basis 2 elements, 0 S-polynomials reduced)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # closure equations
 

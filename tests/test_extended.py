@@ -1,7 +1,10 @@
-"""Heavier cross-checks on binary cubics: the closure of the
-triple-root cone is a determinantal variety needing three equations,
-which exercises elimination and the linear-system decider well beyond
-the quadratic battery."""
+"""Heavier cross-checks on binary cubics and quartics: the closure of
+the triple-root cone is a determinantal variety needing three
+equations, the quartic one needs six, which exercises elimination and
+the linear-system decider well beyond the quadratic battery."""
+
+from fractions import Fraction
+from math import comb
 
 from orbitcal.decider import DecisionProblem, decide
 from orbitcal.elim import (
@@ -44,3 +47,27 @@ def test_cubic_cone_equations_and_oracle_agreement():
         conic_asserted=True,
     )
     assert decide(problem).verdict == "NOT_IN_CLOSURE"
+
+
+def test_quartic_cone_closes_within_default_budget():
+    # the cone over fourth powers s*(p*z1 + q*z2)^4: the 2x2 minors of
+    # the binomially scaled 2x4 Hankel matrix
+    sl2 = sl2_binary_forms(4)
+    rep2, _, b2 = make_conic(sl2, (0,) * 5, (1, 0, 0, 0, 0))
+    equations = closure_equations(rep2, SubspaceMap.point(b2))
+    assert equations == [
+        parse_equation(text, 6)
+        for text in (
+            "z5^2 - 8/3*z4*z6",
+            "z4*z5 - 6*z3*z6",
+            "z3*z5 - 16*z2*z6",
+            "z4^2 - 36*z2*z6",
+            "z3*z4 - 6*z2*z5",
+            "z3^2 - 8/3*z2*z4",
+        )
+    ]
+
+    for w0, s, p, q in ((1, 1, 1, 0), (2, 3, 1, 1), (-1, Fraction(1, 2), 2, -3), (5, -2, 3, 1)):
+        power = tuple(s * comb(4, k) * Fraction(p) ** (4 - k) * q**k for k in range(5))
+        assert point_in_closure(equations, (w0,) + power), (s, p, q)
+    assert not point_in_closure(equations, (1, 1, 0, 0, 0, 1))  # z1^4 + z2^4
