@@ -1,11 +1,13 @@
-"""Pure-Python term-dict kernels.
+"""Term-dict kernels.
 
 Polynomials, linear forms and sparse matrix rows are all stored as dicts
 mapping a hashable key (an exponent tuple, a column index, a coefficient
 label) to a nonzero Fraction.  These three loops carry almost all of the
-run time of the package; orbitcal._kernels._speed holds the compiled
-twin with identical semantics.
+run time of the package.  BACKEND names the implementation for run
+reports; there is only this pure-Python one.
 """
+
+BACKEND = "pure"
 
 
 def add_scaled_inplace(acc, src, scale):

@@ -161,25 +161,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    rep = repmodel.RepresentationData.load(args.rep)
-    a = repmodel.parse_vector(args.a)
-    b = repmodel.parse_vector(args.b)
-    if len(a) != rep.n or len(b) != rep.n:
-        raise ValueError(f"vectors must have length {rep.n}")
-    if args.conify:
-        rep_w, a_w, b_w = repmodel.make_conic(rep, a, b)
-        problem = decider.DecisionProblem(
-            rep_w, a_w, b_w,
-            degree_bound_override=args.degree_bound,
-            conic_asserted=True,
-        )
-    else:
-        rep_w, a_w, b_w = rep, a, b
-        problem = decider.DecisionProblem(
-            rep_w, a_w, b_w,
-            degree_bound_override=args.degree_bound,
-            conic_asserted=args.assume_conic,
-        )
+    problem = _load_problem(args)
+    rep_w, a_w, b_w = problem.rep, problem.a, problem.b
 
     results = {}
     decision = decider.decide(

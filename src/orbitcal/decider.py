@@ -22,8 +22,8 @@ from orbitcal import repmodel
 from orbitcal.degbound import parametric_degree_bound
 from orbitcal.errors import CertificateError, PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, SparseMatrix, solve_or_refute
-from orbitcal.polyring import GenericPoly, LaurentPoly, generic_substitute
-from orbitcal.repmodel import RepresentationData, vector
+from orbitcal.polyring import GenericPoly, generic_substitute
+from orbitcal.repmodel import vector
 
 IN_CLOSURE = "IN_CLOSURE"
 NOT_IN_CLOSURE = "NOT_IN_CLOSURE"
@@ -155,11 +155,6 @@ def generic_coefficient_count(n: int, d: int) -> int:
     return n * comb(2 * d - 2 + n, n)
 
 
-def orbit_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
-    """Pullbacks of the coordinates along the orbit parametrization of b."""
-    return repmodel.coordinate_pullbacks(rep, b)
-
-
 def assemble_system(H: GenericPoly, pullbacks) -> LinearSystem:
     """Collect the substituted combination by parameter monomial and
     split each affine-linear coefficient into a homogeneous row and a
@@ -254,11 +249,22 @@ def decide(
     transcript["degree_bound"] = d
     transcript["degree_bound_source"] = source
 
+    # Checked before H is built, and sound: after scrambling b_w has no
+    # zero coordinate and its orbit is conic, so no coordinate pullback is
+    # zero or constant, and the column of c[(p, q)], the substituted
+    # (y_p - a_p) y^q, has a nonzero entry.  Hence c-variables <= nnz.
+    c_variables = generic_coefficient_count(rep_w.n, d)
+    if c_variables > max_nnz:
+        raise ResourceLimitError(
+            f"linear system too large: {c_variables} c-variables at degree "
+            f"bound d = {d} (limit {max_nnz} nonzeros)"
+        )
+
     H = build_generic_H(rep_w.n, d, a_w)
-    pullbacks = orbit_pullbacks(rep_w, b_w)
+    pullbacks = repmodel.coordinate_pullbacks(rep_w, b_w)
     system = assemble_system(H, pullbacks)
     transcript["monomials"] = len(system.row_monomials)
-    transcript["c_variables"] = generic_coefficient_count(rep_w.n, d)
+    transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz
     if system.matrix.nnz > max_nnz:
         raise ResourceLimitError(

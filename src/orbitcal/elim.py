@@ -366,14 +366,8 @@ def closure_equations(
             add_scaled_inplace(acc, terms_mul(widened_rho, widened_tau), Fraction(1))
         images.append(acc)
 
-    denominators = []
-    for f in images:
-        m = [0] * width_x
-        for exp in f:
-            for k in range(rep.r):
-                if -exp[k] > m[k]:
-                    m[k] = -exp[k]
-        denominators.append(tuple(m))
+    xy = Ambient(rep.r, rep.s + l)
+    denominators = [LaurentPoly(xy, f).monomial_denominator() for f in images]
 
     if rep.r == 0:
         with_t = False
@@ -399,11 +393,9 @@ def closure_equations(
     for p in range(rep.n):
         g: dict = {}
         m = denominators[p]
-        lead_exp = embed(m + (0,) * l, z_index=p)
-        g[lead_exp] = Fraction(1)
+        g[embed(m, z_index=p)] = Fraction(1)
         for exp, c in images[p].items():
-            shifted = tuple(e + mm for e, mm in zip(exp[:width_x], m)) + exp[width_x:]
-            key = embed(shifted)
+            key = embed(tuple(e + mm for e, mm in zip(exp, m)))
             cur = g.get(key, Fraction(0)) - c
             if cur:
                 g[key] = cur
@@ -413,14 +405,12 @@ def closure_equations(
 
     if with_t:
         if entry_denominator_saturation:
-            product = [0] * width_x
-            for m in denominators:
-                product = [a + b for a, b in zip(product, m)]
+            product = [sum(column) for column in zip(*denominators)]
         else:
-            product = [1 if k < rep.r else 0 for k in range(width_x)]
+            product = [1 if k < rep.r else 0 for k in range(width_x + l)]
         sat = {
             embed((0,) * (width_x + l)): Fraction(1),
-            embed(tuple(product) + (0,) * l, t_power=1): Fraction(-1),
+            embed(tuple(product), t_power=1): Fraction(-1),
         }
         generators.append(sat)
 

@@ -273,6 +273,38 @@ class LaurentPoly:
         return cls(ambient, parse_terms(text, ambient.names))
 
 
+def _monomial_images(images: list[LaurentPoly]):
+    """Return exp -> prod_i images[i]**exp[i], memoized per exponent; each
+    image's powers are computed once by repeated squaring."""
+    one = LaurentPoly.const(images[0].ambient, 1)
+    pow_caches: list[dict[int, LaurentPoly]] = [{1: img} for img in images]
+
+    def power(i, e):
+        cache = pow_caches[i]
+        got = cache.get(e)
+        if got is None:
+            half = power(i, e // 2)
+            got = half * half
+            if e & 1:
+                got = got * cache[1]
+            cache[e] = got
+        return got
+
+    mono_cache: dict[tuple[int, ...], LaurentPoly] = {}
+
+    def monomial_image(exp):
+        got = mono_cache.get(exp)
+        if got is None:
+            got = one
+            for i, e in enumerate(exp):
+                if e:
+                    got = got * power(i, e)
+            mono_cache[exp] = got
+        return got
+
+    return monomial_image
+
+
 def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     """Compose an ordinary polynomial with polynomial values per variable."""
     if any(e < 0 for exp in poly.terms for e in exp):
@@ -287,25 +319,10 @@ def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     for v in values:
         if v.ambient != target:
             raise ValueError("ambient mismatch among substitution values")
-    caches: list[dict[int, LaurentPoly]] = [
-        {0: LaurentPoly.const(target, 1), 1: v} for v in values
-    ]
-
-    def power(i, e):
-        cache = caches[i]
-        got = cache.get(e)
-        if got is None:
-            got = power(i, e - 1) * caches[i][1]
-            cache[e] = got
-        return got
-
+    image = _monomial_images(values)
     total = LaurentPoly.zero(target)
     for exp, coef in poly.terms.items():
-        term = LaurentPoly.const(target, coef)
-        for i, e in enumerate(exp):
-            if e:
-                term = term * power(i, e)
-        total = total + term
+        total = total + image(exp) * coef
     return total
 
 
@@ -429,15 +446,13 @@ class GenericPoly:
 
 
 def generic_substitute(
-    poly: GenericPoly, images: list[LaurentPoly], cache_limit: int | None = None
+    poly: GenericPoly, images: list[LaurentPoly]
 ) -> dict[tuple[int, ...], LinForm]:
     """Substitute a Laurent polynomial for every y-variable and collect
     the result by x-monomial.
 
     Returns the finite support map exponent -> LinForm; the y-monomial
-    powers of the images are expanded once each through a power cache.
-    cache_limit bounds the number of memoized monomial expansions (new
-    entries are recomputed instead of stored once the bound is hit)."""
+    powers of the images are expanded once each through a power cache."""
     if len(images) != poly.n:
         raise ValueError("image count mismatch")
     ambient = images[0].ambient
@@ -445,34 +460,7 @@ def generic_substitute(
         if img.ambient != ambient:
             raise ValueError("ambient mismatch among images")
 
-    pow_caches: list[dict[int, LaurentPoly]] = [
-        {0: LaurentPoly.const(ambient, 1), 1: img} for img in images
-    ]
-
-    def power(i, e):
-        cache = pow_caches[i]
-        got = cache.get(e)
-        if got is None:
-            half = power(i, e // 2)
-            got = half * half
-            if e & 1:
-                got = got * cache[1]
-            cache[e] = got
-        return got
-
-    mono_cache: dict[tuple[int, ...], LaurentPoly] = {}
-
-    def monomial_image(exp):
-        got = mono_cache.get(exp)
-        if got is None:
-            got = LaurentPoly.const(ambient, 1)
-            for i, e in enumerate(exp):
-                if e:
-                    got = got * power(i, e)
-            if cache_limit is None or len(mono_cache) < cache_limit:
-                mono_cache[exp] = got
-        return got
-
+    monomial_image = _monomial_images(images)
     collected: dict[tuple[int, ...], LinForm] = {}
     for yexp, lf in poly.terms.items():
         image = monomial_image(yexp)

@@ -234,6 +234,35 @@ def test_crosscheck_quadratic_forms(tmp_path, capsys):
     assert "torus" not in payload["verdicts"]  # not a diagonal action
 
 
+
+def test_crosscheck_argument_handling(tmp_path, torus12, capsys):
+    # crosscheck loads its problem exactly as decide does
+    code, _, err = run(
+        ["crosscheck", "--rep", torus12, "--a", "1", "--b", "1,1", "--conify"], capsys
+    )
+    assert code == 2
+    assert "length" in err
+    code, _, err = run(
+        ["crosscheck", "--rep", torus12, "--a", "1,0", "--b", "1,1",
+         "--degree-bound", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert "conic" in err
+    # the scaling line is conic as given, so --assume-conic needs no reduction
+    path = tmp_path / "line.json"
+    code, _, _ = run(["gen", "torus", "--weights", "1;1", "--out", str(path)], capsys)
+    assert code == 0
+    for a, verdict in (("0,0", "IN_CLOSURE"), ("1,2", "NOT_IN_CLOSURE")):
+        code, out, _ = run(
+            ["crosscheck", "--rep", str(path), "--a", a, "--b", "1,1", "--assume-conic"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["agree"]
+        assert set(payload["verdicts"].values()) == {verdict}
+
 def test_seed_reproducibility(torus12, capsys):
     args = ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,0", "--conify",
             "--degree-bound", "2", "--seed", "3", "--verbose"]
@@ -270,3 +299,25 @@ def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
     code, _, err = run(args, capsys)
     assert code == 7
     assert "plug-back" in err
+
+
+def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):
+    # the parametric fallback for conified quadratic forms is d = 2401, about
+    # 8.9e13 c-variables: the size guard must trip before H is built
+    from orbitcal import decider
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("build_generic_H reached past the size guard")
+
+    monkeypatch.setattr(decider, "build_generic_H", unreachable)
+    monkeypatch.delenv("ORBITCAL_MAX_NNZ", raising=False)
+    path = tmp_path / "sl2h2.json"
+    code, _, _ = run(["gen", "sl2", "--h", "2", "--out", str(path)], capsys)
+    assert code == 0
+    code, out, err = run(
+        ["decide", "--rep", str(path), "--a", "0,1,0", "--b", "1,2,1", "--conify"],
+        capsys,
+    )
+    assert code == cli.EXIT_RESOURCE == 4
+    assert out == ""
+    assert "too large" in err

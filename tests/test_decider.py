@@ -14,14 +14,13 @@ from orbitcal.decider import (
     conic_problem,
     decide,
     generic_coefficient_count,
-    orbit_pullbacks,
     verify,
 )
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, parabola_rep
 from orbitcal.polyring import LaurentPoly
-from orbitcal.repmodel import act, make_conic, torus_diagonal, vector
+from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, torus_diagonal, vector
 
 
 def test_build_generic_smallest_case():
@@ -53,13 +52,13 @@ def test_generic_origin_case():
 def test_pullbacks_match_action():
     rep = torus_diagonal([(1,), (2,)])
     amb = rep.ambient
-    assert orbit_pullbacks(rep, (1, 1)) == [
+    assert coordinate_pullbacks(rep, (1, 1)) == [
         LaurentPoly.parse("x1", amb),
         LaurentPoly.parse("x1^2", amb),
     ]
     rep2, _, b2 = make_conic(rep, (0, 0), (1, 1))
     amb2 = rep2.ambient
-    assert orbit_pullbacks(rep2, b2) == [
+    assert coordinate_pullbacks(rep2, b2) == [
         LaurentPoly.parse("x1", amb2),
         LaurentPoly.parse("x1*x2", amb2),
         LaurentPoly.parse("x1*x2^2", amb2),
@@ -72,7 +71,7 @@ def test_assemble_dense_one_dimensional_orbit():
     rep = torus_diagonal([(1,)])
     for alpha in (0, 1, Fraction(-7, 3)):
         H = build_generic_H(1, 1, (alpha,))
-        system = assemble_system(H, orbit_pullbacks(rep, (1,)))
+        system = assemble_system(H, coordinate_pullbacks(rep, (1,)))
         w = solve_or_refute(system.matrix, system.rhs)
         assert w.kind == REFUTATION
 
@@ -80,7 +79,7 @@ def test_assemble_dense_one_dimensional_orbit():
 def test_assemble_conified_parabola_sizes_and_verdicts():
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (1, 0), (1, 1))
     H = build_generic_H(3, 2, a2)
-    system = assemble_system(H, orbit_pullbacks(rep2, b2))
+    system = assemble_system(H, coordinate_pullbacks(rep2, b2))
     assert generic_coefficient_count(3, 2) == 30
     assert len(system.row_monomials) <= 28  # degrees 0..3 x 0..6 minus gaps
     w = solve_or_refute(system.matrix, system.rhs)
@@ -88,7 +87,7 @@ def test_assemble_conified_parabola_sizes_and_verdicts():
 
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (0, 0), (1, 1))
     H = build_generic_H(3, 2, a2)
-    system = assemble_system(H, orbit_pullbacks(rep2, b2))
+    system = assemble_system(H, coordinate_pullbacks(rep2, b2))
     w = solve_or_refute(system.matrix, system.rhs)
     assert w.kind == REFUTATION  # inconsistent: in the closure
 
@@ -256,6 +255,30 @@ def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         decide(problem, max_nnz=10)
 
+
+
+
+def test_resource_limit_after_assembly():
+    # 30 c-variables pass the early guard; the 50 assembled nonzeros do not
+    rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
+    problem = DecisionProblem(
+        rep2, a2, b2, degree_bound_override=2, conic_asserted=True
+    )
+    with pytest.raises(ResourceLimitError, match=r"50 nonzeros \(limit 30\)"):
+        decide(problem, max_nnz=generic_coefficient_count(3, 2))
+
+def test_resource_guard_fires_before_building_H(monkeypatch):
+    from orbitcal import decider
+    from orbitcal.repmodel import sl2_binary_forms
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("build_generic_H reached past the size guard")
+
+    monkeypatch.setattr(decider, "build_generic_H", unreachable)
+    # no degree bound on the conified quadratic forms: parametric d = 2401
+    problem = conic_problem(sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
+    with pytest.raises(ResourceLimitError, match="c-variables at degree bound d = 2401"):
+        decide(problem)
 
 def test_certificates_verify_and_reject_tampering():
     rng = random.Random(59)

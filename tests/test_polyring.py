@@ -231,18 +231,3 @@ def test_generic_poly_respects_degree_cap():
     with pytest.raises(ValueError):
         H.add_term((1, 1), key="c", coef=1)
 
-
-def test_generic_substitute_cache_limit_changes_nothing():
-    rng = random.Random(29)
-    amb = Ambient(1, 1)
-    H = GenericPoly(2, 4)
-    for _ in range(8):
-        H.add_term(
-            (rng.randint(0, 2), rng.randint(0, 2)),
-            key=("c", rng.randint(0, 2)),
-            coef=rng.randint(1, 3),
-        )
-    images = [_random_poly(rng, amb, 3) for _ in range(2)]
-    unlimited = generic_substitute(H, images)
-    assert generic_substitute(H, images, cache_limit=0) == unlimited
-    assert generic_substitute(H, images, cache_limit=2) == unlimited
