@@ -1,10 +1,10 @@
 """Term-dict kernels.
 
-Polynomials, linear forms and sparse matrix rows are all stored as dicts
-mapping a hashable key (an exponent tuple, a column index, a coefficient
-label) to a nonzero Fraction.  These three loops carry almost all of the
-run time of the package.  BACKEND names the implementation for run
-reports; there is only this pure-Python one.
+Polynomials, including the columns of the decider's linear system, are
+stored as dicts mapping an exponent tuple to a nonzero Fraction.  These
+three loops carry almost all of the run time of the package.  BACKEND
+names the implementation for run reports; there is only this
+pure-Python one.
 """
 
 BACKEND = "pure"

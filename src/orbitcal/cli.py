@@ -3,9 +3,9 @@
 Subcommands: gen, decide, closure, degree, oracle, crosscheck.
 Exit codes: 0 in-closure (or agreement), 1 not-in-closure, 2 bad
 parameters, 3 violated precondition, 4 resource limit, 5 inconsistent
-degree data, 6 oracle disagreement, 7 internal error (a certificate
-that fails its exact plug-back).  ORBITCAL_MAX_NNZ overrides the
-linear-system size threshold."""
+degree data, 6 oracle disagreement, 7 internal error (any other
+exception, such as a certificate that fails its exact plug-back).
+ORBITCAL_MAX_NNZ overrides the linear-system size threshold."""
 
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from orbitcal import decider, degbound, elim, repmodel, torusoracle
 from orbitcal.errors import (
-    CertificateError,
     InconsistentDataError,
     PreconditionError,
     ResourceLimitError,
@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except (CertificateError, AssertionError) as exc:
-        # exactmath raises a bare AssertionError on a failed plug-back
+    except Exception as exc:
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -2,11 +2,13 @@
 
 Given a conic base orbit with degree bound d, membership of a point's
 orbit in the closure is equivalent to the INconsistency of an explicit
-linear system: build generic polynomials of degree 2d-2 with
-indeterminate coefficients, form the combination
-(y_1 - a_1)F_1 + ... + (y_n - a_n)F_n - 1, substitute the orbit
-parametrization for the y's, and require every collected monomial
-coefficient to vanish.  A refutation of the system certifies
+linear system: with polynomials F_p of degree 2d-2 whose coefficients
+c[(p, q)] are unknowns, the combination
+(y_1 - a_1)F_1 + ... + (y_n - a_n)F_n - 1, with the orbit
+parametrization psi substituted for the y's, must have every collected
+monomial coefficient vanish.  The column of c[(p, q)] is therefore the
+expansion of (psi_p - a_p) psi^q, and the system is assembled column by
+column from the pullback powers.  A refutation of the system certifies
 membership, a solution certifies non-membership, and both certificates
 re-verify by exact plug-back.
 """
@@ -19,10 +21,11 @@ from fractions import Fraction
 from math import comb
 
 from orbitcal import repmodel
+from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import parametric_degree_bound
 from orbitcal.errors import CertificateError, PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, SparseMatrix, solve_or_refute
-from orbitcal.polyring import GenericPoly, generic_substitute
+from orbitcal.polyring import monomial_images
 from orbitcal.repmodel import vector
 
 IN_CLOSURE = "IN_CLOSURE"
@@ -115,30 +118,9 @@ class Decision:
         return json.dumps(self.to_json(), indent=2)
 
 
-def build_generic_H(n: int, d: int, alpha) -> GenericPoly:
-    """The generic combination (y_1 - a_1)F_1 + ... + (y_n - a_n)F_n - 1
-    where each F_p ranges over all monomials of total degree <= 2d-2
-    with its own indeterminate coefficient c[(p, exponent)]."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    alpha = vector(alpha)
-    if len(alpha) != n:
-        raise ValueError("alpha length mismatch")
-    deg_f = 2 * d - 2
-    H = GenericPoly(n, deg_f + 1)
-    H.add_term((0,) * n, const=-1)
-    for p in range(n):
-        for qexp in _monomials_up_to(n, deg_f):
-            key = (p, qexp)
-            lifted = qexp[:p] + (qexp[p] + 1,) + qexp[p + 1 :]
-            H.add_term(lifted, key=key, coef=1)
-            if alpha[p]:
-                H.add_term(qexp, key=key, coef=-alpha[p])
-    return H
-
-
 def _monomials_up_to(n: int, degree: int):
-    """All exponent tuples in N^n of total degree <= degree, graded order."""
+    """All exponent tuples in N^n of total degree <= degree, in
+    lexicographic order."""
 
     def rec(prefix, remaining, slots):
         if slots == 1:
@@ -155,24 +137,41 @@ def generic_coefficient_count(n: int, d: int) -> int:
     return n * comb(2 * d - 2 + n, n)
 
 
-def assemble_system(H: GenericPoly, pullbacks) -> LinearSystem:
-    """Collect the substituted combination by parameter monomial and
-    split each affine-linear coefficient into a homogeneous row and a
-    right-hand side (the constants move to the right)."""
-    collected = generic_substitute(H, pullbacks)
-    row_monomials = sorted(collected, key=lambda e: (sum(e), e))
-    col_set = set()
-    for lf in collected.values():
-        col_set.update(lf.coeffs)
-    col_keys = sorted(col_set)
-    col_index = {key: j for j, key in enumerate(col_keys)}
+def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
+    """The system A c = v for the combination at degree bound d and
+    target alpha.  Column (p, q) holds the coefficients of
+    (psi_p - alpha_p) psi^q; rows are the parameter monomials in the
+    support of some column, plus x^0, whose right-hand side is the 1
+    moved over from the combination (every other row has 0).  Zero
+    columns are dropped; rows are sorted by (degree, exponent) and
+    columns by key."""
+    n = len(pullbacks)
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    alpha = vector(alpha)
+    if len(alpha) != n:
+        raise ValueError("alpha length mismatch")
+    image = monomial_images(pullbacks)
+    columns = {}
+    for p in range(n):
+        for q in _monomials_up_to(n, 2 * d - 2):
+            column = dict(image(q[:p] + (q[p] + 1,) + q[p + 1 :]).terms)
+            add_scaled_inplace(column, image(q).terms, -alpha[p])
+            if column:
+                columns[(p, q)] = column
+    one = (0,) * pullbacks[0].ambient.nvars
+    rows = {one}
+    for column in columns.values():
+        rows.update(column)
+    row_monomials = sorted(rows, key=lambda e: (sum(e), e))
+    row_index = {exp: i for i, exp in enumerate(row_monomials)}
+    col_keys = sorted(columns)
     matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
-    rhs = []
-    for i, exp in enumerate(row_monomials):
-        lf = collected[exp]
-        for key, coef in lf.coeffs.items():
-            matrix.entries[(i, col_index[key])] = coef
-        rhs.append(-lf.const)
+    for j, key in enumerate(col_keys):
+        for exp, coef in columns[key].items():
+            matrix.entries[(row_index[exp], j)] = coef
+    rhs = [0] * len(row_monomials)
+    rhs[row_index[one]] = 1
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 
@@ -201,9 +200,9 @@ def decide(
     Steps: check the dense case through the orbit dimension; scramble
     the basis until every coordinate of b is nonzero; pick the degree
     bound (override, then the representation's own bound, then the
-    parametric fallback); build, substitute and assemble the linear
-    system; solve with an exact witness and re-verify it before
-    returning.  Returns the Decision, or (Decision, LinearSystem) when
+    parametric fallback); assemble the linear system from the
+    coordinate pullbacks; solve with an exact witness and re-verify it
+    before returning.  Returns the Decision, or (Decision, LinearSystem) when
     keep_system is set."""
     rep, a, b = problem.rep, problem.a, problem.b
     if not any(b):
@@ -249,10 +248,11 @@ def decide(
     transcript["degree_bound"] = d
     transcript["degree_bound_source"] = source
 
-    # Checked before H is built, and sound: after scrambling b_w has no
-    # zero coordinate and its orbit is conic, so no coordinate pullback is
-    # zero or constant, and the column of c[(p, q)], the substituted
-    # (y_p - a_p) y^q, has a nonzero entry.  Hence c-variables <= nnz.
+    # Checked before the system is assembled, and sound: after scrambling
+    # b_w has no zero coordinate and its orbit is conic, so no coordinate
+    # pullback is zero or constant, and the column of c[(p, q)], the
+    # expansion of (psi_p - a_p) psi^q, has a nonzero entry.  Hence
+    # c-variables <= nnz.
     c_variables = generic_coefficient_count(rep_w.n, d)
     if c_variables > max_nnz:
         raise ResourceLimitError(
@@ -260,9 +260,8 @@ def decide(
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
 
-    H = build_generic_H(rep_w.n, d, a_w)
     pullbacks = repmodel.coordinate_pullbacks(rep_w, b_w)
-    system = assemble_system(H, pullbacks)
+    system = assemble_system(d, a_w, pullbacks)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz

@@ -79,14 +79,17 @@ class ReductiveData:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ReductiveData":
-        return cls(
-            payload["dim_g"],
-            payload["weyl_order"],
-            payload["exponents"],
-            payload["kernel_order"],
-            payload["coroots"],
-            payload["polytope"],
-        )
+        try:
+            return cls(
+                payload["dim_g"],
+                payload["weyl_order"],
+                payload["exponents"],
+                payload["kernel_order"],
+                payload["coroots"],
+                payload["polytope"],
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed reductive data: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "ReductiveData":

@@ -291,10 +291,13 @@ class SubspaceMap:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SubspaceMap":
-        images = payload.get("images")
-        if not images:
-            raise ValueError("subspace file must list at least one image")
-        return cls(int(payload["l"]), images)
+        try:
+            images = payload.get("images")
+            if not images:
+                raise ValueError("subspace file must list at least one image")
+            return cls(int(payload["l"]), images)
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed subspace data: {exc}") from exc
 
     def to_json(self) -> dict:
         return {"l": self.l, "images": [str(img) for img in self.images]}

@@ -9,7 +9,8 @@ trust the elimination code.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+
+from orbitcal.errors import CertificateError
 
 Rational = Fraction
 
@@ -80,12 +81,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
 
     def mul_vector(self, x) -> list[Fraction]:
         if len(x) != self.cols:
@@ -202,7 +197,7 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
                     u[j] = v
                 witness = ConsistencyWitness(REFUTATION, u)
                 if not witness.verify(matrix, rhs):
-                    raise AssertionError("internal refutation failed plug-back")
+                    raise CertificateError("internal refutation failed plug-back")
                 return witness
             continue
         col = min(row)
@@ -224,71 +219,12 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
         x[col] = acc
     witness = ConsistencyWitness(SOLUTION, x)
     if not witness.verify(matrix, rhs):
-        raise AssertionError("internal solution failed plug-back")
+        raise CertificateError("internal solution failed plug-back")
     return witness
 
 
-def _clear_row(row) -> list[int]:
-    denom = 1
-    for v in row:
-        if v:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    return [int(v * denom) for v in row]
-
-
-DENSIFY_LIMIT = 10**4
-
-
 def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over Q by fraction-free (Bareiss) elimination.
-
-    Rows are cleared to integers first (rank-preserving), pivots are
-    chosen among candidate rows by fewest nonzeros, then lowest index,
-    which keeps the elimination deterministic.  Matrices too large to
-    densify take a sparse field-elimination path instead.
-    """
-    if matrix.rows * matrix.cols > DENSIFY_LIMIT and matrix.nnz <= DENSIFY_LIMIT:
-        return _sparse_rank(matrix)
-    work = [_clear_row(r) for r in matrix.to_dense()]
-    nrows, ncols = matrix.rows, matrix.cols
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        if r == nrows:
-            break
-        best = None
-        for i in range(r, nrows):
-            if work[i][col]:
-                weight = (sum(1 for v in work[i] if v), i)
-                if best is None or weight < best[0]:
-                    best = (weight, i)
-        if best is None:
-            continue
-        i = best[1]
-        if i != r:
-            work[i], work[r] = work[r], work[i]
-        pivot = work[r][col]
-        for i in range(r + 1, nrows):
-            fi = work[i][col]
-            rowi = work[i]
-            rowr = work[r]
-            # every row below is rescaled, even with fi == 0: the exact
-            # division by the previous pivot relies on uniform updates
-            for j in range(col + 1, ncols):
-                num = pivot * rowi[j] - fi * rowr[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("Bareiss division was not exact")
-                rowi[j] = q
-            rowi[col] = 0
-        prev = pivot
-        r += 1
-    return r
-
-
-def _sparse_rank(matrix: SparseMatrix) -> int:
-    """Pivot count of a sparse field elimination (used above the
-    densification threshold)."""
+    """Exact rank over Q: the pivot count of a sparse field elimination."""
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in matrix.row_dicts():
         row = dict(row)

@@ -1,6 +1,4 @@
-"""Multivariate Laurent polynomials over Q, and polynomials whose
-coefficients are affine-linear forms in a second family of
-indeterminates.
+"""Multivariate Laurent polynomials over Q.
 
 Variables split into r "invertible" positions (negative exponents
 allowed) followed by s ordinary positions (exponents in N).  A
@@ -273,7 +271,7 @@ class LaurentPoly:
         return cls(ambient, parse_terms(text, ambient.names))
 
 
-def _monomial_images(images: list[LaurentPoly]):
+def monomial_images(images: list[LaurentPoly]):
     """Return exp -> prod_i images[i]**exp[i], memoized per exponent; each
     image's powers are computed once by repeated squaring."""
     one = LaurentPoly.const(images[0].ambient, 1)
@@ -319,158 +317,11 @@ def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     for v in values:
         if v.ambient != target:
             raise ValueError("ambient mismatch among substitution values")
-    image = _monomial_images(values)
+    image = monomial_images(values)
     total = LaurentPoly.zero(target)
     for exp, coef in poly.terms.items():
         total = total + image(exp) * coef
     return total
-
-
-# ---------------------------------------------------------------------------
-# linear forms in the generic coefficients
-
-
-class LinForm:
-    """constant + sum of coefficient * c-variable, with sparse storage.
-
-    Keys identify the c-variables; this module treats them as opaque
-    hashables (the decision module uses (p, exponent-tuple) pairs).
-    """
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0, coeffs=None):
-        self.const = Fraction(const)
-        self.coeffs: dict = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.coeffs[k] = v
-
-    def is_zero(self) -> bool:
-        return not self.const and not self.coeffs
-
-    def scaled(self, factor) -> "LinForm":
-        factor = Fraction(factor)
-        if not factor:
-            return LinForm()
-        out = LinForm()
-        out.const = self.const * factor
-        out.coeffs = {k: v * factor for k, v in self.coeffs.items()}
-        return out
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        out = LinForm(self.const, dict(self.coeffs))
-        out.const += other.const
-        add_scaled_inplace(out.coeffs, other.coeffs, Fraction(1))
-        return out
-
-    def _iadd_scaled(self, other: "LinForm", factor: Fraction):
-        self.const += other.const * factor
-        add_scaled_inplace(self.coeffs, other.coeffs, factor)
-
-    def evaluate(self, assignment) -> Fraction:
-        """Value after substituting rationals for the c-variables
-        (missing keys default to zero)."""
-        total = self.const
-        for k, v in self.coeffs.items():
-            val = assignment.get(k)
-            if val:
-                total += v * Fraction(val)
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinForm)
-            and self.const == other.const
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"LinForm(const={self.const}, coeffs={self.coeffs})"
-
-
-class GenericPoly:
-    """Polynomial in y1..yn whose coefficients are LinForms."""
-
-    __slots__ = ("n", "degree_cap", "terms")
-
-    def __init__(self, n: int, degree_cap: int, terms=None):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
-        self.degree_cap = degree_cap
-        self.terms: dict[tuple[int, ...], LinForm] = {}
-        if terms:
-            for exp, lf in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != n or any(e < 0 for e in exp):
-                    raise ValueError(f"bad y-exponent {exp}")
-                if sum(exp) > degree_cap:
-                    raise ValueError("term exceeds declared degree bound")
-                if not lf.is_zero():
-                    self.terms[exp] = lf
-
-    def add_term(self, exp, key=None, coef=1, const=0):
-        """Accumulate coef * c[key] + const onto the y-monomial exp."""
-        exp = tuple(int(e) for e in exp)
-        if sum(exp) > self.degree_cap:
-            raise ValueError("term exceeds declared degree bound")
-        lf = self.terms.get(exp)
-        if lf is None:
-            lf = LinForm()
-            self.terms[exp] = lf
-        lf.const += Fraction(const)
-        if key is not None:
-            c = lf.coeffs.get(key, Fraction(0)) + Fraction(coef)
-            if c:
-                lf.coeffs[key] = c
-            else:
-                lf.coeffs.pop(key, None)
-        if lf.is_zero():
-            del self.terms[exp]
-
-    def evaluate(self, assignment, point) -> Fraction:
-        """Value at rational c-assignment and rational y-point."""
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exp, lf in self.terms.items():
-            val = lf.evaluate(assignment)
-            if val:
-                for i, e in enumerate(exp):
-                    if e:
-                        val *= point[i] ** e
-                total += val
-        return total
-
-
-def generic_substitute(
-    poly: GenericPoly, images: list[LaurentPoly]
-) -> dict[tuple[int, ...], LinForm]:
-    """Substitute a Laurent polynomial for every y-variable and collect
-    the result by x-monomial.
-
-    Returns the finite support map exponent -> LinForm; the y-monomial
-    powers of the images are expanded once each through a power cache."""
-    if len(images) != poly.n:
-        raise ValueError("image count mismatch")
-    ambient = images[0].ambient
-    for img in images:
-        if img.ambient != ambient:
-            raise ValueError("ambient mismatch among images")
-
-    monomial_image = _monomial_images(images)
-    collected: dict[tuple[int, ...], LinForm] = {}
-    for yexp, lf in poly.terms.items():
-        image = monomial_image(yexp)
-        for xexp, coef in image.terms.items():
-            acc = collected.get(xexp)
-            if acc is None:
-                acc = LinForm()
-                collected[xexp] = acc
-            acc._iadd_scaled(lf, coef)
-    return {e: lf for e, lf in collected.items() if not lf.is_zero()}
 
 
 # ---------------------------------------------------------------------------

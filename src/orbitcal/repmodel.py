@@ -79,21 +79,24 @@ class RepresentationData:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RepresentationData":
-        n, r, s = int(payload["n"]), int(payload["r"]), int(payload["s"])
-        ambient = Ambient(r, s)
-        rho = [
-            [LaurentPoly.parse(text, ambient) for text in row]
-            for row in payload["rho"]
-        ]
-        bound = payload.get("degree_bound")
-        return cls(
-            n,
-            r,
-            s,
-            rho,
-            degree_bound=None if bound is None else int(bound),
-            label=payload.get("label", ""),
-        )
+        try:
+            n, r, s = int(payload["n"]), int(payload["r"]), int(payload["s"])
+            ambient = Ambient(r, s)
+            rho = [
+                [LaurentPoly.parse(text, ambient) for text in row]
+                for row in payload["rho"]
+            ]
+            bound = payload.get("degree_bound")
+            return cls(
+                n,
+                r,
+                s,
+                rho,
+                degree_bound=None if bound is None else int(bound),
+                label=payload.get("label", ""),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed representation data: {exc}") from exc
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

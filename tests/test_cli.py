@@ -283,6 +283,7 @@ def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
     # a failed plug-back must not read as a verdict (code 1 would be
     # NOT_IN_CLOSURE): both failure kinds leave with EXIT_INTERNAL
     from orbitcal import decider
+    from orbitcal.errors import CertificateError
 
     args = ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,1", "--conify",
             "--degree-bound", "2"]
@@ -293,7 +294,7 @@ def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
     assert "failed exact re-verification" in err
 
     def failed_plug_back(matrix, rhs):
-        raise AssertionError("internal solution failed plug-back")
+        raise CertificateError("internal solution failed plug-back")
 
     monkeypatch.setattr(decider, "solve_or_refute", failed_plug_back)
     code, _, err = run(args, capsys)
@@ -301,15 +302,64 @@ def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
     assert "plug-back" in err
 
 
+def test_unexpected_exception_exits_7(torus12, capsys, monkeypatch):
+    from orbitcal import decider
+
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(decider, "decide", broken)
+    code, out, err = run(
+        ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,1", "--conify"], capsys
+    )
+    assert code == cli.EXIT_INTERNAL == 7
+    assert out == ""
+    assert "internal error: unsupported operand" in err
+
+
+def test_malformed_representation_file_exits_2(tmp_path, capsys):
+    # a TypeError here used to escape, and exit 1 reads as NOT_IN_CLOSURE
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "s": 0, "rho": 5}))
+    code, out, err = run(["decide", "--rep", str(path), "--a", "1,0", "--b", "1,1"], capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == ""
+    assert "malformed representation data" in err
+
+
+def test_malformed_subspace_file_exits_2(tmp_path, torus12, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"l": 1, "images": 5}))
+    code, _, err = run(["closure", "--rep", torus12, "--subspace", str(path)], capsys)
+    assert code == 2
+    assert "malformed subspace data" in err
+
+
+def test_malformed_reductive_data_file_exits_2(tmp_path, capsys):
+    data = {
+        "dim_g": 3,
+        "weyl_order": 2,
+        "exponents": 5,
+        "kernel_order": 2,
+        "coroots": [["1"]],
+        "polytope": [[["-2"], ["0"]], [["0"], ["2"]]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["degree", "kazarnovskii", "--data", str(path)], capsys)
+    assert code == 2
+    assert "malformed reductive data" in err
+
+
 def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):
     # the parametric fallback for conified quadratic forms is d = 2401, about
-    # 8.9e13 c-variables: the size guard must trip before H is built
+    # 8.9e13 c-variables: the size guard must trip before the system is built
     from orbitcal import decider
 
     def unreachable(*args, **kwargs):
-        raise RuntimeError("build_generic_H reached past the size guard")
+        raise RuntimeError("assemble_system reached past the size guard")
 
-    monkeypatch.setattr(decider, "build_generic_H", unreachable)
+    monkeypatch.setattr(decider, "assemble_system", unreachable)
     monkeypatch.delenv("ORBITCAL_MAX_NNZ", raising=False)
     path = tmp_path / "sl2h2.json"
     code, _, _ = run(["gen", "sl2", "--h", "2", "--out", str(path)], capsys)

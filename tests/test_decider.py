@@ -10,7 +10,6 @@ from orbitcal.decider import (
     Decision,
     DecisionProblem,
     assemble_system,
-    build_generic_H,
     conic_problem,
     decide,
     generic_coefficient_count,
@@ -19,34 +18,53 @@ from orbitcal.decider import (
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, parabola_rep
-from orbitcal.polyring import LaurentPoly
+from orbitcal.polyring import Ambient, LaurentPoly
 from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, torus_diagonal, vector
 
 
 def test_build_generic_smallest_case():
-    H = build_generic_H(1, 1, (Fraction(3),))
-    # (y1 - 3)c - 1: one coefficient, constant part -3c - 1
-    assert set(H.terms) == {(1,), (0,)}
-    key = (0, (0,))
-    assert H.terms[(1,)].coeffs == {key: Fraction(1)}
-    assert H.terms[(0,)].coeffs == {key: Fraction(-3)}
-    assert H.terms[(0,)].const == Fraction(-1)
+    # (psi - 3)c - 1 with psi = x1 + 2: rows x1 and x1^0, one column
+    amb = Ambient(1, 0)
+    system = assemble_system(1, (Fraction(3),), [LaurentPoly.parse("x1 + 2", amb)])
+    assert system.row_monomials == [(0,), (1,)]
+    assert system.col_keys == [(0, (0,))]
+    assert system.matrix.entries == {(0, 0): Fraction(-1), (1, 0): Fraction(1)}
+    assert system.rhs == [1, 0]
 
 
 def test_generic_coefficient_count():
     # monomials of degree <= 2 in 3 variables: 10 per polynomial
     assert generic_coefficient_count(3, 2) == 30
-    H = build_generic_H(3, 2, (0, 0, 0))
-    keys = set()
-    for lf in H.terms.values():
-        keys.update(lf.coeffs)
-    assert len(keys) == 30
+    rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
+    assert len(system.col_keys) == 30
 
 
 def test_generic_origin_case():
-    H = build_generic_H(2, 2, (0, 0))
-    assert H.terms[(0, 0)].const == Fraction(-1)
-    assert not H.terms[(0, 0)].coeffs
+    # at alpha = 0 no column reaches x^0 when the pullbacks have no
+    # constant term: the row 0 = 1 refutes at once
+    pullbacks = coordinate_pullbacks(torus_diagonal([(1,), (2,)]), (1, 1))
+    system = assemble_system(2, (0, 0), pullbacks)
+    assert system.row_monomials[0] == (0,)
+    assert not any(i == 0 for i, _ in system.matrix.entries)
+    assert system.rhs[0] == 1 and not any(system.rhs[1:])
+
+
+def test_assemble_drops_zero_columns_and_cancelled_entries():
+    # psi = (x1 + 1, 0) at alpha = (1, 0): the column of c[(0, 0)] is
+    # (x1 + 1) - 1 = x1, whose constant entry cancels, and the column of
+    # c[(1, 0)] is zero; x^0 stays a row with nothing but its 1
+    amb = Ambient(1, 0)
+    pullbacks = [LaurentPoly.parse("x1 + 1", amb), LaurentPoly.zero(amb)]
+    system = assemble_system(1, (1, 0), pullbacks)
+    assert system.col_keys == [(0, (0, 0))]
+    assert system.row_monomials == [(0,), (1,)]
+    assert system.matrix.entries == {(1, 0): Fraction(1)}
+    assert system.rhs == [1, 0]
+    with pytest.raises(ValueError):
+        assemble_system(1, (1,), pullbacks)
+    with pytest.raises(ValueError):
+        assemble_system(0, (1, 0), pullbacks)
 
 
 def test_pullbacks_match_action():
@@ -70,24 +88,21 @@ def test_assemble_dense_one_dimensional_orbit():
     # so the system is inconsistent for every target value
     rep = torus_diagonal([(1,)])
     for alpha in (0, 1, Fraction(-7, 3)):
-        H = build_generic_H(1, 1, (alpha,))
-        system = assemble_system(H, coordinate_pullbacks(rep, (1,)))
+        system = assemble_system(1, (alpha,), coordinate_pullbacks(rep, (1,)))
         w = solve_or_refute(system.matrix, system.rhs)
         assert w.kind == REFUTATION
 
 
 def test_assemble_conified_parabola_sizes_and_verdicts():
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (1, 0), (1, 1))
-    H = build_generic_H(3, 2, a2)
-    system = assemble_system(H, coordinate_pullbacks(rep2, b2))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
     assert generic_coefficient_count(3, 2) == 30
     assert len(system.row_monomials) <= 28  # degrees 0..3 x 0..6 minus gaps
     w = solve_or_refute(system.matrix, system.rhs)
     assert w.kind == SOLUTION  # consistent: not in the closure
 
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (0, 0), (1, 1))
-    H = build_generic_H(3, 2, a2)
-    system = assemble_system(H, coordinate_pullbacks(rep2, b2))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
     w = solve_or_refute(system.matrix, system.rhs)
     assert w.kind == REFUTATION  # inconsistent: in the closure
 
@@ -272,9 +287,9 @@ def test_resource_guard_fires_before_building_H(monkeypatch):
     from orbitcal.repmodel import sl2_binary_forms
 
     def unreachable(*args, **kwargs):
-        raise RuntimeError("build_generic_H reached past the size guard")
+        raise RuntimeError("assemble_system reached past the size guard")
 
-    monkeypatch.setattr(decider, "build_generic_H", unreachable)
+    monkeypatch.setattr(decider, "assemble_system", unreachable)
     # no degree bound on the conified quadratic forms: parametric d = 2401
     problem = conic_problem(sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
     with pytest.raises(ResourceLimitError, match="c-variables at degree bound d = 2401"):

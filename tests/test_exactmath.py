@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcal.errors import CertificateError
 from orbitcal.exactmath import (
     REFUTATION,
     SOLUTION,
@@ -127,18 +128,19 @@ def test_integer_left_kernel_properties():
         assert len(basis) == rows - rank(SparseMatrix.from_rows(M))
 
 
-def test_sparse_and_dense_rank_paths_agree():
-    from orbitcal.exactmath import _sparse_rank
-
-    rng = random.Random(19)
-    for _ in range(25):
-        A = _random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8), density=0.3)
-        assert rank(A) == _sparse_rank(A)
-    # the sparse path engages above the densification threshold
+def test_rank_of_large_sparse_matrix():
     big = SparseMatrix(150, 150)
     for k in range(149):
         big.entries[(k, k + 1)] = Fraction(k + 1)
     assert rank(big) == 149
+
+
+def test_failed_plug_back_raises_certificate_error(monkeypatch):
+    monkeypatch.setattr(ConsistencyWitness, "verify", lambda self, matrix, rhs: False)
+    with pytest.raises(CertificateError, match="refutation"):
+        solve_or_refute(SparseMatrix.from_rows([[0, 0]]), [1])
+    with pytest.raises(CertificateError, match="solution"):
+        solve_or_refute(SparseMatrix.from_rows([[1, 0]]), [0])
 
 
 def test_det_and_invert():

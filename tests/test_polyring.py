@@ -5,11 +5,8 @@ import pytest
 
 from orbitcal.polyring import (
     Ambient,
-    GenericPoly,
     LaurentPoly,
-    LinForm,
     format_terms,
-    generic_substitute,
     parse_terms,
     substitute,
 )
@@ -145,89 +142,4 @@ def test_substitute_composition():
         "l1^3 + 2*l1^2*l2 + l1*l2^2", lam
     )
 
-
-# ---------------------------------------------------------------------------
-# generic coefficients
-
-
-def test_generic_substitute_single_variable():
-    H = GenericPoly(1, 2)
-    H.add_term((1,), key="c", coef=1)
-    H.add_term((0,), const=-1)
-    amb = Ambient(1, 0)
-    out = generic_substitute(H, [LaurentPoly.parse("x1", amb)])
-    assert out == {
-        (1,): LinForm(0, {"c": 1}),
-        (0,): LinForm(-1),
-    }
-
-
-def test_generic_substitute_collects_by_monomial():
-    # (y1 - 1)c1 + y2*c2 - 1 at images (x1, x1^2)
-    H = GenericPoly(2, 2)
-    H.add_term((1, 0), key="c1", coef=1)
-    H.add_term((0, 0), key="c1", coef=-1, const=-1)
-    H.add_term((0, 1), key="c2", coef=1)
-    amb = Ambient(1, 0)
-    out = generic_substitute(
-        H, [LaurentPoly.parse("x1", amb), LaurentPoly.parse("x1^2", amb)]
-    )
-    assert out == {
-        (1,): LinForm(0, {"c1": 1}),
-        (2,): LinForm(0, {"c2": 1}),
-        (0,): LinForm(-1, {"c1": -1}),
-    }
-
-
-def test_generic_substitute_zero_images():
-    # only the constant monomial survives zero images
-    H = GenericPoly(2, 3)
-    alpha = (Fraction(2), Fraction(-3))
-    for p in range(2):
-        lifted = tuple(1 if i == p else 0 for i in range(2))
-        H.add_term(lifted, key=("c", p), coef=1)
-        H.add_term((0, 0), key=("c", p), coef=-alpha[p])
-    H.add_term((0, 0), const=-1)
-    amb = Ambient(1, 0)
-    zero = LaurentPoly.zero(amb)
-    out = generic_substitute(H, [zero, zero])
-    assert out == {(0,): LinForm(-1, {("c", 0): -2, ("c", 1): 3})}
-
-
-def test_generic_substitute_commutes_with_evaluation():
-    rng = random.Random(21)
-    amb = Ambient(1, 1)
-    for _ in range(20):
-        H = GenericPoly(2, 4)
-        keys = [("c", i) for i in range(3)]
-        for _ in range(6):
-            exp = (rng.randint(0, 2), rng.randint(0, 2))
-            H.add_term(
-                exp,
-                key=rng.choice(keys),
-                coef=Fraction(rng.randint(-3, 3)),
-                const=Fraction(rng.randint(-2, 2)),
-            )
-        if not H.terms:
-            continue
-        images = [_random_poly(rng, amb, 3) for _ in range(2)]
-        collected = generic_substitute(H, images)
-        assignment = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in keys}
-        at = _random_point(rng, amb)
-        lhs = sum(
-            (
-                lf.evaluate(assignment)
-                * LaurentPoly.monomial(amb, exp).evaluate(at)
-                for exp, lf in collected.items()
-            ),
-            Fraction(0),
-        )
-        rhs = H.evaluate(assignment, [img.evaluate(at) for img in images])
-        assert lhs == rhs
-
-
-def test_generic_poly_respects_degree_cap():
-    H = GenericPoly(2, 1)
-    with pytest.raises(ValueError):
-        H.add_term((1, 1), key="c", coef=1)
 
