@@ -2,9 +2,11 @@
 
 Subcommands: gen, decide, closure, degree, oracle, crosscheck.
 Exit codes: 0 in-closure (or agreement), 1 not-in-closure, 2 bad
-parameters, 3 violated precondition, 4 resource limit, 5 inconsistent
-degree data, 6 oracle disagreement, 7 internal error (any other
-exception, such as a certificate that fails its exact plug-back).
+parameters, 3 violated precondition, 4 resource limit (the decider's
+system size, the elimination's pair budget, the torus oracle's rank and
+Fourier-Motzkin guards), 5 inconsistent degree data, 6 oracle
+disagreement, 7 internal error (any other exception, such as a
+certificate that fails its exact plug-back).
 ORBITCAL_MAX_NNZ overrides the linear-system size threshold."""
 
 from __future__ import annotations
@@ -95,9 +97,7 @@ def _load_problem(args):
 
 def cmd_decide(args) -> int:
     problem = _load_problem(args)
-    decision = decider.decide(
-        problem, seed=args.seed, max_nnz=_max_nnz(args), exact_dim=args.exact_dim
-    )
+    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz(args))
     payload = decision.to_json()
     if not args.verbose:
         payload.pop("transcript", None)
@@ -116,9 +116,7 @@ def cmd_closure(args) -> int:
         tau = elim.SubspaceMap.load(args.subspace)
     else:
         raise ValueError("closure requires --point or --subspace")
-    equations = elim.closure_equations(
-        rep, tau, entry_denominator_saturation=args.entry_denominators
-    )
+    equations = elim.closure_equations(rep, tau)
     _emit(
         json.dumps([elim.format_equation(q, rep.n) for q in equations], indent=2),
         args.out,
@@ -165,9 +163,7 @@ def cmd_crosscheck(args) -> int:
     rep_w, a_w, b_w = problem.rep, problem.a, problem.b
 
     results = {}
-    decision = decider.decide(
-        problem, seed=args.seed, max_nnz=_max_nnz(args), exact_dim=args.exact_dim
-    )
+    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz(args))
     results["decider"] = decision.in_closure
 
     equations = elim.closure_equations(rep_w, elim.SubspaceMap.point(b_w))
@@ -216,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conify", action="store_true", help="apply the conic reduction first")
     p.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-dim", action="store_true", help="symbolic orbit-dimension check")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_decide)
@@ -225,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--point", help="comma-separated rationals")
     p.add_argument("--subspace", help="path to a subspace JSON file")
-    p.add_argument(
-        "--entry-denominators",
-        action="store_true",
-        help="saturate by the product of the per-coordinate denominators",
-    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
@@ -258,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conify", action="store_true")
     p.add_argument("--assume-conic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-dim", action="store_true")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_crosscheck)

@@ -192,7 +192,6 @@ def decide(
     *,
     seed: int = 0,
     max_nnz: int = DEFAULT_MAX_NNZ,
-    exact_dim: bool = False,
     keep_system: bool = False,
 ):
     """Run the full decision pipeline.
@@ -213,7 +212,7 @@ def decide(
         )
     rng = random.Random(seed)
 
-    dim = repmodel.orbit_dimension(rep, b, rng=rng, exact=exact_dim)
+    dim = repmodel.orbit_dimension(rep, b, rng=rng)
     transcript = {
         "n": rep.n,
         "orbit_dimension": dim,

@@ -338,7 +338,6 @@ def closure_equations(
     rep: RepresentationData,
     tau: SubspaceMap,
     *,
-    entry_denominator_saturation: bool = False,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ):
     """Polynomials in z1..zn whose common zero set is the closure of the
@@ -346,10 +345,8 @@ def closure_equations(
 
     Builds the rational coordinate images, clears their monomial
     denominators, saturates by the product of the invertible parameters
-    (or by the product of the per-coordinate denominators when
-    entry_denominator_saturation is set; the two saturations cut the
-    same closure), eliminates through the block order and keeps the
-    z-only basis elements."""
+    whenever there are any (r > 0), eliminates through the block order
+    and keeps the z-only basis elements."""
     if len(tau.images) != rep.n:
         raise ValueError("subspace image count must equal the dimension")
     l = tau.l
@@ -372,12 +369,7 @@ def closure_equations(
     xy = Ambient(rep.r, rep.s + l)
     denominators = [LaurentPoly(xy, f).monomial_denominator() for f in images]
 
-    if rep.r == 0:
-        with_t = False
-    elif entry_denominator_saturation:
-        with_t = any(any(m) for m in denominators)
-    else:
-        with_t = True
+    with_t = rep.r > 0
     ring = closure_ring(rep, l, with_t)
     width = len(ring.names)
     t_off = 1 if with_t else 0
@@ -407,10 +399,7 @@ def closure_equations(
         generators.append(g)
 
     if with_t:
-        if entry_denominator_saturation:
-            product = [sum(column) for column in zip(*denominators)]
-        else:
-            product = [1 if k < rep.r else 0 for k in range(width_x + l)]
+        product = [1 if k < rep.r else 0 for k in range(width_x + l)]
         sat = {
             embed((0,) * (width_x + l)): Fraction(1),
             embed(tuple(product), t_power=1): Fraction(-1),

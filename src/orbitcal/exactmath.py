@@ -6,7 +6,8 @@ is re-verified by exact plug-back in integers, so downstream callers
 never have to trust the elimination code.  solve_or_refute eliminates
 modulo word-size primes and recovers the witness by CRT and rational
 reconstruction; the plug-back is the only gate on what it returns.
-rank, det and invert eliminate over Fractions.
+rank, det and invert share one dense Gauss-Jordan elimination over
+Fractions.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm
 
 from orbitcal.errors import CertificateError
-
-Rational = Fraction
 
 _log = logging.getLogger("orbitcal.exactmath")
 
@@ -427,32 +426,40 @@ def _witness_bound_bits(rows, values, scales) -> int:
     return 2 * (bits + max(scales).bit_length()) + 1
 
 
+def _gauss_jordan(rows) -> tuple[list[int], Fraction]:
+    """Reduce a dense Fraction matrix in place to reduced row echelon
+    form, pivoting on the first nonzero entry of each column.  Returns
+    the pivot columns and the product of the pivots, signed by the row
+    swaps; for a square matrix of full rank that product is the
+    determinant."""
+    pivots: list[int] = []
+    product = Fraction(1)
+    nrows = len(rows)
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            product = -product
+        pivot = rows[r][col]
+        product *= pivot
+        row = rows[r] = [v / pivot if v else v for v in rows[r]]
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], row)]
+        pivots.append(col)
+    return pivots, product
+
+
 def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over Q: the pivot count of a sparse field elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in matrix.row_dicts():
-        row = dict(row)
-        while row:
-            hit = [c for c in row if c in pivots]
-            if not hit:
-                break
-            col = min(hit)
-            factor = row[col]
-            for j, v in pivots[col].items():
-                cur = row.get(j)
-                if cur is None:
-                    row[j] = -factor * v
-                else:
-                    cur = cur - factor * v
-                    if cur:
-                        row[j] = cur
-                    else:
-                        del row[j]
-        if row:
-            col = min(row)
-            inv = Fraction(1) / row[col]
-            pivots[col] = {j: v * inv for j, v in row.items()}
-    return len(pivots)
+    """Exact rank over Q."""
+    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
+    return len(_gauss_jordan(rows)[0])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -536,43 +543,20 @@ def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
 def det(rows) -> Fraction:
     """Exact determinant of a square matrix over Q."""
     a = [[Fraction(v) for v in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("matrix not square")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        result *= pivot
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] / pivot
-                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[col])]
-    return sign * result
+    pivots, product = _gauss_jordan(a)
+    return product if len(pivots) == len(a) else Fraction(0)
 
 
 def invert(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix over Q (Gauss-Jordan)."""
+    """Exact inverse of a square matrix over Q (Gauss-Jordan on [A | I])."""
     a = [[Fraction(v) for v in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix not square")
-    aug = [row + [Fraction(1) if k == i else Fraction(0) for k in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [vi - f * vc for vi, vc in zip(aug[i], aug[col])]
+    aug = [row + [Fraction(int(k == i)) for k in range(n)] for i, row in enumerate(a)]
+    pivots, _ = _gauss_jordan(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]

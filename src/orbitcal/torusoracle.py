@@ -15,11 +15,14 @@ products.  Used as a second independent oracle on diagonal fixtures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from orbitcal.errors import ResourceLimitError
 from orbitcal.exactmath import integer_left_kernel
 
 MAX_RANK = 8
+# Combinations one Fourier-Motzkin step may form; a step can square the row count.
+MAX_FM_COMBINATIONS = 50_000
 
 
 class WeightedVector:
@@ -52,21 +55,18 @@ def support(wv: WeightedVector) -> set[tuple[int, ...]]:
 
 
 def _normalize_row(row):
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v.numerator))
-    if g == 0:
-        return None
-    denom = 1
-    for v in row:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return tuple(int(v * denom) // g for v in row)
+    """The primitive integer row on the ray of an integer row; None for 0."""
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g else None
 
 
-def _fm_eliminate(rows, positions):
+def _fm_eliminate(rows, positions, stage: str):
     """Fourier-Motzkin elimination of the listed positions from a system
     of homogeneous-style inequality rows (each row means row . vars >= 0;
-    an extra constant column, if present, simply never gets eliminated)."""
+    an extra constant column, if present, simply never gets eliminated).
+    The rows are integer tuples.  Raises ResourceLimitError, naming the
+    stage, before a step that would form more than MAX_FM_COMBINATIONS
+    combinations."""
     rows = {r for r in (_normalize_row(row) for row in rows) if r is not None}
     for pos in positions:
         zero, plus, minus = [], [], []
@@ -77,13 +77,16 @@ def _fm_eliminate(rows, positions):
                 minus.append(row)
             else:
                 zero.append(row)
+        count = len(plus) * len(minus)
+        if count > MAX_FM_COMBINATIONS:
+            raise ResourceLimitError(
+                f"{stage}: a Fourier-Motzkin step would form {count} "
+                f"combinations (limit {MAX_FM_COMBINATIONS})"
+            )
         new = set(zero)
         for p in plus:
             for m in minus:
-                combo = tuple(
-                    Fraction(p[pos]) * mv - Fraction(m[pos]) * pv
-                    for pv, mv in zip(p, m)
-                )
+                combo = tuple(p[pos] * mv - m[pos] * pv for pv, mv in zip(p, m))
                 norm = _normalize_row(combo)
                 if norm is not None:
                     new.add(norm)
@@ -96,24 +99,24 @@ def cone_inequalities(generators, rank: int):
     the generators: the returned functionals u satisfy u . x >= 0 on the
     cone, and together they cut it out."""
     if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
+        raise ResourceLimitError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
     gens = [tuple(int(w) for w in g) for g in generators]
     m = len(gens)
     width = rank + m
     rows = []
     for i in range(rank):
         # x_i - sum_j g_j[i] lam_j == 0, written as two inequalities
-        base = [Fraction(0)] * width
-        base[i] = Fraction(1)
+        base = [0] * width
+        base[i] = 1
         for j, g in enumerate(gens):
-            base[rank + j] = Fraction(-g[i])
+            base[rank + j] = -g[i]
         rows.append(tuple(base))
         rows.append(tuple(-v for v in base))
     for j in range(m):
-        lam = [Fraction(0)] * width
-        lam[rank + j] = Fraction(1)
+        lam = [0] * width
+        lam[rank + j] = 1
         rows.append(tuple(lam))
-    projected = _fm_eliminate(rows, range(rank, width))
+    projected = _fm_eliminate(rows, range(rank, width), "cone inequalities")
     out = []
     for row in projected:
         u = row[:rank]
@@ -129,22 +132,24 @@ def in_cone(point, generators) -> bool:
     gens = [tuple(int(w) for w in g) for g in generators]
     if not gens:
         return not any(point)
+    # the cone is closed under positive scaling: clear the denominators
+    scale = lcm(*(x.denominator for x in point))
     m = len(gens)
     width = m + 1  # lambda variables plus a constant column
     rows = []
     rank = len(point)
     for i in range(rank):
-        base = [Fraction(0)] * width
+        base = [0] * width
         for j, g in enumerate(gens):
-            base[j] = Fraction(g[i])
-        base[m] = Fraction(-point[i])
+            base[j] = g[i]
+        base[m] = -int(point[i] * scale)
         rows.append(tuple(base))
         rows.append(tuple(-v for v in base))
     for j in range(m):
-        lam = [Fraction(0)] * width
-        lam[j] = Fraction(1)
+        lam = [0] * width
+        lam[j] = 1
         rows.append(tuple(lam))
-    projected = _fm_eliminate(rows, range(m))
+    projected = _fm_eliminate(rows, range(m), "cone membership")
     for row in projected:
         if any(row[:m]):
             raise AssertionError("elimination left a live variable")
@@ -233,7 +238,7 @@ def torus_decide(weights, a, b) -> bool:
         return not Sa  # orbit of zero is {0}
     rank = len(weights[0]) if weights else 0
     if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
+        raise ResourceLimitError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
     if not all(in_cone(s, Sb) for s in Sa):
         return False
     supporting = minimal_face_functionals(Sa, Sb, rank)

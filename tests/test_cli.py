@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,38 @@ def test_oracle_torus(capsys):
     )
     assert code == 1
     assert out.strip() == "NOT_IN_CLOSURE"
+
+
+def test_oracle_torus_fourier_motzkin_guard_exits_4(capsys):
+    # rank 4, eight weights in -3..3: without the guard the elimination
+    # does not finish within 15 s; the guard fires before the oversized step
+    weights = "3,0,3,0;-3,-1,1,0;0,3,3,-1;0,-1,1,-2;1,-2,-1,-2;3,-3,1,3;-1,1,2,3;1,-2,-1,-3"
+    start = time.perf_counter()
+    code, out, err = run(
+        ["oracle", "torus", "--weights", weights, "--a", ",".join("0" * 8),
+         "--b", ",".join("1" * 8)],
+        capsys,
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert "cone inequalities" in err and "limit 50000" in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("decide", "--exact-dim"), ("crosscheck", "--exact-dim"), ("closure", "--entry-denominators")],
+)
+def test_removed_options_are_rejected(torus12, capsys, command, option):
+    args = [command, "--rep", torus12, option]
+    if command == "closure":
+        args += ["--point", "1,1"]
+    else:
+        args += ["--a", "0,0", "--b", "1,1", "--conify", "--degree-bound", "2"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option}" in err
 
 
 def test_crosscheck_agreement(torus12, capsys):

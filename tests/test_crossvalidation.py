@@ -49,9 +49,8 @@ def test_three_oracles_on_monomial_curve_cones():
 
 
 def test_orbit_dimension_equals_weight_rank():
-    """For a diagonal action on an all-nonzero vector, the orbit
-    dimension is the rank of the weight matrix, in both the sampled and
-    the symbolic mode."""
+    """For a diagonal action on an all-nonzero vector, the sampled orbit
+    dimension is the rank of the weight matrix."""
     rng = random.Random(73)
     for _ in range(15):
         r = rng.randint(1, 3)
@@ -61,4 +60,3 @@ def test_orbit_dimension_equals_weight_rank():
         b = tuple(Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(n))
         expected = rank(SparseMatrix.from_rows(weights))
         assert orbit_dimension(rep, b) == expected, weights
-        assert orbit_dimension(rep, b, exact=True) == expected, weights

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcal import repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
@@ -142,6 +143,33 @@ def test_decide_trivially_dense():
     assert decision.in_closure
     assert decision.certificate is None
     assert decision.transcript["orbit_dimension"] == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "weights, b, a",
+    [
+        ([(1,)], (1,), (0,)),
+        ([(1,)], (1,), (5,)),
+        ([(1, 0), (0, 1)], (1, 1), (0, 0)),
+        ([(1, 0), (0, 1)], (1, 1), (2, 3)),
+        ([(1, 0), (0, 1)], (1, 1), (0, 4)),
+    ],
+)
+def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
+    # A sampled orbit dimension can only under-report.  A dense orbit
+    # reported as smaller skips the TRIVIALLY_DENSE shortcut, and the
+    # system must then be inconsistent: no H vanishing on a dense orbit
+    # can equal -1 at a.
+    monkeypatch.setattr(repmodel, "orbit_dimension", lambda rep, b, rng=None: 0)
+    problem = DecisionProblem(
+        torus_diagonal(weights), a, b, degree_bound_override=d, conic_asserted=True
+    )
+    decision, system = decide(problem, keep_system=True)
+    assert decision.transcript["orbit_dimension"] == 0
+    assert decision.verdict == IN_CLOSURE
+    assert decision.certificate.kind == REFUTATION
+    assert verify(decision, system)
 
 
 def test_decide_diagonal_line_with_parametric_bound():

@@ -113,15 +113,11 @@ def test_conified_parabola_quadric_cone():
     assert q == parse_equation("z2^2 - z1*z3", 3)
 
 
-def test_saturation_variants_agree():
+def test_conified_hyperbola_saturation():
     rep = torus_diagonal([(1,), (-1,)])
     rep2, _, b2 = make_conic(rep, (0, 0), (1, 1))
-    default = closure_equations(rep2, SubspaceMap.point(b2))
-    entrywise = closure_equations(
-        rep2, SubspaceMap.point(b2), entry_denominator_saturation=True
-    )
-    assert default == entrywise
-    assert default == [parse_equation("z1^2 - z2*z3", 3)]
+    eqs = closure_equations(rep2, SubspaceMap.point(b2))
+    assert eqs == [parse_equation("z1^2 - z2*z3", 3)]
 
 
 def test_hyperbola_closure_is_closed_orbit():

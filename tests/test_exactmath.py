@@ -146,6 +146,7 @@ def test_failed_plug_back_raises_certificate_error(monkeypatch):
 def test_det_and_invert():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 2, 0], [3, 0, 0], [0, 0, Fraction(1, 5)]]) == Fraction(-6, 5)  # one row swap
     S = [[1, 1], [0, 1]]
     Sinv = invert(S)
     assert Sinv == [[Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)]]

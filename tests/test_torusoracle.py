@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
+from orbitcal.errors import ResourceLimitError
 from orbitcal.fixtures import diagonal_battery
 from orbitcal.repmodel import torus_diagonal
 from orbitcal.torusoracle import (
@@ -162,5 +163,5 @@ def test_torus_decide_agrees_with_elimination_on_battery():
 
 def test_rank_guard():
     weights = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError, match="elimination guard 8"):
         torus_decide(weights, (1,) * 9, (1,) * 9)
