@@ -197,7 +197,8 @@ def decide(
     """Run the full decision pipeline.
 
     Steps: check the dense case through the orbit dimension; scramble
-    the basis until every coordinate of b is nonzero; pick the degree
+    the basis until every coordinate of b is nonzero, which combines the
+    coordinate pullbacks and a by the same matrix; pick the degree
     bound (override, then the representation's own bound, then the
     parametric fallback); assemble the linear system from the
     coordinate pullbacks; solve with an exact witness and re-verify it
@@ -222,14 +223,14 @@ def decide(
         decision = Decision(TRIVIALLY_DENSE, None, transcript | {"note": "orbit closure is the whole space"})
         return (decision, None) if keep_system else decision
 
+    # With rho and b replaced by S rho S^-1 and S b, the pullbacks become
+    # S psi and the target S a; the closure degree is basis-free.
     if all(b):
         scramble = None
-        rep_w, a_w, b_w = rep, a, b
+        a_w = a
     else:
         scramble = repmodel.find_scrambling(b, rng=rng)
-        rep_w = repmodel.change_basis(rep, scramble)
         a_w = repmodel.apply_matrix(scramble, a)
-        b_w = repmodel.apply_matrix(scramble, b)
     transcript["scramble"] = scramble
 
     if problem.degree_bound_override is not None:
@@ -239,7 +240,7 @@ def decide(
         d = rep.degree_bound
         source = "representation"
     else:
-        d = parametric_degree_bound(rep_w)
+        d = parametric_degree_bound(rep)
         source = "parametric"
         transcript["degree_bound_note"] = (
             "fallback bound; soundness relies on it dominating the closure degree"
@@ -248,18 +249,20 @@ def decide(
     transcript["degree_bound_source"] = source
 
     # Checked before the system is assembled, and sound: after scrambling
-    # b_w has no zero coordinate and its orbit is conic, so no coordinate
+    # S b has no zero coordinate and its orbit is conic, so no coordinate
     # pullback is zero or constant, and the column of c[(p, q)], the
     # expansion of (psi_p - a_p) psi^q, has a nonzero entry.  Hence
     # c-variables <= nnz.
-    c_variables = generic_coefficient_count(rep_w.n, d)
+    c_variables = generic_coefficient_count(rep.n, d)
     if c_variables > max_nnz:
         raise ResourceLimitError(
             f"linear system too large: {c_variables} c-variables at degree "
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
 
-    pullbacks = repmodel.coordinate_pullbacks(rep_w, b_w)
+    pullbacks = repmodel.coordinate_pullbacks(rep, b)
+    if scramble is not None:
+        pullbacks = repmodel.apply_matrix(scramble, pullbacks)
     system = assemble_system(d, a_w, pullbacks)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables

@@ -6,8 +6,7 @@ is re-verified by exact plug-back in integers, so downstream callers
 never have to trust the elimination code.  solve_or_refute eliminates
 modulo word-size primes and recovers the witness by CRT and rational
 reconstruction; the plug-back is the only gate on what it returns.
-rank, det and invert share one dense Gauss-Jordan elimination over
-Fractions.
+rank and det share one dense Gauss-Jordan elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def transpose(self) -> "SparseMatrix":
-        t = SparseMatrix(self.cols, self.rows)
-        t.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return t
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
@@ -454,12 +448,9 @@ def _gauss_jordan(rows) -> tuple[list[int], Fraction]:
     return pivots, product
 
 
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over Q."""
-    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-    return len(_gauss_jordan(rows)[0])
+def rank(rows) -> int:
+    """Exact rank over Q of a dense matrix."""
+    return len(_gauss_jordan([[Fraction(v) for v in row] for row in rows])[0])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -547,16 +538,3 @@ def det(rows) -> Fraction:
         raise ValueError("matrix not square")
     pivots, product = _gauss_jordan(a)
     return product if len(pivots) == len(a) else Fraction(0)
-
-
-def invert(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix over Q (Gauss-Jordan on [A | I])."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix not square")
-    aug = [row + [Fraction(int(k == i)) for k in range(n)] for i, row in enumerate(a)]
-    pivots, _ = _gauss_jordan(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]

@@ -5,7 +5,7 @@ invertible and s ordinary parameters; evaluating the matrix at a
 parameter point gives the acting linear map.  Generators for the two
 bundled families (binary forms under special linear substitutions, and
 diagonal torus actions) live here, together with the conic reduction,
-base changes and the orbit-dimension precondition.
+the basis scrambling and the orbit-dimension precondition.
 """
 
 from __future__ import annotations
@@ -257,48 +257,13 @@ def make_conic(rep: RepresentationData, a, b):
 
 
 # ---------------------------------------------------------------------------
-# base changes
+# scrambling
 
 
-def _scalar_matrix_to_fractions(S):
-    return [[Fraction(v) for v in row] for row in S]
-
-
-def change_basis(rep: RepresentationData, S) -> RepresentationData:
-    """Conjugated representation S rho S^-1 (vectors transform as S v)."""
-    S = _scalar_matrix_to_fractions(S)
-    n = rep.n
-    if len(S) != n or any(len(row) != n for row in S):
-        raise ValueError("basis change must be n x n")
-    Sinv = exactmath.invert(S)  # raises on singular input
-    amb = rep.ambient
-    zero = LaurentPoly.zero(amb)
-
-    left = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if S[i][k]:
-                    acc = acc + rep.rho[k][j] * S[i][k]
-            left[i][j] = acc
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if Sinv[k][j]:
-                    acc = acc + left[i][k] * Sinv[k][j]
-            out[i][j] = acc
-    return RepresentationData(
-        n, rep.r, rep.s, out, degree_bound=rep.degree_bound, label=rep.label
-    )
-
-
-def apply_matrix(S, v) -> Vec:
-    S = _scalar_matrix_to_fractions(S)
-    v = vector(v)
-    return tuple(sum(S[i][j] * v[j] for j in range(len(v))) for i in range(len(S)))
+def apply_matrix(S, v) -> tuple:
+    """S v for a scalar matrix S; the entries of v may be numbers or
+    Laurent polynomials."""
+    return tuple(sum(Fraction(s) * x for s, x in zip(row, v)) for row in S)
 
 
 def find_scrambling(b, rng: random.Random | None = None):
@@ -402,9 +367,7 @@ def orbit_dimension(rep: RepresentationData, b, *, rng: random.Random | None = N
     best = 0
     for _ in range(ORBIT_DIMENSION_SAMPLES):
         point = random_parameter_point(rep, rng)
-        numeric = exactmath.SparseMatrix.from_rows(
-            [[entry.evaluate(point) for entry in row] for row in jac]
-        )
+        numeric = [[entry.evaluate(point) for entry in row] for row in jac]
         best = max(best, exactmath.rank(numeric))
         if best == min(nvars, rep.n):
             break

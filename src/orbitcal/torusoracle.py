@@ -10,19 +10,25 @@ nonzero ratio per weight, and those ratios must be realizable as
 character values of a single torus element, which over an
 algebraically closed field is a lattice condition on the ratio
 products.  Used as a second independent oracle on diagonal fixtures.
+
+The cone is described by its facets, found by trying each set of
+k - 1 generators of a k-dimensional cone as the span of one; ranks
+above MAX_RANK, and cones with more than MAX_FACET_CANDIDATES such
+sets, raise ResourceLimitError before any enumeration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb
 
 from orbitcal.errors import ResourceLimitError
 from orbitcal.exactmath import integer_left_kernel
 
 MAX_RANK = 8
-# Combinations one Fourier-Motzkin step may form; a step can square the row count.
-MAX_FM_COMBINATIONS = 50_000
+# Sets of generators cone_inequalities may try as spans of a facet.
+MAX_FACET_CANDIDATES = 50_000
 
 
 class WeightedVector:
@@ -54,148 +60,54 @@ def support(wv: WeightedVector) -> set[tuple[int, ...]]:
     return {wt for wt, comp in wv.weight_spaces().items() if any(comp)}
 
 
-def _normalize_row(row):
-    """The primitive integer row on the ray of an integer row; None for 0."""
-    g = gcd(*row)
-    return tuple(v // g for v in row) if g else None
-
-
-def _fm_eliminate(rows, positions, stage: str):
-    """Fourier-Motzkin elimination of the listed positions from a system
-    of homogeneous-style inequality rows (each row means row . vars >= 0;
-    an extra constant column, if present, simply never gets eliminated).
-    The rows are integer tuples.  Raises ResourceLimitError, naming the
-    stage, before a step that would form more than MAX_FM_COMBINATIONS
-    combinations."""
-    rows = {r for r in (_normalize_row(row) for row in rows) if r is not None}
-    for pos in positions:
-        zero, plus, minus = [], [], []
-        for row in rows:
-            if row[pos] > 0:
-                plus.append(row)
-            elif row[pos] < 0:
-                minus.append(row)
-            else:
-                zero.append(row)
-        count = len(plus) * len(minus)
-        if count > MAX_FM_COMBINATIONS:
-            raise ResourceLimitError(
-                f"{stage}: a Fourier-Motzkin step would form {count} "
-                f"combinations (limit {MAX_FM_COMBINATIONS})"
-            )
-        new = set(zero)
-        for p in plus:
-            for m in minus:
-                combo = tuple(p[pos] * mv - m[pos] * pv for pv, mv in zip(p, m))
-                norm = _normalize_row(combo)
-                if norm is not None:
-                    new.add(norm)
-        rows = new
-    return rows
+def _dot(u, w) -> int:
+    return sum(x * y for x, y in zip(u, w))
 
 
 def cone_inequalities(generators, rank: int):
-    """Complete homogeneous inequality description of the cone spanned by
-    the generators: the returned functionals u satisfy u . x >= 0 on the
-    cone, and together they cut it out."""
+    """Complete inequality description of the cone spanned by integer
+    generators: sorted primitive integer rows u, each with u . x >= 0 on
+    the cone, that together cut it out.
+
+    The rows come in two parts.  Every vector of the integer left kernel
+    of the generator columns (the orthogonal complement of their span)
+    enters with both signs, confining x to the span.  In a span of
+    dimension k, every facet of a polyhedral cone is spanned by k - 1
+    independent generators, so each set of k - 1 distinct nonzero
+    generators whose columns, together with the complement, have a
+    one-dimensional left kernel u proposes a hyperplane; u (flipped if
+    needed) is a facet row when it is nonnegative on every generator.
+    Every face is the intersection of the facets that contain it, so the
+    rows vanishing on a subset of the cone cut out the minimal face
+    containing it.  Raises ResourceLimitError before enumerating more
+    than MAX_FACET_CANDIDATES sets."""
     if rank > MAX_RANK:
         raise ResourceLimitError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
     gens = [tuple(int(w) for w in g) for g in generators]
-    m = len(gens)
-    width = rank + m
-    rows = []
-    for i in range(rank):
-        # x_i - sum_j g_j[i] lam_j == 0, written as two inequalities
-        base = [0] * width
-        base[i] = 1
-        for j, g in enumerate(gens):
-            base[rank + j] = -g[i]
-        rows.append(tuple(base))
-        rows.append(tuple(-v for v in base))
-    for j in range(m):
-        lam = [0] * width
-        lam[rank + j] = 1
-        rows.append(tuple(lam))
-    projected = _fm_eliminate(rows, range(rank, width), "cone inequalities")
-    out = []
-    for row in projected:
-        u = row[:rank]
-        if any(u):
-            out.append(u)
-    return sorted(set(out))
-
-
-def in_cone(point, generators) -> bool:
-    """Exact membership of a rational point in the cone spanned by
-    integer generators (Fourier-Motzkin feasibility)."""
-    point = tuple(Fraction(x) for x in point)
-    gens = [tuple(int(w) for w in g) for g in generators]
-    if not gens:
-        return not any(point)
-    # the cone is closed under positive scaling: clear the denominators
-    scale = lcm(*(x.denominator for x in point))
-    m = len(gens)
-    width = m + 1  # lambda variables plus a constant column
-    rows = []
-    rank = len(point)
-    for i in range(rank):
-        base = [0] * width
-        for j, g in enumerate(gens):
-            base[j] = g[i]
-        base[m] = -int(point[i] * scale)
-        rows.append(tuple(base))
-        rows.append(tuple(-v for v in base))
-    for j in range(m):
-        lam = [0] * width
-        lam[j] = 1
-        rows.append(tuple(lam))
-    projected = _fm_eliminate(rows, range(m), "cone membership")
-    for row in projected:
-        if any(row[:m]):
-            raise AssertionError("elimination left a live variable")
-        if row[m] < 0:
-            return False
-    return True
-
-
-def _dot(u, w):
-    return sum(Fraction(a) * b for a, b in zip(u, w))
-
-
-def minimal_face_functionals(Sa, Sb, rank: int):
-    """All derived valid inequalities of cone(Sb) vanishing on Sa; the
-    face they cut is the minimal face of cone(Sb) containing Sa."""
-    inequalities = cone_inequalities(Sb, rank)
-    return [u for u in inequalities if all(_dot(u, s) == 0 for s in Sa)]
-
-
-def face_test(Sa, Sb, rank: int | None = None):
-    """Is the cone spanned by Sa a face of the cone spanned by Sb?
-
-    Returns (answer, functional); when the answer is True the functional
-    u is valid on cone(Sb) and cuts exactly the face (the zero functional
-    cuts the improper face)."""
-    Sa = [tuple(int(w) for w in s) for s in Sa]
-    Sb = [tuple(int(w) for w in s) for s in Sb]
-    if rank is None:
-        pool = Sa + Sb
-        if not pool:
-            return True, ()
-        rank = len(pool[0])
-    zero = tuple(Fraction(0) for _ in range(rank))
-    if not Sb or all(not any(s) for s in Sb):
-        ok = all(not any(s) for s in Sa)
-        return (True, zero) if ok else (False, None)
-    if not all(in_cone(s, Sb) for s in Sa):
-        return False, None
-    supporting = minimal_face_functionals(Sa, Sb, rank)
-    face_gens = [s for s in Sb if all(_dot(u, s) == 0 for u in supporting)]
-    if not all(in_cone(s, Sa) for s in face_gens):
-        return False, None
-    functional = zero
-    for u in supporting:
-        functional = tuple(a + b for a, b in zip(functional, u))
-    return True, functional
+    complement = integer_left_kernel([[g[i] for g in gens] for i in range(rank)])
+    rows = set(complement) | {tuple(-v for v in c) for c in complement}
+    k = rank - len(complement)
+    if k == 0:
+        return sorted(rows)
+    nonzero = sorted({g for g in gens if any(g)})
+    count = comb(len(nonzero), k - 1)
+    if count > MAX_FACET_CANDIDATES:
+        raise ResourceLimitError(
+            f"cone inequalities: {count} candidate facet spans of {k - 1} "
+            f"generators (limit {MAX_FACET_CANDIDATES})"
+        )
+    for span in combinations(nonzero, k - 1):
+        columns = list(span) + complement
+        kernel = integer_left_kernel([[c[i] for c in columns] for i in range(rank)])
+        if len(kernel) != 1:
+            continue
+        u = kernel[0]
+        values = [_dot(u, g) for g in nonzero]
+        if min(values) >= 0:
+            rows.add(u)
+        elif max(values) <= 0:
+            rows.add(tuple(-v for v in u))
+    return sorted(rows)
 
 
 def scaling_exists(pairs) -> bool:
@@ -232,24 +144,22 @@ def torus_decide(weights, a, b) -> bool:
     ratios pass the lattice realizability check."""
     wa = WeightedVector(weights, a)
     wb = WeightedVector(weights, b)
-    Sa = sorted(support(wa))
-    Sb = sorted(support(wb))
+    Sa = support(wa)
+    Sb = support(wb)
     if not Sb:
         return not Sa  # orbit of zero is {0}
-    rank = len(weights[0]) if weights else 0
-    if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
-    if not all(in_cone(s, Sb) for s in Sa):
-        return False
-    supporting = minimal_face_functionals(Sa, Sb, rank)
-    face_support = [s for s in Sb if all(_dot(u, s) == 0 for u in supporting)]
-    if set(face_support) != set(Sa):
+    # When Sa is the part of Sb on the face that the rows vanishing on Sa
+    # cut out, Sa lies in cone(Sb) and that face is the minimal one
+    # containing Sa.
+    rows = cone_inequalities(Sb, len(weights[0]))
+    supporting = [u for u in rows if not any(_dot(u, s) for s in Sa)]
+    if {s for s in Sb if not any(_dot(u, s) for u in supporting)} != Sa:
         return False
 
     spaces_a = wa.weight_spaces()
     spaces_b = wb.weight_spaces()
     pairs = []
-    for wt in Sa:
+    for wt in sorted(Sa):
         comp_a = spaces_a[wt]
         comp_b = spaces_b[wt]
         ratio = None

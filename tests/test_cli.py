@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import time
 
 import pytest
@@ -179,9 +181,9 @@ def test_oracle_torus(capsys):
     assert out.strip() == "NOT_IN_CLOSURE"
 
 
-def test_oracle_torus_fourier_motzkin_guard_exits_4(capsys):
-    # rank 4, eight weights in -3..3: without the guard the elimination
-    # does not finish within 15 s; the guard fires before the oversized step
+def test_oracle_torus_eight_weights_answer_in_closure(capsys):
+    # rank 4, eight weights in -3..3; plain Fourier-Motzkin needed more
+    # than 50,000 combinations here, the facet enumeration tries 56 sets
     weights = "3,0,3,0;-3,-1,1,0;0,3,3,-1;0,-1,1,-2;1,-2,-1,-2;3,-3,1,3;-1,1,2,3;1,-2,-1,-3"
     start = time.perf_counter()
     code, out, err = run(
@@ -190,9 +192,33 @@ def test_oracle_torus_fourier_motzkin_guard_exits_4(capsys):
         capsys,
     )
     assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.strip() == "IN_CLOSURE"
+    # 0 is a limit point of the orbit of (1, ..., 1) iff some lam has
+    # lam . w > 0 on every weight w
+    rows = [tuple(map(int, w.split(","))) for w in weights.split(";")]
+    assert any(
+        all(sum(x * y for x, y in zip(lam, w)) > 0 for w in rows)
+        for lam in itertools.product(range(-3, 4), repeat=4)
+    )
+
+
+def test_oracle_torus_facet_guard_exits_4(capsys):
+    # rank 8 with 20 weights spanning Q^8: C(20, 7) = 77,520 candidate facet spans
+    rng = random.Random(0)
+    weights = ";".join(
+        ",".join(str(rng.randint(-3, 3)) for _ in range(8)) for _ in range(20)
+    )
+    start = time.perf_counter()
+    code, out, err = run(
+        ["oracle", "torus", "--weights", weights, "--a", ",".join("0" * 20),
+         "--b", ",".join("1" * 20)],
+        capsys,
+    )
+    assert time.perf_counter() - start < 5
     assert code == 4
     assert out == ""
-    assert "cone inequalities" in err and "limit 50000" in err
+    assert "cone inequalities" in err and "77520" in err and "limit 50000" in err
 
 
 @pytest.mark.parametrize(

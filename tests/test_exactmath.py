@@ -11,7 +11,6 @@ from orbitcal.exactmath import (
     SparseMatrix,
     det,
     integer_left_kernel,
-    invert,
     rank,
     solve_or_refute,
 )
@@ -91,23 +90,21 @@ def test_tampered_witnesses_fail_verification():
 
 
 def test_rank_basic():
-    assert rank(SparseMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(SparseMatrix(3, 4)) == 0
-    assert rank(SparseMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert rank([[0] * 4 for _ in range(3)]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_of_transpose_matches():
     rng = random.Random(11)
     for _ in range(40):
         A = _random_sparse(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank(A) == rank(A.transpose())
+        rows = [[A[i, j] for j in range(A.cols)] for i in range(A.rows)]
+        assert rank(rows) == rank([list(col) for col in zip(*rows)])
 
 
 def test_rank_with_fractional_entries():
-    A = SparseMatrix.from_rows(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    )
-    assert rank(A) == 1
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
 
 
 def test_integer_left_kernel_examples():
@@ -125,13 +122,13 @@ def test_integer_left_kernel_properties():
         for c in basis:
             prod = [sum(ci * M[i][j] for i, ci in enumerate(c)) for j in range(cols)]
             assert not any(prod)
-        assert len(basis) == rows - rank(SparseMatrix.from_rows(M))
+        assert len(basis) == rows - rank(M)
 
 
 def test_rank_of_large_sparse_matrix():
-    big = SparseMatrix(150, 150)
+    big = [[0] * 150 for _ in range(150)]
     for k in range(149):
-        big.entries[(k, k + 1)] = Fraction(k + 1)
+        big[k][k + 1] = k + 1
     assert rank(big) == 149
 
 
@@ -143,12 +140,7 @@ def test_failed_plug_back_raises_certificate_error(monkeypatch):
         solve_or_refute(SparseMatrix.from_rows([[1, 0]]), [0])
 
 
-def test_det_and_invert():
+def test_det():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 2, 0], [3, 0, 0], [0, 0, Fraction(1, 5)]]) == Fraction(-6, 5)  # one row swap
-    S = [[1, 1], [0, 1]]
-    Sinv = invert(S)
-    assert Sinv == [[Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)]]
-    with pytest.raises(ValueError):
-        invert([[1, 2], [2, 4]])

@@ -8,7 +8,6 @@ from orbitcal.repmodel import (
     RepresentationData,
     act,
     binary_substitution_matrix,
-    change_basis,
     coordinate_pullbacks,
     diagonal_weights,
     find_scrambling,
@@ -148,33 +147,6 @@ def test_make_conic_action_restricts():
         assert full[1:] == act(rep, [t], v)
 
 
-def test_change_basis_identity_and_consistency():
-    rep = sl2_binary_forms(2)
-    n = rep.n
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    same = change_basis(rep, identity)
-    assert same.rho == rep.rho
-
-    S = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    conj = change_basis(rep, S)
-    from orbitcal.exactmath import invert
-
-    Sinv = invert(S)
-    rng = random.Random(8)
-    for _ in range(20):
-        u = _random_param(rng)
-        lhs = [[e.evaluate(u) for e in row] for row in conj.rho]
-        mid = [[e.evaluate(u) for e in row] for row in rep.rho]
-        rhs = _mat_mul(_mat_mul([[Fraction(v) for v in r] for r in S], mid), Sinv)
-        assert lhs == rhs
-
-
-def test_change_basis_rejects_singular():
-    rep = torus_diagonal([(1,), (2,)])
-    with pytest.raises(ValueError):
-        change_basis(rep, [[1, 1], [1, 1]])
-
-
 def test_find_scrambling():
     S = find_scrambling((1, 0, 0))
     assert all(apply_matrix(S, (1, 0, 0)))
@@ -216,10 +188,13 @@ def test_orbit_dimension_invariances():
     sl2 = sl2_binary_forms(2)
     b = (0, 1, 0)
     base = orbit_dimension(sl2, b)
-    S = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
-    conj = change_basis(sl2, S)
-    assert orbit_dimension(conj, apply_matrix(S, b)) == base
     assert base <= min(sl2.r + sl2.s, sl2.n)
+    # every point of the orbit, and every nonzero multiple of b, has an
+    # orbit of the same dimension
+    rng = random.Random(9)
+    for _ in range(5):
+        assert orbit_dimension(sl2, act(sl2, _random_param(rng), b)) == base
+    assert orbit_dimension(sl2, (0, -3, 0)) == base
 
 
 def test_pullbacks():

@@ -1,22 +1,50 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 from orbitcal.errors import ResourceLimitError
+from orbitcal.exactmath import det
 from orbitcal.fixtures import diagonal_battery
 from orbitcal.repmodel import torus_diagonal
 from orbitcal.torusoracle import (
     WeightedVector,
     cone_inequalities,
-    face_test,
-    in_cone,
     scaling_exists,
     support,
     torus_decide,
 )
+
+
+def _dot(u, w):
+    return sum(x * y for x, y in zip(u, w))
+
+
+def _in_cone(point, gens):
+    """Reference cone membership (Caratheodory): the point lies in
+    cone(gens) iff it is a nonnegative combination of some linearly
+    independent set of at most rank generators.  That combination is
+    unique, and Cramer's rule on the Gram matrix finds it."""
+    point = [Fraction(x) for x in point]
+    for size in range(len(point) + 1):
+        for span in itertools.combinations(gens, size):
+            gram = [[_dot(s, t) for t in span] for s in span]
+            g = det(gram)
+            if not g:
+                continue  # dependent generators
+            rhs = [_dot(s, point) for s in span]
+            lam = [
+                det([row[:i] + [rhs[k]] + row[i + 1 :] for k, row in enumerate(gram)]) / g
+                for i in range(size)
+            ]
+            combo = [sum(c * t[j] for c, t in zip(lam, span)) for j in range(len(point))]
+            if min(lam, default=0) >= 0 and combo == point:
+                return True
+    return False
 
 
 def test_support_examples():
@@ -28,68 +56,72 @@ def test_support_examples():
 
 
 def test_in_cone_rank_one():
-    assert in_cone((3,), [(1,)])
-    assert not in_cone((-3,), [(1,)])
-    assert in_cone((0,), [])
-    assert not in_cone((1,), [])
-    assert in_cone((-2,), [(1,), (-1,)])
+    assert _in_cone((3,), [(1,)])
+    assert not _in_cone((-3,), [(1,)])
+    assert _in_cone((0,), [])
+    assert not _in_cone((1,), [])
+    assert _in_cone((-2,), [(1,), (-1,)])
+    assert _in_cone((1, 1), [(1, 0), (0, 1)])
+    assert not _in_cone((1, 1), [(1, 0), (2, 0)])
 
 
 def test_cone_inequalities_describe_the_cone():
     rng = random.Random(41)
-    for _ in range(25):
+    for _ in range(40):
+        rank = rng.randint(1, 3)
         gens = [
-            (rng.randint(-2, 2), rng.randint(-2, 2))
-            for _ in range(rng.randint(1, 4))
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(1, 5))
         ]
-        ineqs = cone_inequalities(gens, 2)
+        ineqs = cone_inequalities(gens, rank)
+        assert ineqs == sorted(set(ineqs))
+        assert all(gcd(*row) == 1 for row in ineqs)
         for g in gens:
-            assert all(sum(u * x for u, x in zip(row, g)) >= 0 for row in ineqs)
+            assert all(_dot(row, g) >= 0 for row in ineqs)
         # points satisfying all inequalities are in the cone and vice versa
         for _ in range(20):
-            pt = (rng.randint(-3, 3), rng.randint(-3, 3))
-            satisfied = all(sum(u * x for u, x in zip(row, pt)) >= 0 for row in ineqs)
-            assert satisfied == in_cone(pt, gens)
+            pt = tuple(rng.randint(-3, 3) for _ in range(rank))
+            satisfied = all(_dot(row, pt) >= 0 for row in ineqs)
+            assert satisfied == _in_cone(pt, gens)
+
+
+def _unit_question(Sa, Sb):
+    """torus_decide's answer on unit components supported on Sa and Sb;
+    all ratios are 1, so only the face condition is tested."""
+    weights = sorted(set(Sa) | set(Sb))
+    a = [int(w in Sa) for w in weights]
+    b = [int(w in Sb) for w in weights]
+    return torus_decide(weights, a, b)
 
 
 def test_face_test_examples():
-    ok, _ = face_test([(1,)], [(1,), (-1,)])
-    assert not ok  # the full line has no proper ray face
-    ok, functional = face_test([], [(1,), (2,)])
-    assert ok  # the origin is a face of a pointed cone
-    assert functional is not None
-    ok, functional = face_test([(1,), (2,)], [(1,), (2,)])
-    assert ok and functional == (0,)  # improper face
+    assert not _unit_question([(1,)], [(1,), (-1,)])  # the full line has no proper ray face
+    assert _unit_question([], [(1,), (2,)])  # the origin is a face of a pointed cone
+    assert _unit_question([(1,), (2,)], [(1,), (2,)])  # improper face
+    assert not _unit_question([(1,)], [(1,), (2,)])  # (2,) lies on the same ray
+    assert _unit_question([(1, 0)], [(1, 0), (0, 1), (1, 1)])
+    assert not _unit_question([(1, 1)], [(1, 0), (0, 1), (1, 1)])
 
 
 def test_face_test_zero_cone_of_line_fails():
-    ok, _ = face_test([], [(1,), (-1,)])
-    assert not ok  # lineality is the whole line, not the origin
+    assert not _unit_question([], [(1,), (-1,)])  # lineality is the whole line, not the origin
 
 
 def _brute_force_face(Sa, Sb, rank):
-    """Search small integer functionals u valid on cone(Sb) and check
-    whether one cuts exactly cone(Sa); the improper face is always
-    checked directly."""
-    if all(in_cone(s, Sb) for s in Sa) and all(in_cone(s, Sa) for s in Sb):
-        return True
-    grid = range(-6, 7)
-    for u in itertools.product(grid, repeat=rank):
-        if not any(u):
+    """Search small integer functionals u valid on cone(Sb), the zero
+    functional cutting the improper face, for one whose zero set on Sb
+    is exactly Sa."""
+    for u in itertools.product(range(-6, 7), repeat=rank):
+        if any(_dot(u, s) < 0 for s in Sb):
             continue
-        if any(sum(a * b for a, b in zip(u, s)) < 0 for s in Sb):
-            continue
-        face_gens = [s for s in Sb if sum(a * b for a, b in zip(u, s)) == 0]
-        if all(in_cone(s, Sa) for s in face_gens) and all(
-            in_cone(s, face_gens) for s in Sa
-        ):
+        if {s for s in Sb if _dot(u, s) == 0} == set(Sa):
             return True
     return False
 
 
 def test_face_test_against_brute_force():
     rng = random.Random(43)
-    for _ in range(40):
+    for _ in range(60):
         rank = rng.randint(1, 2)
         Sb = [
             tuple(rng.randint(-2, 2) for _ in range(rank))
@@ -99,8 +131,7 @@ def test_face_test_against_brute_force():
             Sa = [s for s in Sb if rng.random() < 0.5]
         else:
             Sa = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(0, 2))]
-        got, _ = face_test(Sa, Sb, rank)
-        assert got == _brute_force_face(Sa, Sb, rank)
+        assert _unit_question(Sa, Sb) == _brute_force_face(Sa, Sb, rank), (Sa, Sb)
 
 
 def test_scaling_exists_examples():
@@ -165,3 +196,67 @@ def test_rank_guard():
     weights = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
     with pytest.raises(ResourceLimitError, match="elimination guard 8"):
         torus_decide(weights, (1,) * 9, (1,) * 9)
+
+
+@pytest.mark.parametrize("rank, count", [(4, 6), (3, 13)])
+def test_wide_cones_answer_within_time_bound(rank, count):
+    # seeds on which plain Fourier-Motzkin asked for 56k to 49.6M combinations
+    for seed in range(3):
+        rng = random.Random(seed)
+        weights = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+        start = time.perf_counter()
+        got = torus_decide(weights, (0,) * count, (1,) * count)
+        assert time.perf_counter() - start < 1
+        # 0 lies in the orbit closure of the all-ones vector iff the cone
+        # of the weights is pointed: no weight w with -w in the cone
+        nonzero = [w for w in weights if any(w)]
+        pointed = len(nonzero) == count and not any(
+            _in_cone([-x for x in w], nonzero) for w in nonzero
+        )
+        assert got == pointed, (rank, count, seed)
+
+
+def _random_weights(rng):
+    rank = rng.randint(1, 3)
+    return [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(2, 4))]
+
+
+def _torus_point(rng, weights, b, face):
+    """b moved by a random torus element, with the coordinates off the
+    face (face[i] False) set to zero."""
+    t = [Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in weights[0]]
+    out = []
+    for wt, x, keep in zip(weights, b, face):
+        for ti, e in zip(t, wt):
+            x *= ti**e
+        out.append(x if keep else 0)
+    return out
+
+
+def test_torus_decide_agrees_with_elimination_on_random_weights():
+    rng = random.Random(53)
+    compared = inside = 0
+    for _ in range(60):
+        weights = _random_weights(rng)
+        n = len(weights)
+        b = [Fraction(rng.choice([0, 1, 1, -1, 2])) for _ in range(n)]
+        if not any(b):
+            continue
+        equations = closure_equations(torus_diagonal(weights), SubspaceMap.point(b))
+        points = [_torus_point(rng, weights, b, [True] * n)]
+        for _ in range(4):
+            # the limit along a one-parameter subgroup lam that is
+            # nonnegative on supp(b) keeps the coordinates where it is 0
+            lam = [rng.randint(-2, 2) for _ in weights[0]]
+            values = [_dot(lam, wt) for wt, x in zip(weights, b) if x]
+            if min(values) >= 0:
+                points.append(_torus_point(rng, weights, b, [_dot(lam, wt) == 0 for wt in weights]))
+        points += [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(6)]
+        for k, a in enumerate(points):
+            got = torus_decide(weights, a, b)
+            assert got == point_in_closure(equations, a), (weights, a, b)
+            if k < len(points) - 6:
+                assert got, (weights, a, b)
+            compared += 1
+            inside += got
+    assert compared >= 500 and inside >= 120
