@@ -204,16 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("decide", help="decide closure membership")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--a", required=True, help="comma-separated rationals")
-    p.add_argument("--b", required=True, help="comma-separated rationals")
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--conify", action="store_true", help="apply the conic reduction first")
-    p.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.add_argument("--out")
+    # the options of decide and crosscheck
+    question = argparse.ArgumentParser(add_help=False)
+    question.add_argument("--rep", required=True)
+    question.add_argument("--a", required=True, help="comma-separated rationals")
+    question.add_argument("--b", required=True, help="comma-separated rationals")
+    question.add_argument("--degree-bound", type=int, default=None)
+    question.add_argument("--conify", action="store_true", help="apply the conic reduction first")
+    question.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
+    question.add_argument("--seed", type=int, default=0)
+    question.add_argument("--verbose", action="store_true")
+    question.add_argument("--out")
+
+    p = sub.add_parser("decide", parents=[question], help="decide closure membership")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("closure", help="emit defining equations of an orbit/subspace closure")
@@ -240,16 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", required=True)
     q.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("crosscheck", help="run all applicable oracles and compare")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--conify", action="store_true")
-    p.add_argument("--assume-conic", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.add_argument("--out")
+    p = sub.add_parser("crosscheck", parents=[question], help="run all applicable oracles and compare")
     p.set_defaults(func=cmd_crosscheck)
 
     return parser

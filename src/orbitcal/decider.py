@@ -15,10 +15,9 @@ re-verify by exact plug-back.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
@@ -66,14 +65,14 @@ def conic_problem(rep, a, b, degree_bound_override=None) -> DecisionProblem:
 
 
 class LinearSystem:
-    """A c = v with rows indexed by parameter-space monomials and
-    columns by the generic-coefficient labels."""
+    """The integer system A c = v with rows indexed by parameter-space
+    monomials and columns by the generic-coefficient labels."""
 
     __slots__ = ("matrix", "rhs", "row_monomials", "col_keys")
 
     def __init__(self, matrix: SparseMatrix, rhs, row_monomials, col_keys):
         self.matrix = matrix
-        self.rhs = [Fraction(x) for x in rhs]
+        self.rhs = list(rhs)
         self.row_monomials = list(row_monomials)
         self.col_keys = list(col_keys)
 
@@ -114,9 +113,6 @@ class Decision:
             witness = ConsistencyWitness(cert["kind"], [Fraction(x) for x in cert["vector"]])
         return cls(payload["verdict"], witness, payload.get("transcript", {}))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def _monomials_up_to(n: int, degree: int):
     """All exponent tuples in N^n of total degree <= degree, in
@@ -138,13 +134,20 @@ def generic_coefficient_count(n: int, d: int) -> int:
 
 
 def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
-    """The system A c = v for the combination at degree bound d and
-    target alpha.  Column (p, q) holds the coefficients of
+    """The integer system A c = v for the combination at degree bound d
+    and target alpha.  Column (p, q) holds the coefficients of
     (psi_p - alpha_p) psi^q; rows are the parameter monomials in the
     support of some column, plus x^0, whose right-hand side is the 1
     moved over from the combination (every other row has 0).  Zero
     columns are dropped; rows are sorted by (degree, exponent) and
-    columns by key."""
+    columns by key.
+
+    A and v are then multiplied by D, the lcm of the denominators of
+    the entries of A (D = 1 on integer data), so v holds D on x^0.
+    Multiplying the whole system by one nonzero scalar leaves every
+    solution and every refuting row combination unchanged, and with
+    them the solver's witness; scaling rows one by one would change
+    the refutations, and scaling columns the solutions."""
     n = len(pullbacks)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -166,12 +169,14 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     row_monomials = sorted(rows, key=lambda e: (sum(e), e))
     row_index = {exp: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)
+    denominator = lcm(*{v.denominator for column in columns.values() for v in column.values()})
     matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
+    # each Fraction column is freed once its integer entries are written
     for j, key in enumerate(col_keys):
-        for exp, coef in columns[key].items():
-            matrix.entries[(row_index[exp], j)] = coef
+        for exp, coef in columns.pop(key).items():
+            matrix.entries[(row_index[exp], j)] = coef.numerator * (denominator // coef.denominator)
     rhs = [0] * len(row_monomials)
-    rhs[row_index[one]] = 1
+    rhs[row_index[one]] = denominator
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 

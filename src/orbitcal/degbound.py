@@ -252,13 +252,6 @@ def binary_form_orbit_degree(h: int, mults, stab_order: int = 1) -> Fraction:
     return Fraction(value, stab_order)
 
 
-def simple_root_orbit_degree(h: int) -> int:
-    """Specialization to all-simple roots (p = h): 2h(h-1)(h-2)."""
-    if h < 3:
-        raise ValueError("h must be >= 3")
-    return 2 * h * (h - 1) * (h - 2)
-
-
 def parametric_degree_bound(rep) -> int:
     """Coarse universal bound on the degree of any orbit closure of the
     representation: D^m with

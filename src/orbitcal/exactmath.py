@@ -1,12 +1,16 @@
-"""Exact rational and integer linear algebra.
+"""Exact integer linear algebra.
 
-Everything here is over Q (stdlib Fractions), Z or Z/p; there is no
-floating point anywhere.  Consistency answers come with a witness that
-is re-verified by exact plug-back in integers, so downstream callers
-never have to trust the elimination code.  solve_or_refute eliminates
-modulo word-size primes and recovers the witness by CRT and rational
-reconstruction; the plug-back is the only gate on what it returns.
-rank and det share one dense Gauss-Jordan elimination over Fractions.
+Everything here is over Z or Z/p, with Fractions only for witnesses,
+determinants and the dense inputs of rank and det; there is no
+floating point anywhere.  Linear systems are integer: a system over Q
+comes in with one common denominator cleared, which changes neither
+its solutions nor its refuting combinations.  Consistency answers come
+with a witness that is re-verified by exact plug-back in integers, so
+downstream callers never have to trust the elimination code.
+solve_or_refute eliminates modulo word-size primes and recovers the
+witness by CRT and rational reconstruction; the plug-back is the only
+gate on what it returns.  rank, det and integer_left_kernel share one
+unimodular row reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from orbitcal.errors import CertificateError
 
@@ -25,7 +29,11 @@ REFUTATION = "REFUTATION"
 
 
 class SparseMatrix:
-    """Sparse exact matrix over Q; entries maps (row, col) to a nonzero Fraction."""
+    """Sparse integer matrix; entries maps (row, col) to a nonzero int.
+    A matrix over Q is stored with one common denominator cleared.
+
+    The constructor and from_rows reject indices out of range and
+    entries that are not ints with ValueError."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -34,36 +42,22 @@ class SparseMatrix:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
+        self.entries: dict[tuple[int, int], int] = {}
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
+            if not isinstance(v, int):
+                raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
+            if v:
+                self.entries[(i, j)] = v
 
     @classmethod
     def from_rows(cls, data) -> "SparseMatrix":
         data = [list(row) for row in data]
         cols = len(data[0]) if data else 0
-        m = cls(len(data), cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    m.entries[(i, j)] = Fraction(v)
-        return m
-
-    def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, Fraction(0))
-
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        value = Fraction(value)
-        if value:
-            self.entries[key] = value
-        else:
-            self.entries.pop(key, None)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
     def __eq__(self, other):
         return (
@@ -76,28 +70,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def mul_vector(self, x) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            out[i] += v * x[j]
-        return out
-
-    def left_mul_vector(self, u) -> list[Fraction]:
-        if len(u) != self.rows:
-            raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.cols
-        for (i, j), v in self.entries.items():
-            out[j] += u[i] * v
-        return out
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -116,47 +88,26 @@ class ConsistencyWitness:
         self.vector = tuple(Fraction(x) for x in vector)
 
     def verify(self, matrix: SparseMatrix, rhs) -> bool:
-        """Exact plug-back check of the witness against (matrix, rhs).
-
-        The check runs in integers: the witness is scaled by the lcm of
-        its denominators, and each row (for A x = v) or column (for
-        u A = 0) of the system by the lcm of its own denominators."""
-        rhs = [Fraction(x) for x in rhs]
-        if len(rhs) != matrix.rows:
+        """Exact plug-back check of the witness against the integer
+        system (matrix, rhs), run in integers: the witness is scaled by
+        the lcm of its denominators."""
+        rhs = list(rhs)
+        length = matrix.cols if self.kind == SOLUTION else matrix.rows
+        if len(rhs) != matrix.rows or len(self.vector) != length:
             return False
+        scale = lcm(*(v.denominator for v in self.vector))
+        w = [v.numerator * (scale // v.denominator) for v in self.vector]
         if self.kind == SOLUTION:
-            if len(self.vector) != matrix.cols:
-                return False
-            scale = lcm(*(x.denominator for x in self.vector))
-            x = [v.numerator * (scale // v.denominator) for v in self.vector]
-            row_scale = [b.denominator for b in rhs]
-            for (i, _), v in matrix.entries.items():
-                if v.denominator != 1:
-                    row_scale[i] = lcm(row_scale[i], v.denominator)
             sums = [0] * matrix.rows
             for (i, j), v in matrix.entries.items():
-                if x[j]:
-                    sums[i] += v.numerator * (row_scale[i] // v.denominator) * x[j]
-            return all(
-                total == b.numerator * (d // b.denominator) * scale
-                for total, b, d in zip(sums, rhs, row_scale)
-            )
-        if len(self.vector) != matrix.rows:
-            return False
-        scale = lcm(*(u.denominator for u in self.vector))
-        u = [v.numerator * (scale // v.denominator) for v in self.vector]
-        col_scale = [1] * matrix.cols
-        for (_, j), v in matrix.entries.items():
-            if v.denominator != 1:
-                col_scale[j] = lcm(col_scale[j], v.denominator)
+                if w[j]:
+                    sums[i] += v * w[j]
+            return all(total == b * scale for total, b in zip(sums, rhs))
         sums = [0] * matrix.cols
         for (i, j), v in matrix.entries.items():
-            if u[i]:
-                sums[j] += u[i] * v.numerator * (col_scale[j] // v.denominator)
-        if any(sums):
-            return False
-        rhs_scale = lcm(*(b.denominator for b in rhs))
-        return sum(ui * b.numerator * (rhs_scale // b.denominator) for ui, b in zip(u, rhs)) != 0
+            if w[i]:
+                sums[j] += w[i] * v
+        return not any(sums) and sum(u * b for u, b in zip(w, rhs)) != 0
 
     def __eq__(self, other):
         return (
@@ -170,7 +121,8 @@ class ConsistencyWitness:
 
 
 def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
-    """Decide consistency of A x = v over Q with an exact witness.
+    """Decide consistency of the integer system A x = v over Q with an
+    exact witness.
 
     Consistency over Q is rank-determined, hence invariant under any
     field extension; the returned witness always passes verify().
@@ -179,37 +131,39 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     the lowest column up and pivots on its lowest remaining column, and
     free variables are zero.  This pivot profile (the outcome of every
     row) determines the witness: the solution supported on the pivot
-    columns, or the row combination that first reduces to 0 = nonzero.
+    columns, or the row combination that first reduces to 0 = nonzero,
+    with coefficient 1 on that row.
 
-    The elimination runs over Z/p for primes just below 2^62, skipping
-    any prime that divides a denominator.  A prime that divides a value
-    the elimination over Q keeps nonzero can only make the profile
-    lexicographically larger, so a larger profile is dropped and a
-    smaller one restarts the residues.  Residues of primes that share
-    the profile are combined by CRT and rationally reconstructed.  The
-    witness is returned once two primes agree on the profile and it
-    passes verify(), so one prime dividing a pivot cannot change it; a
-    failed reconstruction or plug-back adds a prime.  Past a
-    Hadamard-type bound on the CRT modulus the profile and the
-    reconstruction are certain, so a failure there raises
-    CertificateError.
+    The elimination runs over Z/p for primes just below 2^62.  A prime
+    that divides a value the elimination over Q keeps nonzero can only
+    make the profile lexicographically larger, so a larger profile is
+    dropped and a smaller one restarts the residues.  Residues of
+    primes that share the profile are combined by CRT and rationally
+    reconstructed.  The witness is returned once two primes agree on
+    the profile and it passes verify(), so one prime dividing a pivot
+    cannot change it; a failed reconstruction or plug-back adds a
+    prime.  Past a Hadamard-type bound on the CRT modulus the profile
+    and the reconstruction are certain, so a failure there raises
+    CertificateError.  A right-hand side that is not all ints raises
+    ValueError.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
-    rhs = [Fraction(x) for x in rhs]
+    rhs = list(rhs)
     if len(rhs) != matrix.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
+    if not all(isinstance(b, int) for b in rhs):
+        raise ValueError("the right-hand side must be integers")
 
-    int_rows, int_rhs, scales = _integer_rows(matrix, rhs)
-    distinct_scales = set(scales)
+    rows: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
     best = residues = None
     modulus = agreeing = primes_used = 0
     bound_bits = None
     for p in _primes():
-        if any(d % p == 0 for d in distinct_scales):
-            continue
         primes_used += 1
-        profile, vector = _eliminate_mod(int_rows, int_rhs, scales, matrix.cols, p)
+        profile, vector = _eliminate_mod(rows, rhs, matrix.cols, p)
         if best is None or profile < best:
             best, residues, modulus, agreeing = profile, vector, p, 1
         elif profile == best:
@@ -232,36 +186,17 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
                     )
                 return witness
         if bound_bits is None:
-            bound_bits = _witness_bound_bits(int_rows, int_rhs, scales)
+            bound_bits = _witness_bound_bits(rows, rhs)
         if modulus.bit_length() > bound_bits:
             raise CertificateError(f"internal {kind.lower()} failed plug-back")
 
 
-def _integer_rows(matrix, rhs):
-    """The rows of [A|v] scaled to integers: row i is multiplied by
-    scales[i], the lcm of its denominators.  Returns the rows of A as
-    dicts column -> integer, the entries of v and the scales."""
-    rows: list[dict] = [{} for _ in range(matrix.rows)]
-    scales = [b.denominator for b in rhs]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-        if v.denominator != 1:
-            scales[i] = lcm(scales[i], v.denominator)
-    for i, (row, scale) in enumerate(zip(rows, scales)):
-        if scale == 1:
-            rows[i] = {j: v.numerator for j, v in row.items()}
-        else:
-            rows[i] = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-    values = [b.numerator * (scale // b.denominator) for b, scale in zip(rhs, scales)]
-    return rows, values, scales
-
-
-def _eliminate_mod(rows, values, scales, ncols, p):
-    """One pass of the elimination over Z/p on the integer rows of
-    _integer_rows.  Returns the profile, the outcome of each row (its
-    pivot column, ncols for 0 = nonzero, which ends the pass, ncols + 1
-    for 0 = 0), and the residues of the witness for the unscaled
-    system: the refuting row combination or the solution."""
+def _eliminate_mod(rows, values, ncols, p):
+    """One pass of the elimination over Z/p on the integer rows (dicts
+    column -> value) and right-hand side values.  Returns the profile,
+    the outcome of each row (its pivot column, ncols for 0 = nonzero,
+    which ends the pass, ncols + 1 for 0 = 0), and the residues of the
+    witness: the refuting row combination or the solution."""
     # pivot column -> (row without its pivot entry, rhs, row history),
     # normalized so that the pivot entry is 1
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
@@ -311,12 +246,9 @@ def _eliminate_mod(rows, values, scales, ncols, p):
         if col is None:
             if b:
                 profile.append(ncols)
-                # row j of the scaled system is scales[j] times row j of
-                # A, and the combination has coefficient 1 on row idx
-                unscale = pow(scales[idx], -1, p)
                 u = [0] * len(rows)
                 for j, v in hist.items():
-                    u[j] = v * scales[j] * unscale % p
+                    u[j] = v
                 return profile, u
             profile.append(ncols + 1)
             continue
@@ -405,52 +337,37 @@ def _reconstruct(residues, modulus):
     return values
 
 
-def _witness_bound_bits(rows, values, scales) -> int:
-    """Bits of 2 B^2, where B = max_i d_i * prod_i max(1, |(A'|v')_i|)
-    over the rows of the integer system [A'|v'] of _integer_rows, d_i
-    being their scales.  Every minor of [A'|v'] is at most the product,
-    so B bounds the numerators and denominators of the witness; a
-    modulus above 2 B^2 reconstructs it, and the primes that share a
-    wrong profile all divide one nonzero minor, so their product stays
-    below B."""
+def _witness_bound_bits(rows, values) -> int:
+    """Bits of 2 B^2, where B = prod_i max(1, |(A|v)_i|) over the rows
+    of the integer system [A|v].  Every minor of [A|v] is at most B, so
+    B bounds the numerators and denominators of the witness; a modulus
+    above 2 B^2 reconstructs it, and the primes that share a wrong
+    profile all divide one nonzero minor, so their product stays below
+    B."""
     bits = sum(
         (isqrt(b * b + sum(v * v for v in row.values())) + 1).bit_length()
         for row, b in zip(rows, values)
     )
-    return 2 * (bits + max(scales).bit_length()) + 1
+    return 2 * bits + 1
 
 
-def _gauss_jordan(rows) -> tuple[list[int], Fraction]:
-    """Reduce a dense Fraction matrix in place to reduced row echelon
-    form, pivoting on the first nonzero entry of each column.  Returns
-    the pivot columns and the product of the pivots, signed by the row
-    swaps; for a square matrix of full rank that product is the
-    determinant."""
-    pivots: list[int] = []
-    product = Fraction(1)
-    nrows = len(rows)
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            product = -product
-        pivot = rows[r][col]
-        product *= pivot
-        row = rows[r] = [v / pivot if v else v for v in rows[r]]
-        for i in range(nrows):
-            f = rows[i][col]
-            if f and i != r:
-                rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], row)]
-        pivots.append(col)
-    return pivots, product
+def _integer_matrix(rows) -> tuple[list[list[int]], int]:
+    """A dense rational matrix with each row scaled to integers by the
+    lcm of its denominators, and the product of those scales."""
+    out = []
+    scales = 1
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+        scales *= scale
+    return out, scales
 
 
 def rank(rows) -> int:
     """Exact rank over Q of a dense matrix."""
-    return len(_gauss_jordan([[Fraction(v) for v in row] for row in rows])[0])
+    work, _ = _integer_matrix(rows)
+    return _integer_echelon(work, len(work[0]) if work else 0)[0]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -465,11 +382,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _integer_echelon(work: list[list[int]], width: int) -> int:
-    """Unimodular row reduction of the first `width` columns; returns
-    the number of pivot rows, which end up on top."""
+def _integer_echelon(work: list[list[int]], width: int) -> tuple[int, int]:
+    """Unimodular row reduction of the first `width` columns, pivots
+    made positive.  Returns the number of pivot rows, which end up on
+    top, and the determinant (+1 or -1) of the row operations: swaps
+    and negations flip it, the xgcd step has determinant 1."""
     nrows = len(work)
     r = 0
+    sign = 1
     for col in range(width):
         pivot_row = None
         for i in range(r, nrows):
@@ -478,7 +398,9 @@ def _integer_echelon(work: list[list[int]], width: int) -> int:
                 break
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             a, b = work[r][col], work[i][col]
             if not b:
@@ -494,8 +416,9 @@ def _integer_echelon(work: list[list[int]], width: int) -> int:
                 work[r], work[i] = new_r, new_i
         if work[r][col] < 0:
             work[r] = [-v for v in work[r]]
+            sign = -sign
         r += 1
-    return r
+    return r, sign
 
 
 def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
@@ -510,7 +433,7 @@ def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
     if any(len(row) != ncols for row in data):
         raise ValueError("ragged rows")
     work = [row + [1 if k == i else 0 for k in range(nrows)] for i, row in enumerate(data)]
-    npiv = _integer_echelon(work, ncols)
+    npiv, _ = _integer_echelon(work, ncols)
     kernel = [row[ncols:] for row in work[npiv:]]
     if not kernel:
         return []
@@ -532,9 +455,13 @@ def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant of a square matrix over Q."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != len(a) for row in a):
+    """Exact determinant of a square matrix over Q: the row operations
+    of _integer_echelon times the pivots, over the row scales."""
+    work, scales = _integer_matrix(rows)
+    n = len(work)
+    if any(len(row) != n for row in work):
         raise ValueError("matrix not square")
-    pivots, product = _gauss_jordan(a)
-    return product if len(pivots) == len(a) else Fraction(0)
+    npiv, sign = _integer_echelon(work, n)
+    if npiv < n:
+        return Fraction(0)
+    return Fraction(sign * prod(work[i][i] for i in range(n)), scales)

@@ -70,11 +70,14 @@ def test_rows_match_sympy_expansion(case):
     theirs = {exp: _linear_form(coef) for exp, coef in collected.items()}
     theirs = {exp: form for exp, form in theirs.items() if form}
 
+    # the system comes with its common denominator D cleared, and D is
+    # the right-hand side on x^0
     system = assemble_system(d, alpha, pullbacks)
+    D = system.rhs[system.row_monomials.index((0,) * len(xs))]
     ours = {exp: {} for exp in system.row_monomials}
     for (i, j), v in system.matrix.entries.items():
-        ours[system.row_monomials[i]][c[system.col_keys[j]]] = v
+        ours[system.row_monomials[i]][c[system.col_keys[j]]] = Fraction(v, D)
     for exp, v in zip(system.row_monomials, system.rhs):
         if v:
-            ours[exp][sympy.S.One] = -v
+            ours[exp][sympy.S.One] = -Fraction(v, D)
     assert ours == theirs

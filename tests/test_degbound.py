@@ -9,7 +9,6 @@ from orbitcal.degbound import (
     kazarnovskii,
     kazarnovskii_sl2,
     parametric_degree_bound,
-    simple_root_orbit_degree,
     simplex_integral,
     sl2_reductive_data,
     split_interval,
@@ -146,8 +145,7 @@ def test_binary_form_orbit_degree_simple_roots():
     assert binary_form_orbit_degree(3, (1, 1, 1)) == 12
     assert binary_form_orbit_degree(4, (1, 1, 1, 1)) == 48
     for h in range(3, 9):
-        assert binary_form_orbit_degree(h, (1,) * h) == simple_root_orbit_degree(h)
-        assert simple_root_orbit_degree(h) == 2 * h * (h - 1) * (h - 2)
+        assert binary_form_orbit_degree(h, (1,) * h) == 2 * h * (h - 1) * (h - 2)
 
 
 def test_binary_form_orbit_degree_stabilizer_division():

@@ -14,6 +14,7 @@ from orbitcal.exactmath import (
     rank,
     solve_or_refute,
 )
+from test_exactmath_modular import _cleared, _left_mul, _mul, _random_rational_rows, _reference_solve
 
 
 def test_solution_for_trivial_system():
@@ -44,37 +45,29 @@ def test_dimension_mismatch_rejected():
         solve_or_refute(SparseMatrix(0, 0), [])
 
 
-def _random_sparse(rng, rows, cols, density=0.4):
-    m = SparseMatrix(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                v = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                if v:
-                    m.entries[(i, j)] = v
-    return m
-
-
 def test_witnesses_verify_on_random_systems():
+    # rational (A, v) with one common denominator cleared; the witness is
+    # the Fraction loop's on the rational system
     rng = random.Random(7)
     solutions = refutations = 0
     for _ in range(60):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        A = _random_sparse(rng, rows, cols)
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rational_rows(rng, nrows, ncols)
         if rng.random() < 0.5:
-            x = [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
-            v = A.mul_vector(x)  # consistent by construction
+            v = _mul(rows, [Fraction(rng.randint(-4, 4)) for _ in range(ncols)])  # consistent
         else:
-            v = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
-        w = solve_or_refute(A, v)
-        assert w.verify(A, v)
+            v = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
+        A, b = _cleared(rows, v)
+        w = solve_or_refute(A, b)
+        assert w.verify(A, b)
+        assert w == _reference_solve(rows, v)
         if w.kind == SOLUTION:
             solutions += 1
-            assert A.mul_vector(w.vector) == list(v)
+            assert _mul(rows, w.vector) == v
         else:
             refutations += 1
-            assert not any(A.left_mul_vector(w.vector))
-            assert sum(u * b for u, b in zip(w.vector, v)) != 0
+            assert not any(_left_mul(rows, w.vector))
+            assert sum(u * c for u, c in zip(w.vector, v)) != 0
     assert solutions and refutations
 
 
@@ -98,8 +91,7 @@ def test_rank_basic():
 def test_rank_of_transpose_matches():
     rng = random.Random(11)
     for _ in range(40):
-        A = _random_sparse(rng, rng.randint(1, 5), rng.randint(1, 5))
-        rows = [[A[i, j] for j in range(A.cols)] for i in range(A.rows)]
+        rows = _random_rational_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert rank(rows) == rank([list(col) for col in zip(*rows)])
 
 

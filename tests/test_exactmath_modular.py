@@ -3,17 +3,19 @@ replaced, and the integer plug-back of ConsistencyWitness.verify against
 a Fraction plug-back.
 
 `_reference_solve` is the row reduction over Fractions that
-solve_or_refute used to run: rows in order, each reduced against the
-pivots from the lowest column up, pivot on the lowest remaining column,
-free variables at zero, the row history carried for the refutation.
-The modular solver must return the same witness, term for term.
-The randomized comparisons with hypothesis are in
+solve_or_refute used to run, on a dense rational system: rows in order,
+each reduced against the pivots from the lowest column up, pivot on the
+lowest remaining column, free variables at zero, the row history
+carried for the refutation.  The modular solver, given the same system
+with one common denominator cleared, must return the same witness, term
+for term.  The randomized comparisons with hypothesis are in
 test_exactmath_hypothesis.py."""
 
 import logging
 import random
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
@@ -25,15 +27,41 @@ from orbitcal.exactmath import (
     SparseMatrix,
     solve_or_refute,
 )
+from orbitcal.fixtures import hyperbola_rep
 
 FIRST_PRIME = next(exactmath._primes())
 
 
-def _reference_solve(matrix, rhs):
+def _dense(matrix):
+    """The rows of a SparseMatrix as lists."""
+    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def _mul(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def _left_mul(rows, u):
+    return [sum(ui * row[j] for ui, row in zip(u, rows)) for j in range(len(rows[0]))]
+
+
+def _cleared(rows, rhs, factor=1):
+    """The integer system factor * D * (A, v), where D is the lcm of
+    every denominator of the rational system (A, v) given by its rows."""
+    values = [v for row in rows for v in row] + list(rhs)
+    scale = factor * lcm(*(Fraction(v).denominator for v in values))
+    matrix = SparseMatrix.from_rows([[int(v * scale) for v in row] for row in rows])
+    return matrix, [int(b * scale) for b in rhs]
+
+
+def _reference_solve(rows, rhs):
     rhs = [Fraction(x) for x in rhs]
     pivots = {}
-    for idx, row in enumerate(matrix.row_dicts()):
-        row = dict(row)
+    for idx, row in enumerate(rows):
+        row = {j: Fraction(v) for j, v in enumerate(row) if v}
         b = rhs[idx]
         hist = {idx: Fraction(1)}
         while row:
@@ -53,7 +81,7 @@ def _reference_solve(matrix, rhs):
             b -= factor * pb
         if not row:
             if b:
-                u = [Fraction(0)] * matrix.rows
+                u = [Fraction(0)] * len(rows)
                 for j, v in hist.items():
                     u[j] = v
                 return ConsistencyWitness(REFUTATION, u)
@@ -65,28 +93,31 @@ def _reference_solve(matrix, rhs):
             b * inv,
             {j: v * inv for j, v in hist.items()},
         )
-    x = [Fraction(0)] * matrix.cols
+    x = [Fraction(0)] * len(rows[0])
     for col in sorted(pivots, reverse=True):
         row, b, _ = pivots[col]
         x[col] = b - sum(v * x[j] for j, v in row.items() if j != col)
     return ConsistencyWitness(SOLUTION, x)
 
 
-def _reference_verify(witness, matrix, rhs):
-    """Fraction plug-back, the check verify() ran before it went to integers."""
+def _reference_verify(witness, rows, rhs):
+    """Fraction plug-back on the rational system, the check verify()
+    ran before it went to integers."""
     rhs = [Fraction(x) for x in rhs]
-    if len(rhs) != matrix.rows:
+    if len(rhs) != len(rows):
         return False
     if witness.kind == SOLUTION:
-        return len(witness.vector) == matrix.cols and matrix.mul_vector(witness.vector) == rhs
-    if len(witness.vector) != matrix.rows or any(matrix.left_mul_vector(witness.vector)):
+        return len(witness.vector) == len(rows[0]) and _mul(rows, witness.vector) == rhs
+    if len(witness.vector) != len(rows) or any(_left_mul(rows, witness.vector)):
         return False
     return sum(u * b for u, b in zip(witness.vector, rhs)) != 0
 
 
-def _assert_matches_reference(matrix, rhs):
-    ours = solve_or_refute(matrix, rhs)
-    assert ours == _reference_solve(matrix, rhs)
+def _assert_matches_reference(rows, rhs, factor=1):
+    """Solve the rational system with factor * D cleared, and check the
+    witness against the Fraction loop on the system as given."""
+    ours = solve_or_refute(*_cleared(rows, rhs, factor))
+    assert ours == _reference_solve(rows, rhs)
     return ours
 
 
@@ -96,8 +127,8 @@ def primes_used(monkeypatch):
     calls = []
     eliminate = exactmath._eliminate_mod
 
-    def spy(rows, values, scales, ncols, p):
-        profile, vector = eliminate(rows, values, scales, ncols, p)
+    def spy(rows, values, ncols, p):
+        profile, vector = eliminate(rows, values, ncols, p)
         calls.append((p, profile))
         return profile, vector
 
@@ -105,10 +136,14 @@ def primes_used(monkeypatch):
     return calls
 
 
-def test_denominator_divisible_by_the_first_prime_skips_it(primes_used):
-    A = SparseMatrix.from_rows([[Fraction(1, FIRST_PRIME), 1], [1, 1]])
-    _assert_matches_reference(A, [1, 2])
-    assert primes_used and FIRST_PRIME not in [p for p, _ in primes_used]
+def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
+    # the common denominator is the first prime: mod it the cleared
+    # system [[1, p], [p, p]] loses its second pivot, and that larger
+    # profile is dropped for the second prime's
+    _assert_matches_reference([[Fraction(1, FIRST_PRIME), 1], [1, 1]], [1, 2])
+    (p, first_profile), (_, second_profile) = primes_used[:2]
+    assert p == FIRST_PRIME
+    assert second_profile < first_profile
 
 
 @pytest.mark.parametrize(
@@ -125,7 +160,7 @@ def test_denominator_divisible_by_the_first_prime_skips_it(primes_used):
     ],
 )
 def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
-    _assert_matches_reference(SparseMatrix.from_rows(rows), rhs)
+    _assert_matches_reference(rows, rhs)
     (p, first_profile), (_, second_profile) = primes_used[:2]
     assert p == FIRST_PRIME
     assert second_profile < first_profile
@@ -140,7 +175,7 @@ def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
     ],
 )
 def test_witness_of_80_bits_needs_several_primes(primes_used, rows, rhs, kind):
-    w = _assert_matches_reference(SparseMatrix.from_rows(rows), rhs)
+    w = _assert_matches_reference(rows, rhs)
     assert w.kind == kind
     assert max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in w.vector) >= 80
     assert len(primes_used) >= 3
@@ -204,19 +239,49 @@ def test_decide_certificates_equal_the_fraction_loop(problem, verdict, scrambled
     decision, system = decider.decide(problem, seed=1, keep_system=True)
     assert decision.verdict == verdict
     assert (decision.transcript["scramble"] is not None) == scrambled
-    assert decision.certificate == _reference_solve(system.matrix, system.rhs)
+    assert decision.certificate == _reference_solve(_dense(system.matrix), system.rhs)
+
+
+def test_rational_problem_clears_one_common_denominator():
+    # a = (2, 1/2) on the hyperbola: the conified target has a
+    # denominator, so the system is cleared by D > 1
+    problem = decider.conic_problem(hyperbola_rep(), (2, Fraction(1, 2)), (1, 1), degree_bound_override=2)
+    decision, system = decider.decide(problem, keep_system=True)
+    assert decision.verdict == decider.IN_CLOSURE
+    assert all(type(v) is int for v in system.matrix.entries.values())
+    one = system.row_monomials.index((0,) * len(system.row_monomials[0]))
+    D = system.rhs[one]
+    assert D > 1 and not any(system.rhs[:one] + system.rhs[one + 1 :])
+    unscaled = [[Fraction(v, D) for v in row] for row in _dense(system.matrix)]
+    assert any(v.denominator > 1 for row in unscaled for v in row)
+    assert decision.certificate == _reference_solve(unscaled, [Fraction(b, D) for b in system.rhs])
+
+
+def _random_rational_rows(rng, nrows, ncols):
+    return [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.4 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
 
 
 def test_random_systems_of_both_kinds_match():
+    # each rational system is cleared by D, -3 D and FIRST_PRIME * D
     rng = random.Random(5)
     kinds = set()
     for _ in range(200):
-        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
-        A = SparseMatrix(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                if rng.random() < 0.4:
-                    A[i, j] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rows)]
-        kinds.add(_assert_matches_reference(A, rhs).kind)
+        rows = _random_rational_rows(rng, rng.randint(1, 12), rng.randint(1, 12))
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
+        for factor in (1, -3, FIRST_PRIME):
+            kinds.add(_assert_matches_reference(rows, rhs, factor).kind)
     assert kinds == {SOLUTION, REFUTATION}
+
+
+def test_non_integer_entries_and_rhs_are_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        SparseMatrix.from_rows([[1, Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="not an integer"):
+        SparseMatrix(1, 2, {(0, 1): Fraction(2)})
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix(1, 2, {(1, 0): 1})
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_or_refute(SparseMatrix.from_rows([[1, 2]]), [Fraction(1, 2)])
