@@ -1,10 +1,11 @@
 """Term-dict kernels.
 
 Polynomials, including the columns of the decider's linear system, are
-stored as dicts mapping an exponent tuple to a nonzero Fraction.  These
-three loops carry almost all of the run time of the package.  BACKEND
-names the implementation for run reports; there is only this
-pure-Python one.
+stored as dicts mapping an exponent tuple to a nonzero number: an int in
+the decider, which clears denominators on its pullbacks, and a Fraction
+elsewhere.  The kernels work on either.  These three loops carry almost
+all of the run time of the package.  BACKEND names the implementation
+for run reports; there is only this pure-Python one.
 """
 
 BACKEND = "pure"

@@ -56,11 +56,8 @@ def _emit(payload: str, out: str | None):
         print(payload)
 
 
-def _max_nnz(args) -> int:
-    env = os.environ.get("ORBITCAL_MAX_NNZ")
-    if env:
-        return int(env)
-    return decider.DEFAULT_MAX_NNZ
+def _max_nnz() -> int:
+    return int(os.environ.get("ORBITCAL_MAX_NNZ") or decider.DEFAULT_MAX_NNZ)
 
 
 def cmd_gen(args) -> int:
@@ -97,7 +94,7 @@ def _load_problem(args):
 
 def cmd_decide(args) -> int:
     problem = _load_problem(args)
-    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz(args))
+    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz())
     payload = decision.to_json()
     if not args.verbose:
         payload.pop("transcript", None)
@@ -154,7 +151,7 @@ def cmd_oracle(args) -> int:
     if len(a) != len(weights) or len(b) != len(weights):
         raise ValueError(f"vectors must have length {len(weights)}")
     verdict = torusoracle.torus_decide(weights, a, b)
-    print("IN_CLOSURE" if verdict else "NOT_IN_CLOSURE")
+    print(decider.IN_CLOSURE if verdict else decider.NOT_IN_CLOSURE)
     return EXIT_IN_CLOSURE if verdict else EXIT_NOT_IN_CLOSURE
 
 
@@ -163,7 +160,7 @@ def cmd_crosscheck(args) -> int:
     rep_w, a_w, b_w = problem.rep, problem.a, problem.b
 
     results = {}
-    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz(args))
+    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz())
     results["decider"] = decision.in_closure
 
     equations = elim.closure_equations(rep_w, elim.SubspaceMap.point(b_w))
@@ -177,7 +174,7 @@ def cmd_crosscheck(args) -> int:
     report = {
         "a": repmodel.format_vector(a_w),
         "b": repmodel.format_vector(b_w),
-        "verdicts": {k: ("IN_CLOSURE" if v else "NOT_IN_CLOSURE") for k, v in results.items()},
+        "verdicts": {k: (decider.IN_CLOSURE if v else decider.NOT_IN_CLOSURE) for k, v in results.items()},
         "agree": agree,
     }
     if not agree or args.verbose:

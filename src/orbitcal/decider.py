@@ -8,7 +8,9 @@ c[(p, q)] are unknowns, the combination
 parametrization psi substituted for the y's, must have every collected
 monomial coefficient vanish.  The column of c[(p, q)] is therefore the
 expansion of (psi_p - a_p) psi^q, and the system is assembled column by
-column from the pullback powers.  A refutation of the system certifies
+column from the pullback powers, in integers: as D^(2d-1) times the
+rational system, D the common denominator of psi and a, which changes
+no solution and no refutation.  A refutation of the system certifies
 membership, a solution certifies non-membership, and both certificates
 re-verify by exact plug-back.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from orbitcal import repmodel
@@ -114,21 +117,6 @@ class Decision:
         return cls(payload["verdict"], witness, payload.get("transcript", {}))
 
 
-def _monomials_up_to(n: int, degree: int):
-    """All exponent tuples in N^n of total degree <= degree, in
-    lexicographic order."""
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for e in range(remaining + 1):
-                yield prefix + (e,)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    yield from rec((), degree, n)
-
-
 def generic_coefficient_count(n: int, d: int) -> int:
     return n * comb(2 * d - 2 + n, n)
 
@@ -142,41 +130,45 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     columns are dropped; rows are sorted by (degree, exponent) and
     columns by key.
 
-    A and v are then multiplied by D, the lcm of the denominators of
-    the entries of A (D = 1 on integer data), so v holds D on x^0.
-    Multiplying the whole system by one nonzero scalar leaves every
-    solution and every refuting row combination unchanged, and with
-    them the solver's witness; scaling rows one by one would change
-    the refutations, and scaling columns the solutions."""
+    The system is built in integers as D^(2d-1) (A | v), D the lcm of
+    the denominators in the pullbacks and alpha (1 on integer data):
+    with phi_p = D psi_p, beta_p = D alpha_p and the constant phi_n = D,
+    each h in N^(n+1) with |h| = 2d - 2 and q = h[:n] gives image(h +
+    e_p) - beta_p image(h) = D^(2d-1) (psi_p - alpha_p) psi^q.  One
+    nonzero scalar on the whole system leaves every solution and every
+    refuting row combination, and so the solver's witness, unchanged;
+    scaling rows would change the refutations, and columns the solutions."""
     n = len(pullbacks)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     alpha = vector(alpha)
     if len(alpha) != n:
         raise ValueError("alpha length mismatch")
-    image = monomial_images(pullbacks)
-    columns = {}
-    for p in range(n):
-        for q in _monomials_up_to(n, 2 * d - 2):
-            column = dict(image(q[:p] + (q[p] + 1,) + q[p + 1 :]).terms)
-            add_scaled_inplace(column, image(q).terms, -alpha[p])
-            if column:
-                columns[(p, q)] = column
+    D = lcm(*(c.denominator for psi in pullbacks for c in psi.terms.values()), *(a.denominator for a in alpha))
+    phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
+    beta = [a.numerator * (D // a.denominator) for a in alpha]
     one = (0,) * pullbacks[0].ambient.nvars
+    image = monomial_images(phi + [{one: D}], len(one))
+    columns = {}
+    for slots in combinations_with_replacement(range(n + 1), 2 * d - 2):
+        h = tuple(slots.count(i) for i in range(n + 1))
+        for p in range(n):
+            column = dict(image(h[:p] + (h[p] + 1,) + h[p + 1 :]))
+            add_scaled_inplace(column, image(h), -beta[p])
+            if column:
+                columns[(p, h[:n])] = column
     rows = {one}
     for column in columns.values():
         rows.update(column)
     row_monomials = sorted(rows, key=lambda e: (sum(e), e))
     row_index = {exp: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)
-    denominator = lcm(*{v.denominator for column in columns.values() for v in column.values()})
     matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
-    # each Fraction column is freed once its integer entries are written
     for j, key in enumerate(col_keys):
         for exp, coef in columns.pop(key).items():
-            matrix.entries[(row_index[exp], j)] = coef.numerator * (denominator // coef.denominator)
+            matrix.entries[(row_index[exp], j)] = coef
     rhs = [0] * len(row_monomials)
-    rhs[row_index[one]] = denominator
+    rhs[row_index[one]] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from orbitcal.errors import InconsistentDataError
+from orbitcal.exactmath import det
 from orbitcal.polyring import Ambient, LaurentPoly, substitute
 
 
@@ -88,7 +89,7 @@ class ReductiveData:
                 payload["coroots"],
                 payload["polytope"],
             )
-        except TypeError as exc:
+        except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed reductive data: {exc}") from exc
 
     @classmethod
@@ -130,8 +131,6 @@ def simplex_integral(poly: LaurentPoly, simplex) -> Fraction:
     columns = [
         [simplex[j + 1][i] - v0[i] for j in range(rank)] for i in range(rank)
     ]
-    from orbitcal.exactmath import det
-
     volume_factor = det(columns)
     if not volume_factor:
         raise ValueError("degenerate simplex")

@@ -271,24 +271,26 @@ class LaurentPoly:
         return cls(ambient, parse_terms(text, ambient.names))
 
 
-def monomial_images(images: list[LaurentPoly]):
-    """Return exp -> prod_i images[i]**exp[i], memoized per exponent; each
-    image's powers are computed once by repeated squaring."""
-    one = LaurentPoly.const(images[0].ambient, 1)
-    pow_caches: list[dict[int, LaurentPoly]] = [{1: img} for img in images]
+def monomial_images(images, nvars: int):
+    """Return exp -> prod_i images[i]**exp[i] for term dicts of exponent
+    width nvars and any number type, memoized per exponent; each image's
+    powers are computed once by repeated squaring.  The returned dicts
+    are shared: copy one before mutating it."""
+    one = {(0,) * nvars: 1}
+    pow_caches = [{1: img} for img in images]
 
     def power(i, e):
         cache = pow_caches[i]
         got = cache.get(e)
         if got is None:
             half = power(i, e // 2)
-            got = half * half
+            got = terms_mul(half, half)
             if e & 1:
-                got = got * cache[1]
+                got = terms_mul(got, cache[1])
             cache[e] = got
         return got
 
-    mono_cache: dict[tuple[int, ...], LaurentPoly] = {}
+    mono_cache: dict[tuple[int, ...], dict] = {}
 
     def monomial_image(exp):
         got = mono_cache.get(exp)
@@ -296,7 +298,7 @@ def monomial_images(images: list[LaurentPoly]):
             got = one
             for i, e in enumerate(exp):
                 if e:
-                    got = got * power(i, e)
+                    got = power(i, e) if got is one else terms_mul(got, power(i, e))
             mono_cache[exp] = got
         return got
 
@@ -317,11 +319,11 @@ def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     for v in values:
         if v.ambient != target:
             raise ValueError("ambient mismatch among substitution values")
-    image = monomial_images(values)
-    total = LaurentPoly.zero(target)
+    image = monomial_images([v.terms for v in values], target.nvars)
+    total: dict[tuple[int, ...], Fraction] = {}
     for exp, coef in poly.terms.items():
-        total = total + image(exp) * coef
-    return total
+        add_scaled_inplace(total, image(exp), coef)
+    return LaurentPoly._raw(target, total)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,8 @@ def parse_terms(text: str, names) -> dict[tuple[int, ...], Fraction]:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"unexpected end of polynomial text {text!r}")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -380,8 +384,8 @@ def parse_terms(text: str, names) -> dict[tuple[int, ...], Fraction]:
             if peek() == "/":
                 take()
                 den = take()
-                if not den.isdigit():
-                    raise ValueError("bad rational")
+                if not den.isdigit() or not int(den):
+                    raise ValueError(f"bad rational {tok}/{den}")
                 return coef * Fraction(num, int(den)), exp
             return coef * num, exp
         if tok in name_to_idx:

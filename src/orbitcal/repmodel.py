@@ -30,7 +30,10 @@ def vector(values) -> Vec:
 
 
 def parse_vector(text: str) -> Vec:
-    return vector(part.strip() for part in text.split(",") if part.strip() != "")
+    try:
+        return vector(part.strip() for part in text.split(",") if part.strip() != "")
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_vector(v) -> list[str]:

@@ -1,0 +1,77 @@
+"""What the benchmark in perfbench/ relies on.
+
+perfbench/checks.py re-checks each decide by its own Fraction plug-back;
+here it runs on the decide-sparse problems and on rational questions
+whose system is cleared by a denominator D > 1, one of them scrambled.
+The tracer binds the program's functions by name, so those names must
+exist."""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from orbitcal import _kernels, decider, elim, exactmath, repmodel
+
+_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+def _sparse_problems():
+    # the decide-sparse workload: quadratic forms around (z1+z2)^2
+    sl2 = repmodel.sl2_binary_forms(2)
+    for d in (3, 4):
+        for a, expected_in in (((0, 1, 0), False), ((1, 0, 0), True)):
+            yield pytest.param(
+                decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d),
+                expected_in,
+                False,
+                id=f"sparse-d{d}-{'IN' if expected_in else 'NOT'}",
+            )
+
+
+# (z1/2 + z2)^2 lies on the cone of squares, z1^2/2 + z2^2 does not
+SQUARE = (Fraction(1, 4), 1, 1)
+NOT_SQUARE = (Fraction(1, 2), 0, 1)
+
+
+def _scrambled(a):
+    # the base z1^2 has zero coordinates, so decide scrambles the basis
+    return decider.conic_problem(repmodel.sl2_binary_forms(2), a, (1, 0, 0), degree_bound_override=2)
+
+
+@pytest.mark.parametrize(
+    "problem, expected_in, rational",
+    [
+        *_sparse_problems(),
+        pytest.param(_scrambled(SQUARE), True, True, id="scrambled-IN"),
+        pytest.param(_scrambled(NOT_SQUARE), False, True, id="scrambled-NOT"),
+    ],
+)
+def test_benchmark_check_accepts_decisions(problem, expected_in, rational):
+    decision, system = decider.decide(problem, seed=11, keep_system=True)
+    checks.check_decision((decision, system), expected_in)
+    if rational:
+        assert decision.transcript["scramble"] is not None
+        one = system.row_monomials.index((0,) * len(system.row_monomials[0]))
+        assert system.rhs[one] > 1
+
+
+def test_benchmark_check_rejects_a_bumped_solution():
+    # zero columns are dropped, so bumping x_0 moves A x off v
+    decision, system = decider.decide(_scrambled(NOT_SQUARE), keep_system=True)
+    x = decision.certificate.vector
+    decision.certificate = exactmath.ConsistencyWitness(exactmath.SOLUTION, (x[0] + 1,) + x[1:])
+    with pytest.raises(checks.WrongAnswer):
+        checks.check_decision((decision, system), False)
+
+
+def test_names_the_tracer_binds_exist():
+    assert _kernels.BACKEND == "pure"
+    assert callable(decider.solve_or_refute)
+    assert callable(repmodel.orbit_dimension)
+    assert callable(elim.s_polynomial)
+    assert callable(exactmath.ConsistencyWitness.verify)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +409,58 @@ def test_malformed_reductive_data_file_exits_2(tmp_path, capsys):
     code, _, err = run(["degree", "kazarnovskii", "--data", str(path)], capsys)
     assert code == 2
     assert "malformed reductive data" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("rep", "x1^"), ("rep", "2/"), ("rep", "x1*"), ("rep", "+"), ("rep", "3/0*x1^2"),
+     ("subspace", "y1^"), ("subspace", "2/"), ("subspace", "y1*"), ("subspace", "+"), ("subspace", "3/0*y1")],
+)
+def test_malformed_polynomial_text_exits_2(tmp_path, torus12, capsys, kind, text):
+    # truncated text and zero denominators are bad input, not internal errors
+    path = tmp_path / "bad.json"
+    if kind == "rep":
+        payload = json.loads(Path(torus12).read_text())
+        payload["rho"][0][0] = text
+        path.write_text(json.dumps(payload))
+        argv = ["decide", "--rep", str(path), "--a", "0,0", "--b", "1,1", "--conify"]
+    else:
+        path.write_text(json.dumps({"l": 1, "images": [text, "y1"]}))
+        argv = ["closure", "--rep", torus12, "--subspace", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--a", "1/0,0", "--b", "1,1", "--conify"],
+        ["decide", "--a", "0,0", "--b", "1,1/0", "--conify"],
+        ["closure", "--point", "1/0,1"],
+        ["oracle", "torus", "--weights", "1;2", "--a", "0,0", "--b", "1/0,1"],
+        ["degree", "kazarnovskii"],
+    ],
+    ids=["decide-a", "decide-b", "closure-point", "oracle-b", "kazarnovskii-data"],
+)
+def test_zero_denominator_exits_2(tmp_path, torus12, capsys, argv):
+    if argv[0] in ("decide", "closure"):
+        argv = argv[:1] + ["--rep", torus12] + argv[1:]
+    if argv[0] == "degree":
+        data = {
+            "dim_g": 3,
+            "weyl_order": 2,
+            "exponents": [1],
+            "kernel_order": 2,
+            "coroots": [["1"]],
+            "polytope": [[["1/0"], ["0"]]],
+        }
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--data", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and "internal error" not in err
 
 
 def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):

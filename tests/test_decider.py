@@ -67,6 +67,20 @@ def test_assemble_drops_zero_columns_and_cancelled_entries():
     with pytest.raises(ValueError):
         assemble_system(0, (1, 0), pullbacks)
 
+    # mirrored, so the first pullback is zero: the exponent width comes
+    # from the ambient, not from the first pullback's terms
+    mirrored = pullbacks[::-1]
+    system = assemble_system(1, (0, 1), mirrored)
+    assert system.col_keys == [(1, (0, 0))]
+    assert system.row_monomials == [(0,), (1,)]
+    assert system.matrix.entries == {(1, 0): 1}
+    assert system.rhs == [1, 0]
+    system = assemble_system(2, (0, 1), mirrored)
+    assert system.col_keys == [(1, (0, 0)), (1, (0, 1)), (1, (0, 2))]
+    assert system.row_monomials == [(0,), (1,), (2,), (3,)]
+    assert system.matrix.entries == {(1, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 1}
+    assert system.rhs == [1, 0, 0, 0]
+
 
 def test_pullbacks_match_action():
     rep = torus_diagonal([(1,), (2,)])

@@ -1,7 +1,8 @@
 """The text and JSON formats read back what they write: on random data,
 LaurentPoly.parse(str(p)) == p, parse_equation(format_equation(q)) == q
 and RepresentationData.from_json(to_json()) reproduces the representation,
-also through a json.dumps/json.loads pass."""
+also through a json.dumps/json.loads pass.  Every prefix of a printed
+polynomial either parses or raises ValueError."""
 
 import json
 from fractions import Fraction
@@ -52,6 +53,17 @@ def _representations(draw):
 @hypothesis.given(_polys())
 def test_laurent_poly_text_round_trip(p):
     assert LaurentPoly.parse(str(p), p.ambient) == p
+
+
+@_settings
+@hypothesis.given(_polys())
+def test_every_prefix_parses_or_raises_value_error(p):
+    text = str(p)
+    for end in range(len(text) + 1):
+        try:
+            LaurentPoly.parse(text[:end], p.ambient)
+        except ValueError:
+            pass
 
 
 @_settings
