@@ -35,15 +35,10 @@ EXIT_INTERNAL = 7
 
 
 def _parse_weights(text: str):
-    weights = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        weights.append(tuple(int(w.strip()) for w in chunk.split(",")))
-    if not weights:
-        raise ValueError("no weights given")
-    return weights
+    chunks = [chunk.strip() for chunk in text.split(";")]
+    if "" in chunks:
+        raise ValueError(f"empty weight in {text!r}")
+    return [tuple(int(w) for w in chunk.split(",")) for chunk in chunks]
 
 
 def _emit(payload: str, out: str | None):

@@ -132,9 +132,9 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
 
     The system is built in integers as D^(2d-1) (A | v), D the lcm of
     the denominators in the pullbacks and alpha (1 on integer data):
-    with phi_p = D psi_p, beta_p = D alpha_p and the constant phi_n = D,
-    each h in N^(n+1) with |h| = 2d - 2 and q = h[:n] gives image(h +
-    e_p) - beta_p image(h) = D^(2d-1) (psi_p - alpha_p) psi^q.  One
+    with phi_p = D psi_p, beta_p = D alpha_p and image(q) = phi^q, each
+    q in N^n with |q| <= 2d - 2 and k = 2d - 2 - |q| gives D^k (image(q
+    + e_p) - beta_p image(q)) = D^(2d-1) (psi_p - alpha_p) psi^q.  One
     nonzero scalar on the whole system leaves every solution and every
     refuting row combination, and so the solver's witness, unchanged;
     scaling rows would change the refutations, and columns the solutions."""
@@ -148,15 +148,17 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
     beta = [a.numerator * (D // a.denominator) for a in alpha]
     one = (0,) * pullbacks[0].ambient.nvars
-    image = monomial_images(phi + [{one: D}], len(one))
+    image = monomial_images(phi, len(one))
     columns = {}
+    # slot n stands for the constant: it raises the scale, not the image
     for slots in combinations_with_replacement(range(n + 1), 2 * d - 2):
-        h = tuple(slots.count(i) for i in range(n + 1))
+        q = tuple(slots.count(i) for i in range(n))
+        scale = D ** slots.count(n)
         for p in range(n):
-            column = dict(image(h[:p] + (h[p] + 1,) + h[p + 1 :]))
-            add_scaled_inplace(column, image(h), -beta[p])
+            column = {e: scale * c for e, c in image(q[:p] + (q[p] + 1,) + q[p + 1 :]).items()}
+            add_scaled_inplace(column, image(q), -beta[p] * scale)
             if column:
-                columns[(p, h[:n])] = column
+                columns[(p, q)] = column
     rows = {one}
     for column in columns.values():
         rows.update(column)

@@ -266,9 +266,8 @@ def parametric_degree_bound(rep) -> int:
         for entry in row:
             if entry.is_zero():
                 continue
-            den = entry.monomial_denominator()
-            den_deg = sum(den)
-            num_deg = entry.shift(den).total_degree()
+            den_deg = sum(entry.monomial_denominator())
+            num_deg = max(sum(exp) for exp in entry.terms) + den_deg
             max_num = max(max_num, num_deg)
             max_den = max(max_den, den_deg)
     big_d = max(1, max_num + max_den)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
 from operator import le, sub
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
@@ -75,28 +74,11 @@ def _exp_lcm(e1, e2):
     return tuple(map(max, e1, e2))
 
 
-def _primitive(poly, ring):
-    """Scale to coprime integer coefficients with positive leading one."""
-    if not poly:
-        return poly
-    denom = 1
-    for c in poly.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    numer = 0
-    for c in poly.values():
-        numer = gcd(numer, abs(c.numerator * (denom // c.denominator)))
-    scale = Fraction(denom, numer)
-    if poly[ring.lead(poly)] < 0:
-        scale = -scale
-    return {e: c * scale for e, c in poly.items()}
-
-
 def _monic(poly, ring):
-    if not poly:
-        return poly
+    """poly, nonzero, scaled to leading coefficient 1."""
     lc = poly[ring.lead(poly)]
     if lc == 1:
-        return dict(poly)
+        return poly
     inv = Fraction(1) / lc
     return {e: c * inv for e, c in poly.items()}
 
@@ -141,9 +123,10 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
     An element whose lead a newer lead divides retires: it forms no
     pairs and reduces nothing, but joins the final interreduction.
     max_pairs bounds the candidate pairs formed, before any criterion.
-    Intermediate polynomials are kept primitive over Z to control
-    coefficient growth; the final basis is monic, interreduced and
-    sorted by leading monomial, hence canonical."""
+    Every element is made monic when it is added; S-polynomials and
+    reduction steps divide by lead coefficients, so no other scaling
+    changes a pair, a lead or a remainder.  The result is the reduced
+    monic basis, sorted by leading monomial, hence canonical."""
     basis: list = []
     leads: list = []
     active: list = []
@@ -189,7 +172,7 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
     for g in generators:
         g = {e: Fraction(c) for e, c in g.items() if c}
         if g:
-            add(_primitive(g, ring))
+            add(_monic(g, ring))
     if not basis:
         raise ValueError("need at least one nonzero generator")
 
@@ -202,7 +185,7 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
         reduced += 1
         r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
         if r:
-            add(_primitive(r, ring))
+            add(_monic(r, ring))
     return _reduce_basis(basis, leads, ring)
 
 
@@ -215,45 +198,15 @@ def _reduce_basis(basis, leads, ring: OrderedRing):
         if not any(_divides(other, lead) for other in keep_leads):
             keep.append(g)
             keep_leads.append(lead)
-    # interreduce: no lead divides another, so every lead survives and
-    # one pass leaves no term divisible by another element's lead
+    # interreduce: no lead divides another, so every lead survives, with
+    # its coefficient 1, and one pass leaves no term divisible by another
+    # element's lead
     for i in range(len(keep)):
         others = keep[:i] + keep[i + 1 :]
         if others:
-            r = normal_form(keep[i], others, ring, leads=keep_leads[:i] + keep_leads[i + 1 :])
-            if r != keep[i]:
-                keep[i] = _primitive(r, ring)
-    reduced = [_monic(g, ring) for g in keep]
-    reduced.sort(key=lambda g: ring.order_key(ring.lead(g)))
-    return GroebnerBasis(reduced, ring)
-
-
-class GroebnerBasis:
-    """A reduced basis together with its ring/order."""
-
-    __slots__ = ("generators", "ring")
-
-    def __init__(self, generators, ring):
-        self.generators = list(generators)
-        self.ring = ring
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-    def normal_form(self, poly):
-        return normal_form(poly, self.generators, self.ring)
-
-    def spoly_check(self) -> bool:
-        """Every S-polynomial of basis pairs reduces to zero."""
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                s = s_polynomial(self.generators[i], self.generators[j], self.ring)
-                if normal_form(s, self.generators, self.ring):
-                    return False
-        return True
+            keep[i] = normal_form(keep[i], others, ring, leads=keep_leads[:i] + keep_leads[i + 1 :])
+    keep.sort(key=lambda g: ring.order_key(ring.lead(g)))
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -236,12 +236,6 @@ class LaurentPoly:
                     out.pop(newexp, None)
         return LaurentPoly._raw(self.ambient, out)
 
-    def total_degree(self) -> int:
-        """Max over terms of the sum of exponents (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def monomial_denominator(self) -> tuple[int, ...]:
         """Exponent m >= 0 supported on invertible variables such that
         self * x^m has no negative exponents."""
@@ -252,13 +246,6 @@ class LaurentPoly:
                 if -exp[k] > m[k]:
                     m[k] = -exp[k]
         return tuple(m)
-
-    def shift(self, m) -> "LaurentPoly":
-        m = tuple(m)
-        return LaurentPoly(
-            self.ambient,
-            {tuple(e + d for e, d in zip(exp, m)): c for exp, c in self.terms.items()},
-        )
 
     def __str__(self):
         return format_terms(self.terms, self.ambient.names)

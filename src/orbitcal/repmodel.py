@@ -30,8 +30,11 @@ def vector(values) -> Vec:
 
 
 def parse_vector(text: str) -> Vec:
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty field in vector {text!r}")
     try:
-        return vector(part.strip() for part in text.split(",") if part.strip() != "")
+        return vector(parts)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 

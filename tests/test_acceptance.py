@@ -20,8 +20,10 @@ from orbitcal.elim import (
     buchberger,
     closure_equations,
     evaluate_equation,
+    normal_form,
     parse_equation,
     point_in_closure,
+    s_polynomial,
 )
 from orbitcal.exactmath import ConsistencyWitness
 from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
@@ -257,7 +259,9 @@ def test_criterion_8_groebner_layer():
         rng.shuffle(shuffled)
         basis = buchberger(shuffled, ring)
         assert [dict(g) for g in basis] == reference
-        assert basis.spoly_check()
+        for i, f in enumerate(basis):
+            for g in basis[i + 1 :]:
+                assert normal_form(s_polynomial(f, g, ring), basis, ring) == {}
 
     # parabola
     eqs = closure_equations(parabola_rep(), SubspaceMap.point((1, 1)))

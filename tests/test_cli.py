@@ -339,6 +339,24 @@ def test_vector_length_validation(torus12, capsys):
     assert "length" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--a", "1,,2", "--b", "1,1"],
+        ["decide", "--a", "1,2,", "--b", "1,1"],
+        ["oracle", "torus", "--weights", "1;;2", "--a", "1,0", "--b", "1,1"],
+    ],
+    ids=["inner-comma", "trailing-comma", "empty-weight"],
+)
+def test_empty_fields_exit_2(torus12, capsys, argv):
+    # an empty field is an error, not a shorter vector or weight list
+    if argv[0] == "decide":
+        argv = argv[:1] + ["--rep", torus12] + argv[1:] + ["--conify", "--degree-bound", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and "empty" in err
+
+
 def test_internal_failures_exit_7(torus12, capsys, monkeypatch):
     # a failed plug-back must not read as a verdict (code 1 would be
     # NOT_IN_CLOSURE): both failure kinds leave with EXIT_INTERNAL

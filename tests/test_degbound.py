@@ -15,7 +15,7 @@ from orbitcal.degbound import (
 )
 from orbitcal.errors import InconsistentDataError
 from orbitcal.polyring import Ambient, LaurentPoly
-from orbitcal.repmodel import sl2_binary_forms, torus_diagonal
+from orbitcal.repmodel import make_conic, sl2_binary_forms, torus_diagonal
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 AMB2 = Ambient(0, 2, names=("u1", "u2"))
@@ -172,6 +172,16 @@ def test_parametric_degree_bound():
     assert parametric_degree_bound(torus_diagonal([(1,), (2,)])) == 2
     assert parametric_degree_bound(torus_diagonal([(1,), (-1,)])) == 2
     assert parametric_degree_bound(sl2_binary_forms(2)) == 216
+    assert parametric_degree_bound(sl2_binary_forms(3)) == 729
+
+    def conified(rep):
+        return make_conic(rep, (0,) * rep.n, (1,) * rep.n)[0]
+
+    # the scaling parameter adds one to the degree and to the exponent m
+    assert parametric_degree_bound(conified(sl2_binary_forms(2))) == 2401
+    assert parametric_degree_bound(conified(sl2_binary_forms(3))) == 10_000
+    assert parametric_degree_bound(conified(torus_diagonal([(1,), (2,)]))) == 9
+    assert parametric_degree_bound(conified(torus_diagonal([(1, 0), (1, 1), (1, 2)]))) == 64
 
 
 def test_parametric_bound_dominates_exact_degree():

@@ -1,7 +1,8 @@
-"""Differential check of buchberger against sympy's Groebner bases.
+"""Differential checks of buchberger and normal_form against sympy.
 
 With one variable per block the block order is lex, and the reduced
-monic basis of an ideal is unique, so both must agree term for term."""
+monic basis of an ideal is unique, so both must agree term for term;
+so must the remainder of division by a Groebner basis."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from orbitcal.elim import OrderedRing, buchberger  # noqa: E402
+from orbitcal.elim import OrderedRing, buchberger, normal_form  # noqa: E402
 
 
 def _poly(n):
@@ -26,8 +27,20 @@ def _ideals(draw):
     return n, draw(st.lists(_poly(n), min_size=1, max_size=3))
 
 
+def _lex(n):
+    names = [f"x{i}" for i in range(n)]
+    return OrderedRing(names, [(i,) for i in range(n)]), sympy.symbols(names)
+
+
+def _expr(poly, xs):
+    return sum(c * sympy.prod(x**k for x, k in zip(xs, e)) for e, c in poly.items())
+
+
+def _terms(expr, xs):
+    return {tuple(e): Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(expr, *xs).terms() if c}
+
+
 def _monic_dict(terms):
-    terms = {tuple(e): Fraction(int(c.p), int(c.q)) for e, c in terms}
     lc = terms[max(terms)]  # lex order is tuple order on exponents
     return {e: c / lc for e, c in terms.items()}
 
@@ -36,17 +49,34 @@ def _monic_dict(terms):
 @hypothesis.given(_ideals())
 def test_lex_basis_matches_sympy(ideal):
     n, gens = ideal
-    names = [f"x{i}" for i in range(n)]
-    lex = OrderedRing(names, [(i,) for i in range(n)])
+    lex, xs = _lex(n)
     ours = sorted((dict(g) for g in buchberger(gens, lex)), key=max)
 
-    xs = sympy.symbols(names)
-    exprs = [
-        sum(c * sympy.prod(x**k for x, k in zip(xs, e)) for e, c in g.items())
-        for g in gens
-    ]
+    exprs = [_expr(g, xs) for g in gens]
     reference = sympy.groebner(exprs, *xs, order="lex", domain="QQ")
     theirs = sorted(
-        (_monic_dict(sympy.Poly(g, *xs).terms()) for g in reference.exprs), key=max
+        (_monic_dict(_terms(g, xs)) for g in reference.exprs), key=max
     )
     assert ours == theirs
+
+
+@st.composite
+def _ideal_and_poly(draw):
+    n, gens = draw(_ideals())
+    return n, gens, draw(_poly(n))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_ideal_and_poly())
+def test_normal_form_matches_sympy_reduced(case):
+    # the remainder on division by a Groebner basis does not depend on
+    # the order of the divisors, so sympy's must equal ours
+    n, gens, f = case
+    lex, xs = _lex(n)
+    basis = buchberger(gens, lex)
+    f = {e: Fraction(c) for e, c in f.items()}
+    ours = normal_form(f, basis, lex)
+    _, remainder = sympy.reduced(
+        _expr(f, xs), [_expr(g, xs) for g in basis], *xs, order="lex", domain="QQ"
+    )
+    assert ours == _terms(remainder, xs)

@@ -6,6 +6,8 @@ the linear-system decider well beyond the quadratic battery."""
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from orbitcal.decider import DecisionProblem, decide
 from orbitcal.elim import (
     SubspaceMap,
@@ -13,6 +15,7 @@ from orbitcal.elim import (
     parse_equation,
     point_in_closure,
 )
+from orbitcal.errors import ResourceLimitError
 from orbitcal.repmodel import make_conic, sl2_binary_forms
 
 CUBE = (1, 0, 0, 0)  # the cubic z1^3 in the basis z1^3, z1^2 z2, z1 z2^2, z2^3
@@ -71,3 +74,14 @@ def test_quartic_cone_closes_within_default_budget():
         power = tuple(s * comb(4, k) * Fraction(p) ** (4 - k) * q**k for k in range(5))
         assert point_in_closure(equations, (w0,) + power), (s, p, q)
     assert not point_in_closure(equations, (1, 1, 0, 0, 0, 1))  # z1^4 + z2^4
+
+
+def test_quartic_cone_pair_limit_message():
+    # the counters in the message pin the pair sequence: a change of
+    # normalization that reorders or drops a pair moves them
+    rep2, _, b2 = make_conic(sl2_binary_forms(4), (0,) * 5, (1, 0, 0, 0, 0))
+    with pytest.raises(ResourceLimitError) as info:
+        closure_equations(rep2, SubspaceMap.point(b2), max_pairs=20_000)
+    assert str(info.value) == (
+        "buchberger: pair limit 20000 exceeded (basis 345 elements, 1879 S-polynomials reduced)"
+    )
