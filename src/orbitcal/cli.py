@@ -3,10 +3,9 @@
 Subcommands: gen, decide, closure, degree, oracle, crosscheck.
 Exit codes: 0 in-closure (or agreement), 1 not-in-closure, 2 bad
 parameters, 3 violated precondition, 4 resource limit (the decider's
-system size, the elimination's pair budget, the torus oracle's rank and
-facet-candidate guards), 5 inconsistent degree data, 6 oracle
-disagreement, 7 internal error (any other exception, such as a
-certificate that fails its exact plug-back).
+system size, the elimination's pair budget), 5 inconsistent degree
+data, 6 oracle disagreement, 7 internal error (any other exception,
+such as a certificate that fails its exact plug-back).
 ORBITCAL_MAX_NNZ overrides the linear-system size threshold."""
 
 from __future__ import annotations

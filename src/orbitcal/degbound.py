@@ -22,7 +22,7 @@ from math import factorial
 
 from orbitcal.errors import InconsistentDataError
 from orbitcal.exactmath import det
-from orbitcal.polyring import Ambient, LaurentPoly, substitute
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int, substitute
 
 
 class ReductiveData:
@@ -43,14 +43,14 @@ class ReductiveData:
     )
 
     def __init__(self, dim_g, weyl_order, exponents, kernel_order, coroots, polytope):
-        if kernel_order < 1:
+        self.dim_g = exact_int(dim_g)
+        self.weyl_order = exact_int(weyl_order)
+        self.exponents = [exact_int(m) for m in exponents]
+        self.kernel_order = exact_int(kernel_order)
+        if self.kernel_order < 1:
             raise ValueError("kernel order must be >= 1")
-        if weyl_order < 1:
+        if self.weyl_order < 1:
             raise ValueError("Weyl group order must be >= 1")
-        self.dim_g = int(dim_g)
-        self.weyl_order = int(weyl_order)
-        self.exponents = [int(m) for m in exponents]
-        self.kernel_order = int(kernel_order)
         self.coroots = [tuple(Fraction(c) for c in form) for form in coroots]
         self.polytope = [
             [tuple(Fraction(x) for x in vertex) for vertex in simplex]

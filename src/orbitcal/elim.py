@@ -18,7 +18,7 @@ from operator import le, sub
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
 from orbitcal.errors import ResourceLimitError
-from orbitcal.polyring import Ambient, LaurentPoly, format_terms, parse_terms
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int, format_terms, parse_terms
 from orbitcal.repmodel import RepresentationData, vector
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -248,7 +248,7 @@ class SubspaceMap:
             images = payload.get("images")
             if not images:
                 raise ValueError("subspace file must list at least one image")
-            return cls(int(payload["l"]), images)
+            return cls(exact_int(payload["l"]), images)
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed subspace data: {exc}") from exc
 

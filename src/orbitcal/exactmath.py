@@ -423,8 +423,8 @@ def _integer_echelon(work: list[list[int]], width: int) -> tuple[int, int]:
 
 def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
     """Basis of the lattice {c in Z^rows : c M = 0}, via unimodular row
-    reduction of [M | I]; the basis is returned in Hermite normal form
-    (positive pivots, entries above a pivot reduced)."""
+    reduction of [M | I]; the basis is returned in echelon form with
+    positive pivots."""
     data = [list(map(int, row)) for row in matrix]
     nrows = len(data)
     if nrows == 0:
@@ -435,22 +435,7 @@ def integer_left_kernel(matrix) -> list[tuple[int, ...]]:
     work = [row + [1 if k == i else 0 for k in range(nrows)] for i, row in enumerate(data)]
     npiv, _ = _integer_echelon(work, ncols)
     kernel = [row[ncols:] for row in work[npiv:]]
-    if not kernel:
-        return []
     _integer_echelon(kernel, nrows)
-    # reduce entries above each pivot to get the canonical HNF basis
-    pivots = []
-    for row in kernel:
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is not None:
-            pivots.append(lead)
-    for k in range(len(kernel) - 1, -1, -1):
-        lead = pivots[k]
-        p = kernel[k][lead]
-        for i in range(k):
-            q = kernel[i][lead] // p
-            if q:
-                kernel[i] = [vi - q * vk for vi, vk in zip(kernel[i], kernel[k])]
     return [tuple(row) for row in kernel]
 
 

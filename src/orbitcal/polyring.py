@@ -414,6 +414,17 @@ def parse_terms(text: str, names) -> dict[tuple[int, ...], Fraction]:
     return terms
 
 
+def exact_int(value) -> int:
+    """value as an int, for the integer fields of the JSON payloads.
+    int() would truncate 2.9 to 2 and read true as 1; here booleans,
+    infinities and numbers with a fractional part raise ValueError."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        number = Fraction(value)
+        if number.denominator == 1:
+            return int(number)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def format_terms(terms, names) -> str:
     """Render an exponent dict in the shared text format."""
     if not terms:

@@ -17,7 +17,7 @@ from math import comb
 
 from orbitcal import exactmath
 from orbitcal.degbound import kazarnovskii_sl2
-from orbitcal.polyring import Ambient, LaurentPoly
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int
 
 Vec = tuple[Fraction, ...]
 
@@ -88,7 +88,7 @@ class RepresentationData:
     @classmethod
     def from_json(cls, payload: dict) -> "RepresentationData":
         try:
-            n, r, s = int(payload["n"]), int(payload["r"]), int(payload["s"])
+            n, r, s = (exact_int(payload[key]) for key in ("n", "r", "s"))
             ambient = Ambient(r, s)
             rho = [
                 [LaurentPoly.parse(text, ambient) for text in row]
@@ -100,7 +100,7 @@ class RepresentationData:
                 r,
                 s,
                 rho,
-                degree_bound=None if bound is None else int(bound),
+                degree_bound=None if bound is None else exact_int(bound),
                 label=payload.get("label", ""),
             )
         except TypeError as exc:

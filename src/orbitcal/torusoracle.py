@@ -11,24 +11,15 @@ character values of a single torus element, which over an
 algebraically closed field is a lattice condition on the ratio
 products.  Used as a second independent oracle on diagonal fixtures.
 
-The cone is described by its facets, found by trying each set of
-k - 1 generators of a k-dimensional cone as the span of one; ranks
-above MAX_RANK, and cones with more than MAX_FACET_CANDIDATES such
-sets, raise ResourceLimitError before any enumeration.
+The face condition is one exact linear feasibility question, answered
+by a phase-1 simplex over Fractions; no facet of the cone is computed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
-from orbitcal.errors import ResourceLimitError
 from orbitcal.exactmath import integer_left_kernel
-
-MAX_RANK = 8
-# Sets of generators cone_inequalities may try as spans of a facet.
-MAX_FACET_CANDIDATES = 50_000
 
 
 class WeightedVector:
@@ -60,54 +51,46 @@ def support(wv: WeightedVector) -> set[tuple[int, ...]]:
     return {wt for wt, comp in wv.weight_spaces().items() if any(comp)}
 
 
-def _dot(u, w) -> int:
-    return sum(x * y for x, y in zip(u, w))
+def _nonnegative_solution(columns, rhs):
+    """A vector y >= 0 with sum_j y_j columns[j] = rhs, or None when there
+    is none: phase 1 of the simplex method over Fractions.
 
-
-def cone_inequalities(generators, rank: int):
-    """Complete inequality description of the cone spanned by integer
-    generators: sorted primitive integer rows u, each with u . x >= 0 on
-    the cone, that together cut it out.
-
-    The rows come in two parts.  Every vector of the integer left kernel
-    of the generator columns (the orthogonal complement of their span)
-    enters with both signs, confining x to the span.  In a span of
-    dimension k, every facet of a polyhedral cone is spanned by k - 1
-    independent generators, so each set of k - 1 distinct nonzero
-    generators whose columns, together with the complement, have a
-    one-dimensional left kernel u proposes a hyperplane; u (flipped if
-    needed) is a facet row when it is nonnegative on every generator.
-    Every face is the intersection of the facets that contain it, so the
-    rows vanishing on a subset of the cone cut out the minimal face
-    containing it.  Raises ResourceLimitError before enumerating more
-    than MAX_FACET_CANDIDATES sets."""
-    if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {rank} exceeds the elimination guard {MAX_RANK}")
-    gens = [tuple(int(w) for w in g) for g in generators]
-    complement = integer_left_kernel([[g[i] for g in gens] for i in range(rank)])
-    rows = set(complement) | {tuple(-v for v in c) for c in complement}
-    k = rank - len(complement)
-    if k == 0:
-        return sorted(rows)
-    nonzero = sorted({g for g in gens if any(g)})
-    count = comb(len(nonzero), k - 1)
-    if count > MAX_FACET_CANDIDATES:
-        raise ResourceLimitError(
-            f"cone inequalities: {count} candidate facet spans of {k - 1} "
-            f"generators (limit {MAX_FACET_CANDIDATES})"
+    Each row, negated if its right-hand side is negative, starts with an
+    artificial basic variable (basis index len(columns) + row), and the
+    last tableau row holds the reduced costs of minimizing the sum of
+    the artificials, with minus that sum in its last entry.  Bland's
+    rule (lowest entering index, ties in the ratio test to the lowest
+    basis index) rules out cycling.  An artificial that leaves the basis
+    never re-enters, so the tableau holds no artificial columns; the
+    system is feasible iff the minimum is 0."""
+    n = len(columns)
+    rows = []
+    for i, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        rows.append([sign * col[i] for col in columns] + [sign * b])
+    objective = [-sum(column) for column in zip(*rows)]
+    basis = [n + i for i in range(len(rows))]
+    while (entering := next((j for j in range(n) if objective[j] < 0), None)) is not None:
+        _, _, leaving = min(
+            (Fraction(row[-1]) / row[entering], basis[i], i)
+            for i, row in enumerate(rows)
+            if row[entering] > 0
         )
-    for span in combinations(nonzero, k - 1):
-        columns = list(span) + complement
-        kernel = integer_left_kernel([[c[i] for c in columns] for i in range(rank)])
-        if len(kernel) != 1:
-            continue
-        u = kernel[0]
-        values = [_dot(u, g) for g in nonzero]
-        if min(values) >= 0:
-            rows.add(u)
-        elif max(values) <= 0:
-            rows.add(tuple(-v for v in u))
-    return sorted(rows)
+        pivot = rows[leaving]
+        scale = Fraction(pivot[entering])
+        pivot[:] = [x / scale if x else x for x in pivot]
+        for row in rows + [objective]:
+            factor = row[entering]
+            if row is not pivot and factor:
+                row[:] = [x - factor * p if p else x for x, p in zip(row, pivot)]
+        basis[leaving] = entering
+    if objective[-1]:
+        return None
+    y = [Fraction(0)] * n
+    for j, row in zip(basis, rows):
+        if j < n:
+            y[j] = Fraction(row[-1])
+    return y
 
 
 def scaling_exists(pairs) -> bool:
@@ -146,15 +129,18 @@ def torus_decide(weights, a, b) -> bool:
     wb = WeightedVector(weights, b)
     Sa = support(wa)
     Sb = support(wb)
-    if not Sb:
-        return not Sa  # orbit of zero is {0}
-    # When Sa is the part of Sb on the face that the rows vanishing on Sa
-    # cut out, Sa lies in cone(Sb) and that face is the minimal one
-    # containing Sa.
-    rows = cone_inequalities(Sb, len(weights[0]))
-    supporting = [u for u in rows if not any(_dot(u, s) for s in Sa)]
-    if {s for s in Sb if not any(_dot(u, s) for u in supporting)} != Sa:
+    if not Sa <= Sb:
         return False
+    if Sa != Sb:
+        # A weight w of Sb off Sa lies on the minimal face containing Sa
+        # iff -w is in cone(Sb) + span(Sa), so Sa is the part of Sb on a
+        # face iff no convex combination of the weights off Sa lies in
+        # span(Sa): the columns (w, 1) and (+-s, 0) cannot reach (0, 1).
+        span = sorted(Sa)
+        columns = [(*w, 1) for w in sorted(Sb - Sa)]
+        columns += [(*s, 0) for s in span] + [(*(-x for x in s), 0) for s in span]
+        if _nonnegative_solution(columns, (0,) * len(weights[0]) + (1,)) is not None:
+            return False
 
     spaces_a = wa.weight_spaces()
     spaces_b = wb.weight_spaces()
@@ -162,13 +148,9 @@ def torus_decide(weights, a, b) -> bool:
     for wt in sorted(Sa):
         comp_a = spaces_a[wt]
         comp_b = spaces_b[wt]
-        ratio = None
-        for xa, xb in zip(comp_a, comp_b):
-            if xb:
-                ratio = xa / xb
-                break
-        if ratio is None or not ratio:
-            return False
+        # wt is in Sb, so some xb is nonzero; and wt is in Sa, so a zero
+        # ratio fails the proportionality test
+        ratio = next(xa / xb for xa, xb in zip(comp_a, comp_b) if xb)
         if any(xa != ratio * xb for xa, xb in zip(comp_a, comp_b)):
             return False
         pairs.append((wt, ratio))

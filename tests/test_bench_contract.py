@@ -35,6 +35,7 @@ RETIRED = {
     "repmodel.change_basis",
     "elim._chain_criterion",
     "elim._primitive",
+    "torusoracle.cone_inequalities",
 }
 
 

@@ -7,6 +7,17 @@ from pathlib import Path
 import pytest
 
 from orbitcal import cli
+from orbitcal.torusoracle import _nonnegative_solution
+
+# inputs of the Kazarnovskii formula for binary quadratic forms
+SL2_REDUCTIVE = {
+    "dim_g": 3,
+    "weyl_order": 2,
+    "exponents": [1],
+    "kernel_order": 2,
+    "coroots": [["1"]],
+    "polytope": [[["-2"], ["0"]], [["0"], ["2"]]],
+}
 
 
 def run(args, capsys):
@@ -148,14 +159,7 @@ def test_degree_parametric(torus12, capsys):
 
 
 def test_degree_kazarnovskii(tmp_path, capsys):
-    data = {
-        "dim_g": 3,
-        "weyl_order": 2,
-        "exponents": [1],
-        "kernel_order": 2,
-        "coroots": [["1"]],
-        "polytope": [[["-2"], ["0"]], [["0"], ["2"]]],
-    }
+    data = dict(SL2_REDUCTIVE)
     path = tmp_path / "sl2.json"
     path.write_text(json.dumps(data))
     code, out, _ = run(["degree", "kazarnovskii", "--data", str(path)], capsys)
@@ -184,7 +188,7 @@ def test_oracle_torus(capsys):
 
 def test_oracle_torus_eight_weights_answer_in_closure(capsys):
     # rank 4, eight weights in -3..3; plain Fourier-Motzkin needed more
-    # than 50,000 combinations here, the facet enumeration tries 56 sets
+    # than 50,000 combinations here
     weights = "3,0,3,0;-3,-1,1,0;0,3,3,-1;0,-1,1,-2;1,-2,-1,-2;3,-3,1,3;-1,1,2,3;1,-2,-1,-3"
     start = time.perf_counter()
     code, out, err = run(
@@ -204,12 +208,12 @@ def test_oracle_torus_eight_weights_answer_in_closure(capsys):
     )
 
 
-def test_oracle_torus_facet_guard_exits_4(capsys):
-    # rank 8 with 20 weights spanning Q^8: C(20, 7) = 77,520 candidate facet spans
+def test_oracle_torus_rank_eight_twenty_weights_answers(capsys):
+    # rank 8 with 20 weights spanning Q^8: C(20, 7) = 77,520 sets of
+    # generators would have to be tried as spans of a facet
     rng = random.Random(0)
-    weights = ";".join(
-        ",".join(str(rng.randint(-3, 3)) for _ in range(8)) for _ in range(20)
-    )
+    rows = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(20)]
+    weights = ";".join(",".join(map(str, w)) for w in rows)
     start = time.perf_counter()
     code, out, err = run(
         ["oracle", "torus", "--weights", weights, "--a", ",".join("0" * 20),
@@ -217,9 +221,14 @@ def test_oracle_torus_facet_guard_exits_4(capsys):
         capsys,
     )
     assert time.perf_counter() - start < 5
-    assert code == 4
-    assert out == ""
-    assert "cone inequalities" in err and "77520" in err and "limit 50000" in err
+    assert code == 1
+    assert out.strip() == "NOT_IN_CLOSURE"
+    # 0 is a limit point of the orbit of (1, ..., 1) only if the cone of
+    # the weights is pointed; a nonnegative dependence with sum 1 shows
+    # that it is not
+    y = _nonnegative_solution([(*w, 1) for w in rows], (0,) * 8 + (1,))
+    assert y is not None and min(y) >= 0 and sum(y) == 1
+    assert all(sum(c * w[i] for c, w in zip(y, rows)) == 0 for i in range(8))
 
 
 @pytest.mark.parametrize(
@@ -414,19 +423,45 @@ def test_malformed_subspace_file_exits_2(tmp_path, torus12, capsys):
 
 
 def test_malformed_reductive_data_file_exits_2(tmp_path, capsys):
-    data = {
-        "dim_g": 3,
-        "weyl_order": 2,
-        "exponents": 5,
-        "kernel_order": 2,
-        "coroots": [["1"]],
-        "polytope": [[["-2"], ["0"]], [["0"], ["2"]]],
-    }
+    data = {**SL2_REDUCTIVE, "exponents": 5}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, _, err = run(["degree", "kazarnovskii", "--data", str(path)], capsys)
     assert code == 2
     assert "malformed reductive data" in err
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("rep", "degree_bound", 2.9),
+        ("rep", "degree_bound", True),
+        ("rep", "n", True),
+        ("rep", "r", 1.5),
+        ("subspace", "l", 1.5),
+        ("subspace", "l", True),
+        ("reductive", "dim_g", 3.9),
+        ("reductive", "kernel_order", 2.5),
+        ("reductive", "weyl_order", True),
+        ("reductive", "exponents", [1.5]),
+    ],
+)
+def test_non_integral_json_integers_exit_2(tmp_path, torus12, capsys, kind, field, value):
+    # truncation would turn a degree bound of 2.9 into 2, lowering the
+    # bound an IN verdict rests on, and true into 1
+    payload, argv = {
+        "rep": ({"n": 1, "r": 1, "s": 0, "rho": [["x1"]], "degree_bound": 3}, ["degree", "parametric", "--rep"]),
+        "subspace": ({"l": 1, "images": ["y1", "1"]}, ["closure", "--rep", torus12, "--subspace"]),
+        "reductive": (dict(SL2_REDUCTIVE), ["degree", "kazarnovskii", "--data"]),
+    }[kind]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    assert run(argv + [str(path)], capsys)[0] == 0
+    path.write_text(json.dumps({**payload, field: value}))
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "expected an integer" in err
 
 
 @pytest.mark.parametrize(
