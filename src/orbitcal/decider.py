@@ -17,7 +17,6 @@ re-verify by exact plug-back.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
@@ -195,13 +194,15 @@ def decide(
 ):
     """Run the full decision pipeline.
 
-    Steps: check the dense case through the orbit dimension; scramble
-    the basis until every coordinate of b is nonzero, which combines the
-    coordinate pullbacks and a by the same matrix; pick the degree
-    bound (override, then the representation's own bound, then the
-    parametric fallback); assemble the linear system from the
-    coordinate pullbacks; solve with an exact witness and re-verify it
-    before returning.  Returns the Decision, or (Decision, LinearSystem) when
+    Steps: build the coordinate pullbacks once; check the dense case
+    through the orbit dimension, their Jacobian rank at one point mod a
+    prime drawn from the seed (the seed's only use); if b has zero
+    coordinates, scramble the basis with find_scrambling's elementary
+    matrix, which combines the pullbacks and a by the same matrix; pick
+    the degree bound (override, then the representation's own bound,
+    then the parametric fallback); assemble the linear system from the
+    pullbacks; solve with an exact witness and re-verify it before
+    returning.  Returns the Decision, or (Decision, LinearSystem) when
     keep_system is set."""
     rep, a, b = problem.rep, problem.a, problem.b
     if not any(b):
@@ -210,9 +211,9 @@ def decide(
         raise PreconditionError(
             "the orbit of b must be conic: use conic_problem() or assert conicity"
         )
-    rng = random.Random(seed)
 
-    dim = repmodel.orbit_dimension(rep, b, rng=rng)
+    pullbacks = repmodel.coordinate_pullbacks(rep, b)
+    dim = repmodel.orbit_dimension(pullbacks, seed=seed)
     transcript = {
         "n": rep.n,
         "orbit_dimension": dim,
@@ -228,8 +229,9 @@ def decide(
         scramble = None
         a_w = a
     else:
-        scramble = repmodel.find_scrambling(b, rng=rng)
+        scramble = repmodel.find_scrambling(b)
         a_w = repmodel.apply_matrix(scramble, a)
+        pullbacks = repmodel.apply_matrix(scramble, pullbacks)
     transcript["scramble"] = scramble
 
     if problem.degree_bound_override is not None:
@@ -259,9 +261,6 @@ def decide(
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
 
-    pullbacks = repmodel.coordinate_pullbacks(rep, b)
-    if scramble is not None:
-        pullbacks = repmodel.apply_matrix(scramble, pullbacks)
     system = assemble_system(d, a_w, pullbacks)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables

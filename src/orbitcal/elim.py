@@ -18,7 +18,7 @@ from operator import le, sub
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
 from orbitcal.errors import ResourceLimitError
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int, format_terms, parse_terms
+from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, parse_terms
 from orbitcal.repmodel import RepresentationData, vector
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -381,15 +381,7 @@ def point_in_closure(equations, point) -> bool:
 
 
 def evaluate_equation(q, point) -> Fraction:
-    point = vector(point)
-    total = Fraction(0)
-    for exp, coef in q.items():
-        val = coef
-        for x, e in zip(point, exp):
-            if e:
-                val *= x**e
-        total += val
-    return total
+    return evaluate_terms(q, vector(point))
 
 
 def format_equation(q, n: int) -> str:

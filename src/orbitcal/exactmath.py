@@ -9,7 +9,8 @@ with a witness that is re-verified by exact plug-back in integers, so
 downstream callers never have to trust the elimination code.
 solve_or_refute eliminates modulo word-size primes and recovers the
 witness by CRT and rational reconstruction; the plug-back is the only
-gate on what it returns.  rank, det and integer_left_kernel share one
+gate on what it returns; rank_mod runs the same elimination once, with
+a zero right-hand side.  rank, det and integer_left_kernel share one
 unimodular row reduction.
 """
 
@@ -295,6 +296,14 @@ def _is_prime(n: int) -> bool:
 
 # the four largest primes below 2^62
 _FIRST_PRIMES = tuple((1 << 62) - k for k in (57, 87, 117, 143))
+RANK_PRIME = _FIRST_PRIMES[0]
+
+
+def rank_mod(rows) -> int:
+    """Rank over Z/RANK_PRIME of integer rows (dicts column -> value)."""
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
+    profile, _ = _eliminate_mod(rows, [0] * len(rows), ncols, RANK_PRIME)
+    return sum(col < ncols for col in profile)
 
 
 def _primes():
@@ -365,7 +374,8 @@ def _integer_matrix(rows) -> tuple[list[list[int]], int]:
 
 
 def rank(rows) -> int:
-    """Exact rank over Q of a dense matrix."""
+    """Exact rank over Q of a dense matrix; the tests' reference for
+    rank_mod."""
     work, _ = _integer_matrix(rows)
     return _integer_echelon(work, len(work[0]) if work else 0)[0]
 

@@ -204,24 +204,7 @@ class LaurentPoly:
                 raise ValueError(
                     f"point has zero in invertible coordinate {amb.names[k]}"
                 )
-        caches: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in range(amb.nvars)]
-
-        def power(i, e):
-            cache = caches[i]
-            got = cache.get(e)
-            if got is None:
-                got = point[i] ** e
-                cache[e] = got
-            return got
-
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            val = coef
-            for i, e in enumerate(exp):
-                if e:
-                    val *= power(i, e)
-            total += val
-        return total
+        return evaluate_terms(self.terms, point)
 
     def derivative(self, index: int) -> "LaurentPoly":
         out: dict[tuple[int, ...], Fraction] = {}
@@ -256,6 +239,29 @@ class LaurentPoly:
     @classmethod
     def parse(cls, text: str, ambient: Ambient) -> "LaurentPoly":
         return cls(ambient, parse_terms(text, ambient.names))
+
+
+def evaluate_terms(terms, point) -> Fraction:
+    """Exact value of a term dict at a point of Fractions, each power of
+    a coordinate computed once."""
+    caches: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in point]
+
+    def power(i, e):
+        cache = caches[i]
+        got = cache.get(e)
+        if got is None:
+            got = point[i] ** e
+            cache[e] = got
+        return got
+
+    total = Fraction(0)
+    for exp, coef in terms.items():
+        val = coef
+        for i, e in enumerate(exp):
+            if e:
+                val *= power(i, e)
+        total += val
+    return total
 
 
 def monomial_images(images, nvars: int):

@@ -13,16 +13,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from orbitcal import exactmath
 from orbitcal.degbound import kazarnovskii_sl2
 from orbitcal.polyring import Ambient, LaurentPoly, exact_int
 
 Vec = tuple[Fraction, ...]
-
-ORBIT_DIMENSION_SAMPLES = 10
-SCRAMBLING_TRIES = 100
 
 
 def vector(values) -> Vec:
@@ -272,40 +269,20 @@ def apply_matrix(S, v) -> tuple:
     return tuple(sum(Fraction(s) * x for s, x in zip(row, v)) for row in S)
 
 
-def find_scrambling(b, rng: random.Random | None = None):
-    """Integer matrix S with det +-1 and every coordinate of S b nonzero.
-
-    Tries the identity, then the lower-unitriangular all-ones matrix,
-    then products of random unitriangular matrices with entries in
-    -2..2.  Fails only for b = 0."""
+def find_scrambling(b):
+    """Integer matrix S with det 1 and every coordinate of S b nonzero:
+    the identity when b has none zero, else the elementary matrix that
+    adds b's first nonzero coordinate into each zero one.  S - I is
+    nonzero only in the rows of b's zero coordinates, all in one column,
+    so the pullback of each zero coordinate gains one other pullback;
+    for a conified b that is the scaling coordinate's, the single
+    monomial x0.  Fails only for b = 0."""
     b = vector(b)
     n = len(b)
     if not any(b):
         raise ValueError("cannot scramble the zero vector")
-    if rng is None:
-        rng = random.Random(0)
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if all(b):
-        return identity
-    lower = [[1 if j <= i else 0 for j in range(n)] for i in range(n)]
-    if all(apply_matrix(lower, b)):
-        return lower
-    for _ in range(SCRAMBLING_TRIES):
-        L = [
-            [1 if i == j else (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        U = [
-            [1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        S = [
-            [sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        if all(apply_matrix(S, b)):
-            return S
-    raise ValueError("scrambling search exhausted; is the vector zero?")
+    k = next(i for i, x in enumerate(b) if x)
+    return [[int(i == j or (j == k and not b[i])) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,41 +317,38 @@ def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
     return out
 
 
-def random_parameter_point(rep: RepresentationData, rng: random.Random):
-    point = []
-    for k in range(rep.r):
-        num = rng.randint(1, 7) * rng.choice((-1, 1))
-        point.append(Fraction(num, rng.randint(1, 3)))
-    for k in range(rep.s):
-        point.append(Fraction(rng.randint(-6, 6)))
-    return point
+def orbit_dimension(pullbacks, *, seed: int = 0) -> int:
+    """Dimension of the orbit whose coordinate pullbacks are given: the
+    generic rank of their Jacobian with respect to the parameters.
 
-
-def orbit_dimension(rep: RepresentationData, b, *, rng: random.Random | None = None) -> int:
-    """Dimension of the orbit of b: the generic rank of the Jacobian of
-    the coordinate pullbacks with respect to the parameters.
-
-    The Jacobian is evaluated at ORBIT_DIMENSION_SAMPLES random rational
-    points and the maximum rank is returned.  A sampled rank can only
-    under-report, and that is safe for decide: the dimension is used
-    only to answer TRIVIALLY_DENSE when the orbit fills the space.  An
-    under-reported dense orbit skips that shortcut and goes to the
-    linear system, which then has no solution, because no H that
-    vanishes on a dense orbit (hence everywhere) can equal -1 at a; the
-    refutation makes the verdict IN_CLOSURE all the same."""
-    b = vector(b)
-    psis = coordinate_pullbacks(rep, b)
-    nvars = rep.r + rep.s
-    jac = [[psi.derivative(k) for k in range(nvars)] for psi in psis]
-    if all(entry.is_zero() for row in jac for entry in row):
-        return 0
-    if rng is None:
-        rng = random.Random(0)
-    best = 0
-    for _ in range(ORBIT_DIMENSION_SAMPLES):
-        point = random_parameter_point(rep, rng)
-        numeric = [[entry.evaluate(point) for entry in row] for row in jac]
-        best = max(best, exactmath.rank(numeric))
-        if best == min(nvars, rep.n):
-            break
-    return best
+    Each Jacobian row is cleared of denominators, which keeps the rank,
+    and specialized at one point of ((Z/p)^x)^(r+s), p =
+    exactmath.RANK_PRIME, drawn from the seed; its rank mod p is
+    returned.  A specialization can only lower the rank, so a dense
+    answer is certain; unless p divides a maximal nonzero minor's every
+    coefficient, Schwartz-Zippel bounds the chance that the rank is
+    lowered by the minor's degree over p - 1.  A lowered rank is safe
+    for decide: the dimension is used only to answer TRIVIALLY_DENSE
+    when the orbit fills the space.  An under-reported dense orbit skips
+    that shortcut and goes to the linear system, which then has no
+    solution, because no H that vanishes on a dense orbit (hence
+    everywhere) can equal -1 at a; the refutation makes the verdict
+    IN_CLOSURE all the same."""
+    p = exactmath.RANK_PRIME
+    rng = random.Random(seed)
+    point = [rng.randrange(1, p) for _ in range(pullbacks[0].ambient.nvars)]
+    inverse = [pow(x, -1, p) for x in point]
+    rows = []
+    for psi in pullbacks:
+        scale = lcm(*(c.denominator for c in psi.terms.values()))
+        row = {}
+        for exp, coef in psi.terms.items():
+            # d/dx_k of c x^e is e_k c x^e / x_k
+            value = coef.numerator * (scale // coef.denominator)
+            for x, e in zip(point, exp):
+                value = value * pow(x, e, p) % p
+            for k, e in enumerate(exp):
+                if e:
+                    row[k] = (row.get(k, 0) + e * value * inverse[k]) % p
+        rows.append(row)
+    return exactmath.rank_mod(rows)

@@ -7,6 +7,8 @@ The tracer binds the program's functions by name, so those names must
 exist, apart from an explicit set of retired ones."""
 
 import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,3 +111,17 @@ def test_names_the_tracer_binds_exist():
     assert missing <= RETIRED, sorted(missing - RETIRED)
     # decide calls the solver through the name it imported
     assert callable(decider.solve_or_refute)
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own self-tests call the program (decide, the tracer
+    # around orbit_dimension and solve_or_refute, the battery), so a
+    # change to what they call fails here rather than in a benchmark run
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=_PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

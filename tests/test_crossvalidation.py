@@ -7,7 +7,7 @@ from fractions import Fraction
 from orbitcal.decider import DecisionProblem, decide
 from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 from orbitcal.exactmath import rank
-from orbitcal.repmodel import act, make_conic, orbit_dimension, torus_diagonal
+from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, orbit_dimension, torus_diagonal
 from orbitcal.torusoracle import torus_decide
 
 
@@ -59,4 +59,4 @@ def test_orbit_dimension_equals_weight_rank():
         rep = torus_diagonal(weights)
         b = tuple(Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(n))
         expected = rank(weights)
-        assert orbit_dimension(rep, b) == expected, weights
+        assert orbit_dimension(coordinate_pullbacks(rep, b)) == expected, weights

@@ -159,6 +159,13 @@ def test_decide_trivially_dense():
     assert decision.transcript["orbit_dimension"] == 1
 
 
+def test_conified_linear_forms_are_trivially_dense():
+    # the scaled orbit of z1 fills k^3; b has a zero coordinate
+    decision = decide(conic_problem(repmodel.sl2_binary_forms(1), (0, 0), (1, 0)))
+    assert decision.verdict == TRIVIALLY_DENSE
+    assert decision.transcript["orbit_dimension"] == 3
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize(
     "weights, b, a",
@@ -175,7 +182,7 @@ def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
     # reported as smaller skips the TRIVIALLY_DENSE shortcut, and the
     # system must then be inconsistent: no H vanishing on a dense orbit
     # can equal -1 at a.
-    monkeypatch.setattr(repmodel, "orbit_dimension", lambda rep, b, rng=None: 0)
+    monkeypatch.setattr(repmodel, "orbit_dimension", lambda pullbacks, seed=0: 0)
     problem = DecisionProblem(
         torus_diagonal(weights), a, b, degree_bound_override=d, conic_asserted=True
     )

@@ -52,6 +52,33 @@ def test_cubic_cone_equations_and_oracle_agreement():
     assert decide(problem).verdict == "NOT_IN_CLOSURE"
 
 
+def test_scrambled_cube_decide_stays_sparse():
+    # the elementary scramble adds the scaling coordinate x0 into each
+    # zero coordinate; random unitriangular scrambles built 124,374
+    # nonzeros here
+    problem = DecisionProblem(
+        *make_conic(sl2_binary_forms(3), (0, 1, 0, 0), CUBE),
+        degree_bound_override=3,
+        conic_asserted=True,
+    )
+    decision = decide(problem)
+    assert decision.verdict == "NOT_IN_CLOSURE"
+    assert decision.transcript["nonzeros"] <= 22_650
+
+
+def test_scrambled_cubic_question_answers():
+    # random scrambles built 1.3M nonzeros and exited on the size guard;
+    # a NOT verdict holds for every degree bound
+    problem = DecisionProblem(
+        *make_conic(sl2_binary_forms(3), (-1, 2, -1, -1), (-1, 1, 0, 2)),
+        degree_bound_override=3,
+        conic_asserted=True,
+    )
+    decision = decide(problem)
+    assert decision.verdict == "NOT_IN_CLOSURE"
+    assert decision.transcript["nonzeros"] <= 72_304
+
+
 def test_quartic_cone_closes_within_default_budget():
     # the cone over fourth powers s*(p*z1 + q*z2)^4: the 2x2 minors of
     # the binomially scaled 2x4 Hankel matrix

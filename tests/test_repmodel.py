@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcal.exactmath import det
 from orbitcal.polyring import LaurentPoly
 from orbitcal.repmodel import (
     RepresentationData,
@@ -160,8 +161,29 @@ def test_find_scrambling():
         b = tuple(Fraction(rng.randint(-2, 2)) for _ in range(4))
         if not any(b):
             continue
-        S = find_scrambling(b, rng=rng)
+        S = find_scrambling(b)
         assert all(apply_matrix(S, b))
+
+
+def test_find_scrambling_is_one_elementary_step():
+    # lower-all-ones cancels on (1, -1, 0): its third coordinate is 0
+    assert apply_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]], (1, -1, 0))[2] == 0
+    rng = random.Random(12)
+    cases = [(1, -1, 0), (0, 0, 3), (1, 0, 0, 0, 0)]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        cases.append(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)))
+    for b in cases:
+        if not any(b):
+            continue
+        S = find_scrambling(b)
+        n = len(b)
+        assert all(type(x) is int for row in S for x in row)
+        assert det(S) == 1
+        assert all(apply_matrix(S, b))
+        for i in range(n):
+            if b[i]:
+                assert S[i] == [int(i == j) for j in range(n)], (b, S)
 
 
 def test_act_examples():
@@ -176,25 +198,25 @@ def test_act_examples():
 
 def test_orbit_dimension():
     sl2 = sl2_binary_forms(2)
-    assert orbit_dimension(sl2, (0, 0, 0)) == 0
-    assert orbit_dimension(sl2, (0, 1, 0)) == 2
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 0, 0))) == 0
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 1, 0))) == 2
 
     rep = torus_diagonal([(1,), (2,)])
     rep2, _, b2 = make_conic(rep, (0, 0), (1, 1))
-    assert orbit_dimension(rep2, b2) == 2
+    assert orbit_dimension(coordinate_pullbacks(rep2, b2)) == 2
 
 
 def test_orbit_dimension_invariances():
     sl2 = sl2_binary_forms(2)
     b = (0, 1, 0)
-    base = orbit_dimension(sl2, b)
+    base = orbit_dimension(coordinate_pullbacks(sl2, b))
     assert base <= min(sl2.r + sl2.s, sl2.n)
     # every point of the orbit, and every nonzero multiple of b, has an
     # orbit of the same dimension
     rng = random.Random(9)
     for _ in range(5):
-        assert orbit_dimension(sl2, act(sl2, _random_param(rng), b)) == base
-    assert orbit_dimension(sl2, (0, -3, 0)) == base
+        assert orbit_dimension(coordinate_pullbacks(sl2, act(sl2, _random_param(rng), b))) == base
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, -3, 0))) == base
 
 
 def test_pullbacks():
