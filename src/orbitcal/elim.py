@@ -12,6 +12,7 @@ oracle against the linear-system decider.
 from __future__ import annotations
 
 import json
+import logging
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import le, sub
@@ -22,6 +23,8 @@ from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, f
 from orbitcal.repmodel import RepresentationData, vector
 
 DEFAULT_MAX_PAIRS = 200_000
+
+_log = logging.getLogger("orbitcal.elim")
 
 
 class OrderedRing:
@@ -118,8 +121,11 @@ def s_polynomial(f, g, ring: OrderedRing):
 def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the generated ideal.
 
-    Normal selection strategy with the Gebauer-Moeller (1988) pair
-    update: criteria M, F and B, and the coprime-lead criterion per lcm.
+    Sugar selection strategy (Giovini, Mora, Niesi, Robbiano, Traverso
+    1991) with the Gebauer-Moeller (1988) pair update: criteria M, F and
+    B, and the coprime-lead criterion per lcm.  A generator's sugar is
+    its total degree; a pair's is the larger of sugar_k + |lcm| - |lead_k|
+    over its two elements, and a remainder inherits its pair's sugar.
     An element whose lead a newer lead divides retires: it forms no
     pairs and reduces nothing, but joins the final interreduction.
     max_pairs bounds the candidate pairs formed, before any criterion.
@@ -129,15 +135,16 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
     monic basis, sorted by leading monomial, hence canonical."""
     basis: list = []
     leads: list = []
+    sugars: list = []
     active: list = []
-    # queued pairs and their lcm; the heap is keyed by the lcm in the
-    # order (ties broken by index), so pops replay the normal strategy,
+    # queued pairs and their lcm; the heap is keyed by the sugar, then by
+    # the lcm in the order, then by the indices, so pops are deterministic,
     # and a popped pair no longer in queued was removed by criterion B
     queued: dict = {}
     heap: list = []
-    formed = reduced = 0
+    formed = reduced = zeros = 0
 
-    def add(h):
+    def add(h, sugar):
         nonlocal formed
         formed += len(active)
         if formed > max_pairs:
@@ -162,30 +169,41 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
             if not any(_divides(m, lcm) for m in minimal):
                 minimal.append(lcm)
                 if lcm not in coprime:
-                    queued[partner[lcm], new] = lcm
-                    heappush(heap, (ring.order_key(lcm), (partner[lcm], new)))
+                    i = partner[lcm]
+                    queued[i, new] = lcm
+                    pair_sugar = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lh))
+                    heappush(heap, (pair_sugar, ring.order_key(lcm), (i, new)))
         basis.append(h)
         leads.append(lh)
+        sugars.append(sugar)
         active[:] = [i for i in active if not _divides(lh, leads[i])]
         active.append(new)
 
-    for g in generators:
-        g = {e: Fraction(c) for e, c in g.items() if c}
-        if g:
-            add(_monic(g, ring))
-    if not basis:
-        raise ValueError("need at least one nonzero generator")
+    try:
+        for g in generators:
+            g = {e: Fraction(c) for e, c in g.items() if c}
+            if g:
+                add(_monic(g, ring), max(map(sum, g)))
+        if not basis:
+            raise ValueError("need at least one nonzero generator")
 
-    while heap:
-        _, pair = heappop(heap)
-        if queued.pop(pair, None) is None:
-            continue
-        i, j = pair
-        s = s_polynomial(basis[i], basis[j], ring)
-        reduced += 1
-        r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
-        if r:
-            add(_monic(r, ring))
+        while heap:
+            sugar, _, pair = heappop(heap)
+            if queued.pop(pair, None) is None:
+                continue
+            i, j = pair
+            s = s_polynomial(basis[i], basis[j], ring)
+            reduced += 1
+            r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
+            if r:
+                add(_monic(r, ring), sugar)
+            else:
+                zeros += 1
+    finally:
+        _log.debug(
+            "buchberger: %d pairs formed, %d S-polynomials reduced, %d to zero, basis %d elements",
+            formed, reduced, zeros, len(basis),
+        )
     return _reduce_basis(basis, leads, ring)
 
 

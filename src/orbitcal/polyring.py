@@ -206,19 +206,6 @@ class LaurentPoly:
                 )
         return evaluate_terms(self.terms, point)
 
-    def derivative(self, index: int) -> "LaurentPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, coef in self.terms.items():
-            e = exp[index]
-            if e:
-                newexp = exp[:index] + (e - 1,) + exp[index + 1 :]
-                c = out.get(newexp, Fraction(0)) + coef * e
-                if c:
-                    out[newexp] = c
-                else:
-                    out.pop(newexp, None)
-        return LaurentPoly._raw(self.ambient, out)
-
     def monomial_denominator(self) -> tuple[int, ...]:
         """Exponent m >= 0 supported on invertible variables such that
         self * x^m has no negative exponents."""

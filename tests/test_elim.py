@@ -1,8 +1,10 @@
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
+from orbitcal import elim
 from orbitcal.elim import (
     OrderedRing,
     SubspaceMap,
@@ -94,6 +96,33 @@ def test_pair_limit_error_names_stage_and_counters():
     assert str(info.value) == (
         "buchberger: pair limit 2 exceeded (basis 2 elements, 0 S-polynomials reduced)"
     )
+
+
+def test_sugar_strategy_reduces_few_s_polynomials(monkeypatch):
+    # the normal strategy reduces 1,474 S-polynomials on this cone, sugar 345
+    calls = []
+
+    def counting(f, g, ring):
+        calls.append(1)
+        return s_polynomial(f, g, ring)
+
+    monkeypatch.setattr(elim, "s_polynomial", counting)
+    rep2, _, b2 = make_conic(sl2_binary_forms(3), (0,) * 4, (1, 0, 0, 0))
+    assert len(closure_equations(rep2, SubspaceMap.point(b2))) == 3
+    assert len(calls) <= 400
+
+
+def test_one_debug_line_per_buchberger(caplog):
+    gens = [p("x^3 - y"), p("x*y^2 - 1"), p("y^3 - x^2")]
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
+        buchberger(gens, LEX_XY)
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens, LEX_XY, max_pairs=2)
+    messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"]
+    assert messages == [
+        "buchberger: 8 pairs formed, 5 S-polynomials reduced, 2 to zero, basis 6 elements",
+        "buchberger: 3 pairs formed, 0 S-polynomials reduced, 0 to zero, basis 2 elements",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Differential checks of buchberger and normal_form against sympy.
 
-With one variable per block the block order is lex, and the reduced
-monic basis of an ideal is unique, so both must agree term for term;
-so must the remainder of division by a Groebner basis."""
+With one variable per block the block order is lex, and with a single
+block it is grevlex.  The reduced monic basis of an ideal is unique in
+either order, so both must agree term for term; so must the remainder
+of division by a Groebner basis."""
 
 from fractions import Fraction
 
@@ -56,6 +57,27 @@ def test_lex_basis_matches_sympy(ideal):
     reference = sympy.groebner(exprs, *xs, order="lex", domain="QQ")
     theirs = sorted(
         (_monic_dict(_terms(g, xs)) for g in reference.exprs), key=max
+    )
+    assert ours == theirs
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_ideals())
+def test_grevlex_basis_matches_sympy(ideal):
+    n, gens = ideal
+    names = [f"x{i}" for i in range(n)]
+    grevlex, xs = OrderedRing(names, [tuple(range(n))]), sympy.symbols(names)
+    ours = [dict(g) for g in buchberger(gens, grevlex)]
+
+    def monic(terms):
+        lc = terms[grevlex.lead(terms)]
+        return {e: c / lc for e, c in terms.items()}
+
+    exprs = [_expr(g, xs) for g in gens]
+    reference = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
+    theirs = sorted(
+        (monic(_terms(g, xs)) for g in reference.exprs),
+        key=lambda g: grevlex.order_key(grevlex.lead(g)),
     )
     assert ours == theirs
 

@@ -127,13 +127,6 @@ def test_print_storage_order():
     assert format_terms(parse_terms("y2 - y1^2", ("y1", "y2")), ("y1", "y2")) == "-y1^2 + y2"
 
 
-def test_derivative():
-    p = P("x1^-2*x2 + 3*x1")
-    assert p.derivative(0) == P("-2*x1^-3*x2 + 3")
-    assert p.derivative(1) == P("x1^-2")
-    assert p.derivative(2) == P("0")
-
-
 def test_substitute_composition():
     lam = Ambient(0, 2, names=("l1", "l2"))
     poly = LaurentPoly.parse("u1^2*u2", Ambient(0, 2, names=("u1", "u2")))
