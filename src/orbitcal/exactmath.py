@@ -7,10 +7,13 @@ comes in with one common denominator cleared, which changes neither
 its solutions nor its refuting combinations.  Consistency answers come
 with a witness that is re-verified by exact plug-back in integers, so
 downstream callers never have to trust the elimination code.
-solve_or_refute eliminates modulo word-size primes and recovers the
-witness by CRT and rational reconstruction; the plug-back is the only
-gate on what it returns; rank_mod runs the same elimination once, with
-a zero right-hand side.  rank, det and integer_left_kernel share one
+solve_or_refute eliminates modulo word-size primes, the first two in
+one pass modulo their product, and recovers the witness by CRT and
+rational reconstruction; the plug-back is the only gate on what it
+returns.  A pass carries no row history; a refutation reruns only the
+rows that became pivots, and the refuting row, with one.  rank_mod runs
+the same elimination once, modulo one prime, with a zero right-hand
+side.  rank, det and integer_left_kernel share one
 unimodular row reduction.
 """
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from orbitcal.errors import CertificateError
 
@@ -135,7 +138,13 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     columns, or the row combination that first reduces to 0 = nonzero,
     with coefficient 1 on that row.
 
-    The elimination runs over Z/p for primes just below 2^62.  A prime
+    The elimination runs over Z/p for primes just below 2^62.  The
+    first two primes p1, p2 share one pass over Z/p1p2, which is Z/p1 x
+    Z/p2: every step of the pass is a zero test or the inverse of a
+    pivot, so when each pivot and the final b of a 0 = b row is a unit
+    mod p1p2, the pass returns the CRT of the two one-prime passes,
+    profile and residues.  A non-unit means the two profiles differ, and
+    p1 and p2 then run one pass each, as every later prime does.  A prime
     that divides a value the elimination over Q keeps nonzero can only
     make the profile lexicographically larger, so a larger profile is
     dropped and a smaller one restarts the residues.  Residues of
@@ -147,6 +156,13 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     and the reconstruction are certain, so a failure there raises
     CertificateError.  A right-hand side that is not all ints raises
     ValueError.
+
+    At DEBUG, logger orbitcal.exactmath gets one line per solve: the
+    system's shape and nonzeros, the witness kind, the pivots of the
+    profile, primes=K, the primes whose passes completed, passes=P, the
+    passes begun over the whole system (a two-prime pass that fell back
+    counts; a refutation's rerun over its pivot rows does not), and the
+    bits of the largest numerator or denominator of the witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -159,18 +175,28 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     rows: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
     for (i, j), v in matrix.entries.items():
         rows[i][j] = v
+    primes = _primes()
+    first, second = next(primes), next(primes)
+    # (modulus, primes it covers), taken from the end
+    pending = [(first * second, 2)]
     best = residues = None
-    modulus = agreeing = primes_used = 0
+    modulus = agreeing = primes_used = passes = 0
     bound_bits = None
-    for p in _primes():
-        primes_used += 1
-        profile, vector = _eliminate_mod(rows, rhs, matrix.cols, p)
+    while True:
+        m, count = pending.pop() if pending else (next(primes), 1)
+        passes += 1
+        try:
+            profile, vector = _eliminate_mod(rows, rhs, matrix.cols, m)
+        except _NotUnit:
+            pending = [(second, 1), (first, 1)]
+            continue
+        primes_used += count
         if best is None or profile < best:
-            best, residues, modulus, agreeing = profile, vector, p, 1
+            best, residues, modulus, agreeing = profile, vector, m, count
         elif profile == best:
-            residues = _crt(residues, modulus, vector, p)
-            modulus *= p
-            agreeing += 1
+            residues = _crt(residues, modulus, vector, m)
+            modulus *= m
+            agreeing += count
         if agreeing < 2:
             continue
         kind = REFUTATION if best[-1] == matrix.cols else SOLUTION
@@ -181,9 +207,9 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
                 if _log.isEnabledFor(logging.DEBUG):
                     bits = max(max(abs(v.numerator), v.denominator) for v in witness.vector).bit_length()
                     _log.debug(
-                        "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, witness_bits=%d",
+                        "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, witness_bits=%d",
                         matrix.rows, matrix.cols, matrix.nnz, kind,
-                        sum(c < matrix.cols for c in best), primes_used, bits,
+                        sum(c < matrix.cols for c in best), primes_used, passes, bits,
                     )
                 return witness
         if bound_bits is None:
@@ -192,80 +218,127 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
             raise CertificateError(f"internal {kind.lower()} failed plug-back")
 
 
-def _eliminate_mod(rows, values, ncols, p):
-    """One pass of the elimination over Z/p on the integer rows (dicts
+class _NotUnit(ArithmeticError):
+    """A pass modulo a product of primes met a pivot or a 0 = b row that
+    is zero modulo some of them but not all."""
+
+
+def _eliminate_mod(rows, values, ncols, m):
+    """One pass of the elimination over Z/m on the integer rows (dicts
     column -> value) and right-hand side values.  Returns the profile,
     the outcome of each row (its pivot column, ncols for 0 = nonzero,
     which ends the pass, ncols + 1 for 0 = 0), and the residues of the
-    witness: the refuting row combination or the solution."""
-    # pivot column -> (row without its pivot entry, rhs, row history),
-    # normalized so that the pivot entry is 1
-    pivots: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
+    witness: the refuting row combination or the solution.
+
+    m is a prime or a product of distinct primes.  Every branch is a
+    zero test or the inverse of a pivot, so a pass that ends on units
+    mod m returns the CRT of the one-prime passes, profile and
+    residues; a pivot or a final b that is not a unit mod m means the
+    primes' profiles differ, and raises _NotUnit.  The pass carries no
+    row history: a refutation reruns the pivot rows and the refuting
+    row with one (_refutation)."""
+    # pivot column -> (row without its pivot entry, rhs), normalized so
+    # that the pivot entry is 1
+    pivots: dict[int, tuple[dict[int, int], int, None]] = {}
     profile: list[int] = []
     for idx, src in enumerate(rows):
-        row = {j: r for j, v in src.items() if (r := v % p)}
-        b = values[idx] % p
-        hist = {idx: 1}
-        # Eliminating pivot column c only adds columns above c, so the
-        # columns come off the heap in increasing order; the row stops
-        # at its lowest column that has no pivot.
-        heap = list(row)
-        heapify(heap)
-        col = None
-        while heap:
-            c = heappop(heap)
-            factor = row.get(c)
-            if factor is None:
-                continue
-            if c not in pivots:
-                col = c
-                break
-            del row[c]
-            prow, pb, phist = pivots[c]
-            for j, v in prow.items():
-                cur = row.get(j)
-                if cur is None:
-                    row[j] = -factor * v % p
-                    heappush(heap, j)
-                else:
-                    cur = (cur - factor * v) % p
-                    if cur:
-                        row[j] = cur
-                    else:
-                        del row[j]
-            b = (b - factor * pb) % p
-            for j, v in phist.items():
-                cur = hist.get(j)
-                if cur is None:
-                    hist[j] = -factor * v % p
-                else:
-                    cur = (cur - factor * v) % p
-                    if cur:
-                        hist[j] = cur
-                    else:
-                        del hist[j]
+        row = {j: r for j, v in src.items() if (r := v % m)}
+        col, b = _reduce(row, values[idx] % m, pivots, m)
         if col is None:
             if b:
+                if gcd(b, m) != 1:
+                    raise _NotUnit
                 profile.append(ncols)
-                u = [0] * len(rows)
-                for j, v in hist.items():
-                    u[j] = v
-                return profile, u
+                return profile, _refutation(rows, values, profile, m)
             profile.append(ncols + 1)
             continue
         profile.append(col)
-        inv = pow(row.pop(col), -1, p)
-        if inv != 1:
-            row = {j: v * inv % p for j, v in row.items()}
-            b = b * inv % p
-            hist = {j: v * inv % p for j, v in hist.items()}
-        pivots[col] = (row, b, hist)
+        pivots[col] = _normalized(row, b, col, m)
 
     x = [0] * ncols
     for col in sorted(pivots, reverse=True):
         row, b, _ = pivots[col]
-        x[col] = (b - sum(v * x[j] for j, v in row.items())) % p
+        x[col] = (b - sum(v * x[j] for j, v in row.items())) % m
     return profile, x
+
+
+def _refutation(rows, values, profile, m):
+    """The refuting row combination of a pass whose last row, k, read
+    0 = nonzero: the pass over the rows that became pivots and row k,
+    now with the row history.  Rows that reduced to 0 = 0 became no
+    pivot, so leaving them out changes no pivot and no history."""
+    ncols = profile[-1]
+    k = len(profile) - 1
+    pivots: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
+    for idx in [i for i, c in enumerate(profile) if c < ncols] + [k]:
+        row = {j: r for j, v in rows[idx].items() if (r := v % m)}
+        hist = {idx: 1}
+        col, b = _reduce(row, values[idx] % m, pivots, m, hist)
+        if col is None:
+            u = [0] * len(rows)
+            for j, v in hist.items():
+                u[j] = v
+            return u
+        pivots[col] = _normalized(row, b, col, m, hist)
+
+
+def _reduce(row, b, pivots, m, hist=None):
+    """Reduce row (in place) and its right-hand side b against the
+    pivots mod m; returns the row's lowest column that has no pivot
+    (None if the row is emptied) and the reduced b.  hist, when given,
+    takes the same row operations as the row history."""
+    # Eliminating pivot column c only adds columns above c, so the
+    # columns come off the heap in increasing order; the row stops at
+    # its lowest column that has no pivot.
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        factor = row.get(c)
+        if factor is None:
+            continue
+        if c not in pivots:
+            return c, b
+        del row[c]
+        prow, pb, phist = pivots[c]
+        for j, v in prow.items():
+            cur = row.get(j)
+            if cur is None:
+                # zero mod m only if m is composite
+                if cur := -factor * v % m:
+                    row[j] = cur
+                    heappush(heap, j)
+            else:
+                cur = (cur - factor * v) % m
+                if cur:
+                    row[j] = cur
+                else:
+                    del row[j]
+        b = (b - factor * pb) % m
+        if hist is not None:
+            for j, v in phist.items():
+                cur = (hist.get(j, 0) - factor * v) % m
+                if cur:
+                    hist[j] = cur
+                else:
+                    hist.pop(j, None)
+    return None, b
+
+
+def _normalized(row, b, col, m, hist=None):
+    """(row, b, hist) with the pivot entry on col removed from row and
+    everything scaled so that it would be 1; _NotUnit if the pivot is
+    not a unit mod m."""
+    pivot = row.pop(col)
+    if gcd(pivot, m) != 1:
+        raise _NotUnit
+    inv = pow(pivot, -1, m)
+    if inv != 1:
+        row = {j: v * inv % m for j, v in row.items()}
+        b = b * inv % m
+        if hist is not None:
+            hist = {j: v * inv % m for j, v in hist.items()}
+    return row, b, hist
 
 
 def _is_prime(n: int) -> bool:

@@ -253,33 +253,24 @@ def evaluate_terms(terms, point) -> Fraction:
 
 def monomial_images(images, nvars: int):
     """Return exp -> prod_i images[i]**exp[i] for term dicts of exponent
-    width nvars and any number type, memoized per exponent; each image's
-    powers are computed once by repeated squaring.  The returned dicts
-    are shared: copy one before mutating it."""
-    one = {(0,) * nvars: 1}
-    pow_caches = [{1: img} for img in images]
-
-    def power(i, e):
-        cache = pow_caches[i]
-        got = cache.get(e)
-        if got is None:
-            half = power(i, e // 2)
-            got = terms_mul(half, half)
-            if e & 1:
-                got = terms_mul(got, cache[1])
-            cache[e] = got
-        return got
-
-    mono_cache: dict[tuple[int, ...], dict] = {}
+    width nvars and any number type, memoized per exponent.  Each image
+    is one product, image(exp - e_i) * images[i] with i the last nonzero
+    index of exp, built bottom up in a loop: the cache holds only term
+    dicts, so no reference cycle keeps it alive.  The returned dicts are
+    shared: copy one before mutating it."""
+    cache: dict[tuple[int, ...], dict] = {(0,) * len(images): {(0,) * nvars: 1}}
 
     def monomial_image(exp):
-        got = mono_cache.get(exp)
-        if got is None:
-            got = one
-            for i, e in enumerate(exp):
-                if e:
-                    got = power(i, e) if got is one else terms_mul(got, power(i, e))
-            mono_cache[exp] = got
+        got = cache.get(exp)
+        chain = []
+        while got is None:
+            i = max(k for k, e in enumerate(exp) if e)
+            chain.append((exp, i))
+            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            got = cache.get(exp)
+        for exp, i in reversed(chain):
+            got = terms_mul(got, images[i])
+            cache[exp] = got
         return got
 
     return monomial_image

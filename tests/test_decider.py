@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from orbitcal.decider import (
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, parabola_rep
-from orbitcal.polyring import Ambient, LaurentPoly
+from orbitcal.polyring import Ambient, LaurentPoly, substitute
 from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, torus_diagonal, vector
 
 
@@ -387,3 +388,21 @@ def test_decision_json_round_trip():
     assert back.verdict == decision.verdict
     assert back.certificate == decision.certificate
     assert back.transcript["degree_bound"] == 2
+
+
+def test_decide_and_substitute_leave_no_garbage_cycles():
+    # the pullback images are cached in term dicts only; a cache held by
+    # a self-referencing closure would stay alive until the cyclic
+    # collector ran
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), degree_bound_override=3)
+    amb = Ambient(2, 0)
+    poly = LaurentPoly.parse("x1^5*x2^3 + 3*x2^4", amb)
+    values = [LaurentPoly.parse("x1 + 2*x2", amb), LaurentPoly.parse("x1*x2 - 1", amb)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert decide(problem).verdict == NOT_IN_CLOSURE
+        substitute(poly, values)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

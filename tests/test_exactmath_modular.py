@@ -29,7 +29,8 @@ from orbitcal.exactmath import (
 )
 from orbitcal.fixtures import hyperbola_rep
 
-FIRST_PRIME = next(exactmath._primes())
+PRIMES = tuple(islice(exactmath._primes(), 8))
+FIRST_PRIME, SECOND_PRIME = PRIMES[:2]
 
 
 def _dense(matrix):
@@ -121,15 +122,23 @@ def _assert_matches_reference(rows, rhs, factor=1):
     return ours
 
 
+def _primes_in(modulus):
+    """How many primes a pass modulo `modulus` covers."""
+    return sum(modulus % p == 0 for p in PRIMES)
+
+
 @pytest.fixture
 def primes_used(monkeypatch):
-    """The primes solve_or_refute eliminates with, and their profiles."""
+    """The moduli of the passes that solve_or_refute completes, and
+    their profiles.  The first is the product of the first two primes,
+    unless that pass met a non-unit: it then raised before it was
+    recorded, and the two primes ran one pass each."""
     calls = []
     eliminate = exactmath._eliminate_mod
 
-    def spy(rows, values, ncols, p):
-        profile, vector = eliminate(rows, values, ncols, p)
-        calls.append((p, profile))
+    def spy(rows, values, ncols, m):
+        profile, vector = eliminate(rows, values, ncols, m)
+        calls.append((m, profile))
         return profile, vector
 
     monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
@@ -157,6 +166,8 @@ def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
         ([[FIRST_PRIME]], [1]),
         # the second row reduces to 0 = 0 mod the first prime only
         ([[1, 1], [1, 1 + FIRST_PRIME]], [1, 2]),
+        # the second row reads 0 = p, which is 0 = 0 mod the first prime
+        ([[1], [1]], [1, 1 + FIRST_PRIME]),
     ],
 )
 def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
@@ -164,6 +175,89 @@ def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
     (p, first_profile), (_, second_profile) = primes_used[:2]
     assert p == FIRST_PRIME
     assert second_profile < first_profile
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([[SECOND_PRIME, 1]], [1]),
+        ([[SECOND_PRIME]], [1]),
+        ([[1, 1], [1, 1 + SECOND_PRIME]], [1, 2]),
+        ([[1], [1]], [1, 1 + SECOND_PRIME]),
+    ],
+)
+def test_pivot_equal_to_the_second_prime(primes_used, rows, rhs):
+    # the shapes above for the second prime: the pass modulo both
+    # primes meets a pivot or a 0 = b row that is not a unit, so the two
+    # primes run one pass each and the first one's smaller profile wins
+    _assert_matches_reference(rows, rhs)
+    (p, first_profile), (q, second_profile) = primes_used[:2]
+    assert (p, q) == (FIRST_PRIME, SECOND_PRIME)
+    assert first_profile < second_profile
+
+
+def _assert_one_pass_is_the_crt(rows, rhs, ncols):
+    """The pass modulo the first two primes equals the CRT of their
+    one-prime passes when their profiles agree, and raises otherwise."""
+    first = exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME)
+    second = exactmath._eliminate_mod(rows, rhs, ncols, SECOND_PRIME)
+    if first[0] != second[0]:
+        with pytest.raises(exactmath._NotUnit):
+            exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME * SECOND_PRIME)
+        return False
+    profile, residues = exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME * SECOND_PRIME)
+    assert profile == first[0]
+    assert residues == exactmath._crt(first[1], FIRST_PRIME, second[1], SECOND_PRIME)
+    return True
+
+
+def _sparse_rows(matrix):
+    rows = [{} for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
+    # the d = 3 decide-sparse systems, then random systems cleared by D,
+    # by the first prime times D and by the second prime times D
+    for problem, _, scrambled in _problems():
+        if not scrambled:
+            _, system = decider.decide(problem, seed=1, keep_system=True)
+            rows = _sparse_rows(system.matrix)
+            assert _assert_one_pass_is_the_crt(rows, system.rhs, system.matrix.cols)
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(200):
+        rows = _random_rational_rows(rng, rng.randint(1, 12), rng.randint(1, 12))
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
+        for factor in (1, FIRST_PRIME, SECOND_PRIME):
+            matrix, values = _cleared(rows, rhs, factor)
+            outcomes.add(_assert_one_pass_is_the_crt(_sparse_rows(matrix), values, matrix.cols))
+    assert outcomes == {True, False}
+
+
+def test_refutation_after_many_zero_rows():
+    # each of three independent rows is followed by 20 consistent
+    # combinations of the rows so far, which reduce to 0 = 0; then a
+    # copy of the last row reads 0 = 1/3, and the pass never reaches
+    # the rows after it
+    base = [[1, 2, 0, 0, 3, 0], [0, 1, 0, Fraction(1, 2), 0, 1], [2, 0, 0, 1, 1, -1]]
+    rng = random.Random(7)
+    rows, rhs = [], []
+    for k in range(3):
+        rows.append(base[k])
+        rhs.append(k + 1)
+        for _ in range(20):
+            coeffs = [rng.randint(-3, 3) for _ in range(k + 1)]
+            rows.append([sum(c * base[i][j] for i, c in enumerate(coeffs)) for j in range(6)])
+            rhs.append(sum(c * (i + 1) for i, c in enumerate(coeffs)))
+    rows += [rows[-1], [1] * 6, [0, 0, 1, 0, 0, 0]]
+    rhs += [rhs[-1] + Fraction(1, 3), 0, 5]
+    w = _assert_matches_reference(rows, rhs)
+    assert w.kind == REFUTATION
+    assert {i for i, v in enumerate(w.vector) if v} <= {0, 21, 42, 63}
+    assert w.vector[63] == 1
 
 
 @pytest.mark.parametrize(
@@ -178,7 +272,7 @@ def test_witness_of_80_bits_needs_several_primes(primes_used, rows, rhs, kind):
     w = _assert_matches_reference(rows, rhs)
     assert w.kind == kind
     assert max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in w.vector) >= 80
-    assert len(primes_used) >= 3
+    assert sum(_primes_in(m) for m, _ in primes_used) >= 3
 
 
 def _miller_rabin(n):
@@ -221,8 +315,8 @@ def test_one_debug_line_per_solve(caplog):
         solve_or_refute(A, [1, 3, 0])
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.exactmath"]
     assert messages == [
-        "solve 3x2 nnz=5: SOLUTION, pivots=2, primes=2, witness_bits=2",
-        "solve 3x2 nnz=5: REFUTATION, pivots=1, primes=2, witness_bits=2",
+        "solve 3x2 nnz=5: SOLUTION, pivots=2, primes=2, passes=1, witness_bits=2",
+        "solve 3x2 nnz=5: REFUTATION, pivots=1, primes=2, passes=1, witness_bits=2",
     ]
 
 
