@@ -1,11 +1,15 @@
 """Term-dict kernels.
 
-Polynomials, including the columns of the decider's linear system, are
-stored as dicts mapping an exponent tuple to a nonzero number: an int in
-the decider, which clears denominators on its pullbacks, and a Fraction
-elsewhere.  The kernels work on either.  These three loops carry almost
-all of the run time of the package.  BACKEND names the implementation
-for run reports; there is only this pure-Python one.
+Polynomials are stored as dicts mapping an exponent tuple to a nonzero
+number, a Fraction or an int; the kernels work on either.  terms_mul and
+term_times_into add exponent tuples entrywise.  add_scaled_inplace works
+on any keys, and the decider also runs it on the packed int keys of
+polyring.monomial_images, which multiplies its images on those keys
+itself.  So these loops carry most of elim's normal forms and of
+LaurentPoly arithmetic, but only a small share of a decide, whose time
+goes to assembling on packed keys and to the modular solve.  BACKEND
+names the implementation for run reports; there is only this
+pure-Python one.
 """
 
 BACKEND = "pure"

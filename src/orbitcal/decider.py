@@ -10,7 +10,10 @@ monomial coefficient vanish.  The column of c[(p, q)] is therefore the
 expansion of (psi_p - a_p) psi^q, and the system is assembled column by
 column from the pullback powers, in integers: as D^(2d-1) times the
 rational system, D the common denominator of psi and a, which changes
-no solution and no refutation.  A refutation of the system certifies
+no solution and no refutation.  The powers come from
+polyring.monomial_images on its packed monomial keys, which this module
+treats as opaque: only the distinct row monomials are decoded, once, to
+sort the rows.  A refutation of the system certifies
 membership, a solution certifies non-membership, and both certificates
 re-verify by exact plug-back.
 """
@@ -136,7 +139,12 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     + e_p) - beta_p image(q)) = D^(2d-1) (psi_p - alpha_p) psi^q.  One
     nonzero scalar on the whole system leaves every solution and every
     refuting row combination, and so the solver's witness, unchanged;
-    scaling rows would change the refutations, and columns the solutions."""
+    scaling rows would change the refutations, and columns the solutions.
+
+    The images are asked for up to degree 2d - 1, |q + e_p|, and come
+    keyed by polyring's packed monomial keys.  Columns, the row set and
+    the row index stay on those keys; each distinct row key is decoded
+    once, for row_monomials and its sort."""
     n = len(pullbacks)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -146,8 +154,8 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     D = lcm(*(c.denominator for psi in pullbacks for c in psi.terms.values()), *(a.denominator for a in alpha))
     phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
     beta = [a.numerator * (D // a.denominator) for a in alpha]
-    one = (0,) * pullbacks[0].ambient.nvars
-    image = monomial_images(phi, len(one))
+    image, decode = monomial_images(phi, pullbacks[0].ambient.nvars, 2 * d - 1)
+    (one,) = image((0,) * n)
     columns = {}
     # slot n stands for the constant: it raises the scale, not the image
     for slots in combinations_with_replacement(range(n + 1), 2 * d - 2):
@@ -161,13 +169,14 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     rows = {one}
     for column in columns.values():
         rows.update(column)
-    row_monomials = sorted(rows, key=lambda e: (sum(e), e))
-    row_index = {exp: i for i, exp in enumerate(row_monomials)}
+    decoded = {decode(key): key for key in rows}
+    row_monomials = sorted(decoded, key=lambda e: (sum(e), e))
+    row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)
     matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
     for j, key in enumerate(col_keys):
-        for exp, coef in columns.pop(key).items():
-            matrix.entries[(row_index[exp], j)] = coef
+        for row, coef in columns.pop(key).items():
+            matrix.entries[(row_index[row], j)] = coef
     rhs = [0] * len(row_monomials)
     rhs[row_index[one]] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, row_monomials, col_keys)

@@ -5,6 +5,13 @@ allowed) followed by s ordinary positions (exponents in N).  A
 polynomial is a dict from exponent tuples to nonzero Fractions; all
 operations are pure and return canonical values (no stored zeros).
 
+Products of powers of a few fixed polynomials, the decider's pullback
+images and substitute, run on packed keys instead: monomial_images
+encodes an exponent tuple as one int, sum_i e_i W^i with W chosen from
+a degree bound so that no two monomials share a key, and a monomial
+product is then one integer addition.  The encoding stays inside this
+module; callers get the keys with a decoder back to tuples.
+
 Text format, shared by the CLI and the JSON payloads::
 
     1 + 2*x1^-2*x2*x3 - 3/4*x2^5
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 from orbitcal._kernels import add_scaled_inplace, terms_mul
 
@@ -251,17 +259,45 @@ def evaluate_terms(terms, point) -> Fraction:
     return total
 
 
-def monomial_images(images, nvars: int):
-    """Return exp -> prod_i images[i]**exp[i] for term dicts of exponent
-    width nvars and any number type, memoized per exponent.  Each image
-    is one product, image(exp - e_i) * images[i] with i the last nonzero
-    index of exp, built bottom up in a loop: the cache holds only term
-    dicts, so no reference cycle keeps it alive.  The returned dicts are
-    shared: copy one before mutating it."""
-    cache: dict[tuple[int, ...], dict] = {(0,) * len(images): {(0,) * nvars: 1}}
+def monomial_images(images, nvars: int, top: int):
+    """Return (image, decode) for term dicts images[0..] of exponent
+    width nvars and any number type: image(q) is prod_i images[i]**q[i]
+    for q in N^len(images) with |q| <= top, as a term dict on packed
+    keys, and decode turns a packed key back into its exponent tuple.
 
-    def monomial_image(exp):
+    A key packs an exponent e as sum_i e_i W^i.  Every monomial of an
+    image is a sum of at most top exponents of the given terms, so its
+    entry i lies in [lo_i, hi_i] = [top min(0, min e_i), top max(0,
+    max e_i)], negative entries included; W exceeds every hi_i - lo_i.
+    Packing adds exponents exactly, since it is linear, and is one to
+    one on that box, since digits from W consecutive values are unique.
+    So a product of images multiplies on int keys, each monomial
+    product one integer addition, and no two monomials share a key.
+    A request with |q| > top could leave the box and raises ValueError.
+
+    Images are memoized: image(q) is one product, image(q - e_i) *
+    images[i] with i the last nonzero index of q, built bottom up in a
+    loop, so the cache holds only term dicts and no reference cycle
+    keeps it alive.  The returned dicts are shared: copy one before
+    mutating it."""
+    lows, highs = [0] * nvars, [0] * nvars
+    for terms in images:
+        for exp in terms:
+            for i, e in enumerate(exp):
+                if e < lows[i]:
+                    lows[i] = e
+                elif e > highs[i]:
+                    highs[i] = e
+    width = top * max((hi - lo for lo, hi in zip(lows, highs)), default=0) + 1
+    lows = [top * lo for lo in lows]
+    weights = [width**i for i in range(nvars)]
+    factors = [{sum(map(mul, exp, weights)): c for exp, c in terms.items()} for terms in images]
+    cache: dict[tuple[int, ...], dict] = {(0,) * len(images): {0: 1}}
+
+    def image(exp):
         got = cache.get(exp)
+        if got is None and (len(exp) != len(images) or min(exp) < 0 or sum(exp) > top):
+            raise ValueError(f"image of {exp} requested; the images are built for q in N^{len(images)}, |q| <= {top}")
         chain = []
         while got is None:
             i = max(k for k, e in enumerate(exp) if e)
@@ -269,11 +305,40 @@ def monomial_images(images, nvars: int):
             exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
             got = cache.get(exp)
         for exp, i in reversed(chain):
-            got = terms_mul(got, images[i])
+            got = _packed_mul(got, factors[i])
             cache[exp] = got
         return got
 
-    return monomial_image
+    def decode(key):
+        exp = []
+        for lo in lows:
+            e = (key - lo) % width + lo
+            exp.append(e)
+            key = (key - e) // width
+        return tuple(exp)
+
+    return image, decode
+
+
+def _packed_mul(a, b):
+    """terms_mul on packed keys: a monomial product is one addition."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            cur = get(k)
+            if cur is None:
+                out[k] = va * vb
+            else:
+                cur = cur + va * vb
+                if cur:
+                    out[k] = cur
+                else:
+                    del out[k]
+    return out
 
 
 def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
@@ -290,11 +355,12 @@ def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     for v in values:
         if v.ambient != target:
             raise ValueError("ambient mismatch among substitution values")
-    image = monomial_images([v.terms for v in values], target.nvars)
-    total: dict[tuple[int, ...], Fraction] = {}
+    top = max(map(sum, poly.terms), default=0)
+    image, decode = monomial_images([v.terms for v in values], target.nvars, top)
+    total: dict[int, Fraction] = {}
     for exp, coef in poly.terms.items():
         add_scaled_inplace(total, image(exp), coef)
-    return LaurentPoly._raw(target, total)
+    return LaurentPoly._raw(target, {decode(key): coef for key, coef in total.items()})
 
 
 # ---------------------------------------------------------------------------

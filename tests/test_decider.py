@@ -1,6 +1,8 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -81,6 +83,64 @@ def test_assemble_drops_zero_columns_and_cancelled_entries():
     assert system.row_monomials == [(0,), (1,), (2,), (3,)]
     assert system.matrix.entries == {(1, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 1}
     assert system.rhs == [1, 0, 0, 0]
+
+
+def _reference_system(d, alpha, pullbacks):
+    """(rows, cols, entries, rhs, row_monomials, col_keys) of the system
+    with LaurentPoly arithmetic: column (p, q) is D^(2d-1) (psi_p -
+    alpha_p) psi^q for |q| <= 2d - 2, zero columns dropped, rows sorted
+    by (degree, exponent), and D^(2d-1) on x^0."""
+    n, ambient = len(pullbacks), pullbacks[0].ambient
+    D = lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.terms.values())]))
+    scale = D ** (2 * d - 1)
+    columns = {}
+    for q in product(range(2 * d - 1), repeat=n):
+        if sum(q) > 2 * d - 2:
+            continue
+        power = LaurentPoly.const(ambient, 1)
+        for psi, k in zip(pullbacks, q):
+            power = power * psi**k
+        for p in range(n):
+            column = (pullbacks[p] - alpha[p]) * power * scale
+            if column:
+                columns[(p, q)] = column.terms
+    one = (0,) * ambient.nvars
+    row_monomials = sorted({one}.union(*columns.values()), key=lambda e: (sum(e), e))
+    row_index = {exp: i for i, exp in enumerate(row_monomials)}
+    col_keys = sorted(columns)
+    entries = {}
+    for j, key in enumerate(col_keys):
+        for exp, coef in columns[key].items():
+            assert coef.denominator == 1
+            entries[(row_index[exp], j)] = int(coef)
+    rhs = [0] * len(row_monomials)
+    rhs[row_index[one]] = scale
+    return len(row_monomials), max(1, len(col_keys)), entries, rhs, row_monomials, col_keys
+
+
+@pytest.mark.parametrize(
+    "rep, a, b",
+    [
+        # the two d = 3 problems of the decide-sparse benchmark
+        (repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1)),
+        (repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1)),
+        # a negative weight and denominators in both the pullbacks and a
+        (torus_diagonal([(1, 0), (1, -2), (0, 1)]), (Fraction(1, 2), 3, -1), (Fraction(2, 3), 1, 5)),
+    ],
+)
+def test_assembled_system_equals_laurent_reference(rep, a, b):
+    problem = conic_problem(rep, a, b, degree_bound_override=3)
+    pullbacks = coordinate_pullbacks(problem.rep, problem.b)
+    system = assemble_system(3, problem.a, pullbacks)
+    got = (
+        system.matrix.rows,
+        system.matrix.cols,
+        system.matrix.entries,
+        system.rhs,
+        system.row_monomials,
+        system.col_keys,
+    )
+    assert got == _reference_system(3, problem.a, pullbacks)
 
 
 def test_pullbacks_match_action():

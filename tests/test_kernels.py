@@ -1,6 +1,24 @@
+"""The term-dict kernels on fixed cases, and their ring laws on random
+term dicts (derandomized hypothesis): terms_mul is commutative,
+associative and distributive over add_scaled_inplace, and
+term_times_into is terms_mul by a monomial."""
+
 from fractions import Fraction
 
+import pytest
+
 from orbitcal import _kernels
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+_settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_exponents = st.tuples(st.integers(-2, 2), st.integers(0, 2))
+_coefficients = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+)
+_terms = st.dictionaries(_exponents, _coefficients, max_size=5)
 
 
 def test_pure_kernels_basic():
@@ -38,3 +56,33 @@ def test_exact_cancellation_drops_keys():
 
 def test_backend_is_reported():
     assert _kernels.BACKEND == "pure"
+
+
+def _plus(a, b, scale=1):
+    out = dict(a)
+    _kernels.add_scaled_inplace(out, b, scale)
+    return out
+
+
+@_settings
+@hypothesis.given(_terms, _terms, _terms)
+def test_terms_mul_is_commutative_and_associative(a, b, c):
+    mul = _kernels.terms_mul
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@_settings
+@hypothesis.given(_terms, _terms, _terms, _coefficients)
+def test_terms_mul_distributes_over_add_scaled(a, b, c, scale):
+    mul = _kernels.terms_mul
+    assert mul(a, _plus(b, c, scale)) == _plus(mul(a, b), mul(a, c), scale)
+    assert all(mul(a, _plus(b, c, scale)).values())
+
+
+@_settings
+@hypothesis.given(_terms, _terms, _exponents, _coefficients)
+def test_term_times_into_is_a_product_by_a_monomial(acc, src, shift, scale):
+    want = _plus(acc, _kernels.terms_mul(src, {shift: 1}), scale)
+    _kernels.term_times_into(acc, src, shift, scale)
+    assert acc == want

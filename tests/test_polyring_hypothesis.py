@@ -1,0 +1,113 @@
+"""monomial_images and substitute against LaurentPoly arithmetic on
+random data: every image, decoded key by key, equals the product of
+powers computed with LaurentPoly * and **, also with negative exponents
+on the invertible variables, empty term dicts and a one-variable
+ambient; a request above the degree bound raises ValueError; and
+substitute equals the sum of its terms' products of powers."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from orbitcal.polyring import Ambient, LaurentPoly, monomial_images, substitute  # noqa: E402
+
+_settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_shapes = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)])
+_coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+)
+
+
+def _terms(r, s, max_size=4):
+    exponents = st.tuples(*[st.integers(-3, 3)] * r, *[st.integers(0, 3)] * s)
+    return st.dictionaries(exponents, _coefficients, max_size=max_size)
+
+
+@st.composite
+def _images(draw):
+    """(ambient, term dicts, top, requests with |q| <= top)."""
+    r, s = draw(_shapes)
+    count = draw(st.integers(1, 3))
+    images = [draw(_terms(r, s)) for _ in range(count)]
+    top = draw(st.integers(0, 4))
+    requests = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, top)] * count).filter(lambda q: sum(q) <= top),
+            max_size=6,
+        )
+    )
+    return Ambient(r, s), images, top, requests
+
+
+def _reference(ambient, images, q):
+    out = LaurentPoly.const(ambient, 1)
+    for terms, k in zip(images, q):
+        out = out * LaurentPoly(ambient, terms) ** k
+    return out.terms
+
+
+@_settings
+@hypothesis.given(_images())
+def test_images_equal_laurent_products(data):
+    ambient, images, top, requests = data
+    image, decode = monomial_images(images, ambient.nvars, top)
+    for q in [(0,) * len(images), *requests]:
+        got = image(q)
+        decoded = {decode(key): coef for key, coef in got.items()}
+        # no two keys decode to the same exponent, and none is a zero
+        assert len(decoded) == len(got) and all(decoded.values())
+        assert decoded == _reference(ambient, images, q), q
+
+
+@_settings
+@hypothesis.given(_images(), st.integers(1, 3), st.data())
+def test_request_above_the_bound_raises(data, excess, pick):
+    ambient, images, top, _ = data
+    image, _ = monomial_images(images, ambient.nvars, top)
+    slot = pick.draw(st.integers(0, len(images) - 1))
+    q = [0] * len(images)
+    q[slot] = top + excess
+    with pytest.raises(ValueError):
+        image(tuple(q))
+    with pytest.raises(ValueError):
+        image((-1,) + (1,) * (len(images) - 1))
+
+
+def test_empty_images_and_the_constant():
+    image, decode = monomial_images([{}, {}], 1, 3)
+    ((key, coef),) = image((0, 0)).items()
+    assert decode(key) == (0,) and coef == 1
+    assert image((2, 1)) == {} and image((0, 3)) == {}
+    image, decode = monomial_images([{(-2, 1): 3}, {}], 2, 0)
+    (key,) = image((0, 0))
+    assert decode(key) == (0, 0)
+    with pytest.raises(ValueError):
+        image((1, 0))
+
+
+@st.composite
+def _substitutions(draw):
+    r, s = draw(_shapes)
+    target = Ambient(r, s)
+    k = draw(st.integers(1, 3))
+    poly = LaurentPoly(Ambient(0, k), draw(_terms(0, k, max_size=5)))
+    values = [LaurentPoly(target, draw(_terms(r, s))) for _ in range(k)]
+    return poly, values
+
+
+@_settings
+@hypothesis.given(_substitutions())
+def test_substitute_equals_laurent_reference(data):
+    poly, values = data
+    target = values[0].ambient
+    want = LaurentPoly.zero(target)
+    for exp, coef in poly.terms.items():
+        term = LaurentPoly.const(target, coef)
+        for value, e in zip(values, exp):
+            term = term * value**e
+        want = want + term
+    assert substitute(poly, values) == want
