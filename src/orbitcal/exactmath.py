@@ -11,10 +11,15 @@ solve_or_refute eliminates modulo word-size primes, the first two in
 one pass modulo their product, and recovers the witness by CRT and
 rational reconstruction; the plug-back is the only gate on what it
 returns.  A pass carries no row history; a refutation reruns only the
-rows that became pivots, and the refuting row, with one.  rank_mod runs
-the same elimination once, modulo one prime, with a zero right-hand
-side.  rank, det and integer_left_kernel share one
-unimodular row reduction.
+rows that became pivots, and the refuting row, with one.  From its
+first 0 = 0 row on, a pass skips each row that a kernel fingerprint of
+the pivot rows reads as 0, with one dot product.  This keeps the pivot
+profile, and so the witness: a row in the span of the pivots reduces
+to 0 = 0 anyway, and a false zero, a row outside the span that reads 0,
+can only make the profile lexicographically larger, which the choice
+of primes drops.  rank_mod runs the same elimination once, modulo one
+prime, with a zero right-hand side.  rank, det and integer_left_kernel
+share one unimodular row reduction.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import logging
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm, prod
+from operator import mul
+from random import Random
 
 from orbitcal.errors import CertificateError
 
@@ -152,17 +159,31 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     reconstructed.  The witness is returned once two primes agree on
     the profile and it passes verify(), so one prime dividing a pivot
     cannot change it; a failed reconstruction or plug-back adds a
-    prime.  Past a Hadamard-type bound on the CRT modulus the profile
-    and the reconstruction are certain, so a failure there raises
-    CertificateError.  A right-hand side that is not all ints raises
-    ValueError.
+    prime.
+
+    A pass skips each row that its kernel fingerprint reads as 0 = 0
+    (_eliminate_mod).  The profile stays the same, since a row in the
+    span of the pivot rows reduces to 0 = 0 anyway.  A false zero, a row
+    outside the span that reads 0 (chance at most 1/p per row for each
+    prime p of the pass), can only make the profile larger: its witness
+    fails the plug-back and the next primes find the smaller profile, or
+    it passes, an exact certificate though not the one the profile over
+    Q determines.  Past a Hadamard-type bound on the CRT modulus the
+    profile and the reconstruction are certain but for a false zero,
+    which needs no prime dividing a minor of [A|v]; so the first failure
+    there drops the profile, the next primes, each with its own
+    fingerprint, start again, and a second failure raises
+    CertificateError.  A refutation whose rerun does not close drops its
+    pass.  A right-hand side that is not all ints raises ValueError.
 
     At DEBUG, logger orbitcal.exactmath gets one line per solve: the
     system's shape and nonzeros, the witness kind, the pivots of the
     profile, primes=K, the primes whose passes completed, passes=P, the
     passes begun over the whole system (a two-prime pass that fell back
-    counts; a refutation's rerun over its pivot rows does not), and the
-    bits of the largest numerator or denominator of the witness.
+    counts; a refutation's rerun over its pivot rows does not),
+    skipped=S, the rows the accepted pass skipped by its fingerprint
+    (every 0 = 0 row after its first), and the bits of the largest
+    numerator or denominator of the witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -182,6 +203,7 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     best = residues = None
     modulus = agreeing = primes_used = passes = 0
     bound_bits = None
+    restarted = False
     while True:
         m, count = pending.pop() if pending else (next(primes), 1)
         passes += 1
@@ -189,6 +211,8 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
             profile, vector = _eliminate_mod(rows, rhs, matrix.cols, m)
         except _NotUnit:
             pending = [(second, 1), (first, 1)]
+            continue
+        if vector is None:
             continue
         primes_used += count
         if best is None or profile < best:
@@ -207,15 +231,18 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
                 if _log.isEnabledFor(logging.DEBUG):
                     bits = max(max(abs(v.numerator), v.denominator) for v in witness.vector).bit_length()
                     _log.debug(
-                        "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, witness_bits=%d",
+                        "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, skipped=%d, witness_bits=%d",
                         matrix.rows, matrix.cols, matrix.nnz, kind,
-                        sum(c < matrix.cols for c in best), primes_used, passes, bits,
+                        sum(c < matrix.cols for c in best), primes_used, passes,
+                        max(best.count(matrix.cols + 1) - 1, 0), bits,
                     )
                 return witness
         if bound_bits is None:
             bound_bits = _witness_bound_bits(rows, rhs)
         if modulus.bit_length() > bound_bits:
-            raise CertificateError(f"internal {kind.lower()} failed plug-back")
+            if restarted:
+                raise CertificateError(f"internal {kind.lower()} failed plug-back")
+            restarted, best = True, None
 
 
 class _NotUnit(ArithmeticError):
@@ -228,7 +255,27 @@ def _eliminate_mod(rows, values, ncols, m):
     column -> value) and right-hand side values.  Returns the profile,
     the outcome of each row (its pivot column, ncols for 0 = nonzero,
     which ends the pass, ncols + 1 for 0 = 0), and the residues of the
-    witness: the refuting row combination or the solution.
+    witness: the refuting row combination or the solution, None if the
+    refutation's rerun does not close.
+
+    Each row is reduced against the pivots from the lowest column up
+    and stops at its lowest column without a pivot (_reduce).  From the
+    first row that reads 0 = 0 on, a row is first tested against z, a
+    vector over Z/m in the kernel of the augmented pivot rows
+    (_fingerprint): (r | -b).z = 0 for a row (r | b) in their span, so
+    such a row is recorded as 0 = 0 after one dot product instead of a
+    reduction.  Only a row that reads nonzero is reduced; a new pivot
+    keeps z in the kernel (_add_pivot).  The switch follows the input:
+    a system without dependent rows never builds z.
+
+    A skipped row changes no outcome, because a row in the span of the
+    pivot rows reduces to 0 = 0 and becomes no pivot.  z is
+    pseudo-random on the columns without a pivot and the right-hand
+    side, so a row outside the span reads 0 with chance at most 1/p for
+    each prime p of m (Schwartz 1980).  Such a false zero turns the
+    row's pivot or refutation into ncols + 1, which makes the profile
+    lexicographically larger; solve_or_refute drops a larger profile as
+    it drops one of a prime that divides a pivot.
 
     m is a prime or a product of distinct primes.  Every branch is a
     zero test or the inverse of a pivot, so a pass that ends on units
@@ -241,9 +288,14 @@ def _eliminate_mod(rows, values, ncols, m):
     # that the pivot entry is 1
     pivots: dict[int, tuple[dict[int, int], int, None]] = {}
     profile: list[int] = []
+    z = users = None
     for idx, src in enumerate(rows):
+        b = values[idx] % m
+        if z is not None and not (sum(map(mul, src.values(), map(z.__getitem__, src))) - b * z[ncols]) % m:
+            profile.append(ncols + 1)
+            continue
         row = {j: r for j, v in src.items() if (r := v % m)}
-        col, b = _reduce(row, values[idx] % m, pivots, m)
+        col, b = _reduce(row, b, pivots, m)
         if col is None:
             if b:
                 if gcd(b, m) != 1:
@@ -251,22 +303,81 @@ def _eliminate_mod(rows, values, ncols, m):
                 profile.append(ncols)
                 return profile, _refutation(rows, values, profile, m)
             profile.append(ncols + 1)
+            if z is None:
+                z, users = _fingerprint(pivots, ncols, m)
             continue
         profile.append(col)
         pivots[col] = _normalized(row, b, col, m)
+        if z is not None:
+            _add_pivot(col, pivots, users, z, m)
 
-    x = [0] * ncols
+    # the solution is the kernel vector with 0 on the free columns and
+    # 1 in the right-hand side slot
+    x = [0] * ncols + [1]
     for col in sorted(pivots, reverse=True):
-        row, b, _ = pivots[col]
-        x[col] = (b - sum(v * x[j] for j, v in row.items())) % m
-    return profile, x
+        x[col] = _kernel_entry(pivots[col], x, m)
+    return profile, x[:-1]
+
+
+def _kernel_entry(pivot, z, m):
+    """The value on a pivot column that puts z, whose last slot is the
+    right-hand side's, in the kernel of its augmented pivot row
+    (1, row | -b)."""
+    row, b, _ = pivot
+    return (b * z[-1] - sum(v * z[j] for j, v in row.items())) % m
+
+
+def _fingerprint(pivots, ncols, m):
+    """z, a vector in the kernel of the augmented pivot rows, and the
+    index column -> the pivot columns whose rows hold it.  z has a slot
+    for each column and, last, one for the right-hand side.  The slots
+    of the columns without a pivot and of the right-hand side take
+    pseudo-random values derived from m, so that two runs give the same
+    pass; each pivot column then takes its kernel entry, from the
+    highest down, since a pivot row holds only columns above its own."""
+    rng = Random(m)
+    bits = m.bit_length() + 64
+    z = [rng.getrandbits(bits) % m for _ in range(ncols + 1)]
+    users: dict[int, list[int]] = {}
+    for col in sorted(pivots, reverse=True):
+        z[col] = _kernel_entry(pivots[col], z, m)
+        for j in pivots[col][0]:
+            users.setdefault(j, []).append(col)
+    return z, users
+
+
+def _add_pivot(col, pivots, users, z, m):
+    """Keep z in the kernel when col, a free column until now, gets a
+    pivot.  z[col] becomes the new row's kernel entry; a change of delta
+    on a column changes each pivot column whose row holds it by -delta
+    times that entry, taken from the highest column down so that each
+    pivot column is settled once."""
+    pending = {col: _kernel_entry(pivots[col], z, m) - z[col]}
+    heap = [-col]
+    while heap:
+        c = -heappop(heap)
+        delta = pending.pop(c) % m
+        if not delta:
+            continue
+        z[c] = (z[c] + delta) % m
+        for pc in users.get(c, ()):
+            change = -pivots[pc][0][c] * delta
+            if pc in pending:
+                pending[pc] += change
+            else:
+                pending[pc] = change
+                heappush(heap, -pc)
+    for j in pivots[col][0]:
+        users.setdefault(j, []).append(col)
 
 
 def _refutation(rows, values, profile, m):
     """The refuting row combination of a pass whose last row, k, read
     0 = nonzero: the pass over the rows that became pivots and row k,
-    now with the row history.  Rows that reduced to 0 = 0 became no
-    pivot, so leaving them out changes no pivot and no history."""
+    now with the row history.  Rows that reduced to 0 = 0, or that the
+    fingerprint skipped, became no pivot, so leaving them out changes no
+    pivot and no history, and the rerun closes on row k.  Should it not,
+    the result is None, and solve_or_refute drops the pass."""
     ncols = profile[-1]
     k = len(profile) - 1
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
@@ -280,6 +391,7 @@ def _refutation(rows, values, profile, m):
                 u[j] = v
             return u
         pivots[col] = _normalized(row, b, col, m, hist)
+    return None
 
 
 def _reduce(row, b, pivots, m, hist=None):

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -448,6 +450,39 @@ def test_decision_json_round_trip():
     assert back.verdict == decision.verdict
     assert back.certificate == decision.certificate
     assert back.transcript["degree_bound"] == 2
+
+
+@pytest.mark.parametrize(
+    "rep, a, b, d, verdict, digest",
+    [
+        # the d = 4 decide-sparse problems, 3060 x 840
+        (
+            repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), 4, NOT_IN_CLOSURE,
+            "7d81356badba4133591e4d341dd38bcbb8c7a9e79b398ef7eb16ce82fb090429",
+        ),
+        (
+            repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), 4, IN_CLOSURE,
+            "1a22d935f4b01de67d69a5f359f327b4e4182622874f44926a4c81dabfb8a8a4",
+        ),
+        # the README's cubic decides around z1^3, 651 x 630
+        (
+            repmodel.sl2_binary_forms(3), (0, 0, 1, 0), (1, 0, 0, 0), 3, NOT_IN_CLOSURE,
+            "ad70912c0bf63c59fb71cf65b4f008dfe878004922b753c9b8207bcf1d2cbe44",
+        ),
+        (
+            repmodel.sl2_binary_forms(3), (1, 3, 3, 1), (1, 0, 0, 0), 3, IN_CLOSURE,
+            "80c0277834afa39c1be52b1ec7e0bf06f0e207628981160fb7a8942d619f4945",
+        ),
+    ],
+)
+def test_certificates_of_large_systems_are_pinned(rep, a, b, d, verdict, digest):
+    # sha256 of the certificate JSON taken before the modular pass
+    # skipped dependent rows; these systems are too large for the
+    # Fraction reference in test_exactmath_modular.py
+    decision = decide(conic_problem(rep, a, b, degree_bound_override=d))
+    assert decision.verdict == verdict
+    payload = json.dumps(decision.to_json()["certificate"]).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_decide_and_substitute_leave_no_garbage_cycles():

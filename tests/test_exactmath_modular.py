@@ -15,7 +15,7 @@ import logging
 import random
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -237,6 +237,189 @@ def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
     assert outcomes == {True, False}
 
 
+def _echelon_pass(rows, values, ncols, m):
+    """The pass before it skipped rows by a kernel fingerprint: every
+    row is reduced against the pivots until it stops at its lowest
+    column without a pivot, and the solution is back-substituted."""
+    pivots = {}
+    profile = []
+    for idx, src in enumerate(rows):
+        row = {j: r for j, v in src.items() if (r := v % m)}
+        col, b = exactmath._reduce(row, values[idx] % m, pivots, m)
+        if col is None:
+            if b:
+                if gcd(b, m) != 1:
+                    raise exactmath._NotUnit
+                profile.append(ncols)
+                return profile, exactmath._refutation(rows, values, profile, m)
+            profile.append(ncols + 1)
+            continue
+        profile.append(col)
+        pivots[col] = exactmath._normalized(row, b, col, m)
+    x = [0] * ncols
+    for col in sorted(pivots, reverse=True):
+        row, b, _ = pivots[col]
+        x[col] = (b - sum(v * x[j] for j, v in row.items())) % m
+    return profile, x
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The rows a pass reduces: the calls of _reduce without a row
+    history, which a refutation's rerun carries."""
+    calls = []
+    reduce = exactmath._reduce
+
+    def counting(row, b, pivots, m, hist=None):
+        if hist is None:
+            calls.append(m)
+        return reduce(row, b, pivots, m, hist)
+
+    monkeypatch.setattr(exactmath, "_reduce", counting)
+    return calls
+
+
+def _assert_pass_equals_echelon(rows, values, ncols, reductions):
+    """The pass equals the echelon pass, profile and residues, modulo
+    one prime and modulo the first two, and reduces every row up to the
+    first 0 = 0 and after it only the rows that do not end as 0 = 0;
+    returns the profiles."""
+    profiles = []
+    for m in (FIRST_PRIME, FIRST_PRIME * SECOND_PRIME):
+        try:
+            want = _echelon_pass(rows, values, ncols, m)
+        except exactmath._NotUnit:
+            with pytest.raises(exactmath._NotUnit):
+                exactmath._eliminate_mod(rows, values, ncols, m)
+            continue
+        reductions.clear()
+        assert exactmath._eliminate_mod(rows, values, ncols, m) == want
+        profile = want[0]
+        first = profile.index(ncols + 1) + 1 if ncols + 1 in profile else len(profile)
+        assert len(reductions) == first + sum(c != ncols + 1 for c in profile[first:])
+        profiles.append(profile)
+    return profiles
+
+
+def _random_tall_system(rng, ncols):
+    """Integer rows with many dependent ones: 0 = 0 rows before the
+    first pivot, then independent rows among multiples of one earlier
+    row and combinations of two or three, right-hand side included, and
+    now and then a combination whose right-hand side is off by one,
+    which refutes."""
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 2)):
+        rows.append({})
+        rhs.append(0)
+    for _ in range(rng.randint(10, 40)):
+        kind = rng.random()
+        if len(rows) < 3 or kind < 0.2:
+            rows.append({j: v for j in range(ncols) if rng.random() < 0.4 and (v := rng.randint(-5, 5))})
+            rhs.append(rng.randint(-5, 5))
+            continue
+        picked = rng.sample(range(len(rows)), rng.choice((1, 2, 3)))
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in picked]
+        row = {}
+        for i, c in zip(picked, coeffs):
+            for j, v in rows[i].items():
+                row[j] = row.get(j, 0) + c * v
+        rows.append({j: v for j, v in row.items() if v})
+        rhs.append(sum(c * rhs[i] for i, c in zip(picked, coeffs)) + (kind > 0.97))
+    return rows, rhs
+
+
+def test_skipping_pass_equals_the_echelon_pass(reductions):
+    # the decide-sparse systems at d = 3 and 4
+    sl2 = repmodel.sl2_binary_forms(2)
+    for d in (3, 4):
+        for a in ((0, 1, 0), (1, 0, 0)):
+            problem = decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
+            _, system = decider.decide(problem, keep_system=True)
+            ncols = system.matrix.cols
+            profiles = _assert_pass_equals_echelon(_sparse_rows(system.matrix), system.rhs, ncols, reductions)
+            assert len(profiles) == 2 and profiles[0].count(ncols + 1) > 100
+
+    # tall random systems: the switch at the first 0 = 0 row, skipped
+    # rows after it, and refutations after the switch
+    rng = random.Random(16)
+    skipped = refuted = 0
+    for _ in range(300):
+        ncols = rng.randint(3, 12)
+        rows, rhs = _random_tall_system(rng, ncols)
+        for profile in _assert_pass_equals_echelon(rows, rhs, ncols, reductions):
+            zeros = profile.count(ncols + 1)
+            skipped += zeros > 1
+            refuted += profile[-1] == ncols and zeros > 0
+    assert skipped > 200 and refuted > 20
+
+    # wide systems, every row a pivot: no switch
+    for _ in range(50):
+        ncols = rng.randint(5, 20)
+        rows = [{j: rng.randint(1, 9) for j in range(ncols) if rng.random() < 0.6} for _ in range(ncols // 2)]
+        rows = [row for row in rows if row]
+        rhs = [rng.randint(-9, 9) for _ in rows]
+        for profile in _assert_pass_equals_echelon(rows, rhs, ncols, reductions):
+            assert all(c < ncols for c in profile)
+
+
+def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used):
+    # a fingerprint of zeros reads every row after the first 0 = 0 row
+    # as 0 = 0, independent rows included; the pass modulo the first two
+    # primes then ends on a larger profile, whose witness fails the
+    # plug-back, and the next two primes give the reference witness
+    small = [
+        # x0 = 1 twice, then x1 = 2 is skipped
+        ([[1, 0], [1, 0], [0, 1]], [1, 1, 2]),
+        # the refuting last row and the pivot before it are skipped
+        ([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]),
+    ]
+    cases = [(SparseMatrix.from_rows(rows), rhs, _reference_solve(rows, rhs)) for rows, rhs in small]
+    # the d = 3 decide-sparse systems, whose witnesses
+    # test_decide_certificates_equal_the_fraction_loop pins
+    sl2 = repmodel.sl2_binary_forms(2)
+    for a in ((0, 1, 0), (1, 0, 0)):
+        problem = decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=3)
+        _, system = decider.decide(problem, keep_system=True)
+        cases.append((system.matrix, system.rhs, solve_or_refute(system.matrix, system.rhs)))
+
+    fingerprint = exactmath._fingerprint
+    calls = []
+
+    def zero_once(pivots, ncols, m):
+        z, users = fingerprint(pivots, ncols, m)
+        calls.append(m)
+        return ([0] * len(z) if len(calls) == 1 else z), users
+
+    monkeypatch.setattr(exactmath, "_fingerprint", zero_once)
+    for matrix, rhs, want in cases:
+        calls.clear()
+        primes_used.clear()
+        assert solve_or_refute(matrix, rhs) == want
+        assert [m for m, _ in primes_used] == [FIRST_PRIME * SECOND_PRIME, *PRIMES[2:4]]
+        first, second, third = (profile for _, profile in primes_used)
+        assert first > second == third
+
+
+def test_refutation_rerun_that_does_not_close_drops_the_pass(monkeypatch, primes_used, caplog):
+    # the pass modulo the first two primes is dropped, not split into
+    # its primes, and the third and fourth prime give the witness
+    refutation = exactmath._refutation
+    calls = []
+
+    def fails_once(rows, values, profile, m):
+        calls.append(m)
+        return None if len(calls) == 1 else refutation(rows, values, profile, m)
+
+    monkeypatch.setattr(exactmath, "_refutation", fails_once)
+    rows, rhs = [[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
+        w = solve_or_refute(SparseMatrix.from_rows(rows), rhs)
+    assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
+    assert calls == [FIRST_PRIME * SECOND_PRIME, *PRIMES[2:4]]
+    assert [m for m, _ in primes_used] == calls
+    assert "primes=2, passes=3" in caplog.records[-1].getMessage()
+
+
 def test_refutation_after_many_zero_rows():
     # each of three independent rows is followed by 20 consistent
     # combinations of the rows so far, which reduce to 0 = 0; then a
@@ -309,14 +492,16 @@ def test_first_twenty_primes_are_prime():
 
 
 def test_one_debug_line_per_solve(caplog):
-    A = SparseMatrix.from_rows([[1, 1], [2, 2], [0, 1]])
+    # the second row is the first 0 = 0 and is reduced; the fourth, the
+    # sum of the first and the third, is skipped by the fingerprint
+    A = SparseMatrix.from_rows([[1, 1], [2, 2], [0, 1], [1, 2]])
     with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
-        solve_or_refute(A, [1, 2, 3])
-        solve_or_refute(A, [1, 3, 0])
+        solve_or_refute(A, [1, 2, 3, 4])
+        solve_or_refute(A, [1, 3, 0, 1])
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.exactmath"]
     assert messages == [
-        "solve 3x2 nnz=5: SOLUTION, pivots=2, primes=2, passes=1, witness_bits=2",
-        "solve 3x2 nnz=5: REFUTATION, pivots=1, primes=2, passes=1, witness_bits=2",
+        "solve 4x2 nnz=7: SOLUTION, pivots=2, primes=2, passes=1, skipped=1, witness_bits=2",
+        "solve 4x2 nnz=7: REFUTATION, pivots=1, primes=2, passes=1, skipped=0, witness_bits=2",
     ]
 
 
