@@ -6,7 +6,7 @@ parameters, 3 violated precondition, 4 resource limit (the decider's
 system size, the elimination's pair budget), 5 inconsistent degree
 data, 6 oracle disagreement, 7 internal error (any other exception,
 such as a certificate that fails its exact plug-back).
-ORBITCAL_MAX_NNZ overrides the linear-system size threshold."""
+ORBITCAL_MAX_NNZ, a positive integer, overrides the system size limit."""
 
 from __future__ import annotations
 
@@ -51,7 +51,10 @@ def _emit(payload: str, out: str | None):
 
 
 def _max_nnz() -> int:
-    return int(os.environ.get("ORBITCAL_MAX_NNZ") or decider.DEFAULT_MAX_NNZ)
+    raw = os.environ.get("ORBITCAL_MAX_NNZ") or str(decider.DEFAULT_MAX_NNZ)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"ORBITCAL_MAX_NNZ must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def cmd_gen(args) -> int:

@@ -174,9 +174,10 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)
     matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
+    row_terms = matrix.row_terms
     for j, key in enumerate(col_keys):
         for row, coef in columns.pop(key).items():
-            matrix.entries[(row_index[row], j)] = coef
+            row_terms[row_index[row]][j] = coef
     rhs = [0] * len(row_monomials)
     rhs[row_index[one]] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, row_monomials, col_keys)

@@ -1,30 +1,23 @@
 """Exact integer linear algebra.
 
 Everything here is over Z or Z/p, with Fractions only for witnesses,
-determinants and the dense inputs of rank and det; there is no
-floating point anywhere.  Linear systems are integer: a system over Q
-comes in with one common denominator cleared, which changes neither
-its solutions nor its refuting combinations.  Consistency answers come
-with a witness that is re-verified by exact plug-back in integers, so
-downstream callers never have to trust the elimination code.
-solve_or_refute eliminates modulo word-size primes, the first two in
-one pass modulo their product, and recovers the witness by CRT and
-rational reconstruction; the plug-back is the only gate on what it
-returns.  A pass carries no row history; a refutation reruns only the
-rows that became pivots, and the refuting row, with one.  From its
-first 0 = 0 row on, a pass skips each row that a kernel fingerprint of
-the pivot rows reads as 0, with one dot product.  This keeps the pivot
-profile, and so the witness: a row in the span of the pivots reduces
-to 0 = 0 anyway, and a false zero, a row outside the span that reads 0,
-can only make the profile lexicographically larger, which the choice
-of primes drops.  rank_mod runs the same elimination once, modulo one
-prime, with a zero right-hand side.  rank, det and integer_left_kernel
-share one unimodular row reduction.
+determinants and the dense inputs of rank and det; there is no floating
+point anywhere.  Linear systems are integer and stored by rows, one term
+dict per row; a system over Q comes in with one common denominator
+cleared, which changes neither its solutions nor its refuting
+combinations.  solve_or_refute eliminates modulo word-size primes and
+returns a witness only after an exact plug-back in integers, so callers
+never have to trust the elimination.  Its passes keep no row history: a
+refutation's combination solves a square transposed system on the pivot
+rows, by one more pass.  rank_mod runs the same elimination modulo one
+prime; rank, det and integer_left_kernel share one unimodular row
+reduction.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm, prod
@@ -40,27 +33,27 @@ REFUTATION = "REFUTATION"
 
 
 class SparseMatrix:
-    """Sparse integer matrix; entries maps (row, col) to a nonzero int.
-    A matrix over Q is stored with one common denominator cleared.
+    """Sparse integer matrix stored by rows: row_terms[i] maps a column
+    to the nonzero int in row i, and entries is a read-only view of the
+    same values keyed by (row, col).  A matrix over Q is stored with one
+    common denominator cleared.  The constructor and from_rows reject
+    indices out of range and entries that are not ints with ValueError."""
 
-    The constructor and from_rows reject indices out of range and
-    entries that are not ints with ValueError."""
-
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "row_terms")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
+        self.row_terms: list[dict[int, int]] = [{} for _ in range(rows)]
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
             if not isinstance(v, int):
                 raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
             if v:
-                self.entries[(i, j)] = v
+                self.row_terms[i][j] = v
 
     @classmethod
     def from_rows(cls, data) -> "SparseMatrix":
@@ -70,20 +63,42 @@ class SparseMatrix:
             raise ValueError("ragged rows")
         return cls(len(data), cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
+    @property
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        return _Entries(self.row_terms)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+        return isinstance(other, SparseMatrix) and (self.rows, self.cols, self.row_terms) == (
+            other.rows, other.cols, other.row_terms
         )
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.row_terms))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+class _Entries(Mapping):
+    """Row term dicts as a read-only mapping (row, col) -> value."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        i, j = key
+        if 0 <= i < len(self._rows) and j in self._rows[i]:
+            return self._rows[i][j]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for i, row in enumerate(self._rows):
+            for j in row:
+                yield i, j
+
+    def __len__(self):
+        return sum(map(len, self._rows))
 
 
 class ConsistencyWitness:
@@ -110,14 +125,16 @@ class ConsistencyWitness:
         w = [v.numerator * (scale // v.denominator) for v in self.vector]
         if self.kind == SOLUTION:
             sums = [0] * matrix.rows
-            for (i, j), v in matrix.entries.items():
-                if w[j]:
-                    sums[i] += v * w[j]
+            for i, row in enumerate(matrix.row_terms):
+                for j, v in row.items():
+                    if w[j]:
+                        sums[i] += v * w[j]
             return all(total == b * scale for total, b in zip(sums, rhs))
         sums = [0] * matrix.cols
-        for (i, j), v in matrix.entries.items():
-            if w[i]:
-                sums[j] += w[i] * v
+        for u, row in zip(w, matrix.row_terms):
+            if u:
+                for j, v in row.items():
+                    sums[j] += u * v
         return not any(sums) and sum(u * b for u, b in zip(w, rhs)) != 0
 
     def __eq__(self, other):
@@ -161,29 +178,25 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     cannot change it; a failed reconstruction or plug-back adds a
     prime.
 
-    A pass skips each row that its kernel fingerprint reads as 0 = 0
-    (_eliminate_mod).  The profile stays the same, since a row in the
-    span of the pivot rows reduces to 0 = 0 anyway.  A false zero, a row
-    outside the span that reads 0 (chance at most 1/p per row for each
-    prime p of the pass), can only make the profile larger: its witness
-    fails the plug-back and the next primes find the smaller profile, or
-    it passes, an exact certificate though not the one the profile over
-    Q determines.  Past a Hadamard-type bound on the CRT modulus the
-    profile and the reconstruction are certain but for a false zero,
-    which needs no prime dividing a minor of [A|v]; so the first failure
-    there drops the profile, the next primes, each with its own
-    fingerprint, start again, and a second failure raises
-    CertificateError.  A refutation whose rerun does not close drops its
-    pass.  A right-hand side that is not all ints raises ValueError.
+    The passes read matrix.row_terms as they are, and skip the rows
+    that a kernel fingerprint reads as 0 = 0 (_eliminate_mod).  A false
+    zero there makes the profile larger: its witness fails the plug-back,
+    or passes as an exact certificate though not the one the profile
+    over Q determines.  Past a Hadamard-type bound on the CRT modulus
+    only a false zero, which needs no prime dividing a minor of [A|v],
+    can fail the plug-back; so the first failure there drops the
+    profile, the next primes, each with its own fingerprint, start
+    again, and a second failure raises CertificateError.  A right-hand
+    side that is not all ints raises ValueError.
 
     At DEBUG, logger orbitcal.exactmath gets one line per solve: the
     system's shape and nonzeros, the witness kind, the pivots of the
     profile, primes=K, the primes whose passes completed, passes=P, the
     passes begun over the whole system (a two-prime pass that fell back
-    counts; a refutation's rerun over its pivot rows does not),
-    skipped=S, the rows the accepted pass skipped by its fingerprint
-    (every 0 = 0 row after its first), and the bits of the largest
-    numerator or denominator of the witness.
+    counts; a refutation's transposed pass does not), skipped=S, the
+    rows the accepted pass skipped by its fingerprint (every 0 = 0 row
+    after its first), and the bits of the largest numerator or
+    denominator of the witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -193,9 +206,6 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     if not all(isinstance(b, int) for b in rhs):
         raise ValueError("the right-hand side must be integers")
 
-    rows: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
     primes = _primes()
     first, second = next(primes), next(primes)
     # (modulus, primes it covers), taken from the end
@@ -208,11 +218,9 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
         m, count = pending.pop() if pending else (next(primes), 1)
         passes += 1
         try:
-            profile, vector = _eliminate_mod(rows, rhs, matrix.cols, m)
+            profile, vector = _eliminate_mod(matrix.row_terms, rhs, matrix.cols, m)
         except _NotUnit:
             pending = [(second, 1), (first, 1)]
-            continue
-        if vector is None:
             continue
         primes_used += count
         if best is None or profile < best:
@@ -238,7 +246,7 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
                     )
                 return witness
         if bound_bits is None:
-            bound_bits = _witness_bound_bits(rows, rhs)
+            bound_bits = _witness_bound_bits(matrix.row_terms, rhs)
         if modulus.bit_length() > bound_bits:
             if restarted:
                 raise CertificateError(f"internal {kind.lower()} failed plug-back")
@@ -255,38 +263,32 @@ def _eliminate_mod(rows, values, ncols, m):
     column -> value) and right-hand side values.  Returns the profile,
     the outcome of each row (its pivot column, ncols for 0 = nonzero,
     which ends the pass, ncols + 1 for 0 = 0), and the residues of the
-    witness: the refuting row combination or the solution, None if the
-    refutation's rerun does not close.
+    witness: the refuting row combination (_refutation) or the
+    solution.
 
     Each row is reduced against the pivots from the lowest column up
     and stops at its lowest column without a pivot (_reduce).  From the
-    first row that reads 0 = 0 on, a row is first tested against z, a
-    vector over Z/m in the kernel of the augmented pivot rows
-    (_fingerprint): (r | -b).z = 0 for a row (r | b) in their span, so
-    such a row is recorded as 0 = 0 after one dot product instead of a
-    reduction.  Only a row that reads nonzero is reduced; a new pivot
-    keeps z in the kernel (_add_pivot).  The switch follows the input:
-    a system without dependent rows never builds z.
-
-    A skipped row changes no outcome, because a row in the span of the
-    pivot rows reduces to 0 = 0 and becomes no pivot.  z is
-    pseudo-random on the columns without a pivot and the right-hand
-    side, so a row outside the span reads 0 with chance at most 1/p for
-    each prime p of m (Schwartz 1980).  Such a false zero turns the
-    row's pivot or refutation into ncols + 1, which makes the profile
-    lexicographically larger; solve_or_refute drops a larger profile as
-    it drops one of a prime that divides a pivot.
+    first row that reads 0 = 0 on, a row (r | b) is first tested against
+    z, a vector over Z/m in the kernel of the augmented pivot rows
+    (_fingerprint), and recorded as 0 = 0 when (r | -b).z = 0, without a
+    reduction.  A row in the span of the pivot rows reads 0 and would
+    reduce to 0 = 0, so no outcome changes; a row that reads nonzero is
+    reduced, and a new pivot keeps z in the kernel (_add_pivot).  A
+    system without dependent rows never builds z.  z is pseudo-random on
+    the columns without a pivot and the right-hand side, so a row
+    outside the span reads 0 with chance at most 1/p for each prime p of
+    m (Schwartz 1980); such a false zero turns its row's outcome into
+    ncols + 1, a lexicographically larger profile, which solve_or_refute
+    drops as it drops one of a prime that divides a pivot.
 
     m is a prime or a product of distinct primes.  Every branch is a
     zero test or the inverse of a pivot, so a pass that ends on units
     mod m returns the CRT of the one-prime passes, profile and
     residues; a pivot or a final b that is not a unit mod m means the
-    primes' profiles differ, and raises _NotUnit.  The pass carries no
-    row history: a refutation reruns the pivot rows and the refuting
-    row with one (_refutation)."""
+    primes' profiles differ, and raises _NotUnit."""
     # pivot column -> (row without its pivot entry, rhs), normalized so
     # that the pivot entry is 1
-    pivots: dict[int, tuple[dict[int, int], int, None]] = {}
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     profile: list[int] = []
     z = users = None
     for idx, src in enumerate(rows):
@@ -301,7 +303,7 @@ def _eliminate_mod(rows, values, ncols, m):
                 if gcd(b, m) != 1:
                     raise _NotUnit
                 profile.append(ncols)
-                return profile, _refutation(rows, values, profile, m)
+                return profile, _refutation(rows, profile, m)
             profile.append(ncols + 1)
             if z is None:
                 z, users = _fingerprint(pivots, ncols, m)
@@ -323,7 +325,7 @@ def _kernel_entry(pivot, z, m):
     """The value on a pivot column that puts z, whose last slot is the
     right-hand side's, in the kernel of its augmented pivot row
     (1, row | -b)."""
-    row, b, _ = pivot
+    row, b = pivot
     return (b * z[-1] - sum(v * z[j] for j, v in row.items())) % m
 
 
@@ -333,16 +335,15 @@ def _fingerprint(pivots, ncols, m):
     for each column and, last, one for the right-hand side.  The slots
     of the columns without a pivot and of the right-hand side take
     pseudo-random values derived from m, so that two runs give the same
-    pass; each pivot column then takes its kernel entry, from the
-    highest down, since a pivot row holds only columns above its own."""
+    pass; the pivots are then added from the highest column down, so
+    that no change propagates: a pivot row holds only columns above its
+    own."""
     rng = Random(m)
     bits = m.bit_length() + 64
     z = [rng.getrandbits(bits) % m for _ in range(ncols + 1)]
     users: dict[int, list[int]] = {}
     for col in sorted(pivots, reverse=True):
-        z[col] = _kernel_entry(pivots[col], z, m)
-        for j in pivots[col][0]:
-            users.setdefault(j, []).append(col)
+        _add_pivot(col, pivots, users, z, m)
     return z, users
 
 
@@ -371,34 +372,37 @@ def _add_pivot(col, pivots, users, z, m):
         users.setdefault(j, []).append(col)
 
 
-def _refutation(rows, values, profile, m):
-    """The refuting row combination of a pass whose last row, k, read
-    0 = nonzero: the pass over the rows that became pivots and row k,
-    now with the row history.  Rows that reduced to 0 = 0, or that the
-    fingerprint skipped, became no pivot, so leaving them out changes no
-    pivot and no history, and the rerun closes on row k.  Should it not,
-    the result is None, and solve_or_refute drops the pass."""
-    ncols = profile[-1]
-    k = len(profile) - 1
-    pivots: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
-    for idx in [i for i, c in enumerate(profile) if c < ncols] + [k]:
-        row = {j: r for j, v in rows[idx].items() if (r := v % m)}
-        hist = {idx: 1}
-        col, b = _reduce(row, values[idx] % m, pivots, m, hist)
-        if col is None:
-            u = [0] * len(rows)
-            for j, v in hist.items():
-                u[j] = v
-            return u
-        pivots[col] = _normalized(row, b, col, m, hist)
-    return None
+def _refutation(rows, profile, m):
+    """The refuting combination u of a pass whose last row, k, read 0 =
+    nonzero: u_k = 1, and 0 off k and the pivot rows P.  Row k reduced
+    to zero against P, and A_P is invertible mod m on the pivot columns,
+    where its echelon form is triangular with unit diagonal; so u_P, the
+    u of any row history, is the one solution of A_P^T u_P = -A_k^T on
+    those columns.  One _eliminate_mod pass solves it, with equations and
+    unknowns in pivot-row order, so that it pivots on its diagonal, on
+    units, through the leading minors of the pass over A: it reads no 0 =
+    0 row and no refutation."""
+    # the pivot rows, then row k, the only one whose outcome is ncols; its
+    # entries go to the slot n
+    used = [i for i, c in enumerate(profile) if c <= profile[-1]]
+    n = len(used) - 1
+    equation = {profile[i]: e for e, i in enumerate(used[:-1])}
+    terms: list[dict[int, int]] = [{} for _ in range(n)]
+    for t, i in enumerate(used):
+        for j, v in rows[i].items():
+            if (e := equation.get(j)) is not None:
+                terms[e][t] = v
+    _, x = _eliminate_mod(terms, [-row.pop(n, 0) for row in terms], n, m)
+    u = [0] * len(rows)
+    for i, v in zip(used, x + [1]):
+        u[i] = v
+    return u
 
 
-def _reduce(row, b, pivots, m, hist=None):
+def _reduce(row, b, pivots, m):
     """Reduce row (in place) and its right-hand side b against the
     pivots mod m; returns the row's lowest column that has no pivot
-    (None if the row is emptied) and the reduced b.  hist, when given,
-    takes the same row operations as the row history."""
+    (None if the row is emptied) and the reduced b."""
     # Eliminating pivot column c only adds columns above c, so the
     # columns come off the heap in increasing order; the row stops at
     # its lowest column that has no pivot.
@@ -412,7 +416,7 @@ def _reduce(row, b, pivots, m, hist=None):
         if c not in pivots:
             return c, b
         del row[c]
-        prow, pb, phist = pivots[c]
+        prow, pb = pivots[c]
         for j, v in prow.items():
             cur = row.get(j)
             if cur is None:
@@ -427,20 +431,13 @@ def _reduce(row, b, pivots, m, hist=None):
                 else:
                     del row[j]
         b = (b - factor * pb) % m
-        if hist is not None:
-            for j, v in phist.items():
-                cur = (hist.get(j, 0) - factor * v) % m
-                if cur:
-                    hist[j] = cur
-                else:
-                    hist.pop(j, None)
     return None, b
 
 
-def _normalized(row, b, col, m, hist=None):
-    """(row, b, hist) with the pivot entry on col removed from row and
-    everything scaled so that it would be 1; _NotUnit if the pivot is
-    not a unit mod m."""
+def _normalized(row, b, col, m):
+    """(row, b) with the pivot entry on col removed from row and both
+    scaled so that it would be 1; _NotUnit if the pivot is not a unit
+    mod m."""
     pivot = row.pop(col)
     if gcd(pivot, m) != 1:
         raise _NotUnit
@@ -448,9 +445,7 @@ def _normalized(row, b, col, m, hist=None):
     if inv != 1:
         row = {j: v * inv % m for j, v in row.items()}
         b = b * inv % m
-        if hist is not None:
-            hist = {j: v * inv % m for j, v in hist.items()}
-    return row, b, hist
+    return row, b
 
 
 def _is_prime(n: int) -> bool:

@@ -81,13 +81,17 @@ def test_benchmark_check_accepts_decisions(problem, expected_in, rational):
         assert system.rhs[one] > 1
 
 
-def test_benchmark_check_rejects_a_bumped_solution():
-    # zero columns are dropped, so bumping x_0 moves A x off v
-    decision, system = decider.decide(_scrambled(NOT_SQUARE), keep_system=True)
-    x = decision.certificate.vector
-    decision.certificate = exactmath.ConsistencyWitness(exactmath.SOLUTION, (x[0] + 1,) + x[1:])
+@pytest.mark.parametrize("a, expected_in", [(NOT_SQUARE, False), (SQUARE, True)], ids=["SOLUTION", "REFUTATION"])
+def test_benchmark_check_rejects_a_bumped_certificate(a, expected_in):
+    # zero columns are dropped, so bumping x_0 moves A x off v; bumping
+    # u_i on a row i that the entries view holds moves u A off 0
+    decision, system = decider.decide(_scrambled(a), keep_system=True)
+    checks.check_decision((decision, system), expected_in)
+    w = list(decision.certificate.vector)
+    w[min(key[0] for key in system.matrix.entries) if expected_in else 0] += 1
+    decision.certificate = exactmath.ConsistencyWitness(decision.certificate.kind, w)
     with pytest.raises(checks.WrongAnswer):
-        checks.check_decision((decision, system), False)
+        checks.check_decision((decision, system), expected_in)
 
 
 def _resolves(span):

@@ -116,6 +116,19 @@ def test_decide_resource_limit(torus12, capsys, monkeypatch):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
+def test_decide_rejects_a_size_limit_that_is_not_a_positive_integer(torus12, capsys, monkeypatch, value):
+    monkeypatch.setenv("ORBITCAL_MAX_NNZ", value)
+    code, out, err = run(
+        ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,1", "--conify",
+         "--degree-bound", "2"],
+        capsys,
+    )
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == ""
+    assert "ORBITCAL_MAX_NNZ must be a positive integer" in err and repr(value) in err
+
+
 def test_closure_point(torus12, capsys):
     code, out, _ = run(["closure", "--rep", torus12, "--point", "1,1"], capsys)
     assert code == 0

@@ -129,16 +129,24 @@ def _primes_in(modulus):
 
 @pytest.fixture
 def primes_used(monkeypatch):
-    """The moduli of the passes that solve_or_refute completes, and
-    their profiles.  The first is the product of the first two primes,
-    unless that pass met a non-unit: it then raised before it was
-    recorded, and the two primes ran one pass each."""
+    """The moduli of the passes over the whole system that
+    solve_or_refute completes, and their profiles; a refutation's
+    transposed pass runs inside one of them and is not recorded.  The
+    first is the product of the first two primes, unless that pass met a
+    non-unit: it then raised before it was recorded, and the two primes
+    ran one pass each."""
     calls = []
+    running = []
     eliminate = exactmath._eliminate_mod
 
     def spy(rows, values, ncols, m):
-        profile, vector = eliminate(rows, values, ncols, m)
-        calls.append((m, profile))
+        running.append(m)
+        try:
+            profile, vector = eliminate(rows, values, ncols, m)
+        finally:
+            running.pop()
+        if not running:
+            calls.append((m, profile))
         return profile, vector
 
     monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
@@ -211,20 +219,13 @@ def _assert_one_pass_is_the_crt(rows, rhs, ncols):
     return True
 
 
-def _sparse_rows(matrix):
-    rows = [{} for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-    return rows
-
-
 def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
     # the d = 3 decide-sparse systems, then random systems cleared by D,
     # by the first prime times D and by the second prime times D
     for problem, _, scrambled in _problems():
         if not scrambled:
             _, system = decider.decide(problem, seed=1, keep_system=True)
-            rows = _sparse_rows(system.matrix)
+            rows = system.matrix.row_terms
             assert _assert_one_pass_is_the_crt(rows, system.rhs, system.matrix.cols)
     rng = random.Random(5)
     outcomes = set()
@@ -233,7 +234,7 @@ def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
         rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
         for factor in (1, FIRST_PRIME, SECOND_PRIME):
             matrix, values = _cleared(rows, rhs, factor)
-            outcomes.add(_assert_one_pass_is_the_crt(_sparse_rows(matrix), values, matrix.cols))
+            outcomes.add(_assert_one_pass_is_the_crt(matrix.row_terms, values, matrix.cols))
     assert outcomes == {True, False}
 
 
@@ -251,31 +252,40 @@ def _echelon_pass(rows, values, ncols, m):
                 if gcd(b, m) != 1:
                     raise exactmath._NotUnit
                 profile.append(ncols)
-                return profile, exactmath._refutation(rows, values, profile, m)
+                return profile, exactmath._refutation(rows, profile, m)
             profile.append(ncols + 1)
             continue
         profile.append(col)
         pivots[col] = exactmath._normalized(row, b, col, m)
     x = [0] * ncols
     for col in sorted(pivots, reverse=True):
-        row, b, _ = pivots[col]
+        row, b = pivots[col]
         x[col] = (b - sum(v * x[j] for j, v in row.items())) % m
     return profile, x
 
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The rows a pass reduces: the calls of _reduce without a row
-    history, which a refutation's rerun carries."""
+    """The rows a pass reduces: the calls of _reduce outside a
+    refutation's transposed pass."""
     calls = []
-    reduce = exactmath._reduce
+    transposing = []
+    reduce, refutation = exactmath._reduce, exactmath._refutation
 
-    def counting(row, b, pivots, m, hist=None):
-        if hist is None:
+    def counting(row, b, pivots, m):
+        if not transposing:
             calls.append(m)
-        return reduce(row, b, pivots, m, hist)
+        return reduce(row, b, pivots, m)
+
+    def transposed(*args):
+        transposing.append(True)
+        try:
+            return refutation(*args)
+        finally:
+            transposing.pop()
 
     monkeypatch.setattr(exactmath, "_reduce", counting)
+    monkeypatch.setattr(exactmath, "_refutation", transposed)
     return calls
 
 
@@ -336,7 +346,7 @@ def test_skipping_pass_equals_the_echelon_pass(reductions):
             problem = decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
             _, system = decider.decide(problem, keep_system=True)
             ncols = system.matrix.cols
-            profiles = _assert_pass_equals_echelon(_sparse_rows(system.matrix), system.rhs, ncols, reductions)
+            profiles = _assert_pass_equals_echelon(system.matrix.row_terms, system.rhs, ncols, reductions)
             assert len(profiles) == 2 and profiles[0].count(ncols + 1) > 100
 
     # tall random systems: the switch at the first 0 = 0 row, skipped
@@ -400,24 +410,71 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
         assert first > second == third
 
 
-def test_refutation_rerun_that_does_not_close_drops_the_pass(monkeypatch, primes_used, caplog):
-    # the pass modulo the first two primes is dropped, not split into
-    # its primes, and the third and fourth prime give the witness
-    refutation = exactmath._refutation
-    calls = []
+def test_transposed_pass_pivots_on_its_diagonal(monkeypatch):
+    # a refutation's transposed system, in pivot-row order, is solved on
+    # its diagonal with no 0 = 0 row and no refutation, so it always
+    # closes; small moduli, composite ones included, make non-units
+    # frequent in the pass over A
+    eliminate = exactmath._eliminate_mod
+    running, transposed = [], []
 
-    def fails_once(rows, values, profile, m):
-        calls.append(m)
-        return None if len(calls) == 1 else refutation(rows, values, profile, m)
+    def spy(rows, values, ncols, m):
+        running.append(m)
+        try:
+            profile, vector = eliminate(rows, values, ncols, m)
+        finally:
+            running.pop()
+        if running:
+            transposed.append((profile, ncols))
+        return profile, vector
 
-    monkeypatch.setattr(exactmath, "_refutation", fails_once)
-    rows, rhs = [[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]
-    with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
-        w = solve_or_refute(SparseMatrix.from_rows(rows), rhs)
-    assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
-    assert calls == [FIRST_PRIME * SECOND_PRIME, *PRIMES[2:4]]
-    assert [m for m, _ in primes_used] == calls
-    assert "primes=2, passes=3" in caplog.records[-1].getMessage()
+    monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
+    rng = random.Random(3)
+    for _ in range(300):
+        ncols = rng.randint(3, 12)
+        rows, rhs = _random_tall_system(rng, ncols)
+        for m in (FIRST_PRIME, FIRST_PRIME * SECOND_PRIME, 7, 11 * 13):
+            try:
+                profile, u = exactmath._eliminate_mod(rows, rhs, ncols, m)
+            except exactmath._NotUnit:
+                continue
+            if profile[-1] == ncols:
+                assert all(sum(ui * row.get(j, 0) for ui, row in zip(u, rows)) % m == 0 for j in range(ncols))
+                assert sum(ui * b for ui, b in zip(u, rhs)) % m
+    assert len(transposed) > 100
+    assert all(profile == list(range(n)) for profile, n in transposed)
+
+
+def test_not_unit_in_the_transposed_pass_falls_back_to_one_prime_passes(monkeypatch, caplog):
+    # the transposed pass modulo the first two primes raises _NotUnit;
+    # the whole pass then runs modulo each of the two primes, whose
+    # transposed passes go through, and the witness is the reference's
+    eliminate = exactmath._eliminate_mod
+    running, outer, raised = [], [], []
+
+    def spy(rows, values, ncols, m):
+        if running and m == FIRST_PRIME * SECOND_PRIME:
+            raised.append(m)
+            raise exactmath._NotUnit
+        if not running:
+            outer.append(m)
+        running.append(m)
+        try:
+            return eliminate(rows, values, ncols, m)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
+    cases = [([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]), ([[2, 1, 0], [0, 3, 1], [2, 4, 1]], [1, 1, 3])]
+    for rows, rhs in cases:
+        outer.clear()
+        raised.clear()
+        with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
+            w = solve_or_refute(SparseMatrix.from_rows(rows), rhs)
+        assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
+        assert raised == [FIRST_PRIME * SECOND_PRIME]
+        assert outer == [FIRST_PRIME * SECOND_PRIME, FIRST_PRIME, SECOND_PRIME]
+        assert "primes=2, passes=3" in caplog.records[-1].getMessage()
 
 
 def test_refutation_after_many_zero_rows():
@@ -543,16 +600,42 @@ def _random_rational_rows(rng, nrows, ncols):
     ]
 
 
+def _tall_refuted_rational_system(rng):
+    """Five independent rational rows in 8 columns, 120 consistent
+    combinations of them, which reduce to 0 = 0, then a combination
+    whose right-hand side is off by 1/5, which refutes, and two more
+    rows that the pass never reaches."""
+    base = _random_rational_rows(rng, 5, 8)
+    base_rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in base]
+    rows, rhs = list(base), list(base_rhs)
+    for extra in [0] * 120 + [Fraction(1, 5)]:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(8)])
+        rhs.append(sum(c * b for c, b in zip(coeffs, base_rhs)) + extra)
+    rows += _random_rational_rows(rng, 2, 8)
+    rhs += [1, 2]
+    return rows, rhs
+
+
 def test_random_systems_of_both_kinds_match():
     # each rational system is cleared by D, -3 D and FIRST_PRIME * D
     rng = random.Random(5)
     kinds = set()
+    systems = []
     for _ in range(200):
         rows = _random_rational_rows(rng, rng.randint(1, 12), rng.randint(1, 12))
-        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
+        systems.append((rows, [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]))
+    systems.append(_tall_refuted_rational_system(rng))
+    for rows, rhs in systems:
         for factor in (1, -3, FIRST_PRIME):
             kinds.add(_assert_matches_reference(rows, rhs, factor).kind)
     assert kinds == {SOLUTION, REFUTATION}
+    # the tall system refutes on its row 125, after at least 100 rows
+    # that read 0 = 0, with the pivot rows before it
+    w = _assert_matches_reference(*systems[-1])
+    assert w.kind == REFUTATION and w.vector[125] == 1
+    assert not any(w.vector[126:])
+    assert sum(map(bool, w.vector[:125])) <= 5
 
 
 def test_non_integer_entries_and_rhs_are_rejected():
