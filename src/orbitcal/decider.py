@@ -14,8 +14,9 @@ no solution and no refutation.  The powers come from
 polyring.monomial_images on its packed monomial keys, which this module
 treats as opaque: only the distinct row monomials are decoded, once, to
 sort the rows.  A refutation of the system certifies
-membership, a solution certifies non-membership, and both certificates
-re-verify by exact plug-back.
+membership, a solution certifies non-membership, and solve_or_refute
+returns either only after an exact plug-back, which
+ConsistencyWitness.verify repeats for anyone who holds the system.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from math import comb, lcm
 from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import parametric_degree_bound
-from orbitcal.errors import CertificateError, PreconditionError, ResourceLimitError
-from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, SparseMatrix, solve_or_refute
+from orbitcal.errors import PreconditionError, ResourceLimitError
+from orbitcal.exactmath import REFUTATION, ConsistencyWitness, SparseMatrix, solve_or_refute
 from orbitcal.polyring import monomial_images
 from orbitcal.repmodel import vector
 
@@ -183,18 +184,6 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 
-def verify(decision: Decision, system: LinearSystem) -> bool:
-    """Exact plug-back check of a decision's certificate against the
-    system that produced it."""
-    if decision.certificate is None:
-        return decision.verdict == TRIVIALLY_DENSE
-    if decision.verdict == IN_CLOSURE and decision.certificate.kind != REFUTATION:
-        return False
-    if decision.verdict == NOT_IN_CLOSURE and decision.certificate.kind != SOLUTION:
-        return False
-    return decision.certificate.verify(system.matrix, system.rhs)
-
-
 def decide(
     problem: DecisionProblem,
     *,
@@ -211,9 +200,9 @@ def decide(
     matrix, which combines the pullbacks and a by the same matrix; pick
     the degree bound (override, then the representation's own bound,
     then the parametric fallback); assemble the linear system from the
-    pullbacks; solve with an exact witness and re-verify it before
-    returning.  Returns the Decision, or (Decision, LinearSystem) when
-    keep_system is set."""
+    pullbacks; solve with an exact witness, which solve_or_refute has
+    already checked by plug-back.  Returns the Decision, or (Decision,
+    LinearSystem) when keep_system is set."""
     rep, a, b = problem.rep, problem.a, problem.b
     if not any(b):
         raise PreconditionError("the base vector b must be nonzero")
@@ -285,6 +274,4 @@ def decide(
     witness = solve_or_refute(system.matrix, system.rhs)
     verdict = IN_CLOSURE if witness.kind == REFUTATION else NOT_IN_CLOSURE
     decision = Decision(verdict, witness, transcript)
-    if not verify(decision, system):
-        raise CertificateError("certificate failed exact re-verification")
     return (decision, system) if keep_system else decision

@@ -5,13 +5,13 @@ determinants and the dense inputs of rank and det; there is no floating
 point anywhere.  Linear systems are integer and stored by rows, one term
 dict per row; a system over Q comes in with one common denominator
 cleared, which changes neither its solutions nor its refuting
-combinations.  solve_or_refute eliminates modulo word-size primes and
-returns a witness only after an exact plug-back in integers, so callers
-never have to trust the elimination.  Its passes keep no row history: a
-refutation's combination solves a square transposed system on the pivot
-rows, by one more pass.  rank_mod runs the same elimination modulo one
-prime; rank, det and integer_left_kernel share one unimodular row
-reduction.
+combinations.  solve_or_refute eliminates modulo products of two
+word-size primes and returns a witness only after an exact plug-back in
+integers, so callers need neither trust the elimination nor check the
+witness again.  Its passes keep no row history: a refutation's
+combination solves a square transposed system on the pivot rows, by
+one more pass.  rank_mod runs the same elimination modulo one prime;
+rank, det and integer_left_kernel share one unimodular row reduction.
 """
 
 from __future__ import annotations
@@ -36,24 +36,19 @@ class SparseMatrix:
     """Sparse integer matrix stored by rows: row_terms[i] maps a column
     to the nonzero int in row i, and entries is a read-only view of the
     same values keyed by (row, col).  A matrix over Q is stored with one
-    common denominator cleared.  The constructor and from_rows reject
-    indices out of range and entries that are not ints with ValueError."""
+    common denominator cleared.  The constructor gives a zero matrix of
+    the shape, whose row_terms the caller fills; from_rows takes dense
+    rows.  A negative dimension, ragged rows and entries that are not
+    ints raise ValueError."""
 
     __slots__ = ("rows", "cols", "row_terms")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
         self.row_terms: list[dict[int, int]] = [{} for _ in range(rows)]
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
-            if not isinstance(v, int):
-                raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
-            if v:
-                self.row_terms[i][j] = v
 
     @classmethod
     def from_rows(cls, data) -> "SparseMatrix":
@@ -61,16 +56,18 @@ class SparseMatrix:
         cols = len(data[0]) if data else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
+        matrix = cls(len(data), cols)
+        for i, (row, terms) in enumerate(zip(data, matrix.row_terms)):
+            for j, v in enumerate(row):
+                if not isinstance(v, int):
+                    raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
+                if v:
+                    terms[j] = v
+        return matrix
 
     @property
     def entries(self) -> Mapping[tuple[int, int], int]:
         return _Entries(self.row_terms)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseMatrix) and (self.rows, self.cols, self.row_terms) == (
-            other.rows, other.cols, other.row_terms
-        )
 
     @property
     def nnz(self) -> int:
@@ -162,21 +159,21 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     columns, or the row combination that first reduces to 0 = nonzero,
     with coefficient 1 on that row.
 
-    The elimination runs over Z/p for primes just below 2^62.  The
-    first two primes p1, p2 share one pass over Z/p1p2, which is Z/p1 x
-    Z/p2: every step of the pass is a zero test or the inverse of a
-    pivot, so when each pivot and the final b of a 0 = b row is a unit
-    mod p1p2, the pass returns the CRT of the two one-prime passes,
-    profile and residues.  A non-unit means the two profiles differ, and
-    p1 and p2 then run one pass each, as every later prime does.  A prime
-    that divides a value the elimination over Q keeps nonzero can only
-    make the profile lexicographically larger, so a larger profile is
-    dropped and a smaller one restarts the residues.  Residues of
-    primes that share the profile are combined by CRT and rationally
-    reconstructed.  The witness is returned once two primes agree on
-    the profile and it passes verify(), so one prime dividing a pivot
-    cannot change it; a failed reconstruction or plug-back adds a
-    prime.
+    Every pass runs over Z/pq for two consecutive primes p, q just below
+    2^62 (p1 p2, then p3 p4, and so on), which is Z/p x Z/q: every step
+    of the pass is a zero test or the inverse of a pivot, so when each
+    pivot and the final b of a 0 = b row is a unit mod pq, the pass
+    returns the CRT of the two one-prime passes, profile and residues,
+    and the two primes agree on the profile.  A non-unit means their
+    profiles differ, and the pass is dropped.  A prime that divides a
+    value the elimination over Q keeps nonzero can only make the profile
+    lexicographically larger, so a larger profile is dropped too and a
+    smaller one restarts the residues.  Residues of passes that share
+    the profile are combined by CRT and rationally reconstructed.  The
+    witness is tried after each pass that sets or extends the residues
+    and returned once it passes verify(), the only plug-back a caller
+    needs; one prime dividing a pivot cannot change it, and a failed
+    reconstruction or plug-back adds a pass.
 
     The passes read matrix.row_terms as they are, and skip the rows
     that a kernel fingerprint reads as 0 = 0 (_eliminate_mod).  A false
@@ -185,18 +182,18 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     over Q determines.  Past a Hadamard-type bound on the CRT modulus
     only a false zero, which needs no prime dividing a minor of [A|v],
     can fail the plug-back; so the first failure there drops the
-    profile, the next primes, each with its own fingerprint, start
+    profile, the next passes, each with its own fingerprint, start
     again, and a second failure raises CertificateError.  A right-hand
     side that is not all ints raises ValueError.
 
     At DEBUG, logger orbitcal.exactmath gets one line per solve: the
     system's shape and nonzeros, the witness kind, the pivots of the
-    profile, primes=K, the primes whose passes completed, passes=P, the
-    passes begun over the whole system (a two-prime pass that fell back
-    counts; a refutation's transposed pass does not), skipped=S, the
-    rows the accepted pass skipped by its fingerprint (every 0 = 0 row
-    after its first), and the bits of the largest numerator or
-    denominator of the witness.
+    profile, primes=K, the primes whose passes completed (two for each
+    pass), passes=P, the passes begun over the whole system (a pass
+    that met a non-unit counts; a refutation's transposed pass does
+    not), skipped=S, the rows the accepted pass skipped by its
+    fingerprint (every 0 = 0 row after its first), and the bits of the
+    largest numerator or denominator of the witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -207,29 +204,24 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
         raise ValueError("the right-hand side must be integers")
 
     primes = _primes()
-    first, second = next(primes), next(primes)
-    # (modulus, primes it covers), taken from the end
-    pending = [(first * second, 2)]
     best = residues = None
-    modulus = agreeing = primes_used = passes = 0
+    modulus = primes_used = passes = 0
     bound_bits = None
     restarted = False
     while True:
-        m, count = pending.pop() if pending else (next(primes), 1)
+        m = next(primes) * next(primes)
         passes += 1
         try:
             profile, vector = _eliminate_mod(matrix.row_terms, rhs, matrix.cols, m)
         except _NotUnit:
-            pending = [(second, 1), (first, 1)]
             continue
-        primes_used += count
+        primes_used += 2
         if best is None or profile < best:
-            best, residues, modulus, agreeing = profile, vector, m, count
+            best, residues, modulus = profile, vector, m
         elif profile == best:
             residues = _crt(residues, modulus, vector, m)
             modulus *= m
-            agreeing += count
-        if agreeing < 2:
+        else:
             continue
         kind = REFUTATION if best[-1] == matrix.cols else SOLUTION
         candidate = _reconstruct(residues, modulus)
@@ -497,7 +489,8 @@ def _primes():
 
 
 def _crt(residues, modulus, more, p):
-    """Combine residues mod `modulus` with residues mod the prime p."""
+    """Combine residues mod `modulus` with residues mod p, which is
+    coprime to `modulus` but need not be prime."""
     m_inv = pow(modulus, -1, p)
     return [x + modulus * ((y - x) * m_inv % p) for x, y in zip(residues, more)]
 

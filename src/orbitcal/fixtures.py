@@ -10,14 +10,13 @@ from orbitcal.repmodel import RepresentationData, torus_diagonal, sl2_binary_for
 
 
 class DecisionCase:
-    __slots__ = ("name", "rep", "a", "b", "conify", "degree_bound", "expected_in_closure")
+    __slots__ = ("name", "rep", "a", "b", "degree_bound", "expected_in_closure")
 
-    def __init__(self, name, rep, a, b, conify, degree_bound, expected_in_closure):
+    def __init__(self, name, rep, a, b, degree_bound, expected_in_closure):
         self.name = name
         self.rep = rep
         self.a = vector(a)
         self.b = vector(b)
-        self.conify = conify
         self.degree_bound = degree_bound
         self.expected_in_closure = expected_in_closure
 
@@ -49,22 +48,22 @@ def decision_battery() -> list[DecisionCase]:
     half = Fraction(1, 2)
     third = Fraction(1, 3)
     cases = [
-        DecisionCase("hyperbola-same-point", hyp, (1, 1), (1, 1), True, 2, True),
-        DecisionCase("hyperbola-orbit-point", hyp, (2, half), (1, 1), True, 2, True),
-        DecisionCase("hyperbola-zero-vector", hyp, (0, 0), (1, 1), True, 2, False),
-        DecisionCase("hyperbola-orbit-point-3", hyp, (3, third), (1, 1), True, 2, True),
-        DecisionCase("hyperbola-off-quadric", hyp, (1, 2), (1, 1), True, 2, False),
-        DecisionCase("parabola-zero-vector", par, (0, 0), (1, 1), True, 2, True),
-        DecisionCase("parabola-off-closure", par, (1, 0), (1, 1), True, 2, False),
-        DecisionCase("parabola-orbit-point", par, (4, 16), (1, 1), True, 2, True),
-        DecisionCase("parabola-same-point", par, (1, 1), (1, 1), True, 2, True),
-        DecisionCase("parabola-axis-point", par, (0, 1), (1, 1), True, 2, False),
-        DecisionCase("quadratic-cross-term", sl2, (0, 1, 0), (1, 2, 1), True, 2, False),
-        DecisionCase("quadratic-pure-square", sl2, (1, 0, 0), (1, 2, 1), True, 2, True),
-        DecisionCase("quadratic-zero-vector", sl2, (0, 0, 0), (1, 2, 1), True, 2, True),
-        DecisionCase("quadratic-same-point", sl2, (1, 2, 1), (1, 2, 1), True, 2, True),
-        DecisionCase("quadratic-nondegenerate", sl2, (1, 2, 2), (1, 2, 1), True, 2, False),
-        DecisionCase("quadratic-other-square", sl2, (1, -2, 1), (1, 2, 1), True, 2, True),
+        DecisionCase("hyperbola-same-point", hyp, (1, 1), (1, 1), 2, True),
+        DecisionCase("hyperbola-orbit-point", hyp, (2, half), (1, 1), 2, True),
+        DecisionCase("hyperbola-zero-vector", hyp, (0, 0), (1, 1), 2, False),
+        DecisionCase("hyperbola-orbit-point-3", hyp, (3, third), (1, 1), 2, True),
+        DecisionCase("hyperbola-off-quadric", hyp, (1, 2), (1, 1), 2, False),
+        DecisionCase("parabola-zero-vector", par, (0, 0), (1, 1), 2, True),
+        DecisionCase("parabola-off-closure", par, (1, 0), (1, 1), 2, False),
+        DecisionCase("parabola-orbit-point", par, (4, 16), (1, 1), 2, True),
+        DecisionCase("parabola-same-point", par, (1, 1), (1, 1), 2, True),
+        DecisionCase("parabola-axis-point", par, (0, 1), (1, 1), 2, False),
+        DecisionCase("quadratic-cross-term", sl2, (0, 1, 0), (1, 2, 1), 2, False),
+        DecisionCase("quadratic-pure-square", sl2, (1, 0, 0), (1, 2, 1), 2, True),
+        DecisionCase("quadratic-zero-vector", sl2, (0, 0, 0), (1, 2, 1), 2, True),
+        DecisionCase("quadratic-same-point", sl2, (1, 2, 1), (1, 2, 1), 2, True),
+        DecisionCase("quadratic-nondegenerate", sl2, (1, 2, 2), (1, 2, 1), 2, False),
+        DecisionCase("quadratic-other-square", sl2, (1, -2, 1), (1, 2, 1), 2, True),
     ]
     return cases
 

@@ -8,11 +8,10 @@ from fractions import Fraction
 
 from orbitcal import cli
 from orbitcal.decider import (
-    Decision,
+    IN_CLOSURE,
     DecisionProblem,
     conic_problem,
     decide,
-    verify,
 )
 from orbitcal.degbound import binary_form_orbit_degree, kazarnovskii, sl2_reductive_data
 from orbitcal.elim import (
@@ -25,7 +24,7 @@ from orbitcal.elim import (
     point_in_closure,
     s_polynomial,
 )
-from orbitcal.exactmath import ConsistencyWitness
+from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness
 from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
 from orbitcal.polyring import parse_terms
 from orbitcal.repmodel import (
@@ -166,7 +165,8 @@ def test_criterion_6_certificate_soundness():
         decision, system = decide(problem, keep_system=True)
         if decision.certificate is None:
             continue
-        assert verify(decision, system), case.name
+        assert decision.certificate.kind == (REFUTATION if decision.verdict == IN_CLOSURE else SOLUTION), case.name
+        assert decision.certificate.verify(system.matrix, system.rhs), case.name
         systems.append((decision, system))
     rejected = 0
     while rejected < 100:
@@ -175,12 +175,8 @@ def test_criterion_6_certificate_soundness():
         idx = rng.randrange(len(vec))
         delta = Fraction(rng.randint(1, 7), rng.randint(1, 3))
         vec[idx] += delta
-        tampered = Decision(
-            decision.verdict,
-            ConsistencyWitness(decision.certificate.kind, vec),
-            decision.transcript,
-        )
-        assert not verify(tampered, system)
+        tampered = ConsistencyWitness(decision.certificate.kind, vec)
+        assert not tampered.verify(system.matrix, system.rhs)
         rejected += 1
 
 

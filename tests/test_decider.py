@@ -19,7 +19,6 @@ from orbitcal.decider import (
     conic_problem,
     decide,
     generic_coefficient_count,
-    verify,
 )
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
@@ -253,7 +252,7 @@ def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
     assert decision.transcript["orbit_dimension"] == 0
     assert decision.verdict == IN_CLOSURE
     assert decision.certificate.kind == REFUTATION
-    assert verify(decision, system)
+    assert decision.certificate.verify(system.matrix, system.rhs)
 
 
 def test_decide_diagonal_line_with_parametric_bound():
@@ -414,30 +413,52 @@ def test_certificates_verify_and_reject_tampering():
         rep2, a2, b2, degree_bound_override=2, conic_asserted=True
     )
     decision, system = decide(problem, keep_system=True)
-    assert verify(decision, system)
+    assert decision.verdict == NOT_IN_CLOSURE
+    assert decision.certificate.kind == SOLUTION
+    assert decision.certificate.verify(system.matrix, system.rhs)
     for _ in range(50):
         vec = list(decision.certificate.vector)
         idx = rng.randrange(len(vec))
         bump = Fraction(rng.randint(1, 5))
         vec[idx] += bump
-        tampered = Decision(
-            decision.verdict,
-            ConsistencyWitness(decision.certificate.kind, vec),
-            decision.transcript,
-        )
-        assert not verify(tampered, system)
+        tampered = ConsistencyWitness(decision.certificate.kind, vec)
+        assert not tampered.verify(system.matrix, system.rhs)
 
     problem = DecisionProblem(
         rep2, (1, 0, 0), b2, degree_bound_override=2, conic_asserted=True
     )
     decision, system = decide(problem, keep_system=True)
     assert decision.verdict == IN_CLOSURE
-    zeroed = Decision(
-        decision.verdict,
-        ConsistencyWitness(REFUTATION, [0] * len(decision.certificate.vector)),
-        decision.transcript,
-    )
-    assert not verify(zeroed, system)
+    assert decision.certificate.kind == REFUTATION
+    zeroed = ConsistencyWitness(REFUTATION, [0] * len(decision.certificate.vector))
+    assert not zeroed.verify(system.matrix, system.rhs)
+
+
+def test_decide_plugs_each_certificate_back_once(monkeypatch):
+    # solve_or_refute returns a witness only after its plug-back, and
+    # decide does not check it again: on the decide-sparse problems and
+    # on one scrambled problem, each decide makes one verify call
+    calls = []
+    plug_back = ConsistencyWitness.verify
+
+    def spy(self, matrix, rhs):
+        calls.append(self.kind)
+        return plug_back(self, matrix, rhs)
+
+    monkeypatch.setattr(ConsistencyWitness, "verify", spy)
+    sl2 = repmodel.sl2_binary_forms(2)
+    problems = [
+        conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
+        for d in (3, 4)
+        for a in ((0, 1, 0), (1, 0, 0))
+    ]
+    # the base z1^2 has zero coordinates, so decide scrambles the basis
+    problems.append(conic_problem(sl2, (1, 2, 1), (1, 0, 0), degree_bound_override=2))
+    for problem in problems:
+        calls.clear()
+        decision = decide(problem)
+        assert calls == [decision.certificate.kind]
+    assert decision.transcript["scramble"] is not None
 
 
 def test_decision_json_round_trip():

@@ -31,6 +31,9 @@ from orbitcal.fixtures import hyperbola_rep
 
 PRIMES = tuple(islice(exactmath._primes(), 8))
 FIRST_PRIME, SECOND_PRIME = PRIMES[:2]
+# the moduli of solve_or_refute's passes: p1 p2, then p3 p4, and so on
+PAIRS = tuple(p * q for p, q in zip(PRIMES[::2], PRIMES[1::2]))
+FIRST_PAIR, SECOND_PAIR = PAIRS[:2]
 
 
 def _dense(matrix):
@@ -130,37 +133,47 @@ def _primes_in(modulus):
 @pytest.fixture
 def primes_used(monkeypatch):
     """The moduli of the passes over the whole system that
-    solve_or_refute completes, and their profiles; a refutation's
-    transposed pass runs inside one of them and is not recorded.  The
-    first is the product of the first two primes, unless that pass met a
-    non-unit: it then raised before it was recorded, and the two primes
-    ran one pass each."""
+    solve_or_refute begins, and their profiles; a refutation's
+    transposed pass runs inside one of them and is not recorded.  Each
+    modulus is the product of two consecutive primes, p1 p2 first; a
+    pass that met a non-unit is recorded with the profile None, and the
+    solve drops it."""
     calls = []
     running = []
     eliminate = exactmath._eliminate_mod
 
     def spy(rows, values, ncols, m):
         running.append(m)
+        profile = None
         try:
             profile, vector = eliminate(rows, values, ncols, m)
         finally:
             running.pop()
-        if not running:
-            calls.append((m, profile))
+            if not running:
+                calls.append((m, profile))
         return profile, vector
 
     monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
     return calls
 
 
+def _assert_first_pair_dropped(primes_used):
+    """The pass modulo p1 p2 met a non-unit and was dropped; the passes
+    from p3 p4 on completed, all on one profile."""
+    moduli = [m for m, _ in primes_used]
+    profiles = [profile for _, profile in primes_used]
+    assert len(moduli) >= 2 and moduli == list(PAIRS[: len(moduli)])
+    assert profiles[0] is None and profiles[1] is not None
+    assert profiles[1:] == [profiles[1]] * (len(profiles) - 1)
+
+
 def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
     # the common denominator is the first prime: mod it the cleared
-    # system [[1, p], [p, p]] loses its second pivot, and that larger
-    # profile is dropped for the second prime's
+    # system [[1, p], [p, p]] loses its second pivot, so the second
+    # pivot of the pass modulo p1 p2 is not a unit, and that pass is
+    # dropped for the next pair's
     _assert_matches_reference([[Fraction(1, FIRST_PRIME), 1], [1, 1]], [1, 2])
-    (p, first_profile), (_, second_profile) = primes_used[:2]
-    assert p == FIRST_PRIME
-    assert second_profile < first_profile
+    _assert_first_pair_dropped(primes_used)
 
 
 @pytest.mark.parametrize(
@@ -179,10 +192,10 @@ def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
     ],
 )
 def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
+    # the pass modulo p1 p2 meets the pivot or final b p1, which is not
+    # a unit, and the pass modulo p3 p4 gives the reference witness
     _assert_matches_reference(rows, rhs)
-    (p, first_profile), (_, second_profile) = primes_used[:2]
-    assert p == FIRST_PRIME
-    assert second_profile < first_profile
+    _assert_first_pair_dropped(primes_used)
 
 
 @pytest.mark.parametrize(
@@ -196,12 +209,10 @@ def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
 )
 def test_pivot_equal_to_the_second_prime(primes_used, rows, rhs):
     # the shapes above for the second prime: the pass modulo both
-    # primes meets a pivot or a 0 = b row that is not a unit, so the two
-    # primes run one pass each and the first one's smaller profile wins
+    # primes meets a pivot or a 0 = b row that is not a unit, so it is
+    # dropped and the next pair's pass gives the witness
     _assert_matches_reference(rows, rhs)
-    (p, first_profile), (q, second_profile) = primes_used[:2]
-    assert (p, q) == (FIRST_PRIME, SECOND_PRIME)
-    assert first_profile < second_profile
+    _assert_first_pair_dropped(primes_used)
 
 
 def _assert_one_pass_is_the_crt(rows, rhs, ncols):
@@ -376,7 +387,8 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
     # a fingerprint of zeros reads every row after the first 0 = 0 row
     # as 0 = 0, independent rows included; the pass modulo the first two
     # primes then ends on a larger profile, whose witness fails the
-    # plug-back, and the next two primes give the reference witness
+    # plug-back, and the pass modulo the next two gives the reference
+    # witness
     small = [
         # x0 = 1 twice, then x1 = 2 is skipped
         ([[1, 0], [1, 0], [0, 1]], [1, 1, 2]),
@@ -405,9 +417,9 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
         calls.clear()
         primes_used.clear()
         assert solve_or_refute(matrix, rhs) == want
-        assert [m for m, _ in primes_used] == [FIRST_PRIME * SECOND_PRIME, *PRIMES[2:4]]
-        first, second, third = (profile for _, profile in primes_used)
-        assert first > second == third
+        assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+        first, second = (profile for _, profile in primes_used)
+        assert first > second
 
 
 def test_transposed_pass_pivots_on_its_diagonal(monkeypatch):
@@ -445,15 +457,15 @@ def test_transposed_pass_pivots_on_its_diagonal(monkeypatch):
     assert all(profile == list(range(n)) for profile, n in transposed)
 
 
-def test_not_unit_in_the_transposed_pass_falls_back_to_one_prime_passes(monkeypatch, caplog):
+def test_not_unit_in_the_transposed_pass_drops_the_pass(monkeypatch, caplog):
     # the transposed pass modulo the first two primes raises _NotUnit;
-    # the whole pass then runs modulo each of the two primes, whose
-    # transposed passes go through, and the witness is the reference's
+    # the whole pass is dropped, the pass modulo the next two primes and
+    # its transposed pass go through, and the witness is the reference's
     eliminate = exactmath._eliminate_mod
     running, outer, raised = [], [], []
 
     def spy(rows, values, ncols, m):
-        if running and m == FIRST_PRIME * SECOND_PRIME:
+        if running and m == FIRST_PAIR:
             raised.append(m)
             raise exactmath._NotUnit
         if not running:
@@ -472,9 +484,9 @@ def test_not_unit_in_the_transposed_pass_falls_back_to_one_prime_passes(monkeypa
         with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
             w = solve_or_refute(SparseMatrix.from_rows(rows), rhs)
         assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
-        assert raised == [FIRST_PRIME * SECOND_PRIME]
-        assert outer == [FIRST_PRIME * SECOND_PRIME, FIRST_PRIME, SECOND_PRIME]
-        assert "primes=2, passes=3" in caplog.records[-1].getMessage()
+        assert raised == [FIRST_PAIR]
+        assert outer == [FIRST_PAIR, SECOND_PAIR]
+        assert "primes=2, passes=2" in caplog.records[-1].getMessage()
 
 
 def test_refutation_after_many_zero_rows():
@@ -641,9 +653,9 @@ def test_random_systems_of_both_kinds_match():
 def test_non_integer_entries_and_rhs_are_rejected():
     with pytest.raises(ValueError, match="not an integer"):
         SparseMatrix.from_rows([[1, Fraction(1, 2)]])
-    with pytest.raises(ValueError, match="not an integer"):
-        SparseMatrix(1, 2, {(0, 1): Fraction(2)})
-    with pytest.raises(ValueError, match="outside"):
-        SparseMatrix(1, 2, {(1, 0): 1})
+    with pytest.raises(ValueError, match="ragged"):
+        SparseMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="negative"):
+        SparseMatrix(-1, 2)
     with pytest.raises(ValueError, match="right-hand side"):
         solve_or_refute(SparseMatrix.from_rows([[1, 2]]), [Fraction(1, 2)])
