@@ -1,15 +1,16 @@
 """Term-dict kernels.
 
-Polynomials are stored as dicts mapping an exponent tuple to a nonzero
-number, a Fraction or an int; the kernels work on either.  terms_mul and
-term_times_into add exponent tuples entrywise.  add_scaled_inplace works
-on any keys, and the decider also runs it on the packed int keys of
-polyring.monomial_images, which multiplies its images on those keys
-itself.  So these loops carry most of elim's normal forms and of
-LaurentPoly arithmetic, but only a small share of a decide, whose time
-goes to assembling on packed keys and to the modular solve.  BACKEND
-names the implementation for run reports; there is only this
-pure-Python one.
+Polynomials are stored as dicts mapping a monomial key to a nonzero
+number, a Fraction or an int; the kernels work on either.  terms_mul
+adds exponent tuples entrywise, the keys of LaurentPoly arithmetic.
+term_times_into takes the packed int keys of elim.OrderedRing, whose
+sum is the product of monomials, and carries elim's normal forms and
+S-polynomials.  add_scaled_inplace works on any keys, and the decider
+also runs it on the packed int keys of polyring.monomial_images, which
+multiplies its images on those keys itself.  So these loops carry only a
+small share of a decide, whose time goes to assembling on packed keys
+and to the modular solve.  BACKEND names the implementation for run
+reports; there is only this pure-Python one.
 """
 
 BACKEND = "pure"
@@ -56,12 +57,13 @@ def terms_mul(a, b):
 
 
 def term_times_into(acc, src, shift, scale):
-    """acc += scale * x^shift * src, one monomial multiply-accumulate."""
+    """acc += scale * x^shift * src, one monomial multiply-accumulate on
+    int keys: the key of a product is the sum of the keys."""
     if not scale or not src:
         return
     get = acc.get
     for e, v in src.items():
-        k = tuple(x + y for x, y in zip(e, shift))
+        k = e + shift
         cur = get(k)
         if cur is None:
             acc[k] = scale * v

@@ -7,6 +7,12 @@ coordinates z, computed under a block order in which the auxiliary
 variables (the saturation variable t, the group parameters x, the
 subspace parameters y) all dominate the z's.  This is the independent
 oracle against the linear-system decider.
+
+buchberger takes and returns term dicts keyed by exponent tuples, like
+the rest of orbitcal; inside, normal_form, s_polynomial and the pair
+update work on OrderedRing's packed monomials, one int per monomial
+whose int order is the block order, so that leading terms, products,
+divisibility tests and lcms are a few integer operations each.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import json
 import logging
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import le, sub
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
 from orbitcal.errors import ResourceLimitError
@@ -27,59 +32,124 @@ DEFAULT_MAX_PAIRS = 200_000
 _log = logging.getLogger("orbitcal.elim")
 
 
+# Bits per field of a packed monomial; the top bit of each field is its
+# guard, so a stored monomial has total degree below 2**(SLOT_BITS - 1).
+SLOT_BITS = 25
+_FIELD = (1 << SLOT_BITS) - 1
+
+
+def _ones(k):
+    """1 in each of the k lowest fields."""
+    return sum(1 << (f * SLOT_BITS) for f in range(k))
+
+
 class OrderedRing:
-    """Polynomial ring with a block monomial order.
+    """Polynomial ring with a block monomial order on packed monomials.
 
     blocks lists variable index groups by decreasing precedence; inside
     each block the order is graded reverse lexicographic.  Any monomial
     containing a variable of an earlier block beats every monomial
     supported on later blocks only, which is exactly the elimination
-    property needed here."""
+    property needed here.
 
-    __slots__ = ("names", "blocks", "_key_cache")
+    pack(e) stores the exponent tuple e of n variables as one int of
+    2n + 1 fields of SLOT_BITS bits.  From the most significant end,
+    each block in order of precedence holds its degree and then the
+    prefix sums P_{k-1}, ..., P_1 of its k exponents (P_j the sum of the
+    first j); below the blocks come the total degree and the n plain
+    exponents.  Every field is a sum of exponents, so pack is linear:
+
+    - int order is the block order.  The block fields determine e.  A
+      larger block degree wins, and with it fixed, a smaller last
+      exponent is a larger P_{k-1}, and so on down the block: grevlex.
+    - a product of monomials is the sum of their keys, and a divides b
+      iff (b - a) & guards == 0, guards holding the top bit of every
+      field.  If every exponent of b - a is nonnegative, so is every
+      field and nothing borrows; otherwise the lowest negative field, a
+      plain exponent, borrows from above and shows its guard.
+    - the plain fields alone, key & plain, tell monomials apart and
+      test divisibility the same way, and take an lcm field by field,
+      but are not in the order; lift rebuilds the key from them.
+
+    Sums and differences act field by field when each field of a and b
+    is below half its slot: a sum never carries into the next field and
+    a difference stays above -2**(SLOT_BITS - 1).  buchberger checks the
+    degree of its generators, and normal_form the guards of each term it
+    selects, and they raise ResourceLimitError past that range.  Every
+    field is at most the total degree, so a checked monomial has every
+    field below half its slot.  Every other key is a checked key plus a
+    quotient of checked keys (e - lead, lcm - lead), or the lcm of two
+    checked keys, so its fields stay below 2**SLOT_BITS: no two
+    monomials share a key, and int order stays the monomial order."""
+
+    __slots__ = ("names", "blocks", "guards", "plain", "_shifts", "_degree_shift", "_spans", "_total")
 
     def __init__(self, names, blocks):
         self.names = tuple(names)
         self.blocks = tuple(tuple(block) for block in blocks)
         seen = [i for block in self.blocks for i in block]
-        if sorted(seen) != list(range(len(self.names))):
+        n = len(self.names)
+        if sorted(seen) != list(range(n)):
             raise ValueError("blocks must partition the variables")
-        # monomial comparisons dominate Buchberger; keys are memoized
-        self._key_cache: dict[tuple, tuple] = {}
+        w = SLOT_BITS
+        # plain exponents in fields 0..n-1, block by block, then the total
+        # degree in field n and the blocks' fields, the last block lowest
+        field = {i: f for f, i in enumerate(seen)}
+        spans, high = [], n + 1
+        for block in reversed(self.blocks):
+            k = len(block)
+            spans.append((field[block[0]] * w, (1 << (k * w)) - 1, _ones(k), high * w))
+            high += k
+        self.guards = _ones(2 * n + 1) << (w - 1)
+        self._shifts = tuple(field[i] * w for i in range(n))
+        self._degree_shift = n * w
+        self._spans = tuple(spans)
+        self.plain = (1 << (n * w)) - 1
+        self._total = (_ones(n), _FIELD << ((n - 1) * w))
 
-    def order_key(self, exp):
-        key = self._key_cache.get(exp)
-        if key is None:
-            parts = []
-            for block in self.blocks:
-                parts.append(sum(exp[i] for i in block))
-                parts.append(tuple(-exp[i] for i in reversed(block)))
-            key = tuple(parts)
-            self._key_cache[exp] = key
+    def pack(self, exp) -> int:
+        """The key of the exponent tuple exp, whose total degree must be
+        below 2**(SLOT_BITS - 1); buchberger checks its generators."""
+        if len(exp) != len(self._shifts) or min(exp, default=0) < 0:
+            raise ValueError(f"exponents {exp} are not a monomial of {self}")
+        return self.lift(sum(e << shift for e, shift in zip(exp, self._shifts)))
+
+    def unpack(self, key) -> tuple:
+        return tuple((key >> shift) & _FIELD for shift in self._shifts)
+
+    def degree(self, key) -> int:
+        return (key >> self._degree_shift) & _FIELD
+
+    def lcm(self, a, b) -> int:
+        """pack of the entrywise max of two checked monomials."""
+        return self.lift(self.plain_lcm(a, b))
+
+    def plain_lcm(self, a, b) -> int:
+        """The plain fields of lcm(a, b), each the larger of a's and b's,
+        chosen through their guards."""
+        plain = self.plain
+        pa, pb = a & plain, b & plain
+        guards = self.guards & plain
+        ge = ((pb | guards) - pa) & guards  # guard set where b's exponent is at least a's
+        return pa ^ ((pa ^ pb) & (ge - (ge >> (SLOT_BITS - 1))))
+
+    def lift(self, plain) -> int:
+        """The key with the given plain fields: multiplying them by a 1 in
+        each field sums them into the total degree, and a block's
+        exponents into its prefix sums."""
+        ones, top = self._total
+        key = plain | ((plain * ones) & top) << SLOT_BITS
+        for low, mask, ones, high in self._spans:
+            key |= ((plain >> low & mask) * ones & mask) << high
         return key
-
-    def lead(self, poly):
-        return max(poly, key=self.order_key)
 
     def __repr__(self):
         return f"OrderedRing({self.names})"
 
 
-def _divides(e1, e2) -> bool:
-    return all(map(le, e1, e2))
-
-
-def _exp_sub(e1, e2):
-    return tuple(map(sub, e1, e2))
-
-
-def _exp_lcm(e1, e2):
-    return tuple(map(max, e1, e2))
-
-
-def _monic(poly, ring):
+def _monic(poly):
     """poly, nonzero, scaled to leading coefficient 1."""
-    lc = poly[ring.lead(poly)]
+    lc = poly[max(poly)]
     if lc == 1:
         return poly
     inv = Fraction(1) / lc
@@ -87,21 +157,30 @@ def _monic(poly, ring):
 
 
 def normal_form(poly, basis, ring: OrderedRing, leads=None):
-    """Remainder of full multivariate division; zero iff poly is in the
-    ideal generated by a Groebner basis.  leads, when given, lists the
-    leading monomials of basis in the same order."""
+    """Remainder of full multivariate division on packed monomials; zero
+    iff poly is in the ideal generated by a Groebner basis.  leads, when
+    given, lists the leading monomials of basis in the same order.  Each
+    term taken from the work polynomial is checked against the exponent
+    range (see OrderedRing) before it is reduced or kept."""
     work = dict(poly)
     remainder = {}
     if leads is None:
-        reducers = [(g, ring.lead(g)) for g in basis if g]
+        reducers = [(g, max(g)) for g in basis if g]
     else:
         reducers = list(zip(basis, leads))
+    guards = ring.guards
     while work:
-        e = ring.lead(work)
+        e = max(work)
+        if e & guards:
+            raise ResourceLimitError(
+                f"normal_form: a term of degree {ring.degree(e)} is past the "
+                f"{SLOT_BITS - 1}-bit exponent range of packed monomials"
+            )
         c = work[e]
         for g, glead in reducers:
-            if all(map(le, glead, e)):  # _divides, inlined in the hot loop
-                term_times_into(work, g, _exp_sub(e, glead), -c / g[glead])
+            shift = e - glead
+            if not shift & guards:  # glead divides e
+                term_times_into(work, g, shift, -c / g[glead])
                 break
         else:
             remainder[e] = c
@@ -110,80 +189,116 @@ def normal_form(poly, basis, ring: OrderedRing, leads=None):
 
 
 def s_polynomial(f, g, ring: OrderedRing):
-    lf, lg = ring.lead(f), ring.lead(g)
-    lcm = _exp_lcm(lf, lg)
+    lf, lg = max(f), max(g)
+    lcm = ring.lcm(lf, lg)
     out = {}
-    term_times_into(out, f, _exp_sub(lcm, lf), Fraction(1) / f[lf])
-    term_times_into(out, g, _exp_sub(lcm, lg), Fraction(-1) / g[lg])
+    term_times_into(out, f, lcm - lf, Fraction(1) / f[lf])
+    term_times_into(out, g, lcm - lg, Fraction(-1) / g[lg])
     return out
 
 
 def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the generated ideal.
 
-    Sugar selection strategy (Giovini, Mora, Niesi, Robbiano, Traverso
-    1991) with the Gebauer-Moeller (1988) pair update: criteria M, F and
-    B, and the coprime-lead criterion per lcm.  A generator's sugar is
-    its total degree; a pair's is the larger of sugar_k + |lcm| - |lead_k|
-    over its two elements, and a remainder inherits its pair's sugar.
-    An element whose lead a newer lead divides retires: it forms no
-    pairs and reduces nothing, but joins the final interreduction.
-    max_pairs bounds the candidate pairs formed, before any criterion.
-    Every element is made monic when it is added; S-polynomials and
-    reduction steps divide by lead coefficients, so no other scaling
-    changes a pair, a lead or a remainder.  The result is the reduced
-    monic basis, sorted by leading monomial, hence canonical."""
+    Generators and the result are term dicts keyed by exponent tuples;
+    in between, every monomial is a packed key of ring (see
+    OrderedRing).  Sugar selection strategy (Giovini, Mora, Niesi,
+    Robbiano, Traverso 1991) with the Gebauer-Moeller (1988) pair
+    update: criteria M, F and B, and the coprime-lead criterion per
+    lcm.  A generator's sugar is its total degree; a pair's is the
+    larger of sugar_k + |lcm| - |lead_k| over its two elements, and a
+    remainder inherits its pair's sugar.  An element whose lead a newer
+    lead divides retires: it forms no pairs and reduces nothing, but
+    joins the final interreduction.  max_pairs bounds the candidate
+    pairs formed, before any criterion.  Every element is made monic
+    when it is added; S-polynomials and reduction steps divide by lead
+    coefficients, so no other scaling changes a pair, a lead or a
+    remainder.  The result is the reduced monic basis, sorted by
+    leading monomial, hence canonical.
+
+    One DEBUG line on the orbitcal.elim logger tells where the candidate
+    pairs went: dropped by criterion M, by F (an equal lcm, or coprime
+    leads), by B, or reduced; when the run finishes, these four add up
+    to the pairs formed."""
+    guards, plain, degree = ring.guards, ring.plain, ring.degree
+    plain_lcm, lift = ring.plain_lcm, ring.lift
     basis: list = []
     leads: list = []
-    sugars: list = []
+    ecarts: list = []  # sugar minus lead degree
     active: list = []
-    # queued pairs and their lcm; the heap is keyed by the sugar, then by
-    # the lcm in the order, then by the indices, so pops are deterministic,
-    # and a popped pair no longer in queued was removed by criterion B
+    # queued pairs and their lcm in plain fields; the heap is keyed by the
+    # sugar, then by the lcm in the order, then by the indices, so pops
+    # are deterministic, and a popped pair no longer in queued was
+    # removed by criterion B
     queued: dict = {}
     heap: list = []
-    formed = reduced = zeros = 0
+    formed = reduced = zeros = by_m = by_f = by_b = 0
 
     def add(h, sugar):
-        nonlocal formed
+        nonlocal formed, by_m, by_f, by_b
         formed += len(active)
         if formed > max_pairs:
             raise ResourceLimitError(
                 f"buchberger: pair limit {max_pairs} exceeded (basis "
                 f"{len(basis)} elements, {reduced} S-polynomials reduced)"
             )
-        new, lh = len(basis), ring.lead(h)
-        partner, coprime = {}, set()  # per lcm: first active partner
+        new, lh = len(basis), max(h)
+        # the lcms with lh, in plain fields, of the active elements; they
+        # take the same divisibility test, and sorted() lists a proper
+        # divisor before its multiples
+        ph = lh & plain
+        lcms = {}
+        partners, coprime = {}, set()  # per lcm: its active partners
         for i in active:
-            lcm = _exp_lcm(leads[i], lh)
-            partner.setdefault(lcm, i)
-            if not any(map(min, leads[i], lh)):  # coprime leads
+            lead = leads[i]
+            lcm = lcms[i] = plain_lcm(lead, lh)
+            partners.setdefault(lcm, []).append(i)
+            if lcm == (lead + lh) & plain:  # coprime leads
                 coprime.add(lcm)
-        for (i, j), lcm in list(queued.items()):
-            if _divides(lh, lcm) and lcm not in (_exp_lcm(leads[i], lh), _exp_lcm(leads[j], lh)):
-                del queued[i, j]
-        # criterion M: a proper divisor has a smaller degree, and if any
-        # lcm divides this one then some minimal lcm does
+        # criterion B: lh divides the pair's lcm, which neither new lcm equals
+        for pair in [pair for pair, lcm in queued.items() if not (lcm - ph) & guards]:
+            lcm = queued[pair]
+            if all(lcm != (lcms[k] if k in lcms else plain_lcm(leads[k], lh)) for k in pair):
+                del queued[pair]
+                by_b += 1
+        # criterion M: if any lcm divides this one then some minimal lcm
+        # does; criterion F: of the pairs with a minimal lcm, one is
+        # queued, or none when one of them has coprime leads
         minimal: list = []
-        for lcm in sorted(partner, key=sum):
-            if not any(_divides(m, lcm) for m in minimal):
+        ecart = sugar - degree(lh)
+        for lcm in sorted(partners):
+            pairs = partners[lcm]
+            for m in minimal:
+                if not (lcm - m) & guards:
+                    by_m += len(pairs)
+                    break
+            else:
                 minimal.append(lcm)
-                if lcm not in coprime:
-                    i = partner[lcm]
+                if lcm in coprime:
+                    by_f += len(pairs)
+                else:
+                    by_f += len(pairs) - 1
+                    i = pairs[0]
                     queued[i, new] = lcm
-                    pair_sugar = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lh))
-                    heappush(heap, (pair_sugar, ring.order_key(lcm), (i, new)))
+                    key = lift(lcm)
+                    heappush(heap, (degree(key) + max(ecarts[i], ecart), key, (i, new)))
         basis.append(h)
         leads.append(lh)
-        sugars.append(sugar)
-        active[:] = [i for i in active if not _divides(lh, leads[i])]
+        ecarts.append(ecart)
+        active[:] = [i for i in active if (leads[i] - lh) & guards]
         active.append(new)
 
     try:
         for g in generators:
             g = {e: Fraction(c) for e, c in g.items() if c}
             if g:
-                add(_monic(g, ring), max(map(sum, g)))
+                sugar = max(map(sum, g))
+                if sugar >> (SLOT_BITS - 1):
+                    raise ResourceLimitError(
+                        f"buchberger: a generator of degree {sugar} is past the "
+                        f"{SLOT_BITS - 1}-bit exponent range of packed monomials"
+                    )
+                add(_monic({ring.pack(e): c for e, c in g.items()}), sugar)
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
@@ -196,24 +311,27 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
             reduced += 1
             r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
             if r:
-                add(_monic(r, ring), sugar)
+                add(_monic(r), sugar)
             else:
                 zeros += 1
     finally:
         _log.debug(
-            "buchberger: %d pairs formed, %d S-polynomials reduced, %d to zero, basis %d elements",
-            formed, reduced, zeros, len(basis),
+            "buchberger: %d pairs formed, %d dropped by criterion M, %d by F, %d by B, "
+            "%d S-polynomials reduced, %d to zero, basis %d elements",
+            formed, by_m, by_f, by_b, reduced, zeros, len(basis),
         )
-    return _reduce_basis(basis, leads, ring)
+    unpack = ring.unpack
+    return [{unpack(e): c for e, c in g.items()} for g in _reduce_basis(basis, leads, ring)]
 
 
 def _reduce_basis(basis, leads, ring: OrderedRing):
     # minimalize: keep an element unless a kept lead divides its lead;
     # a proper divisor has a smaller degree, so scan by degree (stable,
     # so the first of equal leads is kept)
+    guards, degree = ring.guards, ring.degree
     keep, keep_leads = [], []
-    for g, lead in sorted(zip(basis, leads), key=lambda pair: sum(pair[1])):
-        if not any(_divides(other, lead) for other in keep_leads):
+    for g, lead in sorted(zip(basis, leads), key=lambda pair: degree(pair[1])):
+        if all((lead - other) & guards for other in keep_leads):
             keep.append(g)
             keep_leads.append(lead)
     # interreduce: no lead divides another, so every lead survives, with
@@ -223,7 +341,7 @@ def _reduce_basis(basis, leads, ring: OrderedRing):
         others = keep[:i] + keep[i + 1 :]
         if others:
             keep[i] = normal_form(keep[i], others, ring, leads=keep_leads[:i] + keep_leads[i + 1 :])
-    keep.sort(key=lambda g: ring.order_key(ring.lead(g)))
+    keep.sort(key=max)
     return keep
 
 

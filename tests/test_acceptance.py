@@ -255,6 +255,8 @@ def test_criterion_8_groebner_layer():
         rng.shuffle(shuffled)
         basis = buchberger(shuffled, ring)
         assert [dict(g) for g in basis] == reference
+        # normal_form and s_polynomial work on packed monomials
+        basis = [{ring.pack(e): c for e, c in g.items()} for g in basis]
         for i, f in enumerate(basis):
             for g in basis[i + 1 :]:
                 assert normal_form(s_polynomial(f, g, ring), basis, ring) == {}

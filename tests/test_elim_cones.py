@@ -5,8 +5,12 @@ and the quartic z1^3 z2.
 Each equation set is checked the way the benchmark checks a closure:
 every equation vanishes at scaled orbit points (s, s*v), where v is the
 coefficient vector of a form with the cone's root pattern, and the
-equations do not all vanish at a form with distinct roots."""
+equations do not all vanish at a form with distinct roots.  The exact
+equation lists and the pair counters are pinned as well, so a change of
+monomial representation cannot alter a basis unnoticed."""
 
+import hashlib
+import logging
 from fractions import Fraction
 
 import pytest
@@ -44,6 +48,28 @@ def _cone_points(multiplicities):
     return points
 
 
+# Per cone: the sha256 of repr(equations), pinning every exponent,
+# coefficient and term order, and buchberger's DEBUG line, pinning the
+# pair sequence through its counters.
+PINS = {
+    (2, 1): (
+        "001af654dca3fbb914c6c61c26783483568f1ccf549afd0a35b71b1101fb48d2",
+        "buchberger: 8430 pairs formed, 6953 dropped by criterion M, 505 by F, 291 by B, "
+        "681 S-polynomials reduced, 494 to zero, basis 193 elements",
+    ),
+    (5,): (
+        "a3929c7ac60e4b5f02e720a32a743c22673fdb44a4b8563eb46b6f91fddb3f8f",
+        "buchberger: 112979 pairs formed, 101226 dropped by criterion M, 3604 by F, 5139 by B, "
+        "3010 S-polynomials reduced, 1971 to zero, basis 1047 elements",
+    ),
+    (3, 1): (
+        "6931e5b9dc9ce14144704697f03772b0da71b8560dc66fa373511be98b8f36fb",
+        "buchberger: 79409 pairs formed, 71454 dropped by criterion M, 2880 by F, 2213 by B, "
+        "2862 S-polynomials reduced, 2134 to zero, basis 735 elements",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "multiplicities, degrees",
     [
@@ -53,11 +79,15 @@ def _cone_points(multiplicities):
     ],
     ids=["cubic-z1^2z2", "quintic-z1^5", "quartic-z1^3z2"],
 )
-def test_cone_closes_at_default_budget(multiplicities, degrees):
+def test_cone_closes_at_default_budget(multiplicities, degrees, caplog):
     h = sum(multiplicities)
     base = _coefficients([(1, 0, multiplicities[0])] + [(0, 1, m) for m in multiplicities[1:]])
     rep2, _, b2 = make_conic(sl2_binary_forms(h), (0,) * (h + 1), base)
-    equations = closure_equations(rep2, SubspaceMap.point(b2), max_pairs=DEFAULT_MAX_PAIRS)
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
+        equations = closure_equations(rep2, SubspaceMap.point(b2), max_pairs=DEFAULT_MAX_PAIRS)
+    digest, debug_line = PINS[multiplicities]
+    assert hashlib.sha256(repr(equations).encode()).hexdigest() == digest
+    assert [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"] == [debug_line]
     assert sorted(max(map(sum, q)) for q in equations) == degrees
 
     for point in _cone_points(multiplicities):

@@ -69,16 +69,16 @@ def test_grevlex_basis_matches_sympy(ideal):
     grevlex, xs = OrderedRing(names, [tuple(range(n))]), sympy.symbols(names)
     ours = [dict(g) for g in buchberger(gens, grevlex)]
 
+    def lead(terms):  # int order of packed monomials is the ring's order
+        return max(map(grevlex.pack, terms))
+
     def monic(terms):
-        lc = terms[grevlex.lead(terms)]
+        lc = terms[grevlex.unpack(lead(terms))]
         return {e: c / lc for e, c in terms.items()}
 
     exprs = [_expr(g, xs) for g in gens]
     reference = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
-    theirs = sorted(
-        (monic(_terms(g, xs)) for g in reference.exprs),
-        key=lambda g: grevlex.order_key(grevlex.lead(g)),
-    )
+    theirs = sorted((monic(_terms(g, xs)) for g in reference.exprs), key=lead)
     assert ours == theirs
 
 
@@ -97,7 +97,10 @@ def test_normal_form_matches_sympy_reduced(case):
     lex, xs = _lex(n)
     basis = buchberger(gens, lex)
     f = {e: Fraction(c) for e, c in f.items()}
-    ours = normal_form(f, basis, lex)
+    # normal_form works on packed monomials
+    packed = [{lex.pack(e): c for e, c in g.items()} for g in basis]
+    ours = normal_form({lex.pack(e): c for e, c in f.items()}, packed, lex)
+    ours = {lex.unpack(e): c for e, c in ours.items()}
     _, remainder = sympy.reduced(
         _expr(f, xs), [_expr(g, xs) for g in basis], *xs, order="lex", domain="QQ"
     )
