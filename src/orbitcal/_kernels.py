@@ -1,16 +1,14 @@
 """Term-dict kernels.
 
 Polynomials are stored as dicts mapping a monomial key to a nonzero
-number, a Fraction or an int; the kernels work on either.  terms_mul
-adds exponent tuples entrywise, the keys of LaurentPoly arithmetic.
-term_times_into takes the packed int keys of elim.OrderedRing, whose
-sum is the product of monomials, and carries elim's normal forms and
-S-polynomials.  add_scaled_inplace works on any keys, and the decider
-also runs it on the packed int keys of polyring.monomial_images, which
-multiplies its images on those keys itself.  So these loops carry only a
-small share of a decide, whose time goes to assembling on packed keys
-and to the modular solve.  BACKEND names the implementation for run
-reports; there is only this pure-Python one.
+number, a Fraction or an int; the kernels work on either.
+term_times_into is the one product loop: it takes int keys whose sum is
+the product of monomials, the packed keys of polyring.monomial_images
+(the decider's images, substitute and every LaurentPoly product) and of
+elim.OrderedRing (normal forms and S-polynomials), and a product of two
+term dicts is one call per term of the smaller factor.
+add_scaled_inplace works on any keys.  BACKEND names the implementation
+for run reports; there is only this pure-Python one.
 """
 
 BACKEND = "pure"
@@ -31,29 +29,6 @@ def add_scaled_inplace(acc, src, scale):
                 acc[k] = cur
             else:
                 del acc[k]
-
-
-def terms_mul(a, b):
-    """Convolution of two exponent dicts; tuple keys add entrywise."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            cur = get(k)
-            if cur is None:
-                out[k] = va * vb
-            else:
-                cur = cur + va * vb
-                if cur:
-                    out[k] = cur
-                else:
-                    del out[k]
-    return out
 
 
 def term_times_into(acc, src, shift, scale):

@@ -22,7 +22,7 @@ import logging
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from orbitcal._kernels import add_scaled_inplace, term_times_into, terms_mul
+from orbitcal._kernels import add_scaled_inplace, term_times_into
 from orbitcal.errors import ResourceLimitError
 from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, parse_terms
 from orbitcal.repmodel import RepresentationData, vector
@@ -158,8 +158,10 @@ def _monic(poly):
 
 def normal_form(poly, basis, ring: OrderedRing, leads=None):
     """Remainder of full multivariate division on packed monomials; zero
-    iff poly is in the ideal generated by a Groebner basis.  leads, when
-    given, lists the leading monomials of basis in the same order.  Each
+    iff poly is in the ideal generated by a Groebner basis.  Every basis
+    element must be monic, as buchberger keeps them, so a reduction step
+    scales by the term's coefficient alone.  leads, when given, lists
+    the leading monomials of basis in the same order.  Each
     term taken from the work polynomial is checked against the exponent
     range (see OrderedRing) before it is reduced or kept."""
     work = dict(poly)
@@ -180,7 +182,7 @@ def normal_form(poly, basis, ring: OrderedRing, leads=None):
         for g, glead in reducers:
             shift = e - glead
             if not shift & guards:  # glead divides e
-                term_times_into(work, g, shift, -c / g[glead])
+                term_times_into(work, g, shift, -c)
                 break
         else:
             remainder[e] = c
@@ -189,11 +191,12 @@ def normal_form(poly, basis, ring: OrderedRing, leads=None):
 
 
 def s_polynomial(f, g, ring: OrderedRing):
+    """The S-polynomial of two monic polynomials on packed monomials."""
     lf, lg = max(f), max(g)
     lcm = ring.lcm(lf, lg)
     out = {}
-    term_times_into(out, f, lcm - lf, Fraction(1) / f[lf])
-    term_times_into(out, g, lcm - lg, Fraction(-1) / g[lg])
+    term_times_into(out, f, lcm - lf, 1)
+    term_times_into(out, g, lcm - lg, -1)
     return out
 
 
@@ -211,10 +214,10 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
     lead divides retires: it forms no pairs and reduces nothing, but
     joins the final interreduction.  max_pairs bounds the candidate
     pairs formed, before any criterion.  Every element is made monic
-    when it is added; S-polynomials and reduction steps divide by lead
-    coefficients, so no other scaling changes a pair, a lead or a
-    remainder.  The result is the reduced monic basis, sorted by
-    leading monomial, hence canonical.
+    when it is added, as s_polynomial and normal_form require, so no
+    other scaling changes a pair, a lead or a remainder.  The result is
+    the reduced monic basis, sorted by leading monomial, hence
+    canonical.
 
     One DEBUG line on the orbitcal.elim logger tells where the candidate
     pairs went: dropped by criterion M, by F (an equal lcm, or coprime
@@ -416,9 +419,8 @@ def closure_ring(rep: RepresentationData, l: int, with_t: bool) -> OrderedRing:
     idx += l
     z_block = tuple(range(idx, idx + rep.n))
     names.extend(f"z{i + 1}" for i in range(rep.n))
-    blocks.append(x_block)
-    if y_block:
-        blocks.append(y_block)
+    # r = s = 0 leaves the x block empty, and a point (l = 0) the y block
+    blocks.extend(block for block in (x_block, y_block) if block)
     blocks.append(z_block)
     return OrderedRing(names, blocks)
 
@@ -441,18 +443,14 @@ def closure_equations(
     l = tau.l
     width_x = rep.r + rep.s
 
-    # coordinate images as dicts over (x..., y...) exponents
+    # coordinate images as dicts over (x..., y...) exponents; x and y are
+    # disjoint variables, so a product of terms joins their exponents
     images = []
     for p in range(rep.n):
         acc: dict = {}
         for q in range(rep.n):
-            entry = rep.rho[p][q].terms
-            tau_q = tau.images[q].terms
-            if not entry or not tau_q:
-                continue
-            widened_rho = {exp + (0,) * l: c for exp, c in entry.items()}
-            widened_tau = {(0,) * width_x + exp: c for exp, c in tau_q.items()}
-            add_scaled_inplace(acc, terms_mul(widened_rho, widened_tau), Fraction(1))
+            entry, tau_q = rep.rho[p][q].terms.items(), tau.images[q].terms.items()
+            add_scaled_inplace(acc, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
         images.append(acc)
 
     xy = Ambient(rep.r, rep.s + l)

@@ -5,12 +5,13 @@ allowed) followed by s ordinary positions (exponents in N).  A
 polynomial is a dict from exponent tuples to nonzero Fractions; all
 operations are pure and return canonical values (no stored zeros).
 
-Products of powers of a few fixed polynomials, the decider's pullback
-images and substitute, run on packed keys instead: monomial_images
-encodes an exponent tuple as one int, sum_i e_i W^i with W chosen from
-a degree bound so that no two monomials share a key, and a monomial
-product is then one integer addition.  The encoding stays inside this
-module; callers get the keys with a decoder back to tuples.
+Every product runs on packed keys: monomial_images encodes an exponent
+tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
+that no two monomials share a key, and a monomial product is then one
+integer addition, the _kernels.term_times_into loop.  The decider's
+pullback images, substitute and LaurentPoly * and ** all take their
+products of powers from it.  The encoding stays inside this module;
+callers get the keys with a decoder back to tuples.
 
 Text format, shared by the CLI and the JSON payloads::
 
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from orbitcal._kernels import add_scaled_inplace, terms_mul
+from orbitcal._kernels import add_scaled_inplace, term_times_into
 
 
 class Ambient:
@@ -176,7 +177,7 @@ class LaurentPoly:
                 self.ambient, {e: c * other for e, c in self.terms.items()}
             )
         self._check_same(other)
-        return LaurentPoly._raw(self.ambient, terms_mul(self.terms, other.terms))
+        return self._product((self, other), (1, 1))
 
     __rmul__ = __mul__
 
@@ -184,14 +185,14 @@ class LaurentPoly:
         k = int(k)
         if k < 0:
             raise ValueError("negative power of a general Laurent polynomial")
-        result = LaurentPoly.const(self.ambient, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if not k:
+            return LaurentPoly.const(self.ambient, 1)
+        return self._product((self,), (k,))
+
+    def _product(self, factors, q):
+        """prod_i factors[i]**q[i], a nonzero q, on monomial_images' keys."""
+        image, decode = monomial_images([f.terms for f in factors], self.ambient.nvars, sum(q))
+        return LaurentPoly._raw(self.ambient, {decode(key): c for key, c in image(q).items()})
 
     @classmethod
     def _raw(cls, ambient, terms) -> "LaurentPoly":
@@ -277,9 +278,9 @@ def monomial_images(images, nvars: int, top: int):
 
     Images are memoized: image(q) is one product, image(q - e_i) *
     images[i] with i the last nonzero index of q, built bottom up in a
-    loop, so the cache holds only term dicts and no reference cycle
-    keeps it alive.  The returned dicts are shared: copy one before
-    mutating it."""
+    loop, one term_times_into call per term of the smaller factor.  The
+    cache holds only term dicts, so no reference cycle keeps it alive.
+    The returned dicts are shared: copy one before mutating it."""
     lows, highs = [0] * nvars, [0] * nvars
     for terms in images:
         for exp in terms:
@@ -305,8 +306,10 @@ def monomial_images(images, nvars: int, top: int):
             exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
             got = cache.get(exp)
         for exp, i in reversed(chain):
-            got = _packed_mul(got, factors[i])
-            cache[exp] = got
+            small, large = sorted((got, factors[i]), key=len)
+            got = cache[exp] = {}
+            for key, coef in small.items():
+                term_times_into(got, large, key, coef)
         return got
 
     def decode(key):
@@ -318,27 +321,6 @@ def monomial_images(images, nvars: int, top: int):
         return tuple(exp)
 
     return image, decode
-
-
-def _packed_mul(a, b):
-    """terms_mul on packed keys: a monomial product is one addition."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            cur = get(k)
-            if cur is None:
-                out[k] = va * vb
-            else:
-                cur = cur + va * vb
-                if cur:
-                    out[k] = cur
-                else:
-                    del out[k]
-    return out
 
 
 def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:

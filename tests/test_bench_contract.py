@@ -4,9 +4,11 @@ perfbench/checks.py re-checks each decide by its own Fraction plug-back;
 here it runs on the decide-sparse problems and on rational questions
 whose system is cleared by a denominator D > 1, one of them scrambled.
 The tracer binds the program's functions by name, so those names must
-exist, apart from an explicit set of retired ones."""
+exist, apart from an explicit set of retired ones, and every term-dict
+kernel must be one of the names it binds."""
 
 import importlib.util
+import inspect
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +40,7 @@ RETIRED = {
     "elim._chain_criterion",
     "elim._primitive",
     "torusoracle.cone_inequalities",
+    "polyring.kernels.terms_mul",
 }
 
 
@@ -113,6 +116,9 @@ def test_names_the_tracer_binds_exist():
     spans |= {f"elim.{helper}" for helper in tracer.ELIM_HELPERS}
     missing = {span for span in spans if not _resolves(span)}
     assert missing <= RETIRED, sorted(missing - RETIRED)
+    # and every kernel is traced: the tracer wraps only the kernels it names
+    kernels = {name for name, value in vars(_kernels).items() if inspect.isfunction(value) and not name.startswith("_")}
+    assert kernels <= set(tracer.KERNELS), sorted(kernels - set(tracer.KERNELS))
     # decide calls the solver through the name it imported
     assert callable(decider.solve_or_refute)
 

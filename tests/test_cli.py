@@ -143,6 +143,29 @@ def test_closure_subspace(tmp_path, torus12, capsys):
     assert json.loads(out) == []
 
 
+# a representation without parameters: its orbit is the point b itself
+IDENTITY_REP = {"n": 2, "r": 0, "s": 0, "rho": [["1", "0"], ["0", "1"]]}
+
+
+def test_closure_without_parameters(tmp_path, capsys):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(IDENTITY_REP))
+    code, out, _ = run(["closure", "--rep", str(path), "--point", "1,1"], capsys)
+    assert code == 0
+    assert sorted(json.loads(out)) == ["z1 - 1", "z2 - 1"]
+
+
+@pytest.mark.parametrize("a, verdict", [("1,1", "IN_CLOSURE"), ("1,2", "NOT_IN_CLOSURE")])
+def test_crosscheck_without_parameters(tmp_path, capsys, a, verdict):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(IDENTITY_REP))
+    code, out, _ = run(["crosscheck", "--rep", str(path), "--a", a, "--b", "1,1", "--assume-conic"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"]
+    assert payload["verdicts"] == {"decider": verdict, "elimination": verdict, "torus": verdict}
+
+
 def test_closure_empty_subspace_rejected(tmp_path, torus12, capsys):
     sub = tmp_path / "empty.json"
     sub.write_text(json.dumps({"l": 0, "images": []}))

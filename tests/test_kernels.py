@@ -1,8 +1,7 @@
-"""The term-dict kernels on fixed cases, and their ring laws on random
-term dicts (derandomized hypothesis): terms_mul is commutative,
-associative and distributive over add_scaled_inplace, and
-term_times_into, on int keys whose sum is the product of monomials, is
-terms_mul by a monomial."""
+"""The term-dict kernels on fixed cases, and on random term dicts
+(derandomized hypothesis): term_times_into, on int keys whose sum is
+the product of monomials, is a product by a monomial, against a naive
+convolution on exponent tuples in this file."""
 
 from fractions import Fraction
 
@@ -35,12 +34,10 @@ def _packed(terms):
 def test_pure_kernels_basic():
     a = {(1, 0): Fraction(2), (0, 1): Fraction(1)}
     b = {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
-    assert _kernels.terms_mul(a, b) == {
-        (2, 0): Fraction(2),
-        (1, 0): Fraction(-2),
-        (1, 1): Fraction(1),
-        (0, 1): Fraction(-1),
-    }
+    acc = {}
+    for key, coef in _packed(a).items():
+        _kernels.term_times_into(acc, _packed(b), key, coef)
+    assert acc == _packed({(2, 0): 2, (1, 0): -2, (1, 1): 1, (0, 1): -1})
     acc = dict(a)
     _kernels.add_scaled_inplace(acc, a, Fraction(-1))
     assert acc == {}
@@ -49,12 +46,13 @@ def test_pure_kernels_basic():
     assert acc == _packed({(3, 2): Fraction(3), (2, 2): Fraction(-3)})
 
     # int values, as in the decider's columns, stay ints
-    c = {(1,): 2, (0,): 3}
-    product = _kernels.terms_mul(c, {(1,): 3, (0,): -2})
-    assert product == {(2,): 6, (1,): 5, (0,): -6}
+    product = {}
+    for key, coef in {1: 2, 0: 3}.items():
+        _kernels.term_times_into(product, {1: 3, 0: -2}, key, coef)
+    assert product == {2: 6, 1: 5, 0: -6}
     assert all(type(v) is int for v in product.values())
-    _kernels.add_scaled_inplace(product, {(1,): 1, (0,): -1}, -5)
-    assert product == {(2,): 6, (0,): -1}
+    _kernels.add_scaled_inplace(product, {1: 1, 0: -1}, -5)
+    assert product == {2: 6, 0: -1}
     assert all(type(v) is int for v in product.values())
 
 
@@ -75,26 +73,21 @@ def _plus(a, b, scale=1):
     return out
 
 
-@_settings
-@hypothesis.given(_terms, _terms, _terms)
-def test_terms_mul_is_commutative_and_associative(a, b, c):
-    mul = _kernels.terms_mul
-    assert mul(a, b) == mul(b, a)
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-
-
-@_settings
-@hypothesis.given(_terms, _terms, _terms, _coefficients)
-def test_terms_mul_distributes_over_add_scaled(a, b, c, scale):
-    mul = _kernels.terms_mul
-    assert mul(a, _plus(b, c, scale)) == _plus(mul(a, b), mul(a, c), scale)
-    assert all(mul(a, _plus(b, c, scale)).values())
+def _convolve(a, b):
+    """The product of two term dicts on exponent tuples, term by term."""
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
 
 
 @_settings
 @hypothesis.given(_terms, _terms, _exponents, _coefficients)
 def test_term_times_into_is_a_product_by_a_monomial(acc, src, shift, scale):
-    want = _plus(acc, _kernels.terms_mul(src, {shift: 1}), scale)
+    want = _plus(acc, _convolve(src, {shift: 1}), scale)
     acc = _packed(acc)
     _kernels.term_times_into(acc, _packed(src), _pack(shift), scale)
     assert acc == _packed(want)
+

@@ -1,9 +1,12 @@
-"""monomial_images and substitute against LaurentPoly arithmetic on
-random data: every image, decoded key by key, equals the product of
-powers computed with LaurentPoly * and **, also with negative exponents
-on the invertible variables, empty term dicts and a one-variable
-ambient; a request above the degree bound raises ValueError; and
-substitute equals the sum of its terms' products of powers."""
+"""monomial_images, substitute and LaurentPoly arithmetic on random
+data.  Every image, decoded key by key, equals the product of powers
+computed by a naive convolution on exponent tuples in this file, also
+with negative exponents on the invertible variables, empty term dicts
+and a one-variable ambient; a request above the degree bound raises
+ValueError; and substitute equals the sum of its terms' products of
+powers.  LaurentPoly * and ** (which multiply through monomial_images)
+obey the ring laws, and agree with evaluation at rational points, which
+multiplies no polynomials."""
 
 from fractions import Fraction
 
@@ -43,11 +46,22 @@ def _images(draw):
     return Ambient(r, s), images, top, requests
 
 
+def _convolve(a, b):
+    """The product of two term dicts on exponent tuples, term by term."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def _reference(ambient, images, q):
-    out = LaurentPoly.const(ambient, 1)
+    out = {(0,) * ambient.nvars: 1}
     for terms, k in zip(images, q):
-        out = out * LaurentPoly(ambient, terms) ** k
-    return out.terms
+        for _ in range(k):
+            out = _convolve(out, terms)
+    return out
 
 
 @_settings
@@ -104,10 +118,41 @@ def _substitutions(draw):
 def test_substitute_equals_laurent_reference(data):
     poly, values = data
     target = values[0].ambient
-    want = LaurentPoly.zero(target)
+    want = {}
     for exp, coef in poly.terms.items():
-        term = LaurentPoly.const(target, coef)
-        for value, e in zip(values, exp):
-            term = term * value**e
-        want = want + term
-    assert substitute(poly, values) == want
+        for e, c in _reference(target, [v.terms for v in values], exp).items():
+            want[e] = want.get(e, 0) + coef * c
+    assert substitute(poly, values).terms == {e: c for e, c in want.items() if c}
+
+
+@st.composite
+def _ring_data(draw):
+    """Three polynomials of one ambient, zero variables included, and two
+    rational points with nonzero invertible coordinates."""
+    r, s = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]))
+    ambient = Ambient(r, s)
+    polys = [LaurentPoly(ambient, draw(_terms(r, s))) for _ in range(3)]
+    coordinates = [_coefficients] * r + [st.one_of(st.just(0), _coefficients)] * s
+    points = draw(st.lists(st.tuples(*coordinates), min_size=2, max_size=2))
+    return polys, points
+
+
+@_settings
+@hypothesis.given(_ring_data(), st.integers(0, 4))
+def test_laurent_ring_laws(data, k):
+    (a, b, c), points = data
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    power = LaurentPoly.const(a.ambient, 1)
+    for _ in range(k):
+        power = power * a
+    assert a**k == power
+    for p in (a * b, a**k):
+        assert all(type(coef) is Fraction for coef in p.terms.values())
+    for point in points:
+        va, vb, vc = (f.evaluate(point) for f in (a, b, c))
+        assert (a * b).evaluate(point) == va * vb
+        assert ((a * b) * c).evaluate(point) == va * vb * vc
+        assert (a * (b + c)).evaluate(point) == va * (vb + vc)
+        assert (a**k).evaluate(point) == va**k
