@@ -101,15 +101,13 @@ def cmd_decide(args) -> int:
 
 def cmd_closure(args) -> int:
     rep = repmodel.RepresentationData.load(args.rep)
-    if args.point:
+    if args.point is not None:
         point = repmodel.parse_vector(args.point)
         if len(point) != rep.n:
             raise ValueError(f"point must have length {rep.n}")
         tau = elim.SubspaceMap.point(point)
-    elif args.subspace:
-        tau = elim.SubspaceMap.load(args.subspace)
     else:
-        raise ValueError("closure requires --point or --subspace")
+        tau = elim.SubspaceMap.load(args.subspace)
     equations = elim.closure_equations(rep, tau)
     _emit(
         json.dumps([elim.format_equation(q, rep.n) for q in equations], indent=2),
@@ -215,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="emit defining equations of an orbit/subspace closure")
     p.add_argument("--rep", required=True)
-    p.add_argument("--point", help="comma-separated rationals")
-    p.add_argument("--subspace", help="path to a subspace JSON file")
+    swept = p.add_mutually_exclusive_group(required=True)
+    swept.add_argument("--point", help="comma-separated rationals")
+    swept.add_argument("--subspace", help="path to a subspace JSON file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 

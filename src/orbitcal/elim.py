@@ -1,12 +1,13 @@
 """Groebner-basis elimination for closures of swept subspaces.
 
-The image closure of the joint parametrization (group parameters u,
-subspace parameters v) -> group(u) . subspace_point(v) is cut out by
-the elements of a reduced Groebner basis that involve only the ambient
-coordinates z, computed under a block order in which the auxiliary
+The image closure of the joint parametrization (group parameters x,
+subspace parameters y) -> rho(x) . tau(y) is cut out by the elements
+of a reduced Groebner basis that involve only the ambient coordinates
+z, computed under a block order t | x | y | z in which the auxiliary
 variables (the saturation variable t, the group parameters x, the
-subspace parameters y) all dominate the z's.  This is the independent
-oracle against the linear-system decider.
+subspace parameters y) all dominate the z's; closure_equations builds
+the generators straight from rho and tau as term dicts.  This is the
+independent oracle against the linear-system decider.
 
 buchberger takes and returns term dicts keyed by exponent tuples, like
 the rest of orbitcal; inside, normal_form, s_polynomial and the pair
@@ -21,6 +22,7 @@ import json
 import logging
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import add
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into
 from orbitcal.errors import ResourceLimitError
@@ -403,28 +405,6 @@ class SubspaceMap:
             return cls.from_json(json.load(fh))
 
 
-def closure_ring(rep: RepresentationData, l: int, with_t: bool) -> OrderedRing:
-    names = []
-    blocks = []
-    idx = 0
-    if with_t:
-        names.append("t")
-        blocks.append((0,))
-        idx = 1
-    x_block = tuple(range(idx, idx + rep.r + rep.s))
-    names.extend(rep.ambient.names)
-    idx += rep.r + rep.s
-    y_block = tuple(range(idx, idx + l))
-    names.extend(f"y{i + 1}" for i in range(l))
-    idx += l
-    z_block = tuple(range(idx, idx + rep.n))
-    names.extend(f"z{i + 1}" for i in range(rep.n))
-    # r = s = 0 leaves the x block empty, and a point (l = 0) the y block
-    blocks.extend(block for block in (x_block, y_block) if block)
-    blocks.append(z_block)
-    return OrderedRing(names, blocks)
-
-
 def closure_equations(
     rep: RepresentationData,
     tau: SubspaceMap,
@@ -434,73 +414,51 @@ def closure_equations(
     """Polynomials in z1..zn whose common zero set is the closure of the
     swept subspace under the parametrized action.
 
-    Builds the rational coordinate images, clears their monomial
-    denominators, saturates by the product of the invertible parameters
-    whenever there are any (r > 0), eliminates through the block order
-    and keeps the z-only basis elements."""
-    if len(tau.images) != rep.n:
+    The ring has the variables t | x | y | z, each block dominating the
+    next: the saturation variable t when there are invertible parameters
+    (r > 0), the r + s group parameters x, the l subspace parameters y
+    and the coordinates z; an empty x or y block is dropped.  Generator
+    p is x^m_p z_p - x^m_p psi_p, with psi_p = sum_q rho[p][q] tau_q the
+    joined image and x^m_p the monomial that clears its negative
+    exponents on the invertible variables; with r > 0 the generator
+    1 - t x1...xr saturates by those variables.  So the ideal is that of
+    the graph of (x, y) -> psi(x, y) over the invertible parameters
+    nonzero, and the basis elements with no exponent before the z block
+    generate its intersection with Q[z] (elimination property of the
+    block order), the ideal of the closure of the image."""
+    n, r, l = rep.n, rep.r, tau.l
+    if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
-    l = tau.l
-    width_x = rep.r + rep.s
+    t = (0,) * (r > 0)
+    names = ["t"] * (r > 0) + list(rep.ambient.names)
+    names += [f"y{i + 1}" for i in range(l)] + [f"z{i + 1}" for i in range(n)]
+    blocks, width = [], 0
+    for size in (len(t), r + rep.s, l, n):
+        if size:
+            blocks.append(tuple(range(width, width + size)))
+        width += size
+    z_start = width - n
 
-    # coordinate images as dicts over (x..., y...) exponents; x and y are
-    # disjoint variables, so a product of terms joins their exponents
-    images = []
-    for p in range(rep.n):
-        acc: dict = {}
-        for q in range(rep.n):
-            entry, tau_q = rep.rho[p][q].terms.items(), tau.images[q].terms.items()
-            add_scaled_inplace(acc, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
-        images.append(acc)
-
-    xy = Ambient(rep.r, rep.s + l)
-    denominators = [LaurentPoly(xy, f).monomial_denominator() for f in images]
-
-    with_t = rep.r > 0
-    ring = closure_ring(rep, l, with_t)
-    width = len(ring.names)
-    t_off = 1 if with_t else 0
-
-    def embed(exp_xy, z_index=None, t_power=0):
-        exp = [0] * width
-        if with_t:
-            exp[0] = t_power
-        for k, e in enumerate(exp_xy):
-            exp[t_off + k] = e
-        if z_index is not None:
-            exp[t_off + width_x + l + z_index] += 1
-        return tuple(exp)
-
+    # psi_p as a dict over (x..., y...) exponents: x and y are disjoint
+    # variables, so a product of terms joins their exponents.  The z term
+    # comes first, then the image terms in image order; no two keys
+    # collide, as only the z term has a z exponent
     generators = []
-    for p in range(rep.n):
-        g: dict = {}
-        m = denominators[p]
-        g[embed(m, z_index=p)] = Fraction(1)
-        for exp, c in images[p].items():
-            key = embed(tuple(e + mm for e, mm in zip(exp, m)))
-            cur = g.get(key, Fraction(0)) - c
-            if cur:
-                g[key] = cur
-            else:
-                g.pop(key, None)
+    for p in range(n):
+        image: dict = {}
+        for q in range(n):
+            entry, tau_q = rep.rho[p][q].terms.items(), tau.images[q].terms.items()
+            add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
+        m = tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l)
+        g = {t + m + (0,) * p + (1,) + (0,) * (n - 1 - p): Fraction(1)}
+        for e, c in image.items():
+            g[t + tuple(map(add, e, m)) + (0,) * n] = -c
         generators.append(g)
+    if r:
+        generators.append({(0,) * width: Fraction(1), (1,) * (r + 1) + (0,) * (width - r - 1): Fraction(-1)})
 
-    if with_t:
-        product = [1 if k < rep.r else 0 for k in range(width_x + l)]
-        sat = {
-            embed((0,) * (width_x + l)): Fraction(1),
-            embed(tuple(product), t_power=1): Fraction(-1),
-        }
-        generators.append(sat)
-
-    basis = buchberger(generators, ring, max_pairs=max_pairs)
-
-    z_start = t_off + width_x + l
-    equations = []
-    for g in basis:
-        if all(all(e == 0 for e in exp[:z_start]) for exp in g):
-            equations.append({exp[z_start:]: c for exp, c in g.items()})
-    return equations
+    basis = buchberger(generators, OrderedRing(names, blocks), max_pairs=max_pairs)
+    return [{e[z_start:]: c for e, c in g.items()} for g in basis if not any(any(e[:z_start]) for e in g)]
 
 
 def point_in_closure(equations, point) -> bool:

@@ -9,8 +9,9 @@ Every product runs on packed keys: monomial_images encodes an exponent
 tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
 that no two monomials share a key, and a monomial product is then one
 integer addition, the _kernels.term_times_into loop.  The decider's
-pullback images, substitute and LaurentPoly * and ** all take their
-products of powers from it.  The encoding stays inside this module;
+pullback images, substitute, LaurentPoly * and ** and the matrix
+entries of repmodel.sl2_binary_forms all take their products of powers
+from it.  The encoding stays inside this module;
 callers get the keys with a decoder back to tuples.
 
 Text format, shared by the CLI and the JSON payloads::

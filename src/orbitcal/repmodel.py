@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import comb, lcm
 
 from orbitcal import exactmath
+from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import kazarnovskii_sl2
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int, monomial_images
 
 Vec = tuple[Fraction, ...]
 
@@ -134,31 +135,20 @@ def sl2_binary_forms(h: int) -> RepresentationData:
     """
     if h < 1:
         raise ValueError("h must be >= 1")
-    amb = Ambient(1, 2)
-    x1 = LaurentPoly.variable(amb, 0)
-    x1inv = LaurentPoly.monomial(amb, (-1, 0, 0))
-    x2 = LaurentPoly.variable(amb, 1)
-    x3 = LaurentPoly.variable(amb, 2)
-    a = x1 + x1inv * x2 * x3
-    b = x1inv * x2
-    c = x1inv * x3
-    d = x1inv
-
-    pow_a = [a**k for k in range(h + 1)]
-    pow_b = [b**k for k in range(h + 1)]
-    pow_c = [c**k for k in range(h + 1)]
-    pow_d = [d**k for k in range(h + 1)]
-
+    # a, c, b, d as term dicts; image(q) is a^q0 c^q1 b^q2 d^q3, each
+    # product of powers built once
+    image, decode = monomial_images(
+        [{(1, 0, 0): 1, (-1, 1, 1): 1}, {(-1, 0, 1): 1}, {(-1, 1, 0): 1}, {(-1, 0, 0): 1}], 3, h
+    )
     n = h + 1
-    rho = [[LaurentPoly.zero(amb) for _ in range(n)] for _ in range(n)]
+    rho = [[{} for _ in range(n)] for _ in range(n)]
     for j in range(n):
         # (a z1 + c z2)^(h-j) (b z1 + d z2)^j, coefficient of z1^(h-i) z2^i
         for k in range(h - j + 1):
-            left = pow_a[h - j - k] * pow_c[k] * comb(h - j, k)
             for m in range(j + 1):
-                i = k + m
-                entry = left * pow_b[j - m] * pow_d[m] * comb(j, m)
-                rho[i][j] = rho[i][j] + entry
+                add_scaled_inplace(rho[k + m][j], image((h - j - k, k, j - m, m)), comb(h - j, k) * comb(j, m))
+    amb = Ambient(1, 2)
+    rho = [[LaurentPoly(amb, {decode(key): c for key, c in entry.items()}) for entry in row] for row in rho]
     return RepresentationData(
         n, 1, 2, rho, degree_bound=kazarnovskii_sl2(h), label=f"sl2-binary-forms-h{h}"
     )
@@ -306,14 +296,12 @@ def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
     b = vector(b)
     if len(b) != rep.n:
         raise ValueError("vector length mismatch")
-    amb = rep.ambient
     out = []
-    for i in range(rep.n):
-        acc = LaurentPoly.zero(amb)
-        for j in range(rep.n):
-            if b[j]:
-                acc = acc + rep.rho[i][j] * b[j]
-        out.append(acc)
+    for row in rep.rho:
+        acc: dict = {}
+        for entry, bj in zip(row, b):
+            add_scaled_inplace(acc, entry.terms, bj)
+        out.append(LaurentPoly(rep.ambient, acc))
     return out
 
 

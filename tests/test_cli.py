@@ -143,6 +143,24 @@ def test_closure_subspace(tmp_path, torus12, capsys):
     assert json.loads(out) == []
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_closure_takes_exactly_one_of_point_and_subspace(tmp_path, torus12, capsys, both):
+    # with both, the point's closure z1^2 - z2 would answer a question
+    # about the swept line, whose closure has no equation
+    argv = ["closure", "--rep", torus12]
+    if both:
+        sub = tmp_path / "line.json"
+        sub.write_text(json.dumps({"l": 1, "images": ["y1", "1"]}))
+        argv += ["--point", "1,1", "--subspace", str(sub)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    if both:
+        assert "argument --subspace: not allowed with argument --point" in err
+    else:
+        assert "one of the arguments --point --subspace is required" in err
+
+
 # a representation without parameters: its orbit is the point b itself
 IDENTITY_REP = {"n": 2, "r": 0, "s": 0, "rho": [["1", "0"], ["0", "1"]]}
 

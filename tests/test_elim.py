@@ -237,6 +237,24 @@ def test_swept_subspace_equations_vanish_on_joint_parametrization():
             assert evaluate_equation(q, point) == 0
 
 
+@pytest.mark.parametrize(
+    "images, expected",
+    [
+        # the discriminant is constant along (y, 1, 0)
+        (["y1", "1", "0"], ["-4*z1*z3 + z2^2 - 1"]),
+        (["y1", "2*y1", "y1"], ["-4*z1*z3 + z2^2"]),
+        # the orbit of (1, y, 0) is dense
+        (["1", "y1", "0"], []),
+    ],
+)
+def test_swept_sl2_subspaces_use_all_four_blocks(images, expected):
+    # the ring t | x1 x2 x3 | y1 | z1 z2 z3: the saturation variable, an
+    # x block with ordinary parameters (s = 2), a y block and the z's
+    rep = sl2_binary_forms(2)
+    eqs = closure_equations(rep, SubspaceMap(1, images))
+    assert [format_equation(q, 3) for q in eqs] == expected
+
+
 def test_swept_point_with_zero_component():
     rep = torus_diagonal([(1,), (2,)])
     eqs = closure_equations(rep, SubspaceMap.point((1, 0)))

@@ -70,7 +70,7 @@ def test_parameter_matrix_has_determinant_one():
 
 def test_representation_law_via_numeric_substitution():
     rng = random.Random(4)
-    for h in (1, 2, 3):
+    for h in range(1, 7):
         rep = sl2_binary_forms(h)
         for _ in range(25):
             u1, u2 = _random_param(rng), _random_param(rng)
