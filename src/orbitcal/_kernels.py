@@ -7,7 +7,10 @@ the product of monomials, the packed keys of polyring.monomial_images
 (the decider's images, substitute, every LaurentPoly product and the
 entries of repmodel.sl2_binary_forms) and of
 elim.OrderedRing (normal forms and S-polynomials), and a product of two
-term dicts is one call per term of the smaller factor.
+term dicts is one call per term of the smaller factor.  elim's
+coefficients are residues mod a prime, and the kernels leave the ints
+they produce unreduced: a sum that is a nonzero multiple of p stays in
+the dict, and elim.normal_form reduces each term mod p when it reads it.
 add_scaled_inplace works on any keys.  BACKEND names the implementation
 for run reports; there is only this pure-Python one.
 """

@@ -14,6 +14,29 @@ the rest of orbitcal; inside, normal_form, s_polynomial and the pair
 update work on OrderedRing's packed monomials, one int per monomial
 whose int order is the block order, so that leading terms, products,
 divisibility tests and lcms are a few integer operations each.
+
+Coefficients are residues modulo a prime p below 2^62 (the modular
+Buchberger of Arnold 2003, "Modular algorithms for computing Groebner
+bases"): buchberger maps the rational generators into Z/p once, makes
+each element monic with pow(c, -1, p), and the products of normal_form
+and s_polynomial leave their int coefficients unreduced, to be reduced
+mod p where normal_form reads a term.  closure_equations runs it for
+one prime after another, skipping a prime that divides a denominator
+of the generators.  It lifts the z-only elements to Q by rational
+reconstruction (exactmath._reconstruct); a value that does not
+reconstruct, or a lift that fails the check below, takes the next
+prime, whose residues are combined by CRT when the supports agree and
+replace the old ones when they differ.  Every lifted f is checked
+exactly, f(psi) = 0 over Q, on the joined images psi of the
+parametrization, so each returned equation vanishes on the image and
+on its closure; a lift that repeats under a larger modulus and still
+fails the check raises CertificateError.
+
+The remaining risk is an unlucky prime for which the basis over Z/p is
+not the image of the one over Q but whose lift still passes the check:
+each equation then holds on the closure, but the set may be too small,
+so point_in_closure can answer a false IN.  A check that the equations
+are complete up to a degree bound is future work.
 """
 
 from __future__ import annotations
@@ -22,11 +45,14 @@ import json
 import logging
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from operator import add
+from time import perf_counter
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into
-from orbitcal.errors import ResourceLimitError
-from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, parse_terms
+from orbitcal.errors import CertificateError, ResourceLimitError
+from orbitcal.exactmath import _crt, _primes, _reconstruct
+from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, monomial_images, parse_terms
 from orbitcal.repmodel import RepresentationData, vector
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -149,23 +175,26 @@ class OrderedRing:
         return f"OrderedRing({self.names})"
 
 
-def _monic(poly):
-    """poly, nonzero, scaled to leading coefficient 1."""
+def _monic(poly, p):
+    """poly, nonzero with residues mod p, scaled to leading coefficient 1."""
     lc = poly[max(poly)]
     if lc == 1:
         return poly
-    inv = Fraction(1) / lc
-    return {e: c * inv for e, c in poly.items()}
+    inv = pow(lc, -1, p)
+    return {e: c * inv % p for e, c in poly.items()}
 
 
-def normal_form(poly, basis, ring: OrderedRing, leads=None):
-    """Remainder of full multivariate division on packed monomials; zero
-    iff poly is in the ideal generated by a Groebner basis.  Every basis
-    element must be monic, as buchberger keeps them, so a reduction step
-    scales by the term's coefficient alone.  leads, when given, lists
-    the leading monomials of basis in the same order.  Each
-    term taken from the work polynomial is checked against the exponent
-    range (see OrderedRing) before it is reduced or kept."""
+def normal_form(poly, basis, ring: OrderedRing, p, leads=None):
+    """Remainder mod p of full multivariate division on packed monomials;
+    zero iff poly is in the ideal generated by a Groebner basis over
+    Z/p.  poly's coefficients may be any ints, the remainder's are
+    residues in [0, p).  Every basis element must be monic with residue
+    coefficients, as buchberger keeps them, so a reduction step scales
+    by the term's residue alone.  leads, when given, lists the leading
+    monomials of basis in the same order.  A term is reduced mod p when
+    it is taken from the work polynomial and dropped if that is 0;
+    otherwise it is checked against the exponent range (see
+    OrderedRing) before it is reduced or kept."""
     work = dict(poly)
     remainder = {}
     if leads is None:
@@ -175,15 +204,21 @@ def normal_form(poly, basis, ring: OrderedRing, leads=None):
     guards = ring.guards
     while work:
         e = max(work)
+        c = work[e] % p
+        if not c:
+            del work[e]
+            continue
         if e & guards:
             raise ResourceLimitError(
                 f"normal_form: a term of degree {ring.degree(e)} is past the "
                 f"{SLOT_BITS - 1}-bit exponent range of packed monomials"
             )
-        c = work[e]
         for g, glead in reducers:
             shift = e - glead
             if not shift & guards:  # glead divides e
+                # the lead product c - c * 1 cancels exactly, so the
+                # kernel deletes the term
+                work[e] = c
                 term_times_into(work, g, shift, -c)
                 break
         else:
@@ -193,7 +228,9 @@ def normal_form(poly, basis, ring: OrderedRing, leads=None):
 
 
 def s_polynomial(f, g, ring: OrderedRing):
-    """The S-polynomial of two monic polynomials on packed monomials."""
+    """The S-polynomial of two monic polynomials on packed monomials.
+    Its int coefficients are left unreduced for normal_form; the leads
+    cancel exactly, 1 - 1, so no modulus is needed here."""
     lf, lg = max(f), max(g)
     lcm = ring.lcm(lf, lg)
     out = {}
@@ -202,23 +239,27 @@ def s_polynomial(f, g, ring: OrderedRing):
     return out
 
 
-def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Reduced Groebner basis of the generated ideal.
+def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PAIRS):
+    """Reduced Groebner basis over Z/p of the ideal the generators
+    generate, p a prime.
 
-    Generators and the result are term dicts keyed by exponent tuples;
-    in between, every monomial is a packed key of ring (see
-    OrderedRing).  Sugar selection strategy (Giovini, Mora, Niesi,
-    Robbiano, Traverso 1991) with the Gebauer-Moeller (1988) pair
-    update: criteria M, F and B, and the coprime-lead criterion per
-    lcm.  A generator's sugar is its total degree; a pair's is the
-    larger of sugar_k + |lcm| - |lead_k| over its two elements, and a
-    remainder inherits its pair's sugar.  An element whose lead a newer
-    lead divides retires: it forms no pairs and reduces nothing, but
-    joins the final interreduction.  max_pairs bounds the candidate
-    pairs formed, before any criterion.  Every element is made monic
-    when it is added, as s_polynomial and normal_form require, so no
-    other scaling changes a pair, a lead or a remainder.  The result is
-    the reduced monic basis, sorted by leading monomial, hence
+    Generators are term dicts keyed by exponent tuples, with int or
+    Fraction coefficients, mapped into Z/p once (a p dividing a
+    denominator raises ValueError); the result is term dicts keyed by
+    exponent tuples with residues in [0, p).  In between, every
+    monomial is a packed key of ring (see OrderedRing).  Sugar
+    selection strategy (Giovini, Mora, Niesi, Robbiano, Traverso 1991)
+    with the Gebauer-Moeller (1988) pair update: criteria M, F and B,
+    and the coprime-lead criterion per lcm.  A generator's sugar is its
+    total degree; a pair's is the larger of sugar_k + |lcm| - |lead_k|
+    over its two elements, and a remainder inherits its pair's sugar.
+    An element whose lead a newer lead divides retires: it forms no
+    pairs and reduces nothing, but joins the final interreduction.
+    max_pairs bounds the candidate pairs formed, before any criterion.
+    Every element is made monic when it is added, its lead coefficient
+    inverted by pow(c, -1, p), as s_polynomial and normal_form require,
+    so no other scaling changes a pair, a lead or a remainder.  The
+    result is the reduced monic basis, sorted by leading monomial, hence
     canonical.
 
     One DEBUG line on the orbitcal.elim logger tells where the candidate
@@ -295,7 +336,7 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
 
     try:
         for g in generators:
-            g = {e: Fraction(c) for e, c in g.items() if c}
+            g = {e: r for e, c in g.items() if (r := c.numerator * pow(c.denominator, -1, p) % p)}
             if g:
                 sugar = max(map(sum, g))
                 if sugar >> (SLOT_BITS - 1):
@@ -303,7 +344,7 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
                         f"buchberger: a generator of degree {sugar} is past the "
                         f"{SLOT_BITS - 1}-bit exponent range of packed monomials"
                     )
-                add(_monic({ring.pack(e): c for e, c in g.items()}), sugar)
+                add(_monic({ring.pack(e): c for e, c in g.items()}, p), sugar)
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
@@ -314,9 +355,9 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
             i, j = pair
             s = s_polynomial(basis[i], basis[j], ring)
             reduced += 1
-            r = normal_form(s, [basis[k] for k in active], ring, leads=[leads[k] for k in active])
+            r = normal_form(s, [basis[k] for k in active], ring, p, leads=[leads[k] for k in active])
             if r:
-                add(_monic(r), sugar)
+                add(_monic(r, p), sugar)
             else:
                 zeros += 1
     finally:
@@ -326,10 +367,10 @@ def buchberger(generators, ring: OrderedRing, max_pairs: int = DEFAULT_MAX_PAIRS
             formed, by_m, by_f, by_b, reduced, zeros, len(basis),
         )
     unpack = ring.unpack
-    return [{unpack(e): c for e, c in g.items()} for g in _reduce_basis(basis, leads, ring)]
+    return [{unpack(e): c for e, c in g.items()} for g in _reduce_basis(basis, leads, ring, p)]
 
 
-def _reduce_basis(basis, leads, ring: OrderedRing):
+def _reduce_basis(basis, leads, ring: OrderedRing, p):
     # minimalize: keep an element unless a kept lead divides its lead;
     # a proper divisor has a smaller degree, so scan by degree (stable,
     # so the first of equal leads is kept)
@@ -345,7 +386,7 @@ def _reduce_basis(basis, leads, ring: OrderedRing):
     for i in range(len(keep)):
         others = keep[:i] + keep[i + 1 :]
         if others:
-            keep[i] = normal_form(keep[i], others, ring, leads=keep_leads[:i] + keep_leads[i + 1 :])
+            keep[i] = normal_form(keep[i], others, ring, p, leads=keep_leads[:i] + keep_leads[i + 1 :])
     keep.sort(key=max)
     return keep
 
@@ -425,7 +466,14 @@ def closure_equations(
     the graph of (x, y) -> psi(x, y) over the invertible parameters
     nonzero, and the basis elements with no exponent before the z block
     generate its intersection with Q[z] (elimination property of the
-    block order), the ideal of the closure of the image."""
+    block order), the ideal of the closure of the image.
+
+    The basis is computed over Z/p and its z-only elements lifted to Q
+    and checked on psi, prime after prime, as the module docstring
+    describes.  At DEBUG, logger orbitcal.elim gets one line per call
+    after buchberger's: the primes used, the restarts (a prime whose
+    z-only supports differ from the previous ones), the equations lifted
+    and the time the checks took."""
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
@@ -443,12 +491,13 @@ def closure_equations(
     # variables, so a product of terms joins their exponents.  The z term
     # comes first, then the image terms in image order; no two keys
     # collide, as only the z term has a z exponent
-    generators = []
+    generators, images = [], []
     for p in range(n):
         image: dict = {}
         for q in range(n):
             entry, tau_q = rep.rho[p][q].terms.items(), tau.images[q].terms.items()
             add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
+        images.append(image)
         m = tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l)
         g = {t + m + (0,) * p + (1,) + (0,) * (n - 1 - p): Fraction(1)}
         for e, c in image.items():
@@ -457,8 +506,62 @@ def closure_equations(
     if r:
         generators.append({(0,) * width: Fraction(1), (1,) * (r + 1) + (0,) * (width - r - 1): Fraction(-1)})
 
-    basis = buchberger(generators, OrderedRing(names, blocks), max_pairs=max_pairs)
-    return [{e[z_start:]: c for e, c in g.items()} for g in basis if not any(any(e[:z_start]) for e in g)]
+    ring = OrderedRing(names, blocks)
+    denominators = lcm(*(c.denominator for g in generators for c in g.values()))
+    used, restarts, check_s = [], 0, 0.0
+    support = residues = failed = None
+    modulus = 1
+    for prime in _primes():
+        if not denominators % prime:
+            continue
+        used.append(prime)
+        basis = buchberger(generators, ring, prime, max_pairs=max_pairs)
+        elements = [g for g in basis if not any(any(e[:z_start]) for e in g)]
+        keys = [[e[z_start:] for e in g] for g in elements]
+        values = [c for g in elements for c in g.values()]
+        if keys == support:
+            residues = _crt(residues, modulus, values, prime)
+            modulus *= prime
+        else:
+            restarts += support is not None
+            support, residues, modulus, failed = keys, values, prime, None
+        flat = _reconstruct(residues, modulus)
+        if flat is None:
+            continue
+        # Fraction coefficients, as every term dict over Q in orbitcal
+        flat = iter(map(Fraction, flat))
+        equations = [{e: next(flat) for e in g} for g in support]
+        if equations == failed:
+            raise CertificateError(
+                f"closure_equations: the equations lifted modulo {len(used)} primes "
+                f"repeat under a larger modulus and do not vanish on the image"
+            )
+        start = perf_counter()
+        vanish = _vanish_on(equations, images, z_start - len(t))
+        check_s += perf_counter() - start
+        if vanish:
+            _log.debug(
+                "closure_equations: primes %s, %d restarts, %d equations lifted, f(psi) = 0 checked in %.1f ms",
+                ",".join(map(str, used)), restarts, len(equations), 1000 * check_s,
+            )
+            return equations
+        failed = equations
+
+
+def _vanish_on(equations, images, nvars) -> bool:
+    """True iff f(images) = 0 exactly for every f in equations, each
+    image a term dict of exponent width nvars.  One monomial_images
+    table holds every product of powers of the images that an equation
+    takes."""
+    top = max((sum(e) for f in equations for e in f), default=0)
+    image, _ = monomial_images(images, nvars, top)
+    for f in equations:
+        total: dict = {}
+        for e, c in f.items():
+            add_scaled_inplace(total, image(e), c)
+        if total:
+            return False
+    return True
 
 
 def point_in_closure(equations, point) -> bool:

@@ -37,9 +37,8 @@ class SparseMatrix:
     to the nonzero int in row i, and entries is a read-only view of the
     same values keyed by (row, col).  A matrix over Q is stored with one
     common denominator cleared.  The constructor gives a zero matrix of
-    the shape, whose row_terms the caller fills; from_rows takes dense
-    rows.  A negative dimension, ragged rows and entries that are not
-    ints raise ValueError."""
+    the shape, whose row_terms the caller fills.  A negative dimension
+    raises ValueError."""
 
     __slots__ = ("rows", "cols", "row_terms")
 
@@ -49,21 +48,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.row_terms: list[dict[int, int]] = [{} for _ in range(rows)]
-
-    @classmethod
-    def from_rows(cls, data) -> "SparseMatrix":
-        data = [list(row) for row in data]
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        matrix = cls(len(data), cols)
-        for i, (row, terms) in enumerate(zip(data, matrix.row_terms)):
-            for j, v in enumerate(row):
-                if not isinstance(v, int):
-                    raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
-                if v:
-                    terms[j] = v
-        return matrix
 
     @property
     def entries(self) -> Mapping[tuple[int, int], int]:

@@ -154,28 +154,6 @@ def sl2_binary_forms(h: int) -> RepresentationData:
     )
 
 
-def sl2_parameter_matrix(point) -> list[list[Fraction]]:
-    """Numeric 2x2 matrix of the parametrization at a rational point."""
-    e1, e2, e3 = (Fraction(x) for x in point)
-    if not e1:
-        raise ValueError("point has zero in invertible coordinate x1")
-    return [[e1 + e2 * e3 / e1, e2 / e1], [e3 / e1, 1 / e1]]
-
-
-def binary_substitution_matrix(g, h: int) -> list[list[Fraction]]:
-    """Numeric (h+1) x (h+1) matrix of the degree-h binary-form action of
-    a 2x2 matrix g, computed directly from the substitution rule."""
-    (a, b), (c, d) = ((Fraction(v) for v in row) for row in g)
-    n = h + 1
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(h - j + 1):
-            left = a ** (h - j - k) * c**k * comb(h - j, k)
-            for m in range(j + 1):
-                out[k + m][j] += left * b ** (j - m) * d**m * comb(j, m)
-    return out
-
-
 def torus_diagonal(weights) -> RepresentationData:
     """Diagonal torus action: coordinate i scales by the Laurent monomial
     with exponent vector weights[i]."""
@@ -277,17 +255,6 @@ def find_scrambling(b):
 
 # ---------------------------------------------------------------------------
 # acting and measuring
-
-
-def act(rep: RepresentationData, point, v) -> Vec:
-    """Exact image of v under the group element at the parameter point."""
-    v = vector(v)
-    if len(v) != rep.n:
-        raise ValueError("vector length mismatch")
-    matrix = [[entry.evaluate(point) for entry in row] for row in rep.rho]
-    return tuple(
-        sum(matrix[i][j] * v[j] for j in range(rep.n)) for i in range(rep.n)
-    )
 
 
 def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:

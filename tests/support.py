@@ -1,0 +1,102 @@
+"""Reference code that only the tests use: the numeric group action, the
+sl2 substitution rule written out by hand, dense integer rows as a
+SparseMatrix, and the two ways of comparing elim's results over Z/p
+with rational ones: rational term dicts mapped into Z/p, and results
+over Z/p lifted to Q."""
+
+from fractions import Fraction
+from math import comb
+
+from orbitcal.exactmath import SparseMatrix, _crt, _primes, _reconstruct
+from orbitcal.repmodel import RepresentationData, Vec, vector
+
+
+def act(rep: RepresentationData, point, v) -> Vec:
+    """Exact image of v under the group element at the parameter point."""
+    v = vector(v)
+    if len(v) != rep.n:
+        raise ValueError("vector length mismatch")
+    matrix = [[entry.evaluate(point) for entry in row] for row in rep.rho]
+    return tuple(sum(matrix[i][j] * v[j] for j in range(rep.n)) for i in range(rep.n))
+
+
+def sl2_parameter_matrix(point) -> list[list[Fraction]]:
+    """Numeric 2x2 matrix of the parametrization at a rational point."""
+    e1, e2, e3 = (Fraction(x) for x in point)
+    if not e1:
+        raise ValueError("point has zero in invertible coordinate x1")
+    return [[e1 + e2 * e3 / e1, e2 / e1], [e3 / e1, 1 / e1]]
+
+
+def binary_substitution_matrix(g, h: int) -> list[list[Fraction]]:
+    """Numeric (h+1) x (h+1) matrix of the degree-h binary-form action of
+    a 2x2 matrix g, computed directly from the substitution rule."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in g)
+    n = h + 1
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(h - j + 1):
+            left = a ** (h - j - k) * c**k * comb(h - j, k)
+            for m in range(j + 1):
+                out[k + m][j] += left * b ** (j - m) * d**m * comb(j, m)
+    return out
+
+
+def sparse_matrix(data) -> SparseMatrix:
+    """A SparseMatrix from dense rows of ints; ragged rows and entries
+    that are not ints raise ValueError."""
+    data = [list(row) for row in data]
+    cols = len(data[0]) if data else 0
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged rows")
+    matrix = SparseMatrix(len(data), cols)
+    for i, (row, terms) in enumerate(zip(data, matrix.row_terms)):
+        for j, v in enumerate(row):
+            if not isinstance(v, int):
+                raise ValueError(f"entry {(i, j)} = {v!r} is not an integer")
+            if v:
+                terms[j] = v
+    return matrix
+
+
+def residues(poly, p) -> dict:
+    """The term dict poly, with int or Fraction coefficients, mapped into
+    Z/p: each coefficient becomes its residue in [0, p), zeros dropped."""
+    out = {}
+    for e, c in poly.items():
+        c = Fraction(c)
+        r = c.numerator * pow(c.denominator, -1, p) % p
+        if r:
+            out[e] = r
+    return out
+
+
+def lift(modular):
+    """The list of term dicts over Q whose residues modulo p are
+    modular(p), for large primes p: the primes of exactmath are tried in
+    turn, residues of equal supports are combined by CRT, and the
+    rational reconstruction is returned once two moduli in a row give
+    the same one.  A prime for which modular raises ValueError, as
+    residues does for a prime dividing a denominator, is skipped."""
+    support = values = last = None
+    modulus = 1
+    for p in _primes():
+        try:
+            polys = modular(p)
+        except ValueError:
+            continue
+        keys = [list(f) for f in polys]
+        more = [c for f in polys for c in f.values()]
+        if keys == support:
+            values = _crt(values, modulus, more, p)
+            modulus *= p
+        else:
+            support, values, modulus, last = keys, more, p, None
+        flat = _reconstruct(values, modulus)
+        lifted = None
+        if flat is not None:
+            flat = iter(flat)
+            lifted = [{e: Fraction(next(flat)) for e in f} for f in support]
+            if lifted == last:
+                return lifted
+        last = lifted

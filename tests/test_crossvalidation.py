@@ -7,8 +7,9 @@ from fractions import Fraction
 from orbitcal.decider import DecisionProblem, decide
 from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 from orbitcal.exactmath import rank
-from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, orbit_dimension, torus_diagonal
+from orbitcal.repmodel import coordinate_pullbacks, make_conic, orbit_dimension, torus_diagonal
 from orbitcal.torusoracle import torus_decide
+from support import act
 
 
 def test_three_oracles_on_monomial_curve_cones():

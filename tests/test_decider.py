@@ -24,7 +24,8 @@ from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, parabola_rep
 from orbitcal.polyring import Ambient, LaurentPoly, substitute
-from orbitcal.repmodel import act, coordinate_pullbacks, make_conic, torus_diagonal, vector
+from orbitcal.repmodel import coordinate_pullbacks, make_conic, torus_diagonal, vector
+from support import act
 
 
 def test_build_generic_smallest_case():

@@ -1,10 +1,12 @@
+import json
 import logging
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from orbitcal import elim
+from orbitcal import cli, elim, exactmath
 from orbitcal.elim import (
     OrderedRing,
     SubspaceMap,
@@ -17,16 +19,24 @@ from orbitcal.elim import (
     point_in_closure,
     s_polynomial,
 )
-from orbitcal.errors import ResourceLimitError
+from orbitcal.errors import CertificateError, ResourceLimitError
 from orbitcal.polyring import parse_terms
-from orbitcal.repmodel import act, make_conic, sl2_binary_forms, torus_diagonal
+from orbitcal.repmodel import make_conic, sl2_binary_forms, torus_diagonal
+from support import act, residues
 
 # a two-variable lexicographic-flavoured ring: x dominates y
 LEX_XY = OrderedRing(("x", "y"), ((0,), (1,)))
+# buchberger and normal_form work over Z/P; expected bases are written
+# over Q and compared through their residues
+P = (1 << 61) - 1
 
 
 def p(text):
     return {e: Fraction(c) for e, c in parse_terms(text, ("x", "y")).items()}
+
+
+def modp(text):
+    return residues(p(text), P)
 
 
 def packed(poly, ring=LEX_XY):
@@ -39,69 +49,71 @@ def unpacked(poly, ring=LEX_XY):
 
 
 def test_single_generator_is_its_own_basis():
-    basis = buchberger([p("x^2 - y")], LEX_XY)
-    assert list(basis) == [p("x^2 - y")]
+    basis = buchberger([p("x^2 - y")], LEX_XY, P)
+    assert list(basis) == [modp("x^2 - y")]
 
 
 def test_hand_reduced_pair():
     # S(xy-1, y^2-1) = y(xy-1) - x(y^2-1) = x - y, then xy-1 is redundant
-    basis = buchberger([p("x*y - 1"), p("y^2 - 1")], LEX_XY)
-    assert list(basis) == [p("y^2 - 1"), p("x - y")] or list(basis) == [
-        p("x - y"),
-        p("y^2 - 1"),
+    basis = buchberger([p("x*y - 1"), p("y^2 - 1")], LEX_XY, P)
+    assert list(basis) == [modp("y^2 - 1"), modp("x - y")] or list(basis) == [
+        modp("x - y"),
+        modp("y^2 - 1"),
     ]
 
 
 def test_duplicate_generators_collapse():
-    basis = buchberger([p("x - y"), p("y - x")], LEX_XY)
-    assert list(basis) == [p("x - y")]
+    basis = buchberger([p("x - y"), p("y - x")], LEX_XY, P)
+    assert list(basis) == [modp("x - y")]
 
 
 def test_normal_form_examples():
-    basis = [packed(g) for g in buchberger([p("x^2 - y")], LEX_XY)]
-    assert normal_form(packed(p("x^2 - y")), basis, LEX_XY) == {}
-    assert unpacked(normal_form(packed(p("x")), basis, LEX_XY)) == p("x")
-    assert unpacked(normal_form(packed(p("x^3")), basis, LEX_XY)) == p("x*y")
+    basis = [packed(g) for g in buchberger([p("x^2 - y")], LEX_XY, P)]
+    assert normal_form(packed(modp("x^2 - y")), basis, LEX_XY, P) == {}
+    assert unpacked(normal_form(packed(modp("x")), basis, LEX_XY, P)) == modp("x")
+    assert unpacked(normal_form(packed(modp("x^3")), basis, LEX_XY, P)) == modp("x*y")
+    # coefficients that are not residues are reduced as they are read
+    assert unpacked(normal_form(packed({(3, 0): 2 * P + 3, (0, 0): -P - 1}), basis, LEX_XY, P)) == modp("3*x*y - 1")
 
 
 def test_basis_is_canonical_under_permutation():
     gens = [p("x^2 + y"), p("x*y - 1"), p("y^3 - x")]
-    reference = [dict(g) for g in buchberger(gens, LEX_XY)]
+    reference = [dict(g) for g in buchberger(gens, LEX_XY, P)]
     rng = random.Random(23)
     for _ in range(6):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        assert [dict(g) for g in buchberger(shuffled, LEX_XY)] == reference
+        assert [dict(g) for g in buchberger(shuffled, LEX_XY, P)] == reference
     # scaling the generators does not change the reduced monic basis
     scaled = [
         {e: c * Fraction(3, 7) for e, c in gens[0].items()},
         gens[1],
         {e: c * Fraction(-2) for e, c in gens[2].items()},
     ]
-    assert [dict(g) for g in buchberger(scaled, LEX_XY)] == reference
+    assert [dict(g) for g in buchberger(scaled, LEX_XY, P)] == reference
 
 
 def test_spoly_reduction_and_membership_postconditions():
     gens = [p("x^2 + y"), p("x*y - 1")]
-    basis = [packed(g) for g in buchberger(gens, LEX_XY)]
+    basis = [packed(g) for g in buchberger(gens, LEX_XY, P)]
     for i, f in enumerate(basis):
         for g in basis[i + 1 :]:
-            assert normal_form(s_polynomial(f, g, LEX_XY), basis, LEX_XY) == {}
+            assert normal_form(s_polynomial(f, g, LEX_XY), basis, LEX_XY, P) == {}
     for g in gens:
-        assert normal_form(packed(g), basis, LEX_XY) == {}
+        assert normal_form(packed(residues(g, P)), basis, LEX_XY, P) == {}
 
 
 def test_pair_limit_enforced():
     gens = [p("x^3 - y"), p("x*y^2 - 1"), p("y^3 - x^2")]
     with pytest.raises(ResourceLimitError):
-        buchberger(gens, LEX_XY, max_pairs=1)
+        buchberger(gens, LEX_XY, P, max_pairs=1)
 
 
 def test_pair_limit_error_names_stage_and_counters():
     # the guard fires before the third generator's pairs are built
     gens = [p("x^3 - y"), p("x*y^2 - 1"), p("y^3 - x^2")]
     with pytest.raises(ResourceLimitError) as info:
-        buchberger(gens, LEX_XY, max_pairs=2)
+        buchberger(gens, LEX_XY, P, max_pairs=2)
     assert str(info.value) == (
         "buchberger: pair limit 2 exceeded (basis 2 elements, 0 S-polynomials reduced)"
     )
@@ -124,9 +136,9 @@ def test_sugar_strategy_reduces_few_s_polynomials(monkeypatch):
 def test_one_debug_line_per_buchberger(caplog):
     gens = [p("x^3 - y"), p("x*y^2 - 1"), p("y^3 - x^2")]
     with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
-        buchberger(gens, LEX_XY)
+        buchberger(gens, LEX_XY, P)
         with pytest.raises(ResourceLimitError):
-            buchberger(gens, LEX_XY, max_pairs=2)
+            buchberger(gens, LEX_XY, P, max_pairs=2)
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"]
     assert messages == [
         "buchberger: 8 pairs formed, 0 dropped by criterion M, 2 by F, 1 by B, "
@@ -261,6 +273,92 @@ def test_swept_point_with_zero_component():
     assert eqs == [parse_equation("z2", 2)]
     assert point_in_closure(eqs, (5, 0))
     assert not point_in_closure(eqs, (5, 1))
+
+
+# ---------------------------------------------------------------------------
+# the lift from Z/p and the check on psi
+
+CUBIC_CONE = [
+    parse_equation("z4^2 - 3*z3*z5", 5),
+    parse_equation("z3*z4 - 9*z2*z5", 5),
+    parse_equation("z3^2 - 3*z2*z4", 5),
+]
+
+
+def _spy_check(monkeypatch, verdict=None):
+    """Record every check closure_equations makes, as (equations, result);
+    verdict, when given, replaces the result."""
+    checks = []
+    real = elim._vanish_on
+
+    def spy(equations, images, nvars):
+        result = real(equations, images, nvars) if verdict is None else verdict
+        checks.append((equations, result))
+        return result
+
+    monkeypatch.setattr(elim, "_vanish_on", spy)
+    return checks
+
+
+@pytest.mark.parametrize(
+    "tiny, restarts, rejected_by_check",
+    [
+        (7, 0, False),  # -3 and -9 do not reconstruct mod 7
+        (2, 0, True),  # every residue mod 2 reconstructs, to the wrong equations
+        (3, 1, True),  # 3 divides the coefficients: z3, z4 vanish mod 3
+    ],
+)
+def test_bad_lift_from_a_tiny_prime_is_rejected(monkeypatch, caplog, tiny, restarts, rejected_by_check):
+    first = next(exactmath._primes())
+    monkeypatch.setattr(elim, "_primes", lambda: chain([tiny], exactmath._primes()))
+    checks = _spy_check(monkeypatch)
+    rep2, _, b2 = make_conic(sl2_binary_forms(3), (0,) * 4, (1, 3, 3, 1))
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
+        equations = closure_equations(rep2, SubspaceMap.point(b2))
+    assert equations == CUBIC_CONE
+    assert [result for _, result in checks] == [False] * rejected_by_check + [True]
+    assert checks[-1][0] == CUBIC_CONE
+    line = [r.getMessage() for r in caplog.records if r.getMessage().startswith("closure_equations:")]
+    assert len(line) == 1
+    assert line[0].startswith(f"closure_equations: primes {tiny},{first}, {restarts} restarts, 3 equations lifted, ")
+
+
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch, caplog):
+    # the orbit of (1, 1/q) under the weights (1, 2) is cut out by
+    # z1^2 - q*z2, whose coefficient takes three more primes to lift
+    primes = exactmath._primes()
+    q = next(primes)
+    rest = [next(primes) for _ in range(3)]
+    used = []
+
+    def spy(generators, ring, p, **kwargs):
+        used.append(p)
+        return buchberger(generators, ring, p, **kwargs)
+
+    monkeypatch.setattr(elim, "buchberger", spy)
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
+        equations = closure_equations(torus_diagonal([(1,), (2,)]), SubspaceMap.point((1, Fraction(1, q))))
+    assert equations == [{(2, 0): 1, (0, 1): -q}]
+    assert used == rest
+    # buchberger itself cannot map such a generator into Z/q
+    with pytest.raises(ValueError):
+        buchberger([{(1, 0): Fraction(1, q)}], LEX_XY, q)
+    line = [r.getMessage() for r in caplog.records if r.getMessage().startswith("closure_equations:")]
+    assert line[0].startswith(f"closure_equations: primes {','.join(map(str, rest))}, 0 restarts, 1 equations lifted, ")
+
+
+def test_lift_that_never_passes_the_check_raises(monkeypatch, tmp_path, capsys):
+    # the second prime reconstructs the same equations, which failed the
+    # check once: a lift that repeats under a larger modulus raises
+    checks = _spy_check(monkeypatch, verdict=False)
+    with pytest.raises(CertificateError, match="repeat under a larger modulus"):
+        closure_equations(torus_diagonal([(1,), (2,)]), SubspaceMap.point((1, 1)))
+    assert checks == [([parse_equation("z1^2 - z2", 2)], False)]
+
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(torus_diagonal([(1,), (2,)]).to_json()))
+    assert cli.main(["closure", "--rep", str(path), "--point", "1,1"]) == cli.EXIT_INTERNAL == 7
+    assert "repeat under a larger modulus" in capsys.readouterr().err
 
 
 def test_point_in_closure_arity_check():

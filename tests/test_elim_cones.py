@@ -11,11 +11,13 @@ monomial representation cannot alter a basis unnoticed."""
 
 import hashlib
 import logging
+import re
 from fractions import Fraction
 
 import pytest
 
 from orbitcal.elim import DEFAULT_MAX_PAIRS, SubspaceMap, closure_equations, evaluate_equation
+from orbitcal.exactmath import RANK_PRIME
 from orbitcal.repmodel import make_conic, sl2_binary_forms
 
 # linear forms p*z1 + q*z2, pairwise independent, and scales s
@@ -50,7 +52,8 @@ def _cone_points(multiplicities):
 
 # Per cone: the sha256 of repr(equations), pinning every exponent,
 # coefficient and term order, and buchberger's DEBUG line, pinning the
-# pair sequence through its counters.
+# pair sequence through its counters.  closure_equations adds its own
+# line: one prime, no restart, and the equations it lifted and checked.
 PINS = {
     (2, 1): (
         "001af654dca3fbb914c6c61c26783483568f1ccf549afd0a35b71b1101fb48d2",
@@ -87,7 +90,13 @@ def test_cone_closes_at_default_budget(multiplicities, degrees, caplog):
         equations = closure_equations(rep2, SubspaceMap.point(b2), max_pairs=DEFAULT_MAX_PAIRS)
     digest, debug_line = PINS[multiplicities]
     assert hashlib.sha256(repr(equations).encode()).hexdigest() == digest
-    assert [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"] == [debug_line]
+    messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"]
+    assert messages[:1] == [debug_line] and len(messages) == 2
+    assert re.fullmatch(
+        rf"closure_equations: primes {RANK_PRIME}, 0 restarts, {len(degrees)} equations lifted, "
+        r"f\(psi\) = 0 checked in \d+\.\d ms",
+        messages[1],
+    )
     assert sorted(max(map(sum, q)) for q in equations) == degrees
 
     for point in _cone_points(multiplicities):

@@ -24,6 +24,8 @@ st = pytest.importorskip("hypothesis.strategies")
 # the first total degree packed monomials do not hold
 HALF = 1 << (SLOT_BITS - 1)
 LEX_XY = OrderedRing(("x", "y"), ((0,), (1,)))
+# buchberger works over Z/P
+P = (1 << 61) - 1
 
 
 def _order_key(ring, exp):
@@ -89,10 +91,10 @@ def test_pack_rejects_negative_exponents_and_wrong_arity():
 
 def test_generator_past_the_range_raises():
     with pytest.raises(ResourceLimitError, match=f"^buchberger: a generator of degree {HALF} "):
-        buchberger([{(HALF, 0): 1, (0, 1): -1}], LEX_XY)
+        buchberger([{(HALF, 0): 1, (0, 1): -1}], LEX_XY, P)
     # the largest degree in range is kept exactly
     g = {(HALF - 1, 0): Fraction(1), (0, 1): Fraction(-1)}
-    assert buchberger([g], LEX_XY) == [g]
+    assert buchberger([g], LEX_XY, P) == [{(HALF - 1, 0): 1, (0, 1): P - 1}]
 
 
 def test_reduction_past_the_range_raises_and_never_aliases():
@@ -102,12 +104,12 @@ def test_reduction_past_the_range_raises_and_never_aliases():
 
     n = HALF // 2
     with pytest.raises(ResourceLimitError, match=f"^normal_form: a term of degree {2 * n} "):
-        buchberger(gens(n), LEX_XY)
+        buchberger(gens(n), LEX_XY, P)
     # with N one smaller, y^(2N) is just in range and the basis is exact
     n -= 1
-    assert buchberger(gens(n), LEX_XY) == [
-        {(0, 2 * n): Fraction(1), (0, 0): Fraction(1)},
-        {(1, 0): Fraction(1), (0, n): Fraction(-1)},
+    assert buchberger(gens(n), LEX_XY, P) == [
+        {(0, 2 * n): 1, (0, 0): 1},
+        {(1, 0): 1, (0, n): P - 1},
     ]
 
 

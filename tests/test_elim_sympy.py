@@ -3,7 +3,9 @@
 With one variable per block the block order is lex, and with a single
 block it is grevlex.  The reduced monic basis of an ideal is unique in
 either order, so both must agree term for term; so must the remainder
-of division by a Groebner basis."""
+of division by a Groebner basis.  elim computes both over Z/p; the
+buchberger and normal_form below lift its results to Q over several
+primes, so the comparisons with sympy stay exact over Q."""
 
 from fractions import Fraction
 
@@ -13,7 +15,19 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from orbitcal.elim import OrderedRing, buchberger, normal_form  # noqa: E402
+from orbitcal import elim  # noqa: E402
+from orbitcal.elim import OrderedRing  # noqa: E402
+from support import lift, residues  # noqa: E402
+
+
+def buchberger(gens, ring):
+    """elim.buchberger's reduced basis, lifted from Z/p to Q."""
+    return lift(lambda p: elim.buchberger(gens, ring, p))
+
+
+def normal_form(poly, basis, ring):
+    """elim.normal_form's remainder on rational input, lifted from Z/p to Q."""
+    return lift(lambda p: [elim.normal_form(residues(poly, p), [residues(g, p) for g in basis], ring, p)])[0]
 
 
 def _poly(n):

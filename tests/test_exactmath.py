@@ -14,24 +14,25 @@ from orbitcal.exactmath import (
     rank,
     solve_or_refute,
 )
+from support import sparse_matrix
 from test_exactmath_modular import _cleared, _left_mul, _mul, _random_rational_rows, _reference_solve
 
 
 def test_solution_for_trivial_system():
-    w = solve_or_refute(SparseMatrix.from_rows([[1, 0]]), [0])
+    w = solve_or_refute(sparse_matrix([[1, 0]]), [0])
     assert w.kind == SOLUTION
     assert w.vector == (0, 0)
 
 
 def test_refutation_for_zero_equals_one():
-    w = solve_or_refute(SparseMatrix.from_rows([[0, 0]]), [1])
+    w = solve_or_refute(sparse_matrix([[0, 0]]), [1])
     assert w.kind == REFUTATION
     assert w.vector == (1,)
 
 
 def test_refutation_for_proportional_rows():
     # 2*row1 - row2 gives 0 = -1
-    A = SparseMatrix.from_rows([[1, 1], [2, 2]])
+    A = sparse_matrix([[1, 1], [2, 2]])
     w = solve_or_refute(A, [1, 3])
     assert w.kind == REFUTATION
     assert w.verify(A, [1, 3])
@@ -40,7 +41,7 @@ def test_refutation_for_proportional_rows():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_or_refute(SparseMatrix.from_rows([[1, 0]]), [1, 2])
+        solve_or_refute(sparse_matrix([[1, 0]]), [1, 2])
     with pytest.raises(ValueError):
         solve_or_refute(SparseMatrix(0, 0), [])
 
@@ -72,7 +73,7 @@ def test_witnesses_verify_on_random_systems():
 
 
 def test_tampered_witnesses_fail_verification():
-    A = SparseMatrix.from_rows([[1, 2], [0, 1]])
+    A = sparse_matrix([[1, 2], [0, 1]])
     v = [3, 1]
     w = solve_or_refute(A, v)
     assert w.kind == SOLUTION
@@ -127,9 +128,9 @@ def test_rank_of_large_sparse_matrix():
 def test_failed_plug_back_raises_certificate_error(monkeypatch):
     monkeypatch.setattr(ConsistencyWitness, "verify", lambda self, matrix, rhs: False)
     with pytest.raises(CertificateError, match="refutation"):
-        solve_or_refute(SparseMatrix.from_rows([[0, 0]]), [1])
+        solve_or_refute(sparse_matrix([[0, 0]]), [1])
     with pytest.raises(CertificateError, match="solution"):
-        solve_or_refute(SparseMatrix.from_rows([[1, 0]]), [0])
+        solve_or_refute(sparse_matrix([[1, 0]]), [0])
 
 
 def test_det():

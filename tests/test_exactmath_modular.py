@@ -28,6 +28,7 @@ from orbitcal.exactmath import (
     solve_or_refute,
 )
 from orbitcal.fixtures import hyperbola_rep
+from support import sparse_matrix
 
 PRIMES = tuple(islice(exactmath._primes(), 8))
 FIRST_PRIME, SECOND_PRIME = PRIMES[:2]
@@ -57,7 +58,7 @@ def _cleared(rows, rhs, factor=1):
     every denominator of the rational system (A, v) given by its rows."""
     values = [v for row in rows for v in row] + list(rhs)
     scale = factor * lcm(*(Fraction(v).denominator for v in values))
-    matrix = SparseMatrix.from_rows([[int(v * scale) for v in row] for row in rows])
+    matrix = sparse_matrix([[int(v * scale) for v in row] for row in rows])
     return matrix, [int(b * scale) for b in rhs]
 
 
@@ -395,7 +396,7 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
         # the refuting last row and the pivot before it are skipped
         ([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]),
     ]
-    cases = [(SparseMatrix.from_rows(rows), rhs, _reference_solve(rows, rhs)) for rows, rhs in small]
+    cases = [(sparse_matrix(rows), rhs, _reference_solve(rows, rhs)) for rows, rhs in small]
     # the d = 3 decide-sparse systems, whose witnesses
     # test_decide_certificates_equal_the_fraction_loop pins
     sl2 = repmodel.sl2_binary_forms(2)
@@ -482,7 +483,7 @@ def test_not_unit_in_the_transposed_pass_drops_the_pass(monkeypatch, caplog):
         outer.clear()
         raised.clear()
         with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
-            w = solve_or_refute(SparseMatrix.from_rows(rows), rhs)
+            w = solve_or_refute(sparse_matrix(rows), rhs)
         assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
         assert raised == [FIRST_PAIR]
         assert outer == [FIRST_PAIR, SECOND_PAIR]
@@ -563,7 +564,7 @@ def test_first_twenty_primes_are_prime():
 def test_one_debug_line_per_solve(caplog):
     # the second row is the first 0 = 0 and is reduced; the fourth, the
     # sum of the first and the third, is skipped by the fingerprint
-    A = SparseMatrix.from_rows([[1, 1], [2, 2], [0, 1], [1, 2]])
+    A = sparse_matrix([[1, 1], [2, 2], [0, 1], [1, 2]])
     with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
         solve_or_refute(A, [1, 2, 3, 4])
         solve_or_refute(A, [1, 3, 0, 1])
@@ -652,10 +653,10 @@ def test_random_systems_of_both_kinds_match():
 
 def test_non_integer_entries_and_rhs_are_rejected():
     with pytest.raises(ValueError, match="not an integer"):
-        SparseMatrix.from_rows([[1, Fraction(1, 2)]])
+        sparse_matrix([[1, Fraction(1, 2)]])
     with pytest.raises(ValueError, match="ragged"):
-        SparseMatrix.from_rows([[1, 2], [3]])
+        sparse_matrix([[1, 2], [3]])
     with pytest.raises(ValueError, match="negative"):
         SparseMatrix(-1, 2)
     with pytest.raises(ValueError, match="right-hand side"):
-        solve_or_refute(SparseMatrix.from_rows([[1, 2]]), [Fraction(1, 2)])
+        solve_or_refute(sparse_matrix([[1, 2]]), [Fraction(1, 2)])

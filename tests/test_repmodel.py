@@ -7,8 +7,6 @@ from orbitcal.exactmath import det
 from orbitcal.polyring import LaurentPoly
 from orbitcal.repmodel import (
     RepresentationData,
-    act,
-    binary_substitution_matrix,
     coordinate_pullbacks,
     diagonal_weights,
     find_scrambling,
@@ -16,10 +14,10 @@ from orbitcal.repmodel import (
     orbit_dimension,
     apply_matrix,
     sl2_binary_forms,
-    sl2_parameter_matrix,
     torus_diagonal,
     vector,
 )
+from support import act, binary_substitution_matrix, sl2_parameter_matrix
 
 
 def test_sl2_h2_matrix_entries():

@@ -18,13 +18,13 @@ st = pytest.importorskip("hypothesis.strategies")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from orbitcal.repmodel import (  # noqa: E402
-    act,
     coordinate_pullbacks,
     make_conic,
     orbit_dimension,
     sl2_binary_forms,
     torus_diagonal,
 )
+from support import act  # noqa: E402
 
 _units = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
 _entries = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))

@@ -14,10 +14,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names that only the tests use, each as module.qualname
 TEST_REFERENCES = {
     "elim.parse_equation",
-    "exactmath.SparseMatrix.from_rows",
-    "repmodel.act",
-    "repmodel.binary_substitution_matrix",
-    "repmodel.sl2_parameter_matrix",
 }
 
 
