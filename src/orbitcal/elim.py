@@ -22,15 +22,14 @@ each element monic with pow(c, -1, p), and the products of normal_form
 and s_polynomial leave their int coefficients unreduced, to be reduced
 mod p where normal_form reads a term.  closure_equations runs it for
 one prime after another, skipping a prime that divides a denominator
-of the generators.  It lifts the z-only elements to Q by rational
-reconstruction (exactmath._reconstruct); a value that does not
-reconstruct, or a lift that fails the check below, takes the next
-prime, whose residues are combined by CRT when the supports agree and
-replace the old ones when they differ.  Every lifted f is checked
-exactly, f(psi) = 0 over Q, on the joined images psi of the
+of the generators, and lifts the z-only elements to Q through
+exactmath._lift, with their supports as the shape: CRT while the
+supports agree, rational reconstruction, and the next prime while a
+value does not reconstruct or a lift fails the check; _lift states
+when it restarts and when it gives up.  The check is exact: f(psi) = 0
+over Q for every lifted f, on the joined images psi of the
 parametrization, so each returned equation vanishes on the image and
-on its closure; a lift that repeats under a larger modulus and still
-fails the check raises CertificateError.
+on its closure.
 
 The remaining risk is an unlucky prime for which the basis over Z/p is
 not the image of the one over Q but whose lift still passes the check:
@@ -50,8 +49,8 @@ from operator import add
 from time import perf_counter
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into
-from orbitcal.errors import CertificateError, ResourceLimitError
-from orbitcal.exactmath import _crt, _primes, _reconstruct
+from orbitcal.errors import ResourceLimitError
+from orbitcal.exactmath import _lift, _primes
 from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, monomial_images, parse_terms
 from orbitcal.repmodel import RepresentationData, vector
 
@@ -437,9 +436,6 @@ class SubspaceMap:
     def to_json(self) -> dict:
         return {"l": self.l, "images": [str(img) for img in self.images]}
 
-    def evaluate(self, point):
-        return tuple(img.evaluate(point) for img in self.images)
-
     @classmethod
     def load(cls, path) -> "SubspaceMap":
         with open(path, encoding="utf-8") as fh:
@@ -468,12 +464,12 @@ def closure_equations(
     generate its intersection with Q[z] (elimination property of the
     block order), the ideal of the closure of the image.
 
-    The basis is computed over Z/p and its z-only elements lifted to Q
-    and checked on psi, prime after prime, as the module docstring
-    describes.  At DEBUG, logger orbitcal.elim gets one line per call
-    after buchberger's: the primes used, the restarts (a prime whose
-    z-only supports differ from the previous ones), the equations lifted
-    and the time the checks took."""
+    The basis is computed over Z/p, prime after prime, and its z-only
+    elements are lifted to Q and checked on psi by exactmath._lift,
+    whose docstring gives the restart and termination rule.  At DEBUG, logger orbitcal.elim gets one
+    line per call after buchberger's: the primes used, the restarts (a
+    prime whose z-only supports differ from the previous ones), the
+    equations lifted and the time the checks took."""
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
@@ -508,44 +504,32 @@ def closure_equations(
 
     ring = OrderedRing(names, blocks)
     denominators = lcm(*(c.denominator for g in generators for c in g.values()))
-    used, restarts, check_s = [], 0, 0.0
-    support = residues = failed = None
-    modulus = 1
-    for prime in _primes():
-        if not denominators % prime:
-            continue
-        used.append(prime)
-        basis = buchberger(generators, ring, prime, max_pairs=max_pairs)
-        elements = [g for g in basis if not any(any(e[:z_start]) for e in g)]
-        keys = [[e[z_start:] for e in g] for g in elements]
-        values = [c for g in elements for c in g.values()]
-        if keys == support:
-            residues = _crt(residues, modulus, values, prime)
-            modulus *= prime
-        else:
-            restarts += support is not None
-            support, residues, modulus, failed = keys, values, prime, None
-        flat = _reconstruct(residues, modulus)
-        if flat is None:
-            continue
+    used, check_s, equations = [], 0.0, None
+
+    def residues():
+        for prime in _primes():
+            if denominators % prime:
+                used.append(prime)
+                basis = buchberger(generators, ring, prime, max_pairs=max_pairs)
+                elements = [g for g in basis if not any(any(e[:z_start]) for e in g)]
+                yield [[e[z_start:] for e in g] for g in elements], [c for g in elements for c in g.values()], prime
+
+    def vanish(support, values):
+        nonlocal check_s, equations
         # Fraction coefficients, as every term dict over Q in orbitcal
-        flat = iter(map(Fraction, flat))
-        equations = [{e: next(flat) for e in g} for g in support]
-        if equations == failed:
-            raise CertificateError(
-                f"closure_equations: the equations lifted modulo {len(used)} primes "
-                f"repeat under a larger modulus and do not vanish on the image"
-            )
+        flat = iter(map(Fraction, values))
+        equations = [{e: next(flat) for e in keys} for keys in support]
         start = perf_counter()
-        vanish = _vanish_on(equations, images, z_start - len(t))
+        vanishes = _vanish_on(equations, images, z_start - len(t))
         check_s += perf_counter() - start
-        if vanish:
-            _log.debug(
-                "closure_equations: primes %s, %d restarts, %d equations lifted, f(psi) = 0 checked in %.1f ms",
-                ",".join(map(str, used)), restarts, len(equations), 1000 * check_s,
-            )
-            return equations
-        failed = equations
+        return vanishes
+
+    _, _, restarts = _lift(residues(), vanish, lambda support: "closure_equations: the check f(psi) = 0")
+    _log.debug(
+        "closure_equations: primes %s, %d restarts, %d equations lifted, f(psi) = 0 checked in %.1f ms",
+        ",".join(map(str, used)), restarts, len(equations), 1000 * check_s,
+    )
+    return equations
 
 
 def _vanish_on(equations, images, nvars) -> bool:

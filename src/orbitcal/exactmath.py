@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
 Everything here is over Z or Z/p, with Fractions only for witnesses,
-determinants and the dense inputs of rank and det; there is no floating
-point anywhere.  Linear systems are integer and stored by rows, one term
+determinants and the dense input of det; there is no floating point
+anywhere.  Linear systems are integer and stored by rows, one term
 dict per row; a system over Q comes in with one common denominator
 cleared, which changes neither its solutions nor its refuting
 combinations.  solve_or_refute eliminates modulo products of two
@@ -11,7 +11,9 @@ integers, so callers need neither trust the elimination nor check the
 witness again.  Its passes keep no row history: a refutation's
 combination solves a square transposed system on the pivot rows, by
 one more pass.  rank_mod runs the same elimination modulo one prime;
-rank, det and integer_left_kernel share one unimodular row reduction.
+det and integer_left_kernel share one unimodular row reduction.
+_lift, the one way from residues to Q for solve_or_refute and
+elim.closure_equations, states when a lift restarts and when it ends.
 """
 
 from __future__ import annotations
@@ -149,33 +151,24 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     pivot and the final b of a 0 = b row is a unit mod pq, the pass
     returns the CRT of the two one-prime passes, profile and residues,
     and the two primes agree on the profile.  A non-unit means their
-    profiles differ, and the pass is dropped.  A prime that divides a
-    value the elimination over Q keeps nonzero can only make the profile
-    lexicographically larger, so a larger profile is dropped too and a
-    smaller one restarts the residues.  Residues of passes that share
-    the profile are combined by CRT and rationally reconstructed.  The
-    witness is tried after each pass that sets or extends the residues
-    and returned once it passes verify(), the only plug-back a caller
-    needs; one prime dividing a pivot cannot change it, and a failed
-    reconstruction or plug-back adds a pass.
-
-    The passes read matrix.row_terms as they are, and skip the rows
-    that a kernel fingerprint reads as 0 = 0 (_eliminate_mod).  A false
-    zero there makes the profile larger: its witness fails the plug-back,
-    or passes as an exact certificate though not the one the profile
-    over Q determines.  Past a Hadamard-type bound on the CRT modulus
-    only a false zero, which needs no prime dividing a minor of [A|v],
-    can fail the plug-back; so the first failure there drops the
-    profile, the next passes, each with its own fingerprint, start
-    again, and a second failure raises CertificateError.  A right-hand
-    side that is not all ints raises ValueError.
+    profiles differ, and the pass is dropped.  _lift lifts the completed
+    passes, with the profile as their shape and verify(), the only
+    plug-back a caller needs, as its check; see _lift for the restarts
+    and the end.  A profile other than the one over Q needs both primes
+    of a pass to divide a value that the elimination over Q keeps
+    nonzero, or a false zero of the kernel fingerprint (_eliminate_mod),
+    and either only makes the profile larger: its witness fails the
+    plug-back and the next pass restarts, or it passes as an exact
+    certificate, though not the one the profile over Q determines.  A
+    right-hand side that is not all ints raises ValueError.
 
     At DEBUG, logger orbitcal.exactmath gets one line per solve: the
     system's shape and nonzeros, the witness kind, the pivots of the
     profile, primes=K, the primes whose passes completed (two for each
     pass), passes=P, the passes begun over the whole system (a pass
     that met a non-unit counts; a refutation's transposed pass does
-    not), skipped=S, the rows the accepted pass skipped by its
+    not), restarts=R, the completed passes whose profile differed from
+    the one before, skipped=S, the rows the accepted pass skipped by its
     fingerprint (every 0 = 0 row after its first), and the bits of the
     largest numerator or denominator of the witness.
     """
@@ -187,46 +180,80 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     if not all(isinstance(b, int) for b in rhs):
         raise ValueError("the right-hand side must be integers")
 
-    primes = _primes()
-    best = residues = None
-    modulus = primes_used = passes = 0
-    bound_bits = None
-    restarted = False
-    while True:
-        m = next(primes) * next(primes)
-        passes += 1
-        try:
-            profile, vector = _eliminate_mod(matrix.row_terms, rhs, matrix.cols, m)
-        except _NotUnit:
-            continue
-        primes_used += 2
-        if best is None or profile < best:
-            best, residues, modulus = profile, vector, m
-        elif profile == best:
-            residues = _crt(residues, modulus, vector, m)
+    passes = completed = 0
+    witness = None
+
+    def residues():
+        nonlocal passes, completed
+        primes = _primes()
+        while True:
+            m = next(primes) * next(primes)
+            passes += 1
+            try:
+                profile, vector = _eliminate_mod(matrix.row_terms, rhs, matrix.cols, m)
+            except _NotUnit:
+                continue
+            completed += 1
+            yield profile, vector, m
+
+    def kind(profile):
+        return REFUTATION if profile[-1] == matrix.cols else SOLUTION
+
+    def verified(profile, values):
+        nonlocal witness
+        witness = ConsistencyWitness(kind(profile), values)
+        return witness.verify(matrix, rhs)
+
+    profile, _, restarts = _lift(
+        residues(), verified, lambda profile: f"solve_or_refute: the plug-back of the {kind(profile).lower()}"
+    )
+    if _log.isEnabledFor(logging.DEBUG):
+        bits = max(max(abs(v.numerator), v.denominator) for v in witness.vector).bit_length()
+        _log.debug(
+            "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, restarts=%d, skipped=%d, witness_bits=%d",
+            matrix.rows, matrix.cols, matrix.nnz, witness.kind,
+            sum(c < matrix.cols for c in profile), 2 * completed, passes, restarts,
+            max(profile.count(matrix.cols + 1) - 1, 0), bits,
+        )
+    return witness
+
+
+def _lift(passes, holds, stage):
+    """(shape, values, restarts) for the first lift over Q of residues
+    that holds(shape, values) accepts: the one prime loop behind
+    solve_or_refute and elim.closure_equations.
+
+    passes yields (shape, residues, modulus), with pairwise coprime
+    moduli: the shape of a result computed modulo `modulus` (a pivot
+    profile, the supports of some polynomials) and its values there, a
+    flat list of ints.  Residues of equal shapes are combined by CRT; a
+    shape unlike the one before replaces them and counts as a restart.
+    After each pass the residues are rationally reconstructed
+    (_reconstruct), and a value that does not reconstruct, or a lift
+    that holds rejects, takes the next pass.
+
+    While the shape stays, the modulus grows until the values over Q
+    reconstruct, and from then on every pass lifts the same values.  So
+    a lift that holds rejects twice, unchanged under a larger modulus,
+    is final: it raises CertificateError, whose message begins with
+    stage(shape)."""
+    shape = residues = failed = None
+    modulus = restarts = 0
+    for new, more, m in passes:
+        if new == shape:
+            residues = _crt(residues, modulus, more, m)
             modulus *= m
         else:
+            restarts += shape is not None
+            shape, residues, modulus, failed = new, more, m, None
+        values = _reconstruct(residues, modulus)
+        if values is None:
             continue
-        kind = REFUTATION if best[-1] == matrix.cols else SOLUTION
-        candidate = _reconstruct(residues, modulus)
-        if candidate is not None:
-            witness = ConsistencyWitness(kind, candidate)
-            if witness.verify(matrix, rhs):
-                if _log.isEnabledFor(logging.DEBUG):
-                    bits = max(max(abs(v.numerator), v.denominator) for v in witness.vector).bit_length()
-                    _log.debug(
-                        "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, skipped=%d, witness_bits=%d",
-                        matrix.rows, matrix.cols, matrix.nnz, kind,
-                        sum(c < matrix.cols for c in best), primes_used, passes,
-                        max(best.count(matrix.cols + 1) - 1, 0), bits,
-                    )
-                return witness
-        if bound_bits is None:
-            bound_bits = _witness_bound_bits(matrix.row_terms, rhs)
-        if modulus.bit_length() > bound_bits:
-            if restarted:
-                raise CertificateError(f"internal {kind.lower()} failed plug-back")
-            restarted, best = True, None
+        if holds(shape, values):
+            return shape, values, restarts
+        if values == failed:
+            raise CertificateError(f"{stage(shape)} fails on a lift whose values repeat under a larger modulus")
+        failed = values
 
 
 class _NotUnit(ArithmeticError):
@@ -503,20 +530,6 @@ def _reconstruct(residues, modulus):
     return values
 
 
-def _witness_bound_bits(rows, values) -> int:
-    """Bits of 2 B^2, where B = prod_i max(1, |(A|v)_i|) over the rows
-    of the integer system [A|v].  Every minor of [A|v] is at most B, so
-    B bounds the numerators and denominators of the witness; a modulus
-    above 2 B^2 reconstructs it, and the primes that share a wrong
-    profile all divide one nonzero minor, so their product stays below
-    B."""
-    bits = sum(
-        (isqrt(b * b + sum(v * v for v in row.values())) + 1).bit_length()
-        for row, b in zip(rows, values)
-    )
-    return 2 * bits + 1
-
-
 def _integer_matrix(rows) -> tuple[list[list[int]], int]:
     """A dense rational matrix with each row scaled to integers by the
     lcm of its denominators, and the product of those scales."""
@@ -528,13 +541,6 @@ def _integer_matrix(rows) -> tuple[list[list[int]], int]:
         out.append([v.numerator * (scale // v.denominator) for v in row])
         scales *= scale
     return out, scales
-
-
-def rank(rows) -> int:
-    """Exact rank over Q of a dense matrix; the tests' reference for
-    rank_mod."""
-    work, _ = _integer_matrix(rows)
-    return _integer_echelon(work, len(work[0]) if work else 0)[0]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

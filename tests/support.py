@@ -1,8 +1,8 @@
 """Reference code that only the tests use: the numeric group action, the
 sl2 substitution rule written out by hand, dense integer rows as a
-SparseMatrix, and the two ways of comparing elim's results over Z/p
-with rational ones: rational term dicts mapped into Z/p, and results
-over Z/p lifted to Q."""
+SparseMatrix, the rank over Q of dense rows, and the two ways of
+comparing elim's results over Z/p with rational ones: rational term
+dicts mapped into Z/p, and results over Z/p lifted to Q."""
 
 from fractions import Fraction
 from math import comb
@@ -57,6 +57,23 @@ def sparse_matrix(data) -> SparseMatrix:
             if v:
                 terms[j] = v
     return matrix
+
+
+def rank(rows) -> int:
+    """Exact rank over Q of a dense matrix, by row reduction over
+    Fractions; the reference for exactmath.rank_mod."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            if factor := work[i][col] / work[r][col]:
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
 
 
 def residues(poly, p) -> dict:

@@ -41,6 +41,7 @@ RETIRED = {
     "elim._primitive",
     "torusoracle.cone_inequalities",
     "polyring.kernels.terms_mul",
+    "exactmath.rank",
 }
 
 

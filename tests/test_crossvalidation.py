@@ -6,10 +6,9 @@ from fractions import Fraction
 
 from orbitcal.decider import DecisionProblem, decide
 from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
-from orbitcal.exactmath import rank
 from orbitcal.repmodel import coordinate_pullbacks, make_conic, orbit_dimension, torus_diagonal
 from orbitcal.torusoracle import torus_decide
-from support import act
+from support import act, rank
 
 
 def test_three_oracles_on_monomial_curve_cones():

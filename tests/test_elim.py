@@ -244,7 +244,7 @@ def test_swept_subspace_equations_vanish_on_joint_parametrization():
     for _ in range(100):
         u = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))]
         v = [Fraction(rng.randint(-5, 5))]
-        point = act(rep, u, tau.evaluate(v))
+        point = act(rep, u, [img.evaluate(v) for img in tau.images])
         for q in eqs:
             assert evaluate_equation(q, point) == 0
 
@@ -348,12 +348,13 @@ def test_prime_dividing_a_denominator_is_skipped(monkeypatch, caplog):
 
 
 def test_lift_that_never_passes_the_check_raises(monkeypatch, tmp_path, capsys):
-    # the second prime reconstructs the same equations, which failed the
-    # check once: a lift that repeats under a larger modulus raises
+    # the second prime reconstructs the same equations, which fail the
+    # check again: a lift that repeats under a larger modulus and still
+    # fails raises
     checks = _spy_check(monkeypatch, verdict=False)
     with pytest.raises(CertificateError, match="repeat under a larger modulus"):
         closure_equations(torus_diagonal([(1,), (2,)]), SubspaceMap.point((1, 1)))
-    assert checks == [([parse_equation("z1^2 - z2", 2)], False)]
+    assert checks == [([parse_equation("z1^2 - z2", 2)], False)] * 2
 
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(torus_diagonal([(1,), (2,)]).to_json()))

@@ -11,10 +11,10 @@ from orbitcal.exactmath import (
     SparseMatrix,
     det,
     integer_left_kernel,
-    rank,
+    rank_mod,
     solve_or_refute,
 )
-from support import sparse_matrix
+from support import rank, sparse_matrix
 from test_exactmath_modular import _cleared, _left_mul, _mul, _random_rational_rows, _reference_solve
 
 
@@ -94,6 +94,13 @@ def test_rank_of_transpose_matches():
     for _ in range(40):
         rows = _random_rational_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert rank(rows) == rank([list(col) for col in zip(*rows)])
+
+
+def test_rank_mod_matches_the_rank_over_q():
+    rng = random.Random(5)
+    for _ in range(40):
+        rows = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(5)] for _ in range(rng.randint(1, 6))]
+        assert rank_mod([{j: v for j, v in enumerate(row) if v} for row in rows]) == rank(rows)
 
 
 def test_rank_with_fractional_entries():

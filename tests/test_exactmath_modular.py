@@ -20,6 +20,7 @@ from math import gcd, lcm
 import pytest
 
 from orbitcal import decider, exactmath, repmodel
+from orbitcal.errors import CertificateError
 from orbitcal.exactmath import (
     REFUTATION,
     SOLUTION,
@@ -528,6 +529,115 @@ def test_witness_of_80_bits_needs_several_primes(primes_used, rows, rhs, kind):
     assert sum(_primes_in(m) for m, _ in primes_used) >= 3
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, kind",
+    [
+        # the 80-bit cases above with a copy of their first row, which
+        # reads 0 = 0 and builds the fingerprint that skips the next row
+        ([[1, 0], [1, 0], [0, 3]], [2**80 + 1, 2**80 + 1, 2**81], SOLUTION),
+        ([[1], [1], [2**80 + 1]], [1, 1, 0], REFUTATION),
+    ],
+)
+def test_false_zero_after_partial_residues_restarts_the_lift(monkeypatch, caplog, primes_used, rows, rhs, kind):
+    # the first pass is on the right profile but too short to lift the
+    # 80-bit witness; a fingerprint of zeros in the second pass reads
+    # the last row as 0 = 0, a larger profile, which replaces the first
+    # pass's residues.  The third pass restarts on the right profile and
+    # the fourth completes the lift
+    fingerprint = exactmath._fingerprint
+    calls = []
+
+    def zero_second(pivots, ncols, m):
+        z, users = fingerprint(pivots, ncols, m)
+        calls.append(m)
+        return ([0] * len(z) if len(calls) == 2 else z), users
+
+    monkeypatch.setattr(exactmath, "_fingerprint", zero_second)
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
+        w = _assert_matches_reference(rows, rhs)
+    assert w.kind == kind
+    assert calls == list(PAIRS[:4])
+    profiles = [profile for _, profile in primes_used]
+    assert [m for m, _ in primes_used] == list(PAIRS[:4])
+    assert profiles[1] > profiles[0] == profiles[2] == profiles[3]
+    assert "primes=8, passes=4, restarts=2," in caplog.records[-1].getMessage()
+
+
+def _spy_verify(monkeypatch, failures):
+    """Make ConsistencyWitness.verify answer False on its first
+    `failures` calls and record every answer."""
+    verify = ConsistencyWitness.verify
+    answers = []
+
+    def spy(self, matrix, rhs):
+        answers.append(len(answers) >= failures and verify(self, matrix, rhs))
+        return answers[-1]
+
+    monkeypatch.setattr(ConsistencyWitness, "verify", spy)
+    return answers
+
+
+SMALL_SYSTEMS = [([[1, 0], [0, 3]], [1, 2]), ([[1, 1], [2, 2]], [1, 3])]
+
+
+@pytest.mark.parametrize("rows, rhs", SMALL_SYSTEMS)
+def test_witness_failing_one_plug_back_is_lifted_by_the_next_pass(monkeypatch, primes_used, rows, rhs):
+    # the second pass lifts the same witness, and verify accepts it
+    answers = _spy_verify(monkeypatch, 1)
+    assert solve_or_refute(sparse_matrix(rows), rhs) == _reference_solve(rows, rhs)
+    assert answers == [False, True]
+    assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+
+
+@pytest.mark.parametrize("rows, rhs", SMALL_SYSTEMS)
+def test_witness_failing_every_plug_back_raises_after_two_passes(monkeypatch, primes_used, rows, rhs):
+    answers = _spy_verify(monkeypatch, 2**30)
+    kind = _reference_solve(rows, rhs).kind.lower()
+    with pytest.raises(CertificateError, match=f"plug-back of the {kind} fails on a lift whose values repeat"):
+        solve_or_refute(sparse_matrix(rows), rhs)
+    assert answers == [False, False]
+    assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+
+
+def _encoded(values, m):
+    return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, m) % m for v in values]
+
+
+def test_lift_combines_equal_shapes_and_restarts_on_a_new_one():
+    # shape "a" lifts to [3], which the check rejects; shape "b" restarts
+    # the residues.  Modulo 137 its values do not reconstruct, modulo
+    # 137 * 101 they reconstruct to a wrong fraction, which the check
+    # rejects, and modulo 137 * 101 * 103 to the values themselves
+    target = [Fraction(200, 3), -5]
+    passes = iter(
+        [("a", _encoded([3], 131), 131)]
+        + [("b", _encoded(target, m), m) for m in (137, 101, 103, 107)]
+    )
+    checked = []
+
+    def holds(shape, values):
+        checked.append((shape, values))
+        return values == target
+
+    assert exactmath._lift(passes, holds, str) == ("b", target, 1)
+    assert checked == [("a", [3]), ("b", [Fraction(-79, 68), -5]), ("b", target)]
+    assert next(passes)[2] == 107  # the lift stops at the first accepted pass
+
+
+def test_lift_rejected_twice_unchanged_raises():
+    # a new shape forgets the rejected lift; the same shape does not
+    passes = [("a", [3], 101), ("b", [3], 103), ("b", [3], 107), ("b", [3], 109)]
+    checked = []
+
+    def holds(shape, values):
+        checked.append(shape)
+        return False
+
+    with pytest.raises(CertificateError, match="^stage b fails on a lift whose values repeat under a larger modulus"):
+        exactmath._lift(iter(passes), holds, lambda shape: f"stage {shape}")
+    assert checked == ["a", "b", "b"]
+
+
 def _miller_rabin(n):
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
     if n in bases:
@@ -570,8 +680,8 @@ def test_one_debug_line_per_solve(caplog):
         solve_or_refute(A, [1, 3, 0, 1])
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.exactmath"]
     assert messages == [
-        "solve 4x2 nnz=7: SOLUTION, pivots=2, primes=2, passes=1, skipped=1, witness_bits=2",
-        "solve 4x2 nnz=7: REFUTATION, pivots=1, primes=2, passes=1, skipped=0, witness_bits=2",
+        "solve 4x2 nnz=7: SOLUTION, pivots=2, primes=2, passes=1, restarts=0, skipped=1, witness_bits=2",
+        "solve 4x2 nnz=7: REFUTATION, pivots=1, primes=2, passes=1, restarts=0, skipped=0, witness_bits=2",
     ]
 
 
