@@ -4,8 +4,9 @@ Polynomials are stored as dicts mapping a monomial key to a nonzero
 number, a Fraction or an int; the kernels work on either.
 term_times_into is the one product loop: it takes int keys whose sum is
 the product of monomials, the packed keys of polyring.monomial_images
-(the decider's images, substitute, every LaurentPoly product and the
-entries of repmodel.sl2_binary_forms) and of
+(the decider's images, elim's check f(psi) = 0, substitute, the
+integrand of degbound.kazarnovskii and the entries of
+repmodel.sl2_binary_forms) and of
 elim.OrderedRing (normal forms and S-polynomials), and a product of two
 term dicts is one call per term of the smaller factor.  elim's
 coefficients are residues mod a prime, and the kernels leave the ints

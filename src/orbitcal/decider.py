@@ -230,7 +230,7 @@ def decide(
     else:
         scramble = repmodel.find_scrambling(b)
         a_w = repmodel.apply_matrix(scramble, a)
-        pullbacks = repmodel.apply_matrix(scramble, pullbacks)
+        pullbacks = [repmodel.combine(pullbacks, row) for row in scramble]
     transcript["scramble"] = scramble
 
     if problem.degree_bound_override is not None:

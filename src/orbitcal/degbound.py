@@ -22,7 +22,7 @@ from math import factorial
 
 from orbitcal.errors import InconsistentDataError
 from orbitcal.exactmath import det
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int, substitute
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int, json_list, monomial_images, substitute
 
 
 class ReductiveData:
@@ -84,10 +84,10 @@ class ReductiveData:
             return cls(
                 payload["dim_g"],
                 payload["weyl_order"],
-                payload["exponents"],
+                json_list(payload["exponents"]),
                 payload["kernel_order"],
-                payload["coroots"],
-                payload["polytope"],
+                json_list(payload["coroots"], 2),
+                json_list(payload["polytope"], 3),
             )
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed reductive data: {exc}") from exc
@@ -164,18 +164,15 @@ def kazarnovskii(data: ReductiveData) -> int:
     with finite kernel (characteristic-zero semantics); raises when the
     input data is inconsistent (non-integer or nonpositive value)."""
     rank = data.rank
-    amb = Ambient(0, rank, names=tuple(f"u{i + 1}" for i in range(rank)))
-    integrand = LaurentPoly.const(amb, 1)
+    linear = []
     for form in data.coroots:
         if len(form) != rank:
             raise ValueError("coroot length disagrees with rank")
-        terms = {}
-        for j, c in enumerate(form):
-            if c:
-                exp = tuple(1 if k == j else 0 for k in range(rank))
-                terms[exp] = c
-        linear = LaurentPoly(amb, terms)
-        integrand = integrand * linear * linear
+        linear.append({tuple(int(k == j) for k in range(rank)): c for j, c in enumerate(form) if c})
+    # the product of the squared coroot forms
+    image, decode = monomial_images(linear, rank, 2 * len(linear))
+    amb = Ambient(0, rank, names=tuple(f"u{i + 1}" for i in range(rank)))
+    integrand = LaurentPoly(amb, {decode(key): c for key, c in image((2,) * len(linear)).items()})
 
     total = Fraction(0)
     for simplex in data.polytope:
@@ -264,7 +261,7 @@ def parametric_degree_bound(rep) -> int:
     max_den = 0
     for row in rep.rho:
         for entry in row:
-            if entry.is_zero():
+            if not entry:
                 continue
             den_deg = sum(entry.monomial_denominator())
             num_deg = max(sum(exp) for exp in entry.terms) + den_deg

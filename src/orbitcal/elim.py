@@ -51,7 +51,9 @@ from time import perf_counter
 from orbitcal._kernels import add_scaled_inplace, term_times_into
 from orbitcal.errors import ResourceLimitError
 from orbitcal.exactmath import _lift, _primes
-from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, monomial_images, parse_terms
+from orbitcal.polyring import (
+    Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, json_list, monomial_images, parse_terms,
+)
 from orbitcal.repmodel import RepresentationData, vector
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -421,12 +423,12 @@ class SubspaceMap:
     def point(cls, b) -> "SubspaceMap":
         b = vector(b)
         amb = Ambient(0, 0, names=())
-        return cls(0, [LaurentPoly.const(amb, x) for x in b])
+        return cls(0, [LaurentPoly(amb, {(): x}) for x in b])
 
     @classmethod
     def from_json(cls, payload: dict) -> "SubspaceMap":
         try:
-            images = payload.get("images")
+            images = json_list(payload.get("images", []))
             if not images:
                 raise ValueError("subspace file must list at least one image")
             return cls(exact_int(payload["l"]), images)

@@ -2,17 +2,20 @@
 
 Variables split into r "invertible" positions (negative exponents
 allowed) followed by s ordinary positions (exponents in N).  A
-polynomial is a dict from exponent tuples to nonzero Fractions; all
-operations are pure and return canonical values (no stored zeros).
+polynomial is a term dict from exponent tuples to nonzero Fractions;
+LaurentPoly attaches one to its variable layout and is data only: it
+parses, prints, compares and evaluates, and its constructor is the one
+way to make one.  Sums are add_scaled_inplace on the term dicts.
 
 Every product runs on packed keys: monomial_images encodes an exponent
 tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
 that no two monomials share a key, and a monomial product is then one
 integer addition, the _kernels.term_times_into loop.  The decider's
-pullback images, substitute, LaurentPoly * and ** and the matrix
-entries of repmodel.sl2_binary_forms all take their products of powers
-from it.  The encoding stays inside this module;
-callers get the keys with a decoder back to tuples.
+pullback images, elim's check f(psi) = 0, substitute, the integrand of
+degbound.kazarnovskii and the matrix entries of
+repmodel.sl2_binary_forms all take their products of powers from it.
+The encoding stays inside this module; callers get the keys with a
+decoder back to tuples.
 
 Text format, shared by the CLI and the JSON payloads::
 
@@ -105,102 +108,15 @@ class LaurentPoly:
                     clean[ambient.check_exponent(exp)] = coef
         self.terms = clean
 
-    @classmethod
-    def zero(cls, ambient: Ambient) -> "LaurentPoly":
-        return cls(ambient)
-
-    @classmethod
-    def const(cls, ambient: Ambient, value) -> "LaurentPoly":
-        value = Fraction(value)
-        if not value:
-            return cls(ambient)
-        return cls(ambient, {(0,) * ambient.nvars: value})
-
-    @classmethod
-    def variable(cls, ambient: Ambient, index: int, power: int = 1) -> "LaurentPoly":
-        exp = [0] * ambient.nvars
-        exp[index] = power
-        return cls(ambient, {tuple(exp): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, ambient: Ambient, exp, coef=1) -> "LaurentPoly":
-        return cls(ambient, {tuple(exp): Fraction(coef)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_same(self, other: "LaurentPoly"):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.ambient, other)
         return (
             isinstance(other, LaurentPoly)
             and self.ambient == other.ambient
             and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.ambient, other)
-        self._check_same(other)
-        out = dict(self.terms)
-        add_scaled_inplace(out, other.terms, Fraction(1))
-        return LaurentPoly._raw(self.ambient, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly._raw(self.ambient, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.ambient, other)
-        self._check_same(other)
-        out = dict(self.terms)
-        add_scaled_inplace(out, other.terms, Fraction(-1))
-        return LaurentPoly._raw(self.ambient, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return LaurentPoly(self.ambient)
-            return LaurentPoly._raw(
-                self.ambient, {e: c * other for e, c in self.terms.items()}
-            )
-        self._check_same(other)
-        return self._product((self, other), (1, 1))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            raise ValueError("negative power of a general Laurent polynomial")
-        if not k:
-            return LaurentPoly.const(self.ambient, 1)
-        return self._product((self,), (k,))
-
-    def _product(self, factors, q):
-        """prod_i factors[i]**q[i], a nonzero q, on monomial_images' keys."""
-        image, decode = monomial_images([f.terms for f in factors], self.ambient.nvars, sum(q))
-        return LaurentPoly._raw(self.ambient, {decode(key): c for key, c in image(q).items()})
-
-    @classmethod
-    def _raw(cls, ambient, terms) -> "LaurentPoly":
-        p = object.__new__(cls)
-        p.ambient = ambient
-        p.terms = terms
-        return p
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point; the first r coordinates must
@@ -343,7 +259,7 @@ def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
     total: dict[int, Fraction] = {}
     for exp, coef in poly.terms.items():
         add_scaled_inplace(total, image(exp), coef)
-    return LaurentPoly._raw(target, {decode(key): coef for key, coef in total.items()})
+    return LaurentPoly(target, {decode(key): coef for key, coef in total.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +372,18 @@ def exact_int(value) -> int:
         if number.denominator == 1:
             return int(number)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def json_list(value, depth: int = 1) -> list:
+    """value, checked to be a list of lists nested depth deep, for the
+    list fields of the JSON payloads, where iterating a string would
+    read its characters as entries; anything else raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    if depth > 1:
+        for item in value:
+            json_list(item, depth - 1)
+    return value
 
 
 def format_terms(terms, names) -> str:

@@ -18,7 +18,7 @@ from math import comb, lcm
 from orbitcal import exactmath
 from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import kazarnovskii_sl2
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int, monomial_images
+from orbitcal.polyring import Ambient, LaurentPoly, exact_int, json_list, monomial_images
 
 Vec = tuple[Fraction, ...]
 
@@ -88,10 +88,7 @@ class RepresentationData:
         try:
             n, r, s = (exact_int(payload[key]) for key in ("n", "r", "s"))
             ambient = Ambient(r, s)
-            rho = [
-                [LaurentPoly.parse(text, ambient) for text in row]
-                for row in payload["rho"]
-            ]
+            rho = [[LaurentPoly.parse(text, ambient) for text in row] for row in json_list(payload["rho"], 2)]
             bound = payload.get("degree_bound")
             return cls(
                 n,
@@ -165,9 +162,7 @@ def torus_diagonal(weights) -> RepresentationData:
         raise ValueError("inconsistent weight lengths")
     amb = Ambient(r, 0)
     n = len(weights)
-    rho = [[LaurentPoly.zero(amb) for _ in range(n)] for _ in range(n)]
-    for i, wt in enumerate(weights):
-        rho[i][i] = LaurentPoly.monomial(amb, wt)
+    rho = [[LaurentPoly(amb, {wt: 1} if i == j else {}) for j in range(n)] for i, wt in enumerate(weights)]
     label = "torus-" + ";".join(",".join(str(w) for w in wt) for wt in weights)
     return RepresentationData(n, r, 0, rho, degree_bound=None, label=label)
 
@@ -180,7 +175,7 @@ def diagonal_weights(rep: RepresentationData) -> list[tuple[int, ...]] | None:
         for j in range(rep.n):
             entry = rep.rho[i][j]
             if i != j:
-                if not entry.is_zero():
+                if entry:
                     return None
             else:
                 if len(entry.terms) != 1:
@@ -205,18 +200,13 @@ def make_conic(rep: RepresentationData, a, b):
     if len(a) != rep.n or len(b) != rep.n:
         raise ValueError("vector length mismatch")
     amb2 = Ambient(rep.r + 1, rep.s)
-    n2 = rep.n + 1
-    rho2 = [[LaurentPoly.zero(amb2) for _ in range(n2)] for _ in range(n2)]
-    rho2[0][0] = LaurentPoly.variable(amb2, 0)
-    for i in range(rep.n):
-        for j in range(rep.n):
-            entry = rep.rho[i][j]
-            if entry.is_zero():
-                continue
-            shifted = {(1,) + exp: coef for exp, coef in entry.terms.items()}
-            rho2[i + 1][j + 1] = LaurentPoly(amb2, shifted)
+    # x0 alone in the corner, x0 * rho[i][j] below and right of it
+    rho2 = [[LaurentPoly(amb2, {(1,) + (0,) * rep.ambient.nvars: 1})] + [LaurentPoly(amb2) for _ in rep.rho]]
+    for row in rep.rho:
+        shifted = [{(1,) + exp: coef for exp, coef in entry.terms.items()} for entry in row]
+        rho2.append([LaurentPoly(amb2)] + [LaurentPoly(amb2, terms) for terms in shifted])
     rep2 = RepresentationData(
-        n2,
+        rep.n + 1,
         rep.r + 1,
         rep.s,
         rho2,
@@ -232,8 +222,7 @@ def make_conic(rep: RepresentationData, a, b):
 
 
 def apply_matrix(S, v) -> tuple:
-    """S v for a scalar matrix S; the entries of v may be numbers or
-    Laurent polynomials."""
+    """S v for a scalar matrix S and a vector v of numbers."""
     return tuple(sum(Fraction(s) * x for s, x in zip(row, v)) for row in S)
 
 
@@ -263,13 +252,16 @@ def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
     b = vector(b)
     if len(b) != rep.n:
         raise ValueError("vector length mismatch")
-    out = []
-    for row in rep.rho:
-        acc: dict = {}
-        for entry, bj in zip(row, b):
-            add_scaled_inplace(acc, entry.terms, bj)
-        out.append(LaurentPoly(rep.ambient, acc))
-    return out
+    return [combine(row, b) for row in rep.rho]
+
+
+def combine(polys, scales) -> LaurentPoly:
+    """sum_j scales[j] * polys[j], polynomials of one ambient summed on
+    their term dicts."""
+    acc: dict = {}
+    for poly, scale in zip(polys, scales):
+        add_scaled_inplace(acc, poly.terms, scale)
+    return LaurentPoly(polys[0].ambient, acc)
 
 
 def orbit_dimension(pullbacks, *, seed: int = 0) -> int:

@@ -1,6 +1,7 @@
 """Reference code that only the tests use: the numeric group action, the
-sl2 substitution rule written out by hand, dense integer rows as a
-SparseMatrix, the rank over Q of dense rows, and the two ways of
+sl2 substitution rule written out by hand, the schoolbook product of
+term dicts, dense integer rows as a SparseMatrix, the rank over Q of
+dense rows, and the two ways of
 comparing elim's results over Z/p with rational ones: rational term
 dicts mapped into Z/p, and results over Z/p lifted to Q."""
 
@@ -39,6 +40,27 @@ def binary_substitution_matrix(g, h: int) -> list[list[Fraction]]:
             left = a ** (h - j - k) * c**k * comb(h - j, k)
             for m in range(j + 1):
                 out[k + m][j] += left * b ** (j - m) * d**m * comb(j, m)
+    return out
+
+
+def convolve(a, b):
+    """The product of two term dicts on exponent tuples, term by term."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def product_of_powers(ambient, images, q):
+    """prod_i images[i]**q[i] for term dicts of the ambient's exponent
+    width, by repeated convolution; the reference for
+    polyring.monomial_images."""
+    out = {(0,) * ambient.nvars: 1}
+    for terms, k in zip(images, q):
+        for _ in range(k):
+            out = convolve(out, terms)
     return out
 
 

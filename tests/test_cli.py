@@ -484,6 +484,36 @@ def test_malformed_reductive_data_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, field, value",
     [
+        ("rep", "rho", ["12", "34"]),
+        ("rep", "rho", "x1"),
+        ("subspace", "images", "12"),
+        ("reductive", "exponents", "1"),
+        ("reductive", "coroots", ["1"]),
+        ("reductive", "polytope", [["-2", "0"], ["0", "2"]]),
+    ],
+)
+def test_string_where_a_list_belongs_exits_2(tmp_path, torus12, capsys, kind, field, value):
+    # iterating a string reads its characters as entries: "rho": ["12",
+    # "34"] was the matrix [[1, 2], [3, 4]] and "images": "12" the point
+    # (1, 2), whose closure equations were printed with exit 0
+    payload, argv, data = {
+        "rep": ({"n": 2, "r": 1, "s": 0, "rho": [["x1", "0"], ["0", "x1^2"]]}, ["degree", "parametric", "--rep"],
+                "representation"),
+        "subspace": ({"l": 1, "images": ["y1", "1"]}, ["closure", "--rep", torus12, "--subspace"], "subspace"),
+        "reductive": (dict(SL2_REDUCTIVE), ["degree", "kazarnovskii", "--data"], "reductive"),
+    }[kind]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    assert run(argv + [str(path)], capsys)[0] == 0
+    path.write_text(json.dumps({**payload, field: value}))
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and f"malformed {data} data" in err
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
         ("rep", "degree_bound", 2.9),
         ("rep", "degree_bound", True),
         ("rep", "n", True),

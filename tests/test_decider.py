@@ -25,7 +25,7 @@ from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_o
 from orbitcal.fixtures import decision_battery, parabola_rep
 from orbitcal.polyring import Ambient, LaurentPoly, substitute
 from orbitcal.repmodel import coordinate_pullbacks, make_conic, torus_diagonal, vector
-from support import act
+from support import act, convolve, product_of_powers
 
 
 def test_build_generic_smallest_case():
@@ -61,7 +61,7 @@ def test_assemble_drops_zero_columns_and_cancelled_entries():
     # (x1 + 1) - 1 = x1, whose constant entry cancels, and the column of
     # c[(1, 0)] is zero; x^0 stays a row with nothing but its 1
     amb = Ambient(1, 0)
-    pullbacks = [LaurentPoly.parse("x1 + 1", amb), LaurentPoly.zero(amb)]
+    pullbacks = [LaurentPoly.parse("x1 + 1", amb), LaurentPoly(amb)]
     system = assemble_system(1, (1, 0), pullbacks)
     assert system.col_keys == [(0, (0, 0))]
     assert system.row_monomials == [(0,), (1,)]
@@ -89,24 +89,25 @@ def test_assemble_drops_zero_columns_and_cancelled_entries():
 
 def _reference_system(d, alpha, pullbacks):
     """(rows, cols, entries, rhs, row_monomials, col_keys) of the system
-    with LaurentPoly arithmetic: column (p, q) is D^(2d-1) (psi_p -
-    alpha_p) psi^q for |q| <= 2d - 2, zero columns dropped, rows sorted
-    by (degree, exponent), and D^(2d-1) on x^0."""
+    from the schoolbook product of support.py, which shares no code with
+    monomial_images: column (p, q) is D^(2d-1) (psi_p - alpha_p) psi^q
+    for |q| <= 2d - 2, zero columns dropped, rows sorted by (degree,
+    exponent), and D^(2d-1) on x^0."""
     n, ambient = len(pullbacks), pullbacks[0].ambient
     D = lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.terms.values())]))
     scale = D ** (2 * d - 1)
+    one = (0,) * ambient.nvars
     columns = {}
     for q in product(range(2 * d - 1), repeat=n):
         if sum(q) > 2 * d - 2:
             continue
-        power = LaurentPoly.const(ambient, 1)
-        for psi, k in zip(pullbacks, q):
-            power = power * psi**k
+        power = product_of_powers(ambient, [psi.terms for psi in pullbacks], q)
         for p in range(n):
-            column = (pullbacks[p] - alpha[p]) * power * scale
+            shifted = dict(pullbacks[p].terms)
+            shifted[one] = shifted.get(one, 0) - alpha[p]
+            column = {e: c * scale for e, c in convolve(shifted, power).items()}
             if column:
-                columns[(p, q)] = column.terms
-    one = (0,) * ambient.nvars
+                columns[(p, q)] = column
     row_monomials = sorted({one}.union(*columns.values()), key=lambda e: (sum(e), e))
     row_index = {exp: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)

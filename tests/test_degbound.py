@@ -22,7 +22,7 @@ AMB2 = Ambient(0, 2, names=("u1", "u2"))
 
 
 def test_simplex_integral_constant():
-    one = LaurentPoly.const(AMB2, 1)
+    one = LaurentPoly(AMB2, {(0, 0): 1})
     assert simplex_integral(one, TRIANGLE) == Fraction(1, 2)
 
 
@@ -38,7 +38,7 @@ def test_simplex_integral_mixed_monomial():
 
 def test_simplex_integral_rejects_degenerate():
     with pytest.raises(ValueError):
-        simplex_integral(LaurentPoly.const(AMB2, 1), [(0, 0), (1, 1), (2, 2)])
+        simplex_integral(LaurentPoly(AMB2, {(0, 0): 1}), [(0, 0), (1, 1), (2, 2)])
 
 
 def test_simplex_integral_additive_under_subdivision():
@@ -100,6 +100,21 @@ def test_kazarnovskii_torus_segment():
         polytope=[[(0,), (2,)]],
     )
     assert kazarnovskii(data) == 2
+
+
+def test_kazarnovskii_rank_two_with_two_coroots():
+    # the integrand u1^2 (u1 + u2)^2 = u1^4 + 2 u1^3 u2 + u1^2 u2^2 over
+    # the unit triangle, by the Dirichlet formula: 1/30 + 2/120 + 1/180,
+    # times 6!/1 = 720
+    data = ReductiveData(
+        dim_g=6,
+        weyl_order=1,
+        exponents=[0, 0],
+        kernel_order=1,
+        coroots=[(1, 0), (1, 1)],
+        polytope=[TRIANGLE],
+    )
+    assert kazarnovskii(data) == 720 * (Fraction(1, 30) + Fraction(2, 120) + Fraction(1, 180)) == 40
 
 
 def test_kazarnovskii_h3_trivial_kernel():

@@ -87,7 +87,7 @@ def test_torus_diagonal_shapes():
     amb = rep.ambient
     assert rep.rho[0][0] == LaurentPoly.parse("x1", amb)
     assert rep.rho[1][1] == LaurentPoly.parse("x1^-1", amb)
-    assert rep.rho[0][1].is_zero()
+    assert not rep.rho[0][1]
 
     rep = torus_diagonal([(1,), (2,)])
     assert rep.rho[1][1] == LaurentPoly.parse("x1^2", rep.ambient)
@@ -224,7 +224,7 @@ def test_pullbacks():
         LaurentPoly.parse("x1", amb),
         LaurentPoly.parse("x1^2", amb),
     ]
-    assert all(p.is_zero() for p in coordinate_pullbacks(rep, (0, 0)))
+    assert not any(coordinate_pullbacks(rep, (0, 0)))
 
 
 def test_json_round_trip(tmp_path):
