@@ -155,7 +155,7 @@ def cmd_crosscheck(args) -> int:
     rep_w, a_w, b_w = problem.rep, problem.a, problem.b
 
     results = {}
-    decision = decider.decide(problem, seed=args.seed, max_nnz=_max_nnz())
+    decision = decider.paper_decide(problem, seed=args.seed, max_nnz=_max_nnz())
     results["decider"] = decision.in_closure
 
     equations = elim.closure_equations(rep_w, elim.SubspaceMap.point(b_w))

@@ -1,29 +1,39 @@
 """Closure membership by linear-system consistency.
 
-Given a conic base orbit with degree bound d, membership of a point's
-orbit in the closure is equivalent to the INconsistency of an explicit
-linear system: with polynomials F_p of degree 2d-2 whose coefficients
-c[(p, q)] are unknowns, the combination
-(y_1 - a_1)F_1 + ... + (y_n - a_n)F_n - 1, with the orbit
-parametrization psi substituted for the y's, must have every collected
-monomial coefficient vanish.  The column of c[(p, q)] is therefore the
-expansion of (psi_p - a_p) psi^q, and the system is assembled column by
-column from the pullback powers, in integers: as D^(2d-1) times the
-rational system, D the common denominator of psi and a, which changes
-no solution and no refutation.  The powers come from
-polyring.monomial_images on its packed monomial keys, which this module
-treats as opaque: only the distinct row monomials are decoded, once, to
-sort the rows.  A refutation of the system certifies
-membership, a solution certifies non-membership, and solve_or_refute
-returns either only after an exact plug-back, which
+Both systems below are built from the coordinate pullbacks psi of a
+conic base orbit at a degree bound d, in integers: with D the common
+denominator of psi and the target a, phi = D psi and beta = D a, and
+the images phi^q come from polyring.monomial_images on its packed
+monomial keys, which this module treats as opaque: only the distinct
+row monomials are decoded, once, to sort the rows.  A refutation
+certifies membership, a solution certifies non-membership, and
+solve_or_refute returns either only after an exact plug-back, which
 ConsistencyWitness.verify repeats for anyone who holds the system.
+
+decide poses membership as the evaluation system [M ; beta^q] g = [0 ;
+1], one unknown per exponent q in N^n with |q| <= d: column q of M holds
+the coefficients of phi^q, and a last row holds the numbers beta^q.  A
+solution g is the equation f = sum_q g_q D^|q| z^q, with f(psi) = 0 and
+f(a) = 1, so a is off the closure for every d; a refutation puts
+(beta^q) in the row space of M, so every equation of degree <= d
+vanishes at a.  That means membership under the hypothesis that
+the closure, of degree <= d, is cut out by equations of degree <= d
+(Heintz 1983, Prop. 3).
+
+paper_decide runs the paper's construction, which crosscheck uses as
+an oracle: with polynomials F_p of degree 2d-2 whose coefficients
+c[(p, q)] are unknowns, the combination (y_1 - a_1)F_1 + ... + (y_n -
+a_n)F_n - 1, with psi substituted for the y's, must have every
+collected monomial coefficient vanish.  The column of c[(p, q)] is
+therefore the expansion of (psi_p - a_p) psi^q (assemble_system), and
+the base is scrambled first when it has a zero coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
@@ -71,8 +81,10 @@ def conic_problem(rep, a, b, degree_bound_override=None) -> DecisionProblem:
 
 
 class LinearSystem:
-    """The integer system A c = v with rows indexed by parameter-space
-    monomials and columns by the generic-coefficient labels."""
+    """The integer system A x = v.  row_monomials[i] is the parameter
+    monomial of row i, or None for the evaluation row; col_keys[j] is
+    the label of column j: a generic coefficient (p, q) of the paper's
+    system, or the exponent q of the evaluation system."""
 
     __slots__ = ("matrix", "rhs", "row_monomials", "col_keys")
 
@@ -124,93 +136,126 @@ def generic_coefficient_count(n: int, d: int) -> int:
     return n * comb(2 * d - 2 + n, n)
 
 
+def _cleared(alpha, pullbacks):
+    """(D, phi, beta): the lcm D of the denominators in the pullbacks and
+    alpha (1 on integer data), and the integer term dicts phi_p = D psi_p
+    and numbers beta_p = D alpha_p."""
+    if len(pullbacks) < 1:
+        raise ValueError("need n >= 1")
+    alpha = vector(alpha)
+    if len(alpha) != len(pullbacks):
+        raise ValueError("alpha length mismatch")
+    D = lcm(*(c.denominator for psi in pullbacks for c in psi.terms.values()), *(a.denominator for a in alpha))
+    phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
+    beta = [a.numerator * (D // a.denominator) for a in alpha]
+    return D, phi, beta
+
+
+def _exponents(n: int, top: int):
+    """Every q in N^n with |q| <= top; slot n of a combination stands
+    for the degree left over."""
+    for slots in combinations_with_replacement(range(n + 1), top):
+        yield tuple(slots.count(i) for i in range(n))
+
+
+def _matrix(columns, decode, rows=(), extra_rows=0):
+    """The SparseMatrix whose column j is columns[j], a term dict on
+    packed monomial keys: one row per key in rows or in the support of a
+    column, sorted by the decoded (degree, exponent), then extra_rows
+    empty rows.  Returns it with the row index of each key and the
+    sorted row monomials."""
+    rows = set(rows)
+    for column in columns:
+        rows.update(column)
+    decoded = {decode(key): key for key in rows}
+    row_monomials = sorted(decoded, key=lambda e: (sum(e), e))
+    row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
+    matrix = SparseMatrix(len(row_monomials) + extra_rows, max(1, len(columns)))
+    row_terms = matrix.row_terms
+    for j, column in enumerate(columns):
+        for row, coef in column.items():
+            row_terms[row_index[row]][j] = coef
+    return matrix, row_index, row_monomials
+
+
 def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
-    """The integer system A c = v for the combination at degree bound d
-    and target alpha.  Column (p, q) holds the coefficients of
+    """The paper's integer system A c = v for the combination at degree
+    bound d and target alpha.  Column (p, q) holds the coefficients of
     (psi_p - alpha_p) psi^q; rows are the parameter monomials in the
     support of some column, plus x^0, whose right-hand side is the 1
     moved over from the combination (every other row has 0).  Zero
     columns are dropped; rows are sorted by (degree, exponent) and
     columns by key.
 
-    The system is built in integers as D^(2d-1) (A | v), D the lcm of
-    the denominators in the pullbacks and alpha (1 on integer data):
-    with phi_p = D psi_p, beta_p = D alpha_p and image(q) = phi^q, each
-    q in N^n with |q| <= 2d - 2 and k = 2d - 2 - |q| gives D^k (image(q
-    + e_p) - beta_p image(q)) = D^(2d-1) (psi_p - alpha_p) psi^q.  One
-    nonzero scalar on the whole system leaves every solution and every
-    refuting row combination, and so the solver's witness, unchanged;
-    scaling rows would change the refutations, and columns the solutions.
-
-    The images are asked for up to degree 2d - 1, |q + e_p|, and come
-    keyed by polyring's packed monomial keys.  Columns, the row set and
-    the row index stay on those keys; each distinct row key is decoded
-    once, for row_monomials and its sort."""
-    n = len(pullbacks)
-    if n < 1 or d < 1:
+    The system is built in integers as D^(2d-1) (A | v): with image(q) =
+    phi^q, each q in N^n with |q| <= 2d - 2 and k = 2d - 2 - |q| gives
+    D^k (image(q + e_p) - beta_p image(q)) = D^(2d-1) (psi_p - alpha_p)
+    psi^q.  One nonzero scalar on the whole system leaves every
+    solution and every refuting row combination, and so the solver's
+    witness, unchanged; scaling rows would change the refutations, and
+    columns the solutions.  The images are asked for up to degree 2d -
+    1, |q + e_p|."""
+    if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    alpha = vector(alpha)
-    if len(alpha) != n:
-        raise ValueError("alpha length mismatch")
-    D = lcm(*(c.denominator for psi in pullbacks for c in psi.terms.values()), *(a.denominator for a in alpha))
-    phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
-    beta = [a.numerator * (D // a.denominator) for a in alpha]
+    D, phi, beta = _cleared(alpha, pullbacks)
+    n = len(pullbacks)
     image, decode = monomial_images(phi, pullbacks[0].ambient.nvars, 2 * d - 1)
     (one,) = image((0,) * n)
     columns = {}
-    # slot n stands for the constant: it raises the scale, not the image
-    for slots in combinations_with_replacement(range(n + 1), 2 * d - 2):
-        q = tuple(slots.count(i) for i in range(n))
-        scale = D ** slots.count(n)
+    for q in _exponents(n, 2 * d - 2):
+        scale = D ** (2 * d - 2 - sum(q))
         for p in range(n):
             column = {e: scale * c for e, c in image(q[:p] + (q[p] + 1,) + q[p + 1 :]).items()}
             add_scaled_inplace(column, image(q), -beta[p] * scale)
             if column:
                 columns[(p, q)] = column
-    rows = {one}
-    for column in columns.values():
-        rows.update(column)
-    decoded = {decode(key): key for key in rows}
-    row_monomials = sorted(decoded, key=lambda e: (sum(e), e))
-    row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
     col_keys = sorted(columns)
-    matrix = SparseMatrix(len(row_monomials), max(1, len(col_keys)))
-    row_terms = matrix.row_terms
-    for j, key in enumerate(col_keys):
-        for row, coef in columns.pop(key).items():
-            row_terms[row_index[row]][j] = coef
+    matrix, row_index, row_monomials = _matrix([columns[key] for key in col_keys], decode, {one})
     rhs = [0] * len(row_monomials)
     rhs[row_index[one]] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 
-def decide(
-    problem: DecisionProblem,
-    *,
-    seed: int = 0,
-    max_nnz: int = DEFAULT_MAX_NNZ,
-    keep_system: bool = False,
-):
-    """Run the full decision pipeline.
+def evaluation_system(d: int, alpha, pullbacks) -> LinearSystem:
+    """The integer system [M ; beta^q] g = [0 ; 1] at degree bound d and
+    target alpha.  Column q, for every q in N^n with |q| <= d in (degree,
+    exponent) order, holds the coefficients of phi^q in the rows of the
+    parameter monomials in the support of some column, sorted by
+    (degree, exponent), and the number beta^q in the last row, the
+    evaluation row, whose right-hand side is 1 (every other row has 0).
+    No column is dropped: a zero column of M still carries beta^q.
 
-    Steps: build the coordinate pullbacks once; check the dense case
-    through the orbit dimension, their Jacobian rank at one point mod a
-    prime drawn from the seed (the seed's only use); if b has zero
-    coordinates, scramble the basis with find_scrambling's elementary
-    matrix, which combines the pullbacks and a by the same matrix; pick
-    the degree bound (override, then the representation's own bound,
-    then the parametric fallback); assemble the linear system from the
-    pullbacks; solve with an exact witness, which solve_or_refute has
-    already checked by plug-back.  Returns the Decision, or (Decision,
-    LinearSystem) when keep_system is set."""
-    rep, a, b = problem.rep, problem.a, problem.b
+    Column q is D^|q| times the expansion of psi^q and alpha^q, so g
+    solves the system iff f_q = g_q D^|q| gives f(psi) = 0 and f(alpha)
+    = 1; a refutation u has u_last != 0 and puts (beta^q) in the row
+    space of M."""
+    if d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    _, phi, beta = _cleared(alpha, pullbacks)
+    image, decode = monomial_images(phi, pullbacks[0].ambient.nvars, d)
+    col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
+    matrix, _, row_monomials = _matrix([image(q) for q in col_keys], decode, extra_rows=1)
+    matrix.row_terms[-1].update(
+        (j, value) for j, q in enumerate(col_keys) if (value := prod(b**e for b, e in zip(beta, q)))
+    )
+    rhs = [0] * (matrix.rows - 1) + [1]
+    return LinearSystem(matrix, rhs, row_monomials + [None], col_keys)
+
+
+def _start(problem: DecisionProblem, seed: int):
+    """The steps both pipelines share: check the preconditions, build
+    the coordinate pullbacks once and take the orbit dimension, their
+    Jacobian rank at one point mod a prime drawn from the seed (the
+    seed's only use).  Returns (pullbacks, transcript, decision), where
+    decision is the TRIVIALLY_DENSE answer for an orbit that fills the
+    space, else None."""
+    rep, b = problem.rep, problem.b
     if not any(b):
         raise PreconditionError("the base vector b must be nonzero")
     if not problem.conic_asserted:
         raise PreconditionError(
             "the orbit of b must be conic: use conic_problem() or assert conicity"
         )
-
     pullbacks = repmodel.coordinate_pullbacks(rep, b)
     dim = repmodel.orbit_dimension(pullbacks, seed=seed)
     transcript = {
@@ -219,20 +264,16 @@ def decide(
         "seed": seed,
     }
     if dim >= rep.n:
-        decision = Decision(TRIVIALLY_DENSE, None, transcript | {"note": "orbit closure is the whole space"})
-        return (decision, None) if keep_system else decision
+        return pullbacks, transcript, Decision(
+            TRIVIALLY_DENSE, None, transcript | {"note": "orbit closure is the whole space"}
+        )
+    return pullbacks, transcript, None
 
-    # With rho and b replaced by S rho S^-1 and S b, the pullbacks become
-    # S psi and the target S a; the closure degree is basis-free.
-    if all(b):
-        scramble = None
-        a_w = a
-    else:
-        scramble = repmodel.find_scrambling(b)
-        a_w = repmodel.apply_matrix(scramble, a)
-        pullbacks = [repmodel.combine(pullbacks, row) for row in scramble]
-    transcript["scramble"] = scramble
 
+def _degree_bound(problem: DecisionProblem, transcript) -> int:
+    """The bound d: the override, then the representation's own bound,
+    then the parametric fallback; recorded in the transcript."""
+    rep = problem.rep
     if problem.degree_bound_override is not None:
         d = problem.degree_bound_override
         source = "override"
@@ -247,31 +288,110 @@ def decide(
         )
     transcript["degree_bound"] = d
     transcript["degree_bound_source"] = source
+    return d
+
+
+def _check_nonzeros(system: LinearSystem, max_nnz: int):
+    if system.matrix.nnz > max_nnz:
+        raise ResourceLimitError(
+            f"linear system too large: {system.matrix.nnz} nonzeros "
+            f"(limit {max_nnz}), {system.matrix.rows} rows x "
+            f"{len(system.col_keys)} columns"
+        )
+
+
+def _solved(system: LinearSystem, transcript, keep_system: bool):
+    witness = solve_or_refute(system.matrix, system.rhs)
+    verdict = IN_CLOSURE if witness.kind == REFUTATION else NOT_IN_CLOSURE
+    decision = Decision(verdict, witness, transcript)
+    return (decision, system) if keep_system else decision
+
+
+def decide(
+    problem: DecisionProblem,
+    *,
+    seed: int = 0,
+    max_nnz: int = DEFAULT_MAX_NNZ,
+    keep_system: bool = False,
+):
+    """Decide membership on the evaluation system, which needs no
+    nonzero coordinate of b and so no scramble.
+
+    Steps: check the preconditions and the dense case (_start); pick the
+    degree bound (override, then the representation's own bound, then
+    the parametric fallback); check the closed-form column count
+    C(n + d, n) against max_nnz before any image is built; assemble the
+    evaluation system from the pullbacks and check its nonzeros; solve
+    with an exact witness, which solve_or_refute has already checked by
+    plug-back.  Returns the Decision, or (Decision, LinearSystem) when
+    keep_system is set.  The transcript records the system's rows,
+    columns and nonzeros."""
+    pullbacks, transcript, dense = _start(problem, seed)
+    if dense is not None:
+        return (dense, None) if keep_system else dense
+    d = _degree_bound(problem, transcript)
+    # When no pullback is zero, no column of M is zero (a product of
+    # nonzero Laurent polynomials), so columns <= nonzeros; the limit
+    # bounds the columns in any case.
+    columns = comb(problem.rep.n + d, d)
+    if columns > max_nnz:
+        raise ResourceLimitError(
+            f"evaluation system too large before assembly: {columns} columns "
+            f"at degree bound d = {d} (limit {max_nnz} nonzeros)"
+        )
+    system = evaluation_system(d, problem.a, pullbacks)
+    transcript["rows"] = system.matrix.rows
+    transcript["columns"] = system.matrix.cols
+    transcript["nonzeros"] = system.matrix.nnz
+    _check_nonzeros(system, max_nnz)
+    return _solved(system, transcript, keep_system)
+
+
+def paper_decide(
+    problem: DecisionProblem,
+    *,
+    seed: int = 0,
+    max_nnz: int = DEFAULT_MAX_NNZ,
+    keep_system: bool = False,
+):
+    """Decide membership on the paper's system, the oracle of crosscheck.
+
+    Steps: check the preconditions and the dense case (_start); if b has
+    zero coordinates, scramble the basis with find_scrambling's
+    elementary matrix, which combines the pullbacks and a by the same
+    matrix; pick the degree bound as decide does; check the c-variable
+    count against max_nnz; assemble the system and check its nonzeros;
+    solve.  Returns what decide returns."""
+    pullbacks, transcript, dense = _start(problem, seed)
+    if dense is not None:
+        return (dense, None) if keep_system else dense
+
+    # With rho and b replaced by S rho S^-1 and S b, the pullbacks become
+    # S psi and the target S a; the closure degree is basis-free.
+    a = problem.a
+    if all(problem.b):
+        scramble = None
+    else:
+        scramble = repmodel.find_scrambling(problem.b)
+        a = repmodel.apply_matrix(scramble, a)
+        pullbacks = [repmodel.combine(pullbacks, row) for row in scramble]
+    transcript["scramble"] = scramble
+    d = _degree_bound(problem, transcript)
 
     # Checked before the system is assembled, and sound: after scrambling
     # S b has no zero coordinate and its orbit is conic, so no coordinate
     # pullback is zero or constant, and the column of c[(p, q)], the
     # expansion of (psi_p - a_p) psi^q, has a nonzero entry.  Hence
     # c-variables <= nnz.
-    c_variables = generic_coefficient_count(rep.n, d)
+    c_variables = generic_coefficient_count(problem.rep.n, d)
     if c_variables > max_nnz:
         raise ResourceLimitError(
             f"linear system too large: {c_variables} c-variables at degree "
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
-
-    system = assemble_system(d, a_w, pullbacks)
+    system = assemble_system(d, a, pullbacks)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz
-    if system.matrix.nnz > max_nnz:
-        raise ResourceLimitError(
-            f"linear system too large: {system.matrix.nnz} nonzeros "
-            f"(limit {max_nnz}), {len(system.row_monomials)} rows x "
-            f"{len(system.col_keys)} columns"
-        )
-
-    witness = solve_or_refute(system.matrix, system.rhs)
-    verdict = IN_CLOSURE if witness.kind == REFUTATION else NOT_IN_CLOSURE
-    decision = Decision(verdict, witness, transcript)
-    return (decision, system) if keep_system else decision
+    _check_nonzeros(system, max_nnz)
+    return _solved(system, transcript, keep_system)

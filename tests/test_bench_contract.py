@@ -2,7 +2,8 @@
 
 perfbench/checks.py re-checks each decide by its own Fraction plug-back;
 here it runs on the decide-sparse problems and on rational questions
-whose system is cleared by a denominator D > 1, one of them scrambled.
+whose system is cleared by a denominator D > 1: a pair through decide,
+and a scrambled pair through the paper's system, which crosscheck runs.
 The tracer binds the program's functions by name, so those names must
 exist, apart from an explicit set of retired ones, and every term-dict
 kernel must be one of the names it binds."""
@@ -12,6 +13,7 @@ import inspect
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -64,7 +66,7 @@ NOT_SQUARE = (Fraction(1, 2), 0, 1)
 
 
 def _scrambled(a):
-    # the base z1^2 has zero coordinates, so decide scrambles the basis
+    # the base z1^2 has zero coordinates, so paper_decide scrambles the basis
     return decider.conic_problem(repmodel.sl2_binary_forms(2), a, (1, 0, 0), degree_bound_override=2)
 
 
@@ -77,7 +79,8 @@ def _scrambled(a):
     ],
 )
 def test_benchmark_check_accepts_decisions(problem, expected_in, rational):
-    decision, system = decider.decide(problem, seed=11, keep_system=True)
+    engine = decider.paper_decide if rational else decider.decide
+    decision, system = engine(problem, seed=11, keep_system=True)
     checks.check_decision((decision, system), expected_in)
     if rational:
         assert decision.transcript["scramble"] is not None
@@ -85,10 +88,30 @@ def test_benchmark_check_accepts_decisions(problem, expected_in, rational):
         assert system.rhs[one] > 1
 
 
+@pytest.mark.parametrize("a, expected_in", [(SQUARE, True), (NOT_SQUARE, False)], ids=["IN", "NOT"])
+def test_benchmark_check_accepts_rational_evaluation_decisions(a, expected_in):
+    # the conified targets (1, 1/4, 1, 1) and (1, 1/2, 0, 1) clear with
+    # D = 4 and D = 2, and the base (1, 1, 0, 0) has integer pullbacks:
+    # the evaluation row holds D^|q| a^q
+    problem = _scrambled(a)
+    decision, system = decider.decide(problem, seed=11, keep_system=True)
+    checks.check_decision((decision, system), expected_in)
+    D = lcm(*(x.denominator for x in problem.a))
+    assert D > 1
+    last = system.matrix.row_terms[-1]
+    for j, q in enumerate(system.col_keys):
+        value = D ** sum(q)
+        for x, e in zip(problem.a, q):
+            value *= x**e
+        assert last.get(j, 0) == value
+    assert system.row_monomials[-1] is None and system.rhs == [0] * (system.matrix.rows - 1) + [1]
+
+
 @pytest.mark.parametrize("a, expected_in", [(NOT_SQUARE, False), (SQUARE, True)], ids=["SOLUTION", "REFUTATION"])
 def test_benchmark_check_rejects_a_bumped_certificate(a, expected_in):
-    # zero columns are dropped, so bumping x_0 moves A x off v; bumping
-    # u_i on a row i that the entries view holds moves u A off 0
+    # column 0, the constant z^0, is not zero, so bumping x_0 moves A x
+    # off v; bumping u_i on a row i that the entries view holds moves u A
+    # off 0
     decision, system = decider.decide(_scrambled(a), keep_system=True)
     checks.check_decision((decision, system), expected_in)
     w = list(decision.certificate.vector)

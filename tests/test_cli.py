@@ -598,13 +598,14 @@ def test_zero_denominator_exits_2(tmp_path, torus12, capsys, argv):
 
 def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):
     # the parametric fallback for conified quadratic forms is d = 2401, about
-    # 8.9e13 c-variables: the size guard must trip before the system is built
+    # 1.4e12 columns C(2405, 4): the size guard must trip before the
+    # evaluation system is built
     from orbitcal import decider
 
     def unreachable(*args, **kwargs):
-        raise RuntimeError("assemble_system reached past the size guard")
+        raise RuntimeError("evaluation_system reached past the size guard")
 
-    monkeypatch.setattr(decider, "assemble_system", unreachable)
+    monkeypatch.setattr(decider, "evaluation_system", unreachable)
     monkeypatch.delenv("ORBITCAL_MAX_NNZ", raising=False)
     path = tmp_path / "sl2h2.json"
     code, _, _ = run(["gen", "sl2", "--h", "2", "--out", str(path)], capsys)
@@ -615,4 +616,4 @@ def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeyp
     )
     assert code == cli.EXIT_RESOURCE == 4
     assert out == ""
-    assert "too large" in err
+    assert "evaluation system too large before assembly: 1390481055405 columns at degree bound d = 2401" in err

@@ -4,11 +4,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
-from orbitcal import repmodel
+from orbitcal import decider, repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
@@ -19,11 +19,12 @@ from orbitcal.decider import (
     conic_problem,
     decide,
     generic_coefficient_count,
+    paper_decide,
 )
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
-from orbitcal.fixtures import decision_battery, parabola_rep
-from orbitcal.polyring import Ambient, LaurentPoly, substitute
+from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
+from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, substitute
 from orbitcal.repmodel import coordinate_pullbacks, make_conic, torus_diagonal, vector
 from support import act, convolve, product_of_powers
 
@@ -246,15 +247,18 @@ def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
     # reported as smaller skips the TRIVIALLY_DENSE shortcut, and the
     # system must then be inconsistent: no H vanishing on a dense orbit
     # can equal -1 at a.
+    # The same holds for the evaluation system: no equation vanishes on a
+    # dense orbit, so (a^q) lies in the row space of M.
     monkeypatch.setattr(repmodel, "orbit_dimension", lambda pullbacks, seed=0: 0)
     problem = DecisionProblem(
         torus_diagonal(weights), a, b, degree_bound_override=d, conic_asserted=True
     )
-    decision, system = decide(problem, keep_system=True)
-    assert decision.transcript["orbit_dimension"] == 0
-    assert decision.verdict == IN_CLOSURE
-    assert decision.certificate.kind == REFUTATION
-    assert decision.certificate.verify(system.matrix, system.rhs)
+    for engine in (paper_decide, decide):
+        decision, system = engine(problem, keep_system=True)
+        assert decision.transcript["orbit_dimension"] == 0
+        assert decision.verdict == IN_CLOSURE
+        assert decision.certificate.kind == REFUTATION
+        assert decision.certificate.verify(system.matrix, system.rhs)
 
 
 def test_decide_diagonal_line_with_parametric_bound():
@@ -322,7 +326,7 @@ def test_seed_independence_with_forced_scrambling():
         problem = DecisionProblem(
             rep2, a2, b2, degree_bound_override=2, conic_asserted=True
         )
-        decision = decide(problem, seed=seed)
+        decision = paper_decide(problem, seed=seed)
         verdicts.add(decision.verdict)
         scrambles.append(decision.transcript["scramble"])
     assert verdicts == {IN_CLOSURE}
@@ -333,7 +337,7 @@ def test_seed_independence_with_forced_scrambling():
         rep2, (1, 0, 1), b2, degree_bound_override=2, conic_asserted=True
     )
     assert all(
-        decide(problem, seed=seed).verdict == NOT_IN_CLOSURE for seed in range(5)
+        paper_decide(problem, seed=seed).verdict == NOT_IN_CLOSURE for seed in range(5)
     )
 
 
@@ -350,12 +354,15 @@ def test_degree_bound_monotonicity_on_parabola():
 
 def test_undersized_degree_bound_documented_failure():
     # d=1 truncates the generic polynomials to constants and the system
-    # wrongly reports membership; the elimination oracle disagrees
+    # wrongly reports membership; the elimination oracle disagrees.  The
+    # evaluation system at d = 1 holds only linear equations, and none
+    # vanishes on the parabola's cone, so it errs the same way.
     rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
     problem = DecisionProblem(
         rep2, a2, b2, degree_bound_override=1, conic_asserted=True
     )
-    assert decide(problem).verdict == IN_CLOSURE  # wrong, by design of the test
+    assert paper_decide(problem).verdict == IN_CLOSURE  # wrong, by design of the test
+    assert decide(problem).verdict == IN_CLOSURE
     from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 
     eqs = closure_equations(rep2, SubspaceMap.point(b2))
@@ -393,7 +400,7 @@ def test_resource_limit_after_assembly():
         rep2, a2, b2, degree_bound_override=2, conic_asserted=True
     )
     with pytest.raises(ResourceLimitError, match=r"50 nonzeros \(limit 30\)"):
-        decide(problem, max_nnz=generic_coefficient_count(3, 2))
+        paper_decide(problem, max_nnz=generic_coefficient_count(3, 2))
 
 def test_resource_guard_fires_before_building_H(monkeypatch):
     from orbitcal import decider
@@ -406,7 +413,7 @@ def test_resource_guard_fires_before_building_H(monkeypatch):
     # no degree bound on the conified quadratic forms: parametric d = 2401
     problem = conic_problem(sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
     with pytest.raises(ResourceLimitError, match="c-variables at degree bound d = 2401"):
-        decide(problem)
+        paper_decide(problem)
 
 def test_certificates_verify_and_reject_tampering():
     rng = random.Random(59)
@@ -438,8 +445,9 @@ def test_certificates_verify_and_reject_tampering():
 
 def test_decide_plugs_each_certificate_back_once(monkeypatch):
     # solve_or_refute returns a witness only after its plug-back, and
-    # decide does not check it again: on the decide-sparse problems and
-    # on one scrambled problem, each decide makes one verify call
+    # neither decide nor paper_decide checks it again: on the
+    # decide-sparse problems and on one scrambled problem, each makes
+    # one verify call
     calls = []
     plug_back = ConsistencyWitness.verify
 
@@ -456,10 +464,11 @@ def test_decide_plugs_each_certificate_back_once(monkeypatch):
     ]
     # the base z1^2 has zero coordinates, so decide scrambles the basis
     problems.append(conic_problem(sl2, (1, 2, 1), (1, 0, 0), degree_bound_override=2))
-    for problem in problems:
-        calls.clear()
-        decision = decide(problem)
-        assert calls == [decision.certificate.kind]
+    for engine in (decide, paper_decide):
+        for problem in problems:
+            calls.clear()
+            decision = engine(problem)
+            assert calls == [decision.certificate.kind]
     assert decision.transcript["scramble"] is not None
 
 
@@ -502,7 +511,7 @@ def test_certificates_of_large_systems_are_pinned(rep, a, b, d, verdict, digest)
     # sha256 of the certificate JSON taken before the modular pass
     # skipped dependent rows; these systems are too large for the
     # Fraction reference in test_exactmath_modular.py
-    decision = decide(conic_problem(rep, a, b, degree_bound_override=d))
+    decision = paper_decide(conic_problem(rep, a, b, degree_bound_override=d))
     assert decision.verdict == verdict
     payload = json.dumps(decision.to_json()["certificate"]).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
@@ -524,3 +533,151 @@ def test_decide_and_substitute_leave_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_evaluation_guard_fires_before_building_the_system(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("evaluation_system reached past the size guard")
+
+    monkeypatch.setattr(decider, "evaluation_system", unreachable)
+    # no degree bound on the conified quadratic forms: parametric d = 2401,
+    # C(2405, 4) columns
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
+    with pytest.raises(ResourceLimitError, match=f"before assembly: {comb(2405, 4)} columns at degree bound d = 2401"):
+        decide(problem)
+
+
+def test_evaluation_guard_after_assembly():
+    # the conified parabola at d = 2: C(5, 2) = 10 columns, 16 nonzeros
+    rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
+    problem = DecisionProblem(rep2, a2, b2, degree_bound_override=2, conic_asserted=True)
+    with pytest.raises(ResourceLimitError, match=r"10 columns at degree bound d = 2 \(limit 9 nonzeros\)"):
+        decide(problem, max_nnz=9)
+    with pytest.raises(ResourceLimitError, match=r"16 nonzeros \(limit 10\), 10 rows x 10 columns"):
+        decide(problem, max_nnz=10)
+    decision = decide(problem, max_nnz=16)
+    assert (decision.transcript["rows"], decision.transcript["columns"], decision.transcript["nonzeros"]) == (10, 10, 16)
+
+
+def _denominator(alpha, pullbacks):
+    return lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.terms.values())]))
+
+
+def _reference_evaluation_system(d, alpha, pullbacks):
+    """(rows, cols, entries, rhs, row_monomials, col_keys) of [M ; beta^q]
+    from the schoolbook product of support.py: column q, |q| <= d in
+    (degree, exponent) order, is D^|q| psi^q over the rows of its
+    support sorted by (degree, exponent), and D^|q| alpha^q in the last
+    row, whose right-hand side is 1."""
+    n, ambient = len(pullbacks), pullbacks[0].ambient
+    D = _denominator(alpha, pullbacks)
+    col_keys = sorted((q for q in product(range(d + 1), repeat=n) if sum(q) <= d), key=lambda q: (sum(q), q))
+    columns = [product_of_powers(ambient, [psi.terms for psi in pullbacks], q) for q in col_keys]
+    monomials = sorted(set().union(*columns), key=lambda e: (sum(e), e))
+    row_index = {exp: i for i, exp in enumerate(monomials)}
+    entries = {}
+    for j, (q, column) in enumerate(zip(col_keys, columns)):
+        for exp, coef in column.items():
+            value = coef * D ** sum(q)
+            assert value.denominator == 1
+            entries[(row_index[exp], j)] = int(value)
+        value = D ** sum(q)
+        for a, e in zip(alpha, q):
+            value *= Fraction(a) ** e
+        assert value.denominator == 1
+        if value:
+            entries[(len(monomials), j)] = int(value)
+    rhs = [0] * len(monomials) + [1]
+    return len(monomials) + 1, len(col_keys), entries, rhs, monomials + [None], col_keys
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # the two d = 3 problems of the decide-sparse benchmark
+        conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), degree_bound_override=3),
+        conic_problem(repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), degree_bound_override=3),
+        # (z1/2 + z2)^2 around z1^2, cleared by D = 4
+        conic_problem(repmodel.sl2_binary_forms(2), (Fraction(1, 4), 1, 1), (1, 0, 0), degree_bound_override=2),
+    ],
+    ids=["sparse-d3-NOT", "sparse-d3-IN", "rational-z1^2"],
+)
+def test_evaluation_system_equals_schoolbook_expansion(problem):
+    decision, system = decide(problem, keep_system=True)
+    pullbacks = coordinate_pullbacks(problem.rep, problem.b)
+    d = decision.transcript["degree_bound"]
+    got = (system.matrix.rows, system.matrix.cols, system.matrix.entries, system.rhs, system.row_monomials, system.col_keys)
+    assert got == _reference_evaluation_system(d, problem.a, pullbacks)
+
+
+def _equation(problem, decision, system):
+    """The equation f = sum_q g_q D^|q| z^q that a NOT certificate g spells out."""
+    D = _denominator(problem.a, coordinate_pullbacks(problem.rep, problem.b))
+    return {q: g * D ** sum(q) for q, g in zip(system.col_keys, decision.certificate.vector) if g}
+
+
+def _is_violated_equation(f, problem):
+    """f vanishes on the orbit, f(psi) = 0, and f(a) = 1."""
+    pullbacks = coordinate_pullbacks(problem.rep, problem.b)
+    composed = substitute(LaurentPoly(Ambient(0, problem.rep.n), f), pullbacks)
+    return not composed and evaluate_terms(f, problem.a) == 1
+
+
+def _not_problems():
+    for case in decision_battery():
+        if not case.expected_in_closure:
+            problem = conic_problem(case.rep, case.a, case.b, degree_bound_override=case.degree_bound)
+            yield pytest.param(problem, id=case.name)
+    for case in diagonal_battery():
+        if not case.expected_in_closure:
+            problem = conic_problem(torus_diagonal(case.weights), case.a, case.b, degree_bound_override=2)
+            yield pytest.param(problem, id=f"diagonal-{case.name}")
+    sl2 = repmodel.sl2_binary_forms(2)
+    for d in (3, 4):
+        yield pytest.param(conic_problem(sl2, (0, 1, 0), (1, 2, 1), degree_bound_override=d), id=f"sparse-d{d}")
+    # the README's cubic decide: z1*z2^2 is not a cube
+    cubic = conic_problem(repmodel.sl2_binary_forms(3), (0, 0, 1, 0), (1, 0, 0, 0), degree_bound_override=3)
+    yield pytest.param(cubic, id="cubic")
+
+
+@pytest.mark.parametrize("problem", list(_not_problems()))
+def test_not_certificates_read_back_as_violated_equations(problem):
+    decision, system = decide(problem, keep_system=True)
+    assert decision.verdict == NOT_IN_CLOSURE and decision.certificate.kind == SOLUTION
+    f = _equation(problem, decision, system)
+    assert _is_violated_equation(f, problem)
+    # a bumped coefficient breaks f(psi) = 0 or f(a) = 1: the solution
+    # lives on pivot columns, none of which is zero in both M and the
+    # evaluation row
+    for q in f:
+        bumped = dict(f)
+        bumped[q] += 1
+        assert not _is_violated_equation(bumped, problem), q
+
+
+def _verdict_problems():
+    for seed in (0, 1):
+        for case in decision_battery():
+            yield seed, conic_problem(case.rep, case.a, case.b, degree_bound_override=case.degree_bound)
+    for case in diagonal_battery():
+        yield 0, conic_problem(torus_diagonal(case.weights), case.a, case.b, degree_bound_override=2)
+    sl2 = repmodel.sl2_binary_forms(2)
+    for d in (3, 4):
+        for a in ((0, 1, 0), (1, 0, 0)):
+            yield 0, conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
+    for a in ((0, 0, 1, 0), (1, 3, 3, 1)):
+        yield 0, conic_problem(repmodel.sl2_binary_forms(3), a, (1, 0, 0, 0), degree_bound_override=3)
+    # the monomial-curve cones z2^k = z1^(k-1) z3 at d = k
+    for k in (1, 2, 3, 4):
+        rep2, _, b2 = make_conic(torus_diagonal([(1,), (k,)]), (0, 0), (1, 1))
+        for a2 in ((1, 2, 2**k), (2, 0, 0), (1, 1, 2), (0, 0, 1)):
+            yield 0, DecisionProblem(rep2, a2, b2, degree_bound_override=k, conic_asserted=True)
+
+
+def test_decide_verdicts_equal_the_papers():
+    verdicts = set()
+    for seed, problem in _verdict_problems():
+        verdict = decide(problem, seed=seed).verdict
+        assert verdict == paper_decide(problem, seed=seed).verdict, (problem.rep.label, problem.a, problem.b)
+        verdicts.add(verdict)
+    assert verdicts == {IN_CLOSURE, NOT_IN_CLOSURE}

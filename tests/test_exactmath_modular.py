@@ -233,13 +233,15 @@ def _assert_one_pass_is_the_crt(rows, rhs, ncols):
 
 
 def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
-    # the d = 3 decide-sparse systems, then random systems cleared by D,
-    # by the first prime times D and by the second prime times D
+    # the d = 3 decide-sparse systems, the paper's and the evaluation
+    # system, then random systems cleared by D, by the first prime times
+    # D and by the second prime times D
     for problem, _, scrambled in _problems():
         if not scrambled:
-            _, system = decider.decide(problem, seed=1, keep_system=True)
-            rows = system.matrix.row_terms
-            assert _assert_one_pass_is_the_crt(rows, system.rhs, system.matrix.cols)
+            for engine in (decider.paper_decide, decider.decide):
+                _, system = engine(problem, seed=1, keep_system=True)
+                rows = system.matrix.row_terms
+                assert _assert_one_pass_is_the_crt(rows, system.rhs, system.matrix.cols)
     rng = random.Random(5)
     outcomes = set()
     for _ in range(200):
@@ -352,15 +354,17 @@ def _random_tall_system(rng, ncols):
 
 
 def test_skipping_pass_equals_the_echelon_pass(reductions):
-    # the decide-sparse systems at d = 3 and 4
+    # the decide-sparse systems at d = 3 and 4, the paper's and the
+    # evaluation system
     sl2 = repmodel.sl2_binary_forms(2)
     for d in (3, 4):
         for a in ((0, 1, 0), (1, 0, 0)):
             problem = decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
-            _, system = decider.decide(problem, keep_system=True)
-            ncols = system.matrix.cols
-            profiles = _assert_pass_equals_echelon(system.matrix.row_terms, system.rhs, ncols, reductions)
-            assert len(profiles) == 2 and profiles[0].count(ncols + 1) > 100
+            for engine in (decider.paper_decide, decider.decide):
+                _, system = engine(problem, keep_system=True)
+                ncols = system.matrix.cols
+                profiles = _assert_pass_equals_echelon(system.matrix.row_terms, system.rhs, ncols, reductions)
+                assert len(profiles) == 2 and profiles[0].count(ncols + 1) > 100
 
     # tall random systems: the switch at the first 0 = 0 row, skipped
     # rows after it, and refutations after the switch
@@ -398,13 +402,15 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
         ([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]),
     ]
     cases = [(sparse_matrix(rows), rhs, _reference_solve(rows, rhs)) for rows, rhs in small]
-    # the d = 3 decide-sparse systems, whose witnesses
+    # the d = 3 decide-sparse systems, the paper's and the evaluation
+    # system, whose witnesses
     # test_decide_certificates_equal_the_fraction_loop pins
     sl2 = repmodel.sl2_binary_forms(2)
     for a in ((0, 1, 0), (1, 0, 0)):
         problem = decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=3)
-        _, system = decider.decide(problem, keep_system=True)
-        cases.append((system.matrix, system.rhs, solve_or_refute(system.matrix, system.rhs)))
+        for engine in (decider.paper_decide, decider.decide):
+            _, system = engine(problem, keep_system=True)
+            cases.append((system.matrix, system.rhs, solve_or_refute(system.matrix, system.rhs)))
 
     fingerprint = exactmath._fingerprint
     calls = []
@@ -689,15 +695,19 @@ def _problems():
     sl2 = repmodel.sl2_binary_forms(2)
     for a, verdict in (((1, 0, 0), decider.IN_CLOSURE), ((0, 1, 0), decider.NOT_IN_CLOSURE)):
         yield decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=3), verdict, False
-    # the base z1^2 has zero coordinates, so decide scrambles the basis
+    # the base z1^2 has zero coordinates, so paper_decide scrambles the basis
     yield decider.conic_problem(sl2, (1, 2, 1), (1, 0, 0), degree_bound_override=2), decider.IN_CLOSURE, True
 
 
 @pytest.mark.parametrize("problem, verdict, scrambled", list(_problems()))
 def test_decide_certificates_equal_the_fraction_loop(problem, verdict, scrambled):
-    decision, system = decider.decide(problem, seed=1, keep_system=True)
+    decision, system = decider.paper_decide(problem, seed=1, keep_system=True)
     assert decision.verdict == verdict
     assert (decision.transcript["scramble"] is not None) == scrambled
+    assert decision.certificate == _reference_solve(_dense(system.matrix), system.rhs)
+    # and on the evaluation system, which is never scrambled
+    decision, system = decider.decide(problem, seed=1, keep_system=True)
+    assert decision.verdict == verdict
     assert decision.certificate == _reference_solve(_dense(system.matrix), system.rhs)
 
 
@@ -705,7 +715,7 @@ def test_rational_problem_clears_one_common_denominator():
     # a = (2, 1/2) on the hyperbola: the conified target has a
     # denominator, so the system is cleared by D > 1
     problem = decider.conic_problem(hyperbola_rep(), (2, Fraction(1, 2)), (1, 1), degree_bound_override=2)
-    decision, system = decider.decide(problem, keep_system=True)
+    decision, system = decider.paper_decide(problem, keep_system=True)
     assert decision.verdict == decider.IN_CLOSURE
     assert all(type(v) is int for v in system.matrix.entries.values())
     one = system.row_monomials.index((0,) * len(system.row_monomials[0]))

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from orbitcal.decider import DecisionProblem, decide
+from orbitcal.decider import DecisionProblem, decide, paper_decide
 from orbitcal.elim import (
     SubspaceMap,
     closure_equations,
@@ -61,7 +61,7 @@ def test_scrambled_cube_decide_stays_sparse():
         degree_bound_override=3,
         conic_asserted=True,
     )
-    decision = decide(problem)
+    decision = paper_decide(problem)
     assert decision.verdict == "NOT_IN_CLOSURE"
     assert decision.transcript["nonzeros"] <= 22_650
 
@@ -69,14 +69,18 @@ def test_scrambled_cube_decide_stays_sparse():
 def test_scrambled_cubic_question_answers():
     # random scrambles built 1.3M nonzeros and exited on the size guard;
     # a NOT verdict holds for every degree bound
-    problem = DecisionProblem(
-        *make_conic(sl2_binary_forms(3), (-1, 2, -1, -1), (-1, 1, 0, 2)),
-        degree_bound_override=3,
-        conic_asserted=True,
-    )
-    decision = decide(problem)
+    conic = make_conic(sl2_binary_forms(3), (-1, 2, -1, -1), (-1, 1, 0, 2))
+    problem = DecisionProblem(*conic, degree_bound_override=3, conic_asserted=True)
+    decision = paper_decide(problem)
     assert decision.verdict == "NOT_IN_CLOSURE"
     assert decision.transcript["nonzeros"] <= 72_304
+    # The closure is the quartic hypersurface disc(f) = s^4 disc(b), so
+    # the evaluation system needs d = 4: at d = 3 it holds no equation of
+    # the closure and says IN, while the paper's system, whose
+    # equations reach degree 2d - 1 = 5, finds the quartic.
+    assert decide(problem).verdict == "IN_CLOSURE"
+    problem = DecisionProblem(*conic, degree_bound_override=4, conic_asserted=True)
+    assert decide(problem).verdict == "NOT_IN_CLOSURE"
 
 
 def test_quartic_cone_closes_within_default_budget():
