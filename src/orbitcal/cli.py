@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Subcommands: gen, decide, closure, degree, oracle, crosscheck.
+Subcommands: gen, decide, closure, degree, oracle, crosscheck; only
+crosscheck, on the paper's system, needs a conic orbit and b != 0.
 Exit codes: 0 in-closure (or agreement), 1 not-in-closure, 2 bad
-parameters, 3 violated precondition, 4 resource limit (the decider's
-system size, the elimination's pair budget), 5 inconsistent degree
-data, 6 oracle disagreement, 7 internal error (any other exception,
-such as a certificate that fails its exact plug-back).
+parameters, 3 violated precondition (crosscheck only), 4 resource limit
+(the decider's system size, the elimination's pair budget), 5
+inconsistent degree data, 6 oracle disagreement, 7 internal error (any
+other exception, such as a certificate that fails its exact plug-back).
 ORBITCAL_MAX_NNZ, a positive integer, overrides the system size limit."""
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_problem(args):
+def _load_problem(args, conic_asserted=False):
     rep = repmodel.RepresentationData.load(args.rep)
     a = repmodel.parse_vector(args.a)
     b = repmodel.parse_vector(args.b)
@@ -85,7 +86,7 @@ def _load_problem(args):
         a,
         b,
         degree_bound_override=args.degree_bound,
-        conic_asserted=args.assume_conic,
+        conic_asserted=conic_asserted,
     )
 
 
@@ -151,7 +152,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    problem = _load_problem(args)
+    problem = _load_problem(args, args.assume_conic)
     rep_w, a_w, b_w = problem.rep, problem.a, problem.b
 
     results = {}
@@ -203,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     question.add_argument("--b", required=True, help="comma-separated rationals")
     question.add_argument("--degree-bound", type=int, default=None)
     question.add_argument("--conify", action="store_true", help="apply the conic reduction first")
-    question.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
     question.add_argument("--seed", type=int, default=0)
     question.add_argument("--verbose", action="store_true")
     question.add_argument("--out")
@@ -237,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("crosscheck", parents=[question], help="run all applicable oracles and compare")
+    p.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
     p.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -1,7 +1,7 @@
 """Closure membership by linear-system consistency.
 
-Both systems below are built from the coordinate pullbacks psi of a
-conic base orbit at a degree bound d, in integers: with D the common
+Both systems below are built from the coordinate pullbacks psi of the
+orbit of b at a degree bound d, in integers: with D the common
 denominator of psi and the target a, phi = D psi and beta = D a, and
 the images phi^q come from polyring.monomial_images on its packed
 monomial keys, which this module treats as opaque: only the distinct
@@ -18,7 +18,8 @@ f(a) = 1, so a is off the closure for every d; a refutation puts
 (beta^q) in the row space of M, so every equation of degree <= d
 vanishes at a.  That means membership under the hypothesis that
 the closure, of degree <= d, is cut out by equations of degree <= d
-(Heintz 1983, Prop. 3).
+(Heintz 1983, Prop. 3), which holds for any affine variety: decide
+needs neither a conic orbit nor a nonzero b.
 
 paper_decide runs the paper's construction, which crosscheck uses as
 an oracle: with polynomials F_p of degree 2d-2 whose coefficients
@@ -26,7 +27,8 @@ c[(p, q)] are unknowns, the combination (y_1 - a_1)F_1 + ... + (y_n -
 a_n)F_n - 1, with psi substituted for the y's, must have every
 collected monomial coefficient vanish.  The column of c[(p, q)] is
 therefore the expansion of (psi_p - a_p) psi^q (assemble_system), and
-the base is scrambled first when it has a zero coordinate.
+the base is scrambled first when it has a zero coordinate.  It needs
+the orbit of b to be conic, which the caller asserts, and b != 0.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from orbitcal.repmodel import vector
 
 IN_CLOSURE = "IN_CLOSURE"
 NOT_IN_CLOSURE = "NOT_IN_CLOSURE"
-TRIVIALLY_DENSE = "TRIVIALLY_DENSE"
 
 DEFAULT_MAX_NNZ = 10**6
 
@@ -53,10 +54,10 @@ DEFAULT_MAX_NNZ = 10**6
 class DecisionProblem:
     """The data of one membership question.
 
-    conic_asserted must be set by the caller (directly, or through
-    conic_problem which applies the scaling reduction); decide refuses
-    to run otherwise, since conicity of the base orbit cannot be
-    checked cheaply."""
+    conic_asserted states that the orbit of b is conic (conic_problem
+    sets it after the scaling reduction).  Only paper_decide reads it,
+    and refuses to run without it, since conicity of the base orbit
+    cannot be checked cheaply; decide ignores it."""
 
     __slots__ = ("rep", "a", "b", "degree_bound_override", "conic_asserted")
 
@@ -73,7 +74,7 @@ class DecisionProblem:
 
 
 def conic_problem(rep, a, b, degree_bound_override=None) -> DecisionProblem:
-    """Apply the conic reduction and return a ready-to-decide problem."""
+    """Apply the conic reduction; the problem asserts conicity."""
     rep2, a2, b2 = repmodel.make_conic(rep, a, b)
     return DecisionProblem(
         rep2, a2, b2, degree_bound_override=degree_bound_override, conic_asserted=True
@@ -108,18 +109,15 @@ class Decision:
 
     @property
     def in_closure(self) -> bool:
-        return self.verdict in (IN_CLOSURE, TRIVIALLY_DENSE)
+        return self.verdict == IN_CLOSURE
 
     def to_json(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "kind": self.certificate.kind,
-                "vector": [str(x) for x in self.certificate.vector],
-            }
         return {
             "verdict": self.verdict,
-            "certificate": cert,
+            "certificate": {
+                "kind": self.certificate.kind,
+                "vector": [str(x) for x in self.certificate.vector],
+            },
             "transcript": self.transcript,
         }
 
@@ -243,38 +241,29 @@ def evaluation_system(d: int, alpha, pullbacks) -> LinearSystem:
 
 
 def _start(problem: DecisionProblem, seed: int):
-    """The steps both pipelines share: check the preconditions, build
-    the coordinate pullbacks once and take the orbit dimension, their
-    Jacobian rank at one point mod a prime drawn from the seed (the
-    seed's only use).  Returns (pullbacks, transcript, decision), where
-    decision is the TRIVIALLY_DENSE answer for an orbit that fills the
-    space, else None."""
-    rep, b = problem.rep, problem.b
-    if not any(b):
-        raise PreconditionError("the base vector b must be nonzero")
-    if not problem.conic_asserted:
-        raise PreconditionError(
-            "the orbit of b must be conic: use conic_problem() or assert conicity"
-        )
-    pullbacks = repmodel.coordinate_pullbacks(rep, b)
-    dim = repmodel.orbit_dimension(pullbacks, seed=seed)
+    """The steps both pipelines share: build the coordinate pullbacks
+    once, take the orbit dimension, their Jacobian rank at one point mod
+    a prime drawn from the seed (the seed's only use), and open the
+    transcript.  Returns (pullbacks, transcript)."""
+    rep = problem.rep
+    pullbacks = repmodel.coordinate_pullbacks(rep, problem.b)
     transcript = {
         "n": rep.n,
-        "orbit_dimension": dim,
+        "orbit_dimension": repmodel.orbit_dimension(pullbacks, seed=seed),
         "seed": seed,
     }
-    if dim >= rep.n:
-        return pullbacks, transcript, Decision(
-            TRIVIALLY_DENSE, None, transcript | {"note": "orbit closure is the whole space"}
-        )
-    return pullbacks, transcript, None
+    return pullbacks, transcript
 
 
 def _degree_bound(problem: DecisionProblem, transcript) -> int:
-    """The bound d: the override, then the representation's own bound,
-    then the parametric fallback; recorded in the transcript."""
+    """The bound d: 1 when the orbit fills the space (its closure is V,
+    of degree 1), then the override, then the representation's own
+    bound, then the parametric fallback; recorded in the transcript."""
     rep = problem.rep
-    if problem.degree_bound_override is not None:
+    if transcript["orbit_dimension"] >= rep.n:
+        d = 1
+        source = "dense"
+    elif problem.degree_bound_override is not None:
         d = problem.degree_bound_override
         source = "override"
     elif rep.degree_bound is not None:
@@ -314,30 +303,31 @@ def decide(
     max_nnz: int = DEFAULT_MAX_NNZ,
     keep_system: bool = False,
 ):
-    """Decide membership on the evaluation system, which needs no
-    nonzero coordinate of b and so no scramble.
+    """Decide membership on the evaluation system, for the question as
+    posed: b may be zero and the orbit need not be conic
+    (problem.conic_asserted is ignored).
 
-    Steps: check the preconditions and the dense case (_start); pick the
-    degree bound (override, then the representation's own bound, then
-    the parametric fallback); check the closed-form column count
-    C(n + d, n) against max_nnz before any image is built; assemble the
-    evaluation system from the pullbacks and check its nonzeros; solve
-    with an exact witness, which solve_or_refute has already checked by
-    plug-back.  Returns the Decision, or (Decision, LinearSystem) when
-    keep_system is set.  The transcript records the system's rows,
-    columns and nonzeros."""
-    pullbacks, transcript, dense = _start(problem, seed)
-    if dense is not None:
-        return (dense, None) if keep_system else dense
+    Steps: the pullbacks and the orbit dimension (_start); pick the
+    degree bound (_degree_bound); check the closed-form count of the
+    columns and the evaluation row's entries against max_nnz before any
+    image is built; assemble the evaluation system and check its
+    nonzeros; solve with an exact witness, which solve_or_refute has
+    already checked by plug-back.  Returns the Decision, or (Decision,
+    LinearSystem) when keep_system is set.  The transcript records the
+    system's rows, columns and nonzeros."""
+    pullbacks, transcript = _start(problem, seed)
     d = _degree_bound(problem, transcript)
-    # When no pullback is zero, no column of M is zero (a product of
-    # nonzero Laurent polynomials), so columns <= nonzeros; the limit
-    # bounds the columns in any case.
+    # beta^q != 0 iff supp q is in supp a: the evaluation row has C(k +
+    # d, d) entries.  When no pullback is zero, no column of M is zero (a
+    # product of nonzero Laurent polynomials), so the count is at most
+    # the nonzeros; the limit bounds the columns in any case.
     columns = comb(problem.rep.n + d, d)
-    if columns > max_nnz:
+    row = comb(sum(map(bool, problem.a)) + d, d)
+    if columns + row > max_nnz:
         raise ResourceLimitError(
             f"evaluation system too large before assembly: {columns} columns "
-            f"at degree bound d = {d} (limit {max_nnz} nonzeros)"
+            f"+ {row} evaluation-row entries at degree bound d = {d} "
+            f"(limit {max_nnz} nonzeros)"
         )
     system = evaluation_system(d, problem.a, pullbacks)
     transcript["rows"] = system.matrix.rows
@@ -356,15 +346,21 @@ def paper_decide(
 ):
     """Decide membership on the paper's system, the oracle of crosscheck.
 
-    Steps: check the preconditions and the dense case (_start); if b has
-    zero coordinates, scramble the basis with find_scrambling's
-    elementary matrix, which combines the pullbacks and a by the same
-    matrix; pick the degree bound as decide does; check the c-variable
-    count against max_nnz; assemble the system and check its nonzeros;
-    solve.  Returns what decide returns."""
-    pullbacks, transcript, dense = _start(problem, seed)
-    if dense is not None:
-        return (dense, None) if keep_system else dense
+    Steps: raise PreconditionError unless b != 0 (the scramble needs
+    it) and conicity is asserted (the system needs it); the pullbacks
+    and the orbit dimension (_start); if b has zero coordinates,
+    scramble the basis with find_scrambling's elementary matrix, which
+    combines the pullbacks and a by the same matrix; pick the degree
+    bound as decide does; check the c-variable count against max_nnz;
+    assemble the system and check its nonzeros; solve.  Returns what
+    decide returns."""
+    if not any(problem.b):
+        raise PreconditionError("the base vector b must be nonzero")
+    if not problem.conic_asserted:
+        raise PreconditionError(
+            "the orbit of b must be conic: use conic_problem() or assert conicity"
+        )
+    pullbacks, transcript = _start(problem, seed)
 
     # With rho and b replaced by S rho S^-1 and S b, the pullbacks become
     # S psi and the target S a; the closure degree is basis-free.

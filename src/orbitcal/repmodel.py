@@ -5,7 +5,7 @@ invertible and s ordinary parameters; evaluating the matrix at a
 parameter point gives the acting linear map.  Generators for the two
 bundled families (binary forms under special linear substitutions, and
 diagonal torus actions) live here, together with the conic reduction,
-the basis scrambling and the orbit-dimension precondition.
+the basis scrambling and the orbit dimension.
 """
 
 from __future__ import annotations
@@ -192,9 +192,11 @@ def make_conic(rep: RepresentationData, a, b):
     x0 * blockdiag(1, rho) with a fresh invertible parameter x0, making
     both orbits conic without changing the closure question.
 
-    Returns (rep', a', b'); the degree bound is left unset because the
-    extended image degree is not derived here (callers override or fall
-    back to the parametric bound)."""
+    Returns (rep', a', b'), and rep' keeps rep's degree bound: the
+    extended orbit closure of b' is the affine cone over the projective
+    closure of closure(O_b) under v -> [1 : v].  A cone has the degree
+    of its base and a projective closure the degree of the affine
+    variety, so its degree is deg closure(O_b), at most rep's bound."""
     a = vector(a)
     b = vector(b)
     if len(a) != rep.n or len(b) != rep.n:
@@ -210,7 +212,7 @@ def make_conic(rep: RepresentationData, a, b):
         rep.r + 1,
         rep.s,
         rho2,
-        degree_bound=None,
+        degree_bound=rep.degree_bound,
         label=f"conic({rep.label})" if rep.label else "conic",
     )
     one = Fraction(1)
@@ -275,12 +277,11 @@ def orbit_dimension(pullbacks, *, seed: int = 0) -> int:
     answer is certain; unless p divides a maximal nonzero minor's every
     coefficient, Schwartz-Zippel bounds the chance that the rank is
     lowered by the minor's degree over p - 1.  A lowered rank is safe
-    for decide: the dimension is used only to answer TRIVIALLY_DENSE
-    when the orbit fills the space.  An under-reported dense orbit skips
-    that shortcut and goes to the linear system, which then has no
-    solution, because no H that vanishes on a dense orbit (hence
-    everywhere) can equal -1 at a; the refutation makes the verdict
-    IN_CLOSURE all the same."""
+    for both deciders: the dimension is used only to pick the degree
+    bound d = 1 when the orbit fills the space.  An under-reported dense
+    orbit gets a larger d instead, and the system then has no solution,
+    because no nonzero polynomial vanishes on a dense orbit; the
+    refutation makes the verdict IN_CLOSURE all the same."""
     p = exactmath.RANK_PRIME
     rng = random.Random(seed)
     point = [rng.randrange(1, p) for _ in range(pullbacks[0].ambient.nvars)]

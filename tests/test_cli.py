@@ -85,12 +85,35 @@ def test_decide_not_in_closure(torus12, capsys):
 
 
 def test_decide_zero_base_without_conify(torus12, capsys):
-    code, _, err = run(
+    # the orbit of 0 is {0}: decide answers IN iff a = 0
+    for a, code_wanted, verdict in (("1,1", 1, "NOT_IN_CLOSURE"), ("0,1", 1, "NOT_IN_CLOSURE"), ("0,0", 0, "IN_CLOSURE")):
+        code, out, _ = run(["decide", "--rep", torus12, "--a", a, "--b", "0,0"], capsys)
+        assert code == code_wanted
+        assert json.loads(out)["verdict"] == verdict
+    # --assume-conic is crosscheck's alone
+    code, out, err = run(
         ["decide", "--rep", torus12, "--a", "1,1", "--b", "0,0", "--assume-conic"],
         capsys,
     )
-    assert code == 3
-    assert "nonzero" in err
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and "--assume-conic" in err
+    # the paper's system still needs b != 0
+    code, out, err = run(
+        ["crosscheck", "--rep", torus12, "--a", "1,1", "--b", "0,0", "--assume-conic"],
+        capsys,
+    )
+    assert code == cli.EXIT_PRECONDITION == 3
+    assert out == "" and "nonzero" in err
+
+
+def test_decide_takes_the_question_as_posed(torus12, capsys):
+    # the orbit {(t, t^2)} is not conic; its closure is z2 = z1^2
+    for a, code_wanted in (("2,4", 0), ("0,0", 0), ("2,3", 1), ("1,0", 1)):
+        code, out, _ = run(["decide", "--rep", torus12, "--a", a, "--b", "1,1", "--verbose"], capsys)
+        assert code == code_wanted, a
+        payload = json.loads(out)
+        assert payload["certificate"]["kind"] == ("REFUTATION" if code == 0 else "SOLUTION")
+        assert payload["transcript"]["degree_bound_source"] == "parametric"
 
 
 def test_decide_zero_base_with_conify_is_fine(torus12, capsys):
@@ -597,9 +620,10 @@ def test_zero_denominator_exits_2(tmp_path, torus12, capsys, argv):
 
 
 def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):
-    # the parametric fallback for conified quadratic forms is d = 2401, about
-    # 1.4e12 columns C(2405, 4): the size guard must trip before the
-    # evaluation system is built
+    # the parametric fallback for the conified torus (1,0;1,1;1,2) is
+    # d = 64: C(68, 4) = 814,385 columns and, with no zero coordinate in
+    # a, as many evaluation-row entries, over the limit together, so the
+    # size guard must trip before the evaluation system is built
     from orbitcal import decider
 
     def unreachable(*args, **kwargs):
@@ -607,13 +631,16 @@ def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(decider, "evaluation_system", unreachable)
     monkeypatch.delenv("ORBITCAL_MAX_NNZ", raising=False)
-    path = tmp_path / "sl2h2.json"
-    code, _, _ = run(["gen", "sl2", "--h", "2", "--out", str(path)], capsys)
+    path = tmp_path / "torus.json"
+    code, _, _ = run(["gen", "torus", "--weights", "1,0;1,1;1,2", "--out", str(path)], capsys)
     assert code == 0
     code, out, err = run(
-        ["decide", "--rep", str(path), "--a", "0,1,0", "--b", "1,2,1", "--conify"],
+        ["decide", "--rep", str(path), "--a", "1,1,1", "--b", "1,1,1", "--conify"],
         capsys,
     )
     assert code == cli.EXIT_RESOURCE == 4
     assert out == ""
-    assert "evaluation system too large before assembly: 1390481055405 columns at degree bound d = 2401" in err
+    assert (
+        "evaluation system too large before assembly: 814385 columns + 814385 "
+        "evaluation-row entries at degree bound d = 64 (limit 1000000 nonzeros)"
+    ) in err

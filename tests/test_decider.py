@@ -12,7 +12,6 @@ from orbitcal import decider, repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
-    TRIVIALLY_DENSE,
     Decision,
     DecisionProblem,
     assemble_system,
@@ -21,11 +20,13 @@ from orbitcal.decider import (
     generic_coefficient_count,
     paper_decide,
 )
+from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
 from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, substitute
 from orbitcal.repmodel import coordinate_pullbacks, make_conic, torus_diagonal, vector
+from orbitcal.torusoracle import torus_decide
 from support import act, convolve, product_of_powers
 
 
@@ -200,35 +201,105 @@ def test_decide_battery_against_expected_quadrics():
             assert decision.certificate.kind == SOLUTION
 
 
+def _checked(engine, problem, **kwargs):
+    decision, system = engine(problem, keep_system=True, **kwargs)
+    assert decision.certificate.verify(system.matrix, system.rhs)
+    return decision
+
+
 def test_decide_requires_nonzero_base():
+    # the scramble needs b != 0, so paper_decide refuses; decide answers,
+    # since the orbit of 0 is {0}
     rep = parabola_rep()
     problem = DecisionProblem(rep, (1, 1), (0, 0), conic_asserted=True)
     with pytest.raises(PreconditionError):
-        decide(problem)
+        paper_decide(problem)
+    for a in ((1, 1), (0, 1), (1, 0), (0, 0)):
+        for conic_asserted in (False, True):
+            decision = _checked(decide, DecisionProblem(rep, a, (0, 0), conic_asserted=conic_asserted))
+            assert decision.in_closure == (a == (0, 0))
+            assert decision.transcript["orbit_dimension"] == 0
 
 
 def test_decide_requires_conic_assertion():
+    # the paper's system needs a conic orbit; decide ignores the assertion
     rep = parabola_rep()
     problem = DecisionProblem(rep, (1, 1), (1, 1))
     with pytest.raises(PreconditionError):
-        decide(problem)
+        paper_decide(problem)
+    # the closure of {(t, t^2)} is z2 = z1^2, not conic
+    for a, expected in (((1, 1), True), ((2, 4), True), ((0, 0), True), ((1, 2), False), ((2, 2), False)):
+        decision = _checked(decide, DecisionProblem(rep, a, (1, 1)))
+        assert decision.in_closure == expected, a
+        assert decision.transcript["degree_bound_source"] == "parametric"
 
 
 def test_decide_trivially_dense():
+    # the orbit of 1 under t fills the line: X = V, of degree 1
     rep = torus_diagonal([(1,)])
     problem = DecisionProblem(rep, (5,), (1,), conic_asserted=True)
-    decision = decide(problem)
-    assert decision.verdict == TRIVIALLY_DENSE
-    assert decision.in_closure
-    assert decision.certificate is None
-    assert decision.transcript["orbit_dimension"] == 1
+    for engine in (decide, paper_decide):
+        decision = _checked(engine, problem)
+        assert decision.verdict == IN_CLOSURE
+        assert decision.in_closure
+        assert decision.certificate.kind == REFUTATION
+        assert decision.transcript["orbit_dimension"] == 1
+        assert (decision.transcript["degree_bound"], decision.transcript["degree_bound_source"]) == (1, "dense")
+    # the dense bound comes ahead of an override
+    problem = DecisionProblem(rep, (5,), (1,), degree_bound_override=3, conic_asserted=True)
+    assert decide(problem).transcript["degree_bound_source"] == "dense"
 
 
 def test_conified_linear_forms_are_trivially_dense():
     # the scaled orbit of z1 fills k^3; b has a zero coordinate
-    decision = decide(conic_problem(repmodel.sl2_binary_forms(1), (0, 0), (1, 0)))
-    assert decision.verdict == TRIVIALLY_DENSE
-    assert decision.transcript["orbit_dimension"] == 3
+    problem = conic_problem(repmodel.sl2_binary_forms(1), (0, 0), (1, 0))
+    for engine in (decide, paper_decide):
+        decision = _checked(engine, problem)
+        assert decision.verdict == IN_CLOSURE
+        assert decision.certificate.kind == REFUTATION
+        assert decision.transcript["orbit_dimension"] == 3
+        assert (decision.transcript["degree_bound"], decision.transcript["degree_bound_source"]) == (1, "dense")
+
+
+@pytest.mark.parametrize("engine", [decide, paper_decide])
+@pytest.mark.parametrize(
+    "rep, b",
+    [
+        (torus_diagonal([(1,)]), (1,)),
+        (torus_diagonal([(1, 0), (0, 1)]), (1, 1)),
+        (repmodel.sl2_binary_forms(1), (1, 0)),
+    ],
+    ids=["torus-1", "torus-2", "sl2-h1"],
+)
+@pytest.mark.parametrize("conify", [False, True])
+def test_dense_orbits_are_refuted_at_degree_one(engine, rep, b, conify):
+    for a in ((0,) * rep.n, (3,) * rep.n, tuple(range(rep.n))):
+        if conify:
+            problem = conic_problem(rep, a, b)
+        else:
+            problem = DecisionProblem(rep, a, b, conic_asserted=True)
+        decision = _checked(engine, problem)
+        assert decision.verdict == IN_CLOSURE and decision.certificate.kind == REFUTATION
+        assert (decision.transcript["degree_bound"], decision.transcript["degree_bound_source"]) == (1, "dense")
+
+
+def _raw_questions():
+    for case in diagonal_battery():
+        yield pytest.param(torus_diagonal(case.weights), case.a, case.b, case.weights, id=f"diagonal-{case.name}")
+    for case in decision_battery():
+        yield pytest.param(case.rep, case.a, case.b, None, id=f"battery-{case.name}")
+
+
+@pytest.mark.parametrize("rep, a, b, weights", list(_raw_questions()))
+def test_decide_answers_raw_questions(rep, a, b, weights):
+    # no conic reduction and no override: the representation's bound or
+    # the parametric fallback, and the verdict of elimination and of the
+    # torus criterion on the question as posed
+    decision = _checked(decide, DecisionProblem(rep, a, b))
+    assert decision.transcript["degree_bound_source"] in ("representation", "parametric", "dense")
+    assert decision.in_closure == point_in_closure(closure_equations(rep, SubspaceMap.point(b)), a)
+    if weights is not None:
+        assert decision.in_closure == torus_decide(weights, a, b)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -244,7 +315,7 @@ def test_conified_linear_forms_are_trivially_dense():
 )
 def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
     # A sampled orbit dimension can only under-report.  A dense orbit
-    # reported as smaller skips the TRIVIALLY_DENSE shortcut, and the
+    # reported as smaller gets the override instead of d = 1, and the
     # system must then be inconsistent: no H vanishing on a dense orbit
     # can equal -1 at a.
     # The same holds for the evaluation system: no equation vanishes on a
@@ -280,6 +351,18 @@ def test_decide_uses_representation_bound_when_present():
     decision = decide(problem)
     assert decision.transcript["degree_bound_source"] == "representation"
     assert decision.verdict == IN_CLOSURE
+
+
+def test_conified_questions_keep_the_representation_bound():
+    # the scaled orbit closure is a cone over the projective closure of
+    # the original one, of the same degree: sl2 h = 2 keeps d = 8, and a
+    # torus, with no bound of its own, still falls back
+    sl2 = repmodel.sl2_binary_forms(2)
+    for a, verdict in (((0, 1, 0), NOT_IN_CLOSURE), ((1, -2, 1), IN_CLOSURE)):
+        decision = _checked(decide, conic_problem(sl2, a, (1, 2, 1)))
+        assert decision.verdict == verdict
+        assert (decision.transcript["degree_bound"], decision.transcript["degree_bound_source"]) == (8, "representation")
+    assert make_conic(torus_diagonal([(1,), (2,)]), (0, 0), (1, 1))[0].degree_bound is None
 
 
 def test_decide_orbit_points_land_in_closure():
@@ -363,8 +446,6 @@ def test_undersized_degree_bound_documented_failure():
     )
     assert paper_decide(problem).verdict == IN_CLOSURE  # wrong, by design of the test
     assert decide(problem).verdict == IN_CLOSURE
-    from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
-
     eqs = closure_equations(rep2, SubspaceMap.point(b2))
     assert not point_in_closure(eqs, a2)
 
@@ -403,16 +484,14 @@ def test_resource_limit_after_assembly():
         paper_decide(problem, max_nnz=generic_coefficient_count(3, 2))
 
 def test_resource_guard_fires_before_building_H(monkeypatch):
-    from orbitcal import decider
-    from orbitcal.repmodel import sl2_binary_forms
-
     def unreachable(*args, **kwargs):
         raise RuntimeError("assemble_system reached past the size guard")
 
     monkeypatch.setattr(decider, "assemble_system", unreachable)
-    # no degree bound on the conified quadratic forms: parametric d = 2401
-    problem = conic_problem(sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
-    with pytest.raises(ResourceLimitError, match="c-variables at degree bound d = 2401"):
+    # no degree bound on the conified torus (1,0;1,1;1,2): parametric
+    # d = 64, 4 C(130, 4) c-variables
+    problem = conic_problem(torus_diagonal([(1, 0), (1, 1), (1, 2)]), (0, 1, 0), (1, 1, 1))
+    with pytest.raises(ResourceLimitError, match=f"{4 * comb(130, 4)} c-variables at degree bound d = 64"):
         paper_decide(problem)
 
 def test_certificates_verify_and_reject_tampering():
@@ -540,23 +619,44 @@ def test_evaluation_guard_fires_before_building_the_system(monkeypatch):
         raise RuntimeError("evaluation_system reached past the size guard")
 
     monkeypatch.setattr(decider, "evaluation_system", unreachable)
-    # no degree bound on the conified quadratic forms: parametric d = 2401,
-    # C(2405, 4) columns
-    problem = conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1))
-    with pytest.raises(ResourceLimitError, match=f"before assembly: {comb(2405, 4)} columns at degree bound d = 2401"):
+    # no degree bound on the conified torus (1,0;1,1;1,2): parametric
+    # d = 64 and C(68, 4) columns, under the limit; a' = (1,1,1,1) has no
+    # zero coordinate, so the evaluation row has as many entries again
+    rep = torus_diagonal([(1, 0), (1, 1), (1, 2)])
+    problem = conic_problem(rep, (1, 1, 1), (1, 1, 1))
+    columns = comb(68, 4)
+    assert columns < decider.DEFAULT_MAX_NNZ < 2 * columns
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"before assembly: {columns} columns \\+ {columns} evaluation-row entries at degree bound d = 64",
+    ):
         decide(problem)
+    # a zero coordinate of a shrinks the row: beta^q = 0 once q meets it
+    with pytest.raises(ResourceLimitError, match=f"{columns} columns \\+ {comb(66, 2)} evaluation-row entries"):
+        decide(conic_problem(rep, (0, 1, 0), (1, 1, 1)), max_nnz=columns + comb(66, 2) - 1)
 
 
 def test_evaluation_guard_after_assembly():
-    # the conified parabola at d = 2: C(5, 2) = 10 columns, 16 nonzeros
+    # the conified parabola at d = 2: C(5, 2) = 10 columns, and a' =
+    # (1, 1, 0) gives C(4, 2) = 6 evaluation-row entries; the images are
+    # monomials, so the count 16 is the system's nonzeros
     rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
     problem = DecisionProblem(rep2, a2, b2, degree_bound_override=2, conic_asserted=True)
-    with pytest.raises(ResourceLimitError, match=r"10 columns at degree bound d = 2 \(limit 9 nonzeros\)"):
-        decide(problem, max_nnz=9)
-    with pytest.raises(ResourceLimitError, match=r"16 nonzeros \(limit 10\), 10 rows x 10 columns"):
-        decide(problem, max_nnz=10)
+    for limit in (9, 10, 15):
+        with pytest.raises(ResourceLimitError, match=rf"10 columns \+ 6 evaluation-row entries at degree bound d = 2 \(limit {limit} nonzeros\)"):
+            decide(problem, max_nnz=limit)
     decision = decide(problem, max_nnz=16)
     assert (decision.transcript["rows"], decision.transcript["columns"], decision.transcript["nonzeros"]) == (10, 10, 16)
+    # conified quadratic forms at d = 2: images with several terms, so the
+    # system has more nonzeros than the count and the guard after
+    # assembly trips
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), degree_bound_override=2)
+    decision = decide(problem)
+    count = comb(6, 2) + comb(4, 2)
+    nonzeros = decision.transcript["nonzeros"]
+    assert count < nonzeros
+    with pytest.raises(ResourceLimitError, match=rf"{nonzeros} nonzeros \(limit {count}\), {decision.transcript['rows']} rows x 15 columns"):
+        decide(problem, max_nnz=count)
 
 
 def _denominator(alpha, pullbacks):
@@ -677,7 +777,7 @@ def _verdict_problems():
 def test_decide_verdicts_equal_the_papers():
     verdicts = set()
     for seed, problem in _verdict_problems():
-        verdict = decide(problem, seed=seed).verdict
-        assert verdict == paper_decide(problem, seed=seed).verdict, (problem.rep.label, problem.a, problem.b)
+        verdict = _checked(decide, problem, seed=seed).verdict
+        assert verdict == _checked(paper_decide, problem, seed=seed).verdict, (problem.rep.label, problem.a, problem.b)
         verdicts.add(verdict)
     assert verdicts == {IN_CLOSURE, NOT_IN_CLOSURE}
