@@ -1,19 +1,22 @@
 """Term-dict kernels.
 
-Polynomials are stored as dicts mapping a monomial key to a nonzero
-number, a Fraction or an int; the kernels work on either.
+Every polynomial in orbitcal is a dict mapping a monomial key to a
+nonzero number, a Fraction or an int; the kernels work on either.
 term_times_into is the one product loop: it takes int keys whose sum is
 the product of monomials, the packed keys of polyring.monomial_images
-(the decider's images, elim's check f(psi) = 0, substitute, the
-integrand of degbound.kazarnovskii and the entries of
-repmodel.sl2_binary_forms) and of
+(the decider's images, elim's check f(psi) = 0, polyring.substitute
+in degbound.simplex_integral, the integrand of degbound.kazarnovskii
+and the entries of repmodel.sl2_binary_forms) and of
 elim.OrderedRing (normal forms and S-polynomials), and a product of two
 term dicts is one call per term of the smaller factor.  elim's
 coefficients are residues mod a prime, and the kernels leave the ints
 they produce unreduced: a sum that is a nonzero multiple of p stays in
 the dict, and elim.normal_form reduces each term mod p when it reads it.
-add_scaled_inplace works on any keys.  BACKEND names the implementation
-for run reports; there is only this pure-Python one.
+add_scaled_inplace works on any keys: it makes the sums of
+repmodel.combine (the coordinate pullbacks and paper_decide's
+scramble), the sl2 entries, the decider's columns, elim's joined images
+and its check, and substitute.  BACKEND names the implementation for
+run reports; there is only this pure-Python one.
 """
 
 BACKEND = "pure"

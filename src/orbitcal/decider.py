@@ -1,14 +1,16 @@
 """Closure membership by linear-system consistency.
 
-Both systems below are built from the coordinate pullbacks psi of the
-orbit of b at a degree bound d, in integers: with D the common
-denominator of psi and the target a, phi = D psi and beta = D a, and
-the images phi^q come from polyring.monomial_images on its packed
-monomial keys, which this module treats as opaque: only the distinct
-row monomials are decoded, once, to sort the rows.  A refutation
-certifies membership, a solution certifies non-membership, and
-solve_or_refute returns either only after an exact plug-back, which
-ConsistencyWitness.verify repeats for anyone who holds the system.
+Both systems below are built in integers from the coordinate pullbacks
+psi of the orbit of b at a degree bound d.  The pullbacks are term
+dicts in the representation's parameters, whose count nvars the caller
+passes.  With D the common denominator of psi and the target a, phi =
+D psi and beta = D a, and the images phi^q come from
+polyring.monomial_images on its packed monomial keys, which this
+module treats as opaque: only the distinct row monomials are decoded,
+once, to sort the rows.  A refutation certifies membership, a solution
+certifies non-membership, and solve_or_refute returns either only
+after an exact plug-back, which ConsistencyWitness.verify repeats for
+anyone who holds the system.
 
 decide poses membership as the evaluation system [M ; beta^q] g = [0 ;
 1], one unknown per exponent q in N^n with |q| <= d: column q of M holds
@@ -98,7 +100,9 @@ class LinearSystem:
 
 class Decision:
     """Verdict plus an exactly verifiable certificate and a transcript
-    of the sizes and choices that produced it."""
+    of the sizes and choices that produced it.  Every verdict carries
+    its certificate: from_json raises ValueError on a payload without
+    one."""
 
     __slots__ = ("verdict", "certificate", "transcript")
 
@@ -124,9 +128,9 @@ class Decision:
     @classmethod
     def from_json(cls, payload) -> "Decision":
         cert = payload.get("certificate")
-        witness = None
-        if cert is not None:
-            witness = ConsistencyWitness(cert["kind"], [Fraction(x) for x in cert["vector"]])
+        if cert is None:
+            raise ValueError("a decision must carry its certificate")
+        witness = ConsistencyWitness(cert["kind"], [Fraction(x) for x in cert["vector"]])
         return cls(payload["verdict"], witness, payload.get("transcript", {}))
 
 
@@ -143,8 +147,8 @@ def _cleared(alpha, pullbacks):
     alpha = vector(alpha)
     if len(alpha) != len(pullbacks):
         raise ValueError("alpha length mismatch")
-    D = lcm(*(c.denominator for psi in pullbacks for c in psi.terms.values()), *(a.denominator for a in alpha))
-    phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.terms.items()} for psi in pullbacks]
+    D = lcm(*(c.denominator for psi in pullbacks for c in psi.values()), *(a.denominator for a in alpha))
+    phi = [{e: c.numerator * (D // c.denominator) for e, c in psi.items()} for psi in pullbacks]
     beta = [a.numerator * (D // a.denominator) for a in alpha]
     return D, phi, beta
 
@@ -176,14 +180,14 @@ def _matrix(columns, decode, rows=(), extra_rows=0):
     return matrix, row_index, row_monomials
 
 
-def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
+def assemble_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
     """The paper's integer system A c = v for the combination at degree
-    bound d and target alpha.  Column (p, q) holds the coefficients of
-    (psi_p - alpha_p) psi^q; rows are the parameter monomials in the
-    support of some column, plus x^0, whose right-hand side is the 1
-    moved over from the combination (every other row has 0).  Zero
-    columns are dropped; rows are sorted by (degree, exponent) and
-    columns by key.
+    bound d and target alpha, the pullbacks term dicts in nvars
+    parameters.  Column (p, q) holds the coefficients of (psi_p -
+    alpha_p) psi^q; rows are the parameter monomials in the support of
+    some column, plus x^0, whose right-hand side is the 1 moved over
+    from the combination (every other row has 0).  Zero columns are
+    dropped; rows are sorted by (degree, exponent) and columns by key.
 
     The system is built in integers as D^(2d-1) (A | v): with image(q) =
     phi^q, each q in N^n with |q| <= 2d - 2 and k = 2d - 2 - |q| gives
@@ -197,7 +201,7 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
         raise ValueError("need n >= 1 and d >= 1")
     D, phi, beta = _cleared(alpha, pullbacks)
     n = len(pullbacks)
-    image, decode = monomial_images(phi, pullbacks[0].ambient.nvars, 2 * d - 1)
+    image, decode = monomial_images(phi, nvars, 2 * d - 1)
     (one,) = image((0,) * n)
     columns = {}
     for q in _exponents(n, 2 * d - 2):
@@ -214,13 +218,14 @@ def assemble_system(d: int, alpha, pullbacks) -> LinearSystem:
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 
-def evaluation_system(d: int, alpha, pullbacks) -> LinearSystem:
+def evaluation_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
     """The integer system [M ; beta^q] g = [0 ; 1] at degree bound d and
-    target alpha.  Column q, for every q in N^n with |q| <= d in (degree,
-    exponent) order, holds the coefficients of phi^q in the rows of the
-    parameter monomials in the support of some column, sorted by
-    (degree, exponent), and the number beta^q in the last row, the
-    evaluation row, whose right-hand side is 1 (every other row has 0).
+    target alpha, the pullbacks term dicts in nvars parameters.  Column
+    q, for every q in N^n with |q| <= d in (degree, exponent) order,
+    holds the coefficients of phi^q in the rows of the parameter
+    monomials in the support of some column, sorted by (degree,
+    exponent), and the number beta^q in the last row, the evaluation
+    row, whose right-hand side is 1 (every other row has 0).
     No column is dropped: a zero column of M still carries beta^q.
 
     Column q is D^|q| times the expansion of psi^q and alpha^q, so g
@@ -230,7 +235,7 @@ def evaluation_system(d: int, alpha, pullbacks) -> LinearSystem:
     if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     _, phi, beta = _cleared(alpha, pullbacks)
-    image, decode = monomial_images(phi, pullbacks[0].ambient.nvars, d)
+    image, decode = monomial_images(phi, nvars, d)
     col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
     matrix, _, row_monomials = _matrix([image(q) for q in col_keys], decode, extra_rows=1)
     matrix.row_terms[-1].update(
@@ -249,7 +254,7 @@ def _start(problem: DecisionProblem, seed: int):
     pullbacks = repmodel.coordinate_pullbacks(rep, problem.b)
     transcript = {
         "n": rep.n,
-        "orbit_dimension": repmodel.orbit_dimension(pullbacks, seed=seed),
+        "orbit_dimension": repmodel.orbit_dimension(pullbacks, rep.ambient.nvars, seed=seed),
         "seed": seed,
     }
     return pullbacks, transcript
@@ -329,7 +334,7 @@ def decide(
             f"+ {row} evaluation-row entries at degree bound d = {d} "
             f"(limit {max_nnz} nonzeros)"
         )
-    system = evaluation_system(d, problem.a, pullbacks)
+    system = evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars)
     transcript["rows"] = system.matrix.rows
     transcript["columns"] = system.matrix.cols
     transcript["nonzeros"] = system.matrix.nnz
@@ -385,7 +390,7 @@ def paper_decide(
             f"linear system too large: {c_variables} c-variables at degree "
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
-    system = assemble_system(d, a, pullbacks)
+    system = assemble_system(d, a, pullbacks, problem.rep.ambient.nvars)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz

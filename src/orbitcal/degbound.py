@@ -22,7 +22,7 @@ from math import factorial
 
 from orbitcal.errors import InconsistentDataError
 from orbitcal.exactmath import det
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int, json_list, monomial_images, substitute
+from orbitcal.polyring import exact_int, json_list, monomial_images, substitute
 
 
 class ReductiveData:
@@ -116,16 +116,18 @@ def split_interval(lo, hi) -> list[list[tuple[Fraction]]]:
     return simplices
 
 
-def simplex_integral(poly: LaurentPoly, simplex) -> Fraction:
-    """Exact integral of a polynomial over a simplex.
+def simplex_integral(poly, simplex) -> Fraction:
+    """Exact integral of a polynomial, a term dict with one exponent
+    entry per coordinate, over a simplex of rank + 1 vertices in
+    Q^rank.
 
     Works through the affine map onto the standard simplex and the
     Dirichlet formula: the integral of the barycentric monomial with
     exponents a over a simplex of volume V is
     V * rank! * (prod a_i!) / (rank + sum a_i)!."""
-    rank = poly.ambient.nvars
     simplex = [tuple(Fraction(x) for x in vertex) for vertex in simplex]
-    if len(simplex) != rank + 1 or any(len(v) != rank for v in simplex):
+    rank = len(simplex) - 1
+    if rank < 0 or any(len(v) != rank for v in simplex):
         raise ValueError("simplex must have rank+1 vertices of length rank")
     v0 = simplex[0]
     columns = [
@@ -136,7 +138,6 @@ def simplex_integral(poly: LaurentPoly, simplex) -> Fraction:
         raise ValueError("degenerate simplex")
     volume_factor = abs(volume_factor)
 
-    lam = Ambient(0, rank, names=tuple(f"l{i + 1}" for i in range(rank)))
     forms = []
     for i in range(rank):
         terms = {}
@@ -147,11 +148,11 @@ def simplex_integral(poly: LaurentPoly, simplex) -> Fraction:
             if columns[i][j]:
                 exp = tuple(1 if k == j else 0 for k in range(rank))
                 terms[exp] = columns[i][j]
-        forms.append(LaurentPoly(lam, terms))
-    composed = substitute(poly, forms)
+        forms.append(terms)
+    composed = substitute(poly, forms, rank)
 
     total = Fraction(0)
-    for exp, coef in composed.terms.items():
+    for exp, coef in composed.items():
         num = 1
         for e in exp:
             num *= factorial(e)
@@ -171,8 +172,7 @@ def kazarnovskii(data: ReductiveData) -> int:
         linear.append({tuple(int(k == j) for k in range(rank)): c for j, c in enumerate(form) if c})
     # the product of the squared coroot forms
     image, decode = monomial_images(linear, rank, 2 * len(linear))
-    amb = Ambient(0, rank, names=tuple(f"u{i + 1}" for i in range(rank)))
-    integrand = LaurentPoly(amb, {decode(key): c for key, c in image((2,) * len(linear)).items()})
+    integrand = {decode(key): c for key, c in image((2,) * len(linear)).items()}
 
     total = Fraction(0)
     for simplex in data.polytope:
@@ -263,8 +263,10 @@ def parametric_degree_bound(rep) -> int:
         for entry in row:
             if not entry:
                 continue
-            den_deg = sum(entry.monomial_denominator())
-            num_deg = max(sum(exp) for exp in entry.terms) + den_deg
+            # deg x^m for the least m >= 0 on the invertible variables
+            # such that x^m * entry has no negative exponent
+            den_deg = sum(max(0, *(-exp[k] for exp in entry)) for k in range(rep.r))
+            num_deg = max(sum(exp) for exp in entry) + den_deg
             max_num = max(max_num, num_deg)
             max_den = max(max_den, den_deg)
     big_d = max(1, max_num + max_den)

@@ -52,7 +52,7 @@ from orbitcal._kernels import add_scaled_inplace, term_times_into
 from orbitcal.errors import ResourceLimitError
 from orbitcal.exactmath import _lift, _primes
 from orbitcal.polyring import (
-    Ambient, LaurentPoly, evaluate_terms, exact_int, format_terms, json_list, monomial_images, parse_terms,
+    Ambient, evaluate_terms, exact_int, format_terms, json_list, monomial_images, parse_terms,
 )
 from orbitcal.repmodel import RepresentationData, vector
 
@@ -398,32 +398,26 @@ def _reduce_basis(basis, leads, ring: OrderedRing, p):
 
 class SubspaceMap:
     """Affine parametrization of a linear subvariety: n polynomial
-    images in the parameters y1..yl (l = 0 parametrizes a point)."""
+    images in the parameters y1..yl (l = 0 parametrizes a point).
 
-    __slots__ = ("l", "images")
+    Each image is a term dict, or a text (any other value is read as
+    its str) in polyring's format, and is stored as the checked term
+    dict of Ambient(0, l) with the names y1..yl, or raises ValueError."""
+
+    __slots__ = ("l", "ambient", "images")
 
     def __init__(self, l: int, images):
         if l < 0:
             raise ValueError("negative parameter count")
         self.l = l
-        amb = Ambient(0, l, names=tuple(f"y{i + 1}" for i in range(l)))
-        out = []
-        for img in images:
-            if isinstance(img, LaurentPoly):
-                if img.ambient != amb:
-                    raise ValueError("image ambient mismatch")
-                out.append(img)
-            else:
-                out.append(LaurentPoly.parse(str(img), amb))
-        if not out:
+        self.ambient = amb = Ambient(0, l, names=tuple(f"y{i + 1}" for i in range(l)))
+        self.images = [amb.check(img) if isinstance(img, dict) else amb.parse(str(img)) for img in images]
+        if not self.images:
             raise ValueError("need at least one image")
-        self.images = out
 
     @classmethod
     def point(cls, b) -> "SubspaceMap":
-        b = vector(b)
-        amb = Ambient(0, 0, names=())
-        return cls(0, [LaurentPoly(amb, {(): x}) for x in b])
+        return cls(0, [{(): x} for x in b])
 
     @classmethod
     def from_json(cls, payload: dict) -> "SubspaceMap":
@@ -436,7 +430,7 @@ class SubspaceMap:
             raise ValueError(f"malformed subspace data: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {"l": self.l, "images": [str(img) for img in self.images]}
+        return {"l": self.l, "images": [format_terms(img, self.ambient.names) for img in self.images]}
 
     @classmethod
     def load(cls, path) -> "SubspaceMap":
@@ -476,8 +470,7 @@ def closure_equations(
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
     t = (0,) * (r > 0)
-    names = ["t"] * (r > 0) + list(rep.ambient.names)
-    names += [f"y{i + 1}" for i in range(l)] + [f"z{i + 1}" for i in range(n)]
+    names = ["t"] * (r > 0) + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
     blocks, width = [], 0
     for size in (len(t), r + rep.s, l, n):
         if size:
@@ -493,7 +486,7 @@ def closure_equations(
     for p in range(n):
         image: dict = {}
         for q in range(n):
-            entry, tau_q = rep.rho[p][q].terms.items(), tau.images[q].terms.items()
+            entry, tau_q = rep.rho[p][q].items(), tau.images[q].items()
             add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
         images.append(image)
         m = tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l)
@@ -556,13 +549,9 @@ def point_in_closure(equations, point) -> bool:
     for q in equations:
         if any(len(exp) != len(point) for exp in q):
             raise ValueError("arity mismatch between equations and point")
-        if evaluate_equation(q, point):
+        if evaluate_terms(q, point):
             return False
     return True
-
-
-def evaluate_equation(q, point) -> Fraction:
-    return evaluate_terms(q, vector(point))
 
 
 def format_equation(q, n: int) -> str:

@@ -2,10 +2,14 @@
 
 Variables split into r "invertible" positions (negative exponents
 allowed) followed by s ordinary positions (exponents in N).  A
-polynomial is a term dict from exponent tuples to nonzero Fractions;
-LaurentPoly attaches one to its variable layout and is data only: it
-parses, prints, compares and evaluates, and its constructor is the one
-way to make one.  Sums are add_scaled_inplace on the term dicts.
+polynomial is a term dict from exponent tuples to nonzero Fractions,
+everywhere in orbitcal; Ambient is the variable layout, the one place
+that knows it: it parses text into a term dict and checks a given one
+(Fraction coefficients, no zero terms, the width and the signs of the
+exponents).  repmodel.RepresentationData and elim.SubspaceMap check
+what they are given through it, so outside input is checked where it
+enters.  Sums are add_scaled_inplace on the term dicts, and
+evaluate_terms gives the exact value at a point.
 
 Every product runs on packed keys: monomial_images encodes an exponent
 tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
@@ -68,16 +72,20 @@ class Ambient:
                 )
         return exp
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ambient)
-            and self.r == other.r
-            and self.s == other.s
-            and self.names == other.names
-        )
+    def check(self, terms) -> dict[tuple[int, ...], Fraction]:
+        """A term dict of this layout: the given one with Fraction
+        coefficients, zero terms dropped, every exponent checked by
+        check_exponent, the term order kept."""
+        clean = {}
+        for exp, coef in terms.items():
+            coef = Fraction(coef)
+            if coef:
+                clean[self.check_exponent(exp)] = coef
+        return clean
 
-    def __hash__(self):
-        return hash((self.r, self.s, self.names))
+    def parse(self, text: str) -> dict[tuple[int, ...], Fraction]:
+        """The checked term dict of a text in the shared format."""
+        return self.check(parse_terms(text, self.names))
 
     def __repr__(self):
         return f"Ambient(r={self.r}, s={self.s})"
@@ -91,67 +99,6 @@ def sorted_terms(terms) -> list:
     """Terms in the storage/printing order: graded-lex, descending,
     negative exponent entries compared as plain integers."""
     return sorted(terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
-
-
-class LaurentPoly:
-    """Immutable Laurent polynomial attached to an Ambient."""
-
-    __slots__ = ("ambient", "terms")
-
-    def __init__(self, ambient: Ambient, terms=None):
-        self.ambient = ambient
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exp, coef in terms.items():
-                coef = Fraction(coef)
-                if coef:
-                    clean[ambient.check_exponent(exp)] = coef
-        self.terms = clean
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point; the first r coordinates must
-        be nonzero."""
-        amb = self.ambient
-        point = [Fraction(x) for x in point]
-        if len(point) != amb.nvars:
-            raise ValueError("point has wrong length")
-        for k in range(amb.r):
-            if not point[k]:
-                raise ValueError(
-                    f"point has zero in invertible coordinate {amb.names[k]}"
-                )
-        return evaluate_terms(self.terms, point)
-
-    def monomial_denominator(self) -> tuple[int, ...]:
-        """Exponent m >= 0 supported on invertible variables such that
-        self * x^m has no negative exponents."""
-        amb = self.ambient
-        m = [0] * amb.nvars
-        for exp in self.terms:
-            for k in range(amb.r):
-                if -exp[k] > m[k]:
-                    m[k] = -exp[k]
-        return tuple(m)
-
-    def __str__(self):
-        return format_terms(self.terms, self.ambient.names)
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
-    @classmethod
-    def parse(cls, text: str, ambient: Ambient) -> "LaurentPoly":
-        return cls(ambient, parse_terms(text, ambient.names))
 
 
 def evaluate_terms(terms, point) -> Fraction:
@@ -240,26 +187,22 @@ def monomial_images(images, nvars: int, top: int):
     return image, decode
 
 
-def substitute(poly: LaurentPoly, values: list[LaurentPoly]) -> LaurentPoly:
-    """Compose an ordinary polynomial with polynomial values per variable."""
-    if any(e < 0 for exp in poly.terms for e in exp):
-        raise ValueError("substitute requires nonnegative exponents")
-    if len(values) != poly.ambient.nvars:
+def substitute(poly, values, nvars: int) -> dict:
+    """Compose an ordinary polynomial with polynomial values per
+    variable: poly is a term dict with one exponent entry per value, and
+    values are term dicts of exponent width nvars."""
+    if any(len(exp) != len(values) for exp in poly):
         raise ValueError("value count mismatch")
-    if not values:
-        # zero-variable polynomial is a constant in any ambient; caller
-        # must provide a target through values, so reject instead
-        raise ValueError("substitute needs at least one variable")
-    target = values[0].ambient
-    for v in values:
-        if v.ambient != target:
-            raise ValueError("ambient mismatch among substitution values")
-    top = max(map(sum, poly.terms), default=0)
-    image, decode = monomial_images([v.terms for v in values], target.nvars, top)
+    if any(e < 0 for exp in poly for e in exp):
+        raise ValueError("substitute requires nonnegative exponents")
+    if any(len(exp) != nvars for v in values for exp in v):
+        raise ValueError(f"substitution values must have exponent width {nvars}")
+    top = max(map(sum, poly), default=0)
+    image, decode = monomial_images(values, nvars, top)
     total: dict[int, Fraction] = {}
-    for exp, coef in poly.terms.items():
+    for exp, coef in poly.items():
         add_scaled_inplace(total, image(exp), coef)
-    return LaurentPoly(target, {decode(key): coef for key, coef in total.items()})
+    return {decode(key): coef for key, coef in total.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Parametrized matrix actions on a finite-dimensional space.
 
 A representation is an n x n matrix of Laurent polynomials in r
-invertible and s ordinary parameters; evaluating the matrix at a
-parameter point gives the acting linear map.  Generators for the two
-bundled families (binary forms under special linear substitutions, and
-diagonal torus actions) live here, together with the conic reduction,
-the basis scrambling and the orbit dimension.
+invertible and s ordinary parameters, term dicts checked against their
+Ambient; evaluating the matrix at a parameter point gives the acting
+linear map.  Generators for the two bundled families (binary forms
+under special linear substitutions, and diagonal torus actions) live
+here, together with the conic reduction, the basis scrambling and the
+orbit dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb, lcm
 from orbitcal import exactmath
 from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import kazarnovskii_sl2
-from orbitcal.polyring import Ambient, LaurentPoly, exact_int, json_list, monomial_images
+from orbitcal.polyring import Ambient, exact_int, format_terms, json_list, monomial_images
 
 Vec = tuple[Fraction, ...]
 
@@ -42,43 +43,39 @@ def format_vector(v) -> list[str]:
 
 
 class RepresentationData:
-    """n, the ambient shape (r, s), the matrix rho of LaurentPoly
-    entries, an optional degree bound for the image variety, and a
-    label."""
+    """n, the ambient shape (r, s), the matrix rho of term dicts over
+    Ambient(r, s), an optional degree bound for the image variety, and a
+    label.
 
-    __slots__ = ("n", "r", "s", "rho", "degree_bound", "label")
+    The constructor is where entries enter: each is a term dict, or a
+    text in polyring's format, and is stored as the checked term dict of
+    the ambient (Fraction coefficients, no zero terms, exponents of
+    width r + s and nonnegative on the s ordinary variables), or raises
+    ValueError."""
+
+    __slots__ = ("n", "r", "s", "ambient", "rho", "degree_bound", "label")
 
     def __init__(self, n, r, s, rho, degree_bound=None, label=""):
         if n < 1:
             raise ValueError("module dimension must be >= 1")
         if len(rho) != n or any(len(row) != n for row in rho):
             raise ValueError("rho must be an n x n matrix")
-        ambient = rho[0][0].ambient
-        if ambient.r != r or ambient.s != s:
-            raise ValueError("ambient shape disagrees with (r, s)")
-        for row in rho:
-            for entry in row:
-                if entry.ambient != ambient:
-                    raise ValueError("rho entries must share one ambient")
         if degree_bound is not None and degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
         self.n = n
         self.r = r
         self.s = s
-        self.rho = [list(row) for row in rho]
+        self.ambient = ambient = Ambient(r, s)
+        self.rho = [[ambient.check(e) if isinstance(e, dict) else ambient.parse(e) for e in row] for row in rho]
         self.degree_bound = degree_bound
         self.label = label
-
-    @property
-    def ambient(self) -> Ambient:
-        return self.rho[0][0].ambient
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "r": self.r,
             "s": self.s,
-            "rho": [[str(entry) for entry in row] for row in self.rho],
+            "rho": [[format_terms(entry, self.ambient.names) for entry in row] for row in self.rho],
             "degree_bound": self.degree_bound,
             "label": self.label,
         }
@@ -87,14 +84,12 @@ class RepresentationData:
     def from_json(cls, payload: dict) -> "RepresentationData":
         try:
             n, r, s = (exact_int(payload[key]) for key in ("n", "r", "s"))
-            ambient = Ambient(r, s)
-            rho = [[LaurentPoly.parse(text, ambient) for text in row] for row in json_list(payload["rho"], 2)]
             bound = payload.get("degree_bound")
             return cls(
                 n,
                 r,
                 s,
-                rho,
+                json_list(payload["rho"], 2),
                 degree_bound=None if bound is None else exact_int(bound),
                 label=payload.get("label", ""),
             )
@@ -144,8 +139,7 @@ def sl2_binary_forms(h: int) -> RepresentationData:
         for k in range(h - j + 1):
             for m in range(j + 1):
                 add_scaled_inplace(rho[k + m][j], image((h - j - k, k, j - m, m)), comb(h - j, k) * comb(j, m))
-    amb = Ambient(1, 2)
-    rho = [[LaurentPoly(amb, {decode(key): c for key, c in entry.items()}) for entry in row] for row in rho]
+    rho = [[{decode(key): c for key, c in entry.items()} for entry in row] for row in rho]
     return RepresentationData(
         n, 1, 2, rho, degree_bound=kazarnovskii_sl2(h), label=f"sl2-binary-forms-h{h}"
     )
@@ -160,9 +154,8 @@ def torus_diagonal(weights) -> RepresentationData:
     r = len(weights[0])
     if r < 1 or any(len(wt) != r for wt in weights):
         raise ValueError("inconsistent weight lengths")
-    amb = Ambient(r, 0)
     n = len(weights)
-    rho = [[LaurentPoly(amb, {wt: 1} if i == j else {}) for j in range(n)] for i, wt in enumerate(weights)]
+    rho = [[{wt: 1} if i == j else {} for j in range(n)] for i, wt in enumerate(weights)]
     label = "torus-" + ";".join(",".join(str(w) for w in wt) for wt in weights)
     return RepresentationData(n, r, 0, rho, degree_bound=None, label=label)
 
@@ -178,9 +171,9 @@ def diagonal_weights(rep: RepresentationData) -> list[tuple[int, ...]] | None:
                 if entry:
                     return None
             else:
-                if len(entry.terms) != 1:
+                if len(entry) != 1:
                     return None
-                exp, coef = next(iter(entry.terms.items()))
+                exp, coef = next(iter(entry.items()))
                 if coef != 1:
                     return None
                 weights.append(exp)
@@ -201,12 +194,10 @@ def make_conic(rep: RepresentationData, a, b):
     b = vector(b)
     if len(a) != rep.n or len(b) != rep.n:
         raise ValueError("vector length mismatch")
-    amb2 = Ambient(rep.r + 1, rep.s)
     # x0 alone in the corner, x0 * rho[i][j] below and right of it
-    rho2 = [[LaurentPoly(amb2, {(1,) + (0,) * rep.ambient.nvars: 1})] + [LaurentPoly(amb2) for _ in rep.rho]]
+    rho2 = [[{(1,) + (0,) * rep.ambient.nvars: 1}] + [{} for _ in rep.rho]]
     for row in rep.rho:
-        shifted = [{(1,) + exp: coef for exp, coef in entry.terms.items()} for entry in row]
-        rho2.append([LaurentPoly(amb2)] + [LaurentPoly(amb2, terms) for terms in shifted])
+        rho2.append([{}] + [{(1,) + exp: coef for exp, coef in entry.items()} for entry in row])
     rep2 = RepresentationData(
         rep.n + 1,
         rep.r + 1,
@@ -248,7 +239,7 @@ def find_scrambling(b):
 # acting and measuring
 
 
-def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
+def coordinate_pullbacks(rep: RepresentationData, b) -> list[dict]:
     """The n parameter-space functions sum_j b_j * rho[i][j]; these are
     the pullbacks of the coordinates along the orbit parametrization."""
     b = vector(b)
@@ -257,18 +248,18 @@ def coordinate_pullbacks(rep: RepresentationData, b) -> list[LaurentPoly]:
     return [combine(row, b) for row in rep.rho]
 
 
-def combine(polys, scales) -> LaurentPoly:
-    """sum_j scales[j] * polys[j], polynomials of one ambient summed on
-    their term dicts."""
+def combine(polys, scales) -> dict:
+    """sum_j scales[j] * polys[j], term dicts of one exponent width."""
     acc: dict = {}
     for poly, scale in zip(polys, scales):
-        add_scaled_inplace(acc, poly.terms, scale)
-    return LaurentPoly(polys[0].ambient, acc)
+        add_scaled_inplace(acc, poly, scale)
+    return acc
 
 
-def orbit_dimension(pullbacks, *, seed: int = 0) -> int:
-    """Dimension of the orbit whose coordinate pullbacks are given: the
-    generic rank of their Jacobian with respect to the parameters.
+def orbit_dimension(pullbacks, nvars: int, *, seed: int = 0) -> int:
+    """Dimension of the orbit whose coordinate pullbacks, term dicts in
+    nvars parameters, are given: the generic rank of their Jacobian with
+    respect to the parameters.
 
     Each Jacobian row is cleared of denominators, which keeps the rank,
     and specialized at one point of ((Z/p)^x)^(r+s), p =
@@ -284,13 +275,13 @@ def orbit_dimension(pullbacks, *, seed: int = 0) -> int:
     refutation makes the verdict IN_CLOSURE all the same."""
     p = exactmath.RANK_PRIME
     rng = random.Random(seed)
-    point = [rng.randrange(1, p) for _ in range(pullbacks[0].ambient.nvars)]
+    point = [rng.randrange(1, p) for _ in range(nvars)]
     inverse = [pow(x, -1, p) for x in point]
     rows = []
     for psi in pullbacks:
-        scale = lcm(*(c.denominator for c in psi.terms.values()))
+        scale = lcm(*(c.denominator for c in psi.values()))
         row = {}
-        for exp, coef in psi.terms.items():
+        for exp, coef in psi.items():
             # d/dx_k of c x^e is e_k c x^e / x_k
             value = coef.numerator * (scale // coef.denominator)
             for x, e in zip(point, exp):

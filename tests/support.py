@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from orbitcal.exactmath import SparseMatrix, _crt, _primes, _reconstruct
+from orbitcal.polyring import evaluate_terms
 from orbitcal.repmodel import RepresentationData, Vec, vector
 
 
@@ -17,7 +18,10 @@ def act(rep: RepresentationData, point, v) -> Vec:
     v = vector(v)
     if len(v) != rep.n:
         raise ValueError("vector length mismatch")
-    matrix = [[entry.evaluate(point) for entry in row] for row in rep.rho]
+    point = vector(point)
+    if len(point) != rep.ambient.nvars or not all(point[: rep.r]):
+        raise ValueError("point has the wrong length or a zero invertible coordinate")
+    matrix = [[evaluate_terms(entry, point) for entry in row] for row in rep.rho]
     return tuple(sum(matrix[i][j] * v[j] for j in range(rep.n)) for i in range(rep.n))
 
 
@@ -53,11 +57,10 @@ def convolve(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def product_of_powers(ambient, images, q):
-    """prod_i images[i]**q[i] for term dicts of the ambient's exponent
-    width, by repeated convolution; the reference for
-    polyring.monomial_images."""
-    out = {(0,) * ambient.nvars: 1}
+def product_of_powers(nvars, images, q):
+    """prod_i images[i]**q[i] for term dicts of exponent width nvars, by
+    repeated convolution; the reference for polyring.monomial_images."""
+    out = {(0,) * nvars: 1}
     for terms, k in zip(images, q):
         for _ in range(k):
             out = convolve(out, terms)

@@ -588,6 +588,26 @@ def test_malformed_polynomial_text_exits_2(tmp_path, torus12, capsys, kind, text
     assert out == "" and "internal error" not in err
 
 
+@pytest.mark.parametrize("kind", ["rep", "subspace"])
+def test_negative_exponent_on_an_ordinary_variable_exits_2(tmp_path, capsys, kind):
+    # x2 and x3 of the sl2 parametrization and every y are ordinary
+    # variables: the file is refused where it is read
+    rep = tmp_path / "sl2.json"
+    assert run(["gen", "sl2", "--h", "1", "--out", str(rep)], capsys)[0] == 0
+    path = tmp_path / "bad.json"
+    if kind == "rep":
+        payload = json.loads(rep.read_text())
+        payload["rho"][0][1] = "x1^-1*x2^-1"
+        path.write_text(json.dumps(payload))
+        argv = ["decide", "--rep", str(path), "--a", "1,0", "--b", "1,0"]
+    else:
+        path.write_text(json.dumps({"l": 1, "images": ["y1^-1", "1"]}))
+        argv = ["closure", "--rep", str(rep), "--subspace", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and "negative exponent on non-invertible variable" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -59,4 +59,4 @@ def test_orbit_dimension_equals_weight_rank():
         rep = torus_diagonal(weights)
         b = tuple(Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(n))
         expected = rank(weights)
-        assert orbit_dimension(coordinate_pullbacks(rep, b)) == expected, weights
+        assert orbit_dimension(coordinate_pullbacks(rep, b), r) == expected, weights

@@ -24,7 +24,7 @@ from orbitcal.elim import SubspaceMap, closure_equations, point_in_closure
 from orbitcal.errors import PreconditionError, ResourceLimitError
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, solve_or_refute
 from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
-from orbitcal.polyring import Ambient, LaurentPoly, evaluate_terms, substitute
+from orbitcal.polyring import Ambient, evaluate_terms, substitute
 from orbitcal.repmodel import coordinate_pullbacks, make_conic, torus_diagonal, vector
 from orbitcal.torusoracle import torus_decide
 from support import act, convolve, product_of_powers
@@ -33,7 +33,7 @@ from support import act, convolve, product_of_powers
 def test_build_generic_smallest_case():
     # (psi - 3)c - 1 with psi = x1 + 2: rows x1 and x1^0, one column
     amb = Ambient(1, 0)
-    system = assemble_system(1, (Fraction(3),), [LaurentPoly.parse("x1 + 2", amb)])
+    system = assemble_system(1, (Fraction(3),), [amb.parse("x1 + 2")], 1)
     assert system.row_monomials == [(0,), (1,)]
     assert system.col_keys == [(0, (0,))]
     assert system.matrix.entries == {(0, 0): Fraction(-1), (1, 0): Fraction(1)}
@@ -44,7 +44,7 @@ def test_generic_coefficient_count():
     # monomials of degree <= 2 in 3 variables: 10 per polynomial
     assert generic_coefficient_count(3, 2) == 30
     rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
-    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2), 2)
     assert len(system.col_keys) == 30
 
 
@@ -52,7 +52,7 @@ def test_generic_origin_case():
     # at alpha = 0 no column reaches x^0 when the pullbacks have no
     # constant term: the row 0 = 1 refutes at once
     pullbacks = coordinate_pullbacks(torus_diagonal([(1,), (2,)]), (1, 1))
-    system = assemble_system(2, (0, 0), pullbacks)
+    system = assemble_system(2, (0, 0), pullbacks, 1)
     assert system.row_monomials[0] == (0,)
     assert not any(i == 0 for i, _ in system.matrix.entries)
     assert system.rhs[0] == 1 and not any(system.rhs[1:])
@@ -63,49 +63,49 @@ def test_assemble_drops_zero_columns_and_cancelled_entries():
     # (x1 + 1) - 1 = x1, whose constant entry cancels, and the column of
     # c[(1, 0)] is zero; x^0 stays a row with nothing but its 1
     amb = Ambient(1, 0)
-    pullbacks = [LaurentPoly.parse("x1 + 1", amb), LaurentPoly(amb)]
-    system = assemble_system(1, (1, 0), pullbacks)
+    pullbacks = [amb.parse("x1 + 1"), {}]
+    system = assemble_system(1, (1, 0), pullbacks, 1)
     assert system.col_keys == [(0, (0, 0))]
     assert system.row_monomials == [(0,), (1,)]
     assert system.matrix.entries == {(1, 0): Fraction(1)}
     assert system.rhs == [1, 0]
     with pytest.raises(ValueError):
-        assemble_system(1, (1,), pullbacks)
+        assemble_system(1, (1,), pullbacks, 1)
     with pytest.raises(ValueError):
-        assemble_system(0, (1, 0), pullbacks)
+        assemble_system(0, (1, 0), pullbacks, 1)
 
-    # mirrored, so the first pullback is zero: the exponent width comes
-    # from the ambient, not from the first pullback's terms
+    # mirrored, so the first pullback is zero: the exponent width is the
+    # count passed in, not read from the first pullback's terms
     mirrored = pullbacks[::-1]
-    system = assemble_system(1, (0, 1), mirrored)
+    system = assemble_system(1, (0, 1), mirrored, 1)
     assert system.col_keys == [(1, (0, 0))]
     assert system.row_monomials == [(0,), (1,)]
     assert system.matrix.entries == {(1, 0): 1}
     assert system.rhs == [1, 0]
-    system = assemble_system(2, (0, 1), mirrored)
+    system = assemble_system(2, (0, 1), mirrored, 1)
     assert system.col_keys == [(1, (0, 0)), (1, (0, 1)), (1, (0, 2))]
     assert system.row_monomials == [(0,), (1,), (2,), (3,)]
     assert system.matrix.entries == {(1, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 1}
     assert system.rhs == [1, 0, 0, 0]
 
 
-def _reference_system(d, alpha, pullbacks):
+def _reference_system(d, alpha, pullbacks, nvars):
     """(rows, cols, entries, rhs, row_monomials, col_keys) of the system
     from the schoolbook product of support.py, which shares no code with
     monomial_images: column (p, q) is D^(2d-1) (psi_p - alpha_p) psi^q
     for |q| <= 2d - 2, zero columns dropped, rows sorted by (degree,
     exponent), and D^(2d-1) on x^0."""
-    n, ambient = len(pullbacks), pullbacks[0].ambient
-    D = lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.terms.values())]))
+    n = len(pullbacks)
+    D = _denominator(alpha, pullbacks)
     scale = D ** (2 * d - 1)
-    one = (0,) * ambient.nvars
+    one = (0,) * nvars
     columns = {}
     for q in product(range(2 * d - 1), repeat=n):
         if sum(q) > 2 * d - 2:
             continue
-        power = product_of_powers(ambient, [psi.terms for psi in pullbacks], q)
+        power = product_of_powers(nvars, pullbacks, q)
         for p in range(n):
-            shifted = dict(pullbacks[p].terms)
+            shifted = dict(pullbacks[p])
             shifted[one] = shifted.get(one, 0) - alpha[p]
             column = {e: c * scale for e, c in convolve(shifted, power).items()}
             if column:
@@ -136,7 +136,7 @@ def _reference_system(d, alpha, pullbacks):
 def test_assembled_system_equals_laurent_reference(rep, a, b):
     problem = conic_problem(rep, a, b, degree_bound_override=3)
     pullbacks = coordinate_pullbacks(problem.rep, problem.b)
-    system = assemble_system(3, problem.a, pullbacks)
+    system = assemble_system(3, problem.a, pullbacks, problem.rep.ambient.nvars)
     got = (
         system.matrix.rows,
         system.matrix.cols,
@@ -145,22 +145,22 @@ def test_assembled_system_equals_laurent_reference(rep, a, b):
         system.row_monomials,
         system.col_keys,
     )
-    assert got == _reference_system(3, problem.a, pullbacks)
+    assert got == _reference_system(3, problem.a, pullbacks, problem.rep.ambient.nvars)
 
 
 def test_pullbacks_match_action():
     rep = torus_diagonal([(1,), (2,)])
     amb = rep.ambient
     assert coordinate_pullbacks(rep, (1, 1)) == [
-        LaurentPoly.parse("x1", amb),
-        LaurentPoly.parse("x1^2", amb),
+        amb.parse("x1"),
+        amb.parse("x1^2"),
     ]
     rep2, _, b2 = make_conic(rep, (0, 0), (1, 1))
     amb2 = rep2.ambient
     assert coordinate_pullbacks(rep2, b2) == [
-        LaurentPoly.parse("x1", amb2),
-        LaurentPoly.parse("x1*x2", amb2),
-        LaurentPoly.parse("x1*x2^2", amb2),
+        amb2.parse("x1"),
+        amb2.parse("x1*x2"),
+        amb2.parse("x1*x2^2"),
     ]
 
 
@@ -169,21 +169,21 @@ def test_assemble_dense_one_dimensional_orbit():
     # so the system is inconsistent for every target value
     rep = torus_diagonal([(1,)])
     for alpha in (0, 1, Fraction(-7, 3)):
-        system = assemble_system(1, (alpha,), coordinate_pullbacks(rep, (1,)))
+        system = assemble_system(1, (alpha,), coordinate_pullbacks(rep, (1,)), 1)
         w = solve_or_refute(system.matrix, system.rhs)
         assert w.kind == REFUTATION
 
 
 def test_assemble_conified_parabola_sizes_and_verdicts():
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (1, 0), (1, 1))
-    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2), 2)
     assert generic_coefficient_count(3, 2) == 30
     assert len(system.row_monomials) <= 28  # degrees 0..3 x 0..6 minus gaps
     w = solve_or_refute(system.matrix, system.rhs)
     assert w.kind == SOLUTION  # consistent: not in the closure
 
     rep2, a2, b2 = make_conic(torus_diagonal([(1,), (2,)]), (0, 0), (1, 1))
-    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2))
+    system = assemble_system(2, a2, coordinate_pullbacks(rep2, b2), 2)
     w = solve_or_refute(system.matrix, system.rhs)
     assert w.kind == REFUTATION  # inconsistent: in the closure
 
@@ -320,7 +320,7 @@ def test_under_reported_dense_orbit_is_refuted(monkeypatch, weights, b, a, d):
     # can equal -1 at a.
     # The same holds for the evaluation system: no equation vanishes on a
     # dense orbit, so (a^q) lies in the row space of M.
-    monkeypatch.setattr(repmodel, "orbit_dimension", lambda pullbacks, seed=0: 0)
+    monkeypatch.setattr(repmodel, "orbit_dimension", lambda pullbacks, nvars, seed=0: 0)
     problem = DecisionProblem(
         torus_diagonal(weights), a, b, degree_bound_override=d, conic_asserted=True
     )
@@ -552,15 +552,29 @@ def test_decide_plugs_each_certificate_back_once(monkeypatch):
 
 
 def test_decision_json_round_trip():
+    # both certificate kinds: a2 = (1, 1, 0) is off the conified
+    # parabola's closure (a SOLUTION) and (1, 0, 0) on it (a REFUTATION)
     rep2, a2, b2 = make_conic(parabola_rep(), (1, 0), (1, 1))
-    problem = DecisionProblem(
-        rep2, a2, b2, degree_bound_override=2, conic_asserted=True
-    )
-    decision = decide(problem)
-    back = Decision.from_json(decision.to_json())
-    assert back.verdict == decision.verdict
-    assert back.certificate == decision.certificate
-    assert back.transcript["degree_bound"] == 2
+    kinds = set()
+    for a in (a2, (1, 0, 0)):
+        problem = DecisionProblem(rep2, a, b2, degree_bound_override=2, conic_asserted=True)
+        decision = decide(problem)
+        payload = decision.to_json()
+        back = Decision.from_json(json.loads(json.dumps(payload)))
+        assert back.verdict == decision.verdict
+        assert back.certificate == decision.certificate
+        assert back.transcript["degree_bound"] == 2
+        assert back.to_json() == payload
+        kinds.add(back.certificate.kind)
+    assert kinds == {SOLUTION, REFUTATION}
+
+
+@pytest.mark.parametrize("payload", [{"verdict": IN_CLOSURE}, {"verdict": IN_CLOSURE, "certificate": None}])
+def test_decision_from_json_requires_a_certificate(payload):
+    # every verdict carries a certificate: a payload without one is
+    # refused where it is read, not when it is written out again
+    with pytest.raises(ValueError, match="certificate"):
+        Decision.from_json(payload)
 
 
 @pytest.mark.parametrize(
@@ -602,13 +616,13 @@ def test_decide_and_substitute_leave_no_garbage_cycles():
     # collector ran
     problem = conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), degree_bound_override=3)
     amb = Ambient(2, 0)
-    poly = LaurentPoly.parse("x1^5*x2^3 + 3*x2^4", amb)
-    values = [LaurentPoly.parse("x1 + 2*x2", amb), LaurentPoly.parse("x1*x2 - 1", amb)]
+    poly = amb.parse("x1^5*x2^3 + 3*x2^4")
+    values = [amb.parse("x1 + 2*x2"), amb.parse("x1*x2 - 1")]
     gc.collect()
     gc.disable()
     try:
         assert decide(problem).verdict == NOT_IN_CLOSURE
-        substitute(poly, values)
+        substitute(poly, values, 2)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -660,19 +674,19 @@ def test_evaluation_guard_after_assembly():
 
 
 def _denominator(alpha, pullbacks):
-    return lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.terms.values())]))
+    return lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.values())]))
 
 
-def _reference_evaluation_system(d, alpha, pullbacks):
+def _reference_evaluation_system(d, alpha, pullbacks, nvars):
     """(rows, cols, entries, rhs, row_monomials, col_keys) of [M ; beta^q]
     from the schoolbook product of support.py: column q, |q| <= d in
     (degree, exponent) order, is D^|q| psi^q over the rows of its
     support sorted by (degree, exponent), and D^|q| alpha^q in the last
     row, whose right-hand side is 1."""
-    n, ambient = len(pullbacks), pullbacks[0].ambient
+    n = len(pullbacks)
     D = _denominator(alpha, pullbacks)
     col_keys = sorted((q for q in product(range(d + 1), repeat=n) if sum(q) <= d), key=lambda q: (sum(q), q))
-    columns = [product_of_powers(ambient, [psi.terms for psi in pullbacks], q) for q in col_keys]
+    columns = [product_of_powers(nvars, pullbacks, q) for q in col_keys]
     monomials = sorted(set().union(*columns), key=lambda e: (sum(e), e))
     row_index = {exp: i for i, exp in enumerate(monomials)}
     entries = {}
@@ -707,7 +721,7 @@ def test_evaluation_system_equals_schoolbook_expansion(problem):
     pullbacks = coordinate_pullbacks(problem.rep, problem.b)
     d = decision.transcript["degree_bound"]
     got = (system.matrix.rows, system.matrix.cols, system.matrix.entries, system.rhs, system.row_monomials, system.col_keys)
-    assert got == _reference_evaluation_system(d, problem.a, pullbacks)
+    assert got == _reference_evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars)
 
 
 def _equation(problem, decision, system):
@@ -719,7 +733,7 @@ def _equation(problem, decision, system):
 def _is_violated_equation(f, problem):
     """f vanishes on the orbit, f(psi) = 0, and f(a) = 1."""
     pullbacks = coordinate_pullbacks(problem.rep, problem.b)
-    composed = substitute(LaurentPoly(Ambient(0, problem.rep.n), f), pullbacks)
+    composed = substitute(f, pullbacks, problem.rep.ambient.nvars)
     return not composed and evaluate_terms(f, problem.a) == 1
 
 

@@ -30,13 +30,13 @@ def _cases(draw):
         rep = torus_diagonal([tuple(draw(st.integers(-2, 2)) for _ in range(rank)) for _ in range(n)])
     b = [draw(_rationals) for _ in range(rep.n)]
     alpha = [draw(_rationals) for _ in range(rep.n)]
-    return coordinate_pullbacks(rep, b), alpha, draw(st.integers(1, 2))
+    return coordinate_pullbacks(rep, b), alpha, draw(st.integers(1, 2)), rep.ambient.nvars
 
 
 def _sympy_poly(poly, xs):
     return sum(
         sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, exp))
-        for exp, c in poly.terms.items()
+        for exp, c in poly.items()
     )
 
 
@@ -47,9 +47,9 @@ def _linear_form(expr):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_cases())
 def test_rows_match_sympy_expansion(case):
-    pullbacks, alpha, d = case
+    pullbacks, alpha, d, nvars = case
     n = len(pullbacks)
-    xs = sympy.symbols(f"x1:{pullbacks[0].ambient.nvars + 1}")
+    xs = sympy.symbols(f"x1:{nvars + 1}")
     psi = [_sympy_poly(p, xs) for p in pullbacks]
     c = {}
     H = -1
@@ -72,7 +72,7 @@ def test_rows_match_sympy_expansion(case):
 
     # the system comes with its common denominator D cleared, and D is
     # the right-hand side on x^0
-    system = assemble_system(d, alpha, pullbacks)
+    system = assemble_system(d, alpha, pullbacks, nvars)
     D = system.rhs[system.row_monomials.index((0,) * len(xs))]
     ours = {exp: {} for exp in system.row_monomials}
     for (i, j), v in system.matrix.entries.items():

@@ -14,7 +14,7 @@ from orbitcal.degbound import (
     split_interval,
 )
 from orbitcal.errors import InconsistentDataError
-from orbitcal.polyring import Ambient, LaurentPoly
+from orbitcal.polyring import Ambient
 from orbitcal.repmodel import make_conic, sl2_binary_forms, torus_diagonal
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
@@ -22,23 +22,29 @@ AMB2 = Ambient(0, 2, names=("u1", "u2"))
 
 
 def test_simplex_integral_constant():
-    one = LaurentPoly(AMB2, {(0, 0): 1})
+    one = {(0, 0): 1}
     assert simplex_integral(one, TRIANGLE) == Fraction(1, 2)
 
 
 def test_simplex_integral_linear():
-    x = LaurentPoly.parse("u1", AMB2)
+    x = AMB2.parse("u1")
     assert simplex_integral(x, TRIANGLE) == Fraction(1, 6)
 
 
 def test_simplex_integral_mixed_monomial():
-    p = LaurentPoly.parse("u1^2*u2", AMB2)
+    p = AMB2.parse("u1^2*u2")
     assert simplex_integral(p, TRIANGLE) == Fraction(1, 60)
 
 
 def test_simplex_integral_rejects_degenerate():
     with pytest.raises(ValueError):
-        simplex_integral(LaurentPoly(AMB2, {(0, 0): 1}), [(0, 0), (1, 1), (2, 2)])
+        simplex_integral({(0, 0): 1}, [(0, 0), (1, 1), (2, 2)])
+    # a polynomial in two coordinates over a simplex in Q^1, and a
+    # vertex of the wrong length
+    with pytest.raises(ValueError):
+        simplex_integral({(0, 0): 1}, [(0,), (1,)])
+    with pytest.raises(ValueError):
+        simplex_integral({(0, 0): 1}, [(0, 0), (1, 0), (0,)])
 
 
 def test_simplex_integral_additive_under_subdivision():
@@ -49,7 +55,7 @@ def test_simplex_integral_additive_under_subdivision():
             terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
                 rng.randint(-4, 4), rng.randint(1, 3)
             )
-        poly = LaurentPoly(AMB2, terms)
+        poly = AMB2.check(terms)
         tri = [
             (rng.randint(-3, 3), rng.randint(-3, 3)),
             (rng.randint(-3, 3), rng.randint(-3, 3)),

@@ -12,7 +12,6 @@ from orbitcal.elim import (
     SubspaceMap,
     buchberger,
     closure_equations,
-    evaluate_equation,
     format_equation,
     normal_form,
     parse_equation,
@@ -20,7 +19,7 @@ from orbitcal.elim import (
     s_polynomial,
 )
 from orbitcal.errors import CertificateError, ResourceLimitError
-from orbitcal.polyring import parse_terms
+from orbitcal.polyring import evaluate_terms, parse_terms
 from orbitcal.repmodel import make_conic, sl2_binary_forms, torus_diagonal
 from support import act, residues
 
@@ -198,12 +197,12 @@ def test_discriminant_cone_two_sided_sampling():
         u = Fraction(rng.randint(-4, 4))
         v = Fraction(rng.randint(-4, 4))
         point = (w0, s * u * u, 2 * s * u * v, s * v * v)
-        assert evaluate_equation(disc, point) == 0
+        assert evaluate_terms(disc, point) == 0
         assert point_in_closure(eqs, point)
         on_variety += 1
     for _ in range(1000):
         point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(4))
-        agrees = point_in_closure(eqs, point) == (evaluate_equation(disc, point) == 0)
+        agrees = point_in_closure(eqs, point) == (evaluate_terms(disc, point) == 0)
         assert agrees
         off_variety += 1
     assert on_variety == off_variety == 1000
@@ -221,7 +220,7 @@ def test_equations_vanish_on_parametrization():
         ]
         point = act(rep2, u, b2)
         for q in eqs:
-            assert evaluate_equation(q, point) == 0
+            assert evaluate_terms(q, point) == 0
 
 
 def test_swept_line_closure():
@@ -244,9 +243,9 @@ def test_swept_subspace_equations_vanish_on_joint_parametrization():
     for _ in range(100):
         u = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))]
         v = [Fraction(rng.randint(-5, 5))]
-        point = act(rep, u, [img.evaluate(v) for img in tau.images])
+        point = act(rep, u, [evaluate_terms(img, v) for img in tau.images])
         for q in eqs:
-            assert evaluate_equation(q, point) == 0
+            assert evaluate_terms(q, point) == 0
 
 
 @pytest.mark.parametrize(
@@ -373,6 +372,6 @@ def test_point_in_closure_arity_check():
 def test_subspace_json_round_trip():
     tau = SubspaceMap(2, ["y1 + 2*y2", "1 - y1", "y2^2"])
     back = SubspaceMap.from_json(tau.to_json())
-    assert [str(i) for i in back.images] == [str(i) for i in tau.images]
+    assert back.images == tau.images and back.to_json() == tau.to_json()
     with pytest.raises(ValueError):
         SubspaceMap.from_json({"l": 1, "images": []})

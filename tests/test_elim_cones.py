@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcal.elim import DEFAULT_MAX_PAIRS, SubspaceMap, closure_equations, evaluate_equation
+from orbitcal.elim import DEFAULT_MAX_PAIRS, SubspaceMap, closure_equations
 from orbitcal.exactmath import RANK_PRIME
+from orbitcal.polyring import evaluate_terms
 from orbitcal.repmodel import make_conic, sl2_binary_forms
 
 # linear forms p*z1 + q*z2, pairwise independent, and scales s
@@ -100,7 +101,7 @@ def test_cone_closes_at_default_budget(multiplicities, degrees, caplog):
     assert sorted(max(map(sum, q)) for q in equations) == degrees
 
     for point in _cone_points(multiplicities):
-        assert all(evaluate_equation(q, point) == 0 for q in equations), point
+        assert all(evaluate_terms(q, point) == 0 for q in equations), point
     # distinct roots 0, -1, ..., -(h-1): the product of z1 + k*z2
     distinct = (Fraction(1),) + tuple(_coefficients([(1, k, 1) for k in range(h)]))
-    assert any(evaluate_equation(q, distinct) for q in equations)
+    assert any(evaluate_terms(q, distinct) for q in equations)

@@ -1,8 +1,8 @@
 """monomial_images and substitute on random data.  Every image, decoded
 key by key, equals the product of powers computed by the schoolbook
 convolution of support.py on exponent tuples, also with negative
-exponents on the invertible variables, empty term dicts and a
-one-variable ambient; a request above the degree bound raises
+exponents on the invertible variables, empty term dicts and one
+variable; a request above the degree bound raises
 ValueError; and substitute equals the sum of its terms' products of
 powers."""
 
@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from orbitcal.polyring import Ambient, LaurentPoly, monomial_images, substitute  # noqa: E402
+from orbitcal.polyring import monomial_images, substitute  # noqa: E402
 from support import product_of_powers as _reference  # noqa: E402
 
 _settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -31,7 +31,7 @@ def _terms(r, s, max_size=4):
 
 @st.composite
 def _images(draw):
-    """(ambient, term dicts, top, requests with |q| <= top)."""
+    """(exponent width, term dicts, top, requests with |q| <= top)."""
     r, s = draw(_shapes)
     count = draw(st.integers(1, 3))
     images = [draw(_terms(r, s)) for _ in range(count)]
@@ -42,27 +42,27 @@ def _images(draw):
             max_size=6,
         )
     )
-    return Ambient(r, s), images, top, requests
+    return r + s, images, top, requests
 
 
 @_settings
 @hypothesis.given(_images())
 def test_images_equal_laurent_products(data):
-    ambient, images, top, requests = data
-    image, decode = monomial_images(images, ambient.nvars, top)
+    nvars, images, top, requests = data
+    image, decode = monomial_images(images, nvars, top)
     for q in [(0,) * len(images), *requests]:
         got = image(q)
         decoded = {decode(key): coef for key, coef in got.items()}
         # no two keys decode to the same exponent, and none is a zero
         assert len(decoded) == len(got) and all(decoded.values())
-        assert decoded == _reference(ambient, images, q), q
+        assert decoded == _reference(nvars, images, q), q
 
 
 @_settings
 @hypothesis.given(_images(), st.integers(1, 3), st.data())
 def test_request_above_the_bound_raises(data, excess, pick):
-    ambient, images, top, _ = data
-    image, _ = monomial_images(images, ambient.nvars, top)
+    nvars, images, top, _ = data
+    image, _ = monomial_images(images, nvars, top)
     slot = pick.draw(st.integers(0, len(images) - 1))
     q = [0] * len(images)
     q[slot] = top + excess
@@ -87,20 +87,18 @@ def test_empty_images_and_the_constant():
 @st.composite
 def _substitutions(draw):
     r, s = draw(_shapes)
-    target = Ambient(r, s)
     k = draw(st.integers(1, 3))
-    poly = LaurentPoly(Ambient(0, k), draw(_terms(0, k, max_size=5)))
-    values = [LaurentPoly(target, draw(_terms(r, s))) for _ in range(k)]
-    return poly, values
+    poly = draw(_terms(0, k, max_size=5))
+    values = [draw(_terms(r, s)) for _ in range(k)]
+    return poly, values, r + s
 
 
 @_settings
 @hypothesis.given(_substitutions())
 def test_substitute_equals_laurent_reference(data):
-    poly, values = data
-    target = values[0].ambient
+    poly, values, nvars = data
     want = {}
-    for exp, coef in poly.terms.items():
-        for e, c in _reference(target, [v.terms for v in values], exp).items():
+    for exp, coef in poly.items():
+        for e, c in _reference(nvars, values, exp).items():
             want[e] = want.get(e, 0) + coef * c
-    assert substitute(poly, values).terms == {e: c for e, c in want.items() if c}
+    assert substitute(poly, values, nvars) == {e: c for e, c in want.items() if c}

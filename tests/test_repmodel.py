@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcal.elim import SubspaceMap
 from orbitcal.exactmath import det
-from orbitcal.polyring import LaurentPoly
+from orbitcal.polyring import evaluate_terms
 from orbitcal.repmodel import (
     RepresentationData,
     coordinate_pullbacks,
@@ -24,18 +25,18 @@ def test_sl2_h2_matrix_entries():
     rep = sl2_binary_forms(2)
     amb = rep.ambient
     assert rep.n == 3 and rep.r == 1 and rep.s == 2
-    assert rep.rho[1][1] == LaurentPoly.parse("1 + 2*x1^-2*x2*x3", amb)
-    assert rep.rho[2][2] == LaurentPoly.parse("x1^-2", amb)
+    assert rep.rho[1][1] == amb.parse("1 + 2*x1^-2*x2*x3")
+    assert rep.rho[2][2] == amb.parse("x1^-2")
     assert rep.degree_bound == 8
 
 
 def test_sl2_h1_is_the_parametrization_itself():
     rep = sl2_binary_forms(1)
     amb = rep.ambient
-    assert rep.rho[0][0] == LaurentPoly.parse("x1 + x1^-1*x2*x3", amb)
-    assert rep.rho[0][1] == LaurentPoly.parse("x1^-1*x2", amb)
-    assert rep.rho[1][0] == LaurentPoly.parse("x1^-1*x3", amb)
-    assert rep.rho[1][1] == LaurentPoly.parse("x1^-1", amb)
+    assert rep.rho[0][0] == amb.parse("x1 + x1^-1*x2*x3")
+    assert rep.rho[0][1] == amb.parse("x1^-1*x2")
+    assert rep.rho[1][0] == amb.parse("x1^-1*x3")
+    assert rep.rho[1][1] == amb.parse("x1^-1")
 
 
 def test_sl2_rejects_h0():
@@ -75,7 +76,7 @@ def test_representation_law_via_numeric_substitution():
             g1 = sl2_parameter_matrix(u1)
             g2 = sl2_parameter_matrix(u2)
             # symbolic matrix evaluated at u equals the substitution matrix
-            sym = [[e.evaluate(u1) for e in row] for row in rep.rho]
+            sym = [[evaluate_terms(e, u1) for e in row] for row in rep.rho]
             assert sym == binary_substitution_matrix(g1, h)
             lhs = _mat_mul(binary_substitution_matrix(g1, h), binary_substitution_matrix(g2, h))
             rhs = binary_substitution_matrix(_mat_mul(g1, g2), h)
@@ -85,17 +86,17 @@ def test_representation_law_via_numeric_substitution():
 def test_torus_diagonal_shapes():
     rep = torus_diagonal([(1,), (-1,)])
     amb = rep.ambient
-    assert rep.rho[0][0] == LaurentPoly.parse("x1", amb)
-    assert rep.rho[1][1] == LaurentPoly.parse("x1^-1", amb)
+    assert rep.rho[0][0] == amb.parse("x1")
+    assert rep.rho[1][1] == amb.parse("x1^-1")
     assert not rep.rho[0][1]
 
     rep = torus_diagonal([(1,), (2,)])
-    assert rep.rho[1][1] == LaurentPoly.parse("x1^2", rep.ambient)
+    assert rep.rho[1][1] == rep.ambient.parse("x1^2")
 
     rep = torus_diagonal([(1, 0), (0, 1)])
     assert rep.r == 2
-    assert rep.rho[0][0] == LaurentPoly.parse("x1", rep.ambient)
-    assert rep.rho[1][1] == LaurentPoly.parse("x2", rep.ambient)
+    assert rep.rho[0][0] == rep.ambient.parse("x1")
+    assert rep.rho[1][1] == rep.ambient.parse("x2")
 
     with pytest.raises(ValueError):
         torus_diagonal([(1, 0), (1,)])
@@ -112,9 +113,9 @@ def test_make_conic_torus():
     rep2, a2, b2 = make_conic(rep, (5, 7), (1, 1))
     amb = rep2.ambient
     assert (rep2.n, rep2.r, rep2.s) == (3, 2, 0)
-    assert rep2.rho[0][0] == LaurentPoly.parse("x1", amb)
-    assert rep2.rho[1][1] == LaurentPoly.parse("x1*x2", amb)
-    assert rep2.rho[2][2] == LaurentPoly.parse("x1*x2^2", amb)
+    assert rep2.rho[0][0] == amb.parse("x1")
+    assert rep2.rho[1][1] == amb.parse("x1*x2")
+    assert rep2.rho[2][2] == amb.parse("x1*x2^2")
     assert a2 == vector((1, 5, 7))
     assert b2 == vector((1, 1, 1))
     assert rep2.degree_bound is None
@@ -130,8 +131,8 @@ def test_make_conic_restores_nonzero_base():
 def test_make_conic_sl2_renumbering():
     rep2, _, _ = make_conic(sl2_binary_forms(2), (0, 0, 0), (1, 2, 1))
     amb = rep2.ambient
-    assert rep2.rho[0][0] == LaurentPoly.parse("x1", amb)
-    assert rep2.rho[2][2] == LaurentPoly.parse("x1 + 2*x1*x2^-2*x3*x4", amb)
+    assert rep2.rho[0][0] == amb.parse("x1")
+    assert rep2.rho[2][2] == amb.parse("x1 + 2*x1*x2^-2*x3*x4")
 
 
 def test_make_conic_action_restricts():
@@ -196,33 +197,33 @@ def test_act_examples():
 
 def test_orbit_dimension():
     sl2 = sl2_binary_forms(2)
-    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 0, 0))) == 0
-    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 1, 0))) == 2
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 0, 0)), 3) == 0
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, 1, 0)), 3) == 2
 
     rep = torus_diagonal([(1,), (2,)])
     rep2, _, b2 = make_conic(rep, (0, 0), (1, 1))
-    assert orbit_dimension(coordinate_pullbacks(rep2, b2)) == 2
+    assert orbit_dimension(coordinate_pullbacks(rep2, b2), 2) == 2
 
 
 def test_orbit_dimension_invariances():
     sl2 = sl2_binary_forms(2)
     b = (0, 1, 0)
-    base = orbit_dimension(coordinate_pullbacks(sl2, b))
+    base = orbit_dimension(coordinate_pullbacks(sl2, b), 3)
     assert base <= min(sl2.r + sl2.s, sl2.n)
     # every point of the orbit, and every nonzero multiple of b, has an
     # orbit of the same dimension
     rng = random.Random(9)
     for _ in range(5):
-        assert orbit_dimension(coordinate_pullbacks(sl2, act(sl2, _random_param(rng), b))) == base
-    assert orbit_dimension(coordinate_pullbacks(sl2, (0, -3, 0))) == base
+        assert orbit_dimension(coordinate_pullbacks(sl2, act(sl2, _random_param(rng), b)), 3) == base
+    assert orbit_dimension(coordinate_pullbacks(sl2, (0, -3, 0)), 3) == base
 
 
 def test_pullbacks():
     rep = torus_diagonal([(1,), (2,)])
     amb = rep.ambient
     assert coordinate_pullbacks(rep, (1, 1)) == [
-        LaurentPoly.parse("x1", amb),
-        LaurentPoly.parse("x1^2", amb),
+        amb.parse("x1"),
+        amb.parse("x1^2"),
     ]
     assert not any(coordinate_pullbacks(rep, (0, 0)))
 
@@ -236,3 +237,35 @@ def test_json_round_trip(tmp_path):
     assert back.rho == rep.rho
     assert back.degree_bound == rep.degree_bound
     assert back.label == rep.label
+
+
+def test_polynomials_are_checked_where_they_enter():
+    # RepresentationData and SubspaceMap check every entry through their
+    # Ambient, from term dicts, from text and from JSON: a negative
+    # exponent on an ordinary variable or a wrong-width exponent raises
+    # (the CLI's exit 2, tests/test_cli.py), int coefficients become
+    # Fractions, and zero coefficients are dropped; x2, x3 and y1 are
+    # ordinary variables
+    for bad in ({(0, -1, 0): 1}, {(1, 0): 1}, {(1, 0, 0, 0): 1}):
+        with pytest.raises(ValueError):
+            RepresentationData(1, 1, 2, [[bad]])
+    for bad in ({(-1,): 1}, {(): 1}, {(1, 1): 1}):
+        with pytest.raises(ValueError):
+            SubspaceMap(1, [bad])
+    for text in ("x1*x2^-1", "x3^-2 + 1"):
+        with pytest.raises(ValueError):
+            RepresentationData(1, 1, 2, [[text]])
+        with pytest.raises(ValueError):
+            RepresentationData.from_json({"n": 1, "r": 1, "s": 2, "rho": [[text]]})
+    with pytest.raises(ValueError):
+        SubspaceMap.from_json({"l": 1, "images": ["y1^-1"]})
+
+    rep = RepresentationData(1, 1, 2, [[{(1, 0, 0): 2, (0, 1, 1): 0, (-1, 0, 2): Fraction(1, 2)}]])
+    assert list(rep.rho[0][0].items()) == [((1, 0, 0), 2), ((-1, 0, 2), Fraction(1, 2))]
+    assert all(type(c) is Fraction for c in rep.rho[0][0].values())
+    back = RepresentationData.from_json({"n": 1, "r": 1, "s": 2, "rho": [["0*x2 + 1/2*x1^-1*x3^2 + 2*x1"]]})
+    assert back.rho == rep.rho
+    tau = SubspaceMap(1, [{(1,): 3, (0,): 0}, "0*y1 + 1"])
+    assert tau.images == [{(1,): 3}, {(0,): 1}]
+    assert all(type(c) is Fraction for img in tau.images for c in img.values())
+    assert SubspaceMap.from_json({"l": 1, "images": ["3*y1 + 0", 1]}).images == tau.images

@@ -16,7 +16,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names that only the tests use, each as module.qualname
 TEST_REFERENCES = {
     "elim.parse_equation",
-    "polyring.LaurentPoly.evaluate",
 }
 
 
