@@ -35,7 +35,6 @@ the orbit of b to be conic, which the caller asserts, and b != 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
@@ -43,7 +42,7 @@ from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import parametric_degree_bound
 from orbitcal.errors import PreconditionError, ResourceLimitError
-from orbitcal.exactmath import REFUTATION, ConsistencyWitness, SparseMatrix, solve_or_refute
+from orbitcal.exactmath import REFUTATION, SparseMatrix, solve_or_refute
 from orbitcal.polyring import monomial_images
 from orbitcal.repmodel import vector
 
@@ -100,9 +99,7 @@ class LinearSystem:
 
 class Decision:
     """Verdict plus an exactly verifiable certificate and a transcript
-    of the sizes and choices that produced it.  Every verdict carries
-    its certificate: from_json raises ValueError on a payload without
-    one."""
+    of the sizes and choices that produced it."""
 
     __slots__ = ("verdict", "certificate", "transcript")
 
@@ -124,14 +121,6 @@ class Decision:
             },
             "transcript": self.transcript,
         }
-
-    @classmethod
-    def from_json(cls, payload) -> "Decision":
-        cert = payload.get("certificate")
-        if cert is None:
-            raise ValueError("a decision must carry its certificate")
-        witness = ConsistencyWitness(cert["kind"], [Fraction(x) for x in cert["vector"]])
-        return cls(payload["verdict"], witness, payload.get("transcript", {}))
 
 
 def generic_coefficient_count(n: int, d: int) -> int:

@@ -20,16 +20,16 @@ Buchberger of Arnold 2003, "Modular algorithms for computing Groebner
 bases"): buchberger maps the rational generators into Z/p once, makes
 each element monic with pow(c, -1, p), and the products of normal_form
 and s_polynomial leave their int coefficients unreduced, to be reduced
-mod p where normal_form reads a term.  closure_equations runs it for
-one prime after another, skipping a prime that divides a denominator
-of the generators, and lifts the z-only elements to Q through
-exactmath._lift, with their supports as the shape: CRT while the
-supports agree, rational reconstruction, and the next prime while a
-value does not reconstruct or a lift fails the check; _lift states
-when it restarts and when it gives up.  The check is exact: f(psi) = 0
-over Q for every lifted f, on the joined images psi of the
-parametrization, so each returned equation vanishes on the image and
-on its closure.
+mod p where normal_form reads a term.  closure_equations hands
+exactmath._lift, the prime loop that solve_or_refute shares, a run of
+buchberger for one prime, which skips a prime that divides a
+denominator of the generators.  _lift lifts the z-only elements to Q
+with their supports as the shape: CRT while the supports agree,
+rational reconstruction, and the next prime while a value does not
+reconstruct or a lift fails the check; it states when it restarts and
+when it gives up.  The check is exact: f(psi) = 0 over Q for every
+lifted f, on the joined images psi of the parametrization, so each
+returned equation vanishes on the image and on its closure.
 
 The remaining risk is an unlucky prime for which the basis over Z/p is
 not the image of the one over Q but whose lift still passes the check:
@@ -50,7 +50,7 @@ from time import perf_counter
 
 from orbitcal._kernels import add_scaled_inplace, term_times_into
 from orbitcal.errors import ResourceLimitError
-from orbitcal.exactmath import _lift, _primes
+from orbitcal.exactmath import _lift
 from orbitcal.polyring import (
     Ambient, evaluate_terms, exact_int, format_terms, json_list, monomial_images, parse_terms,
 )
@@ -460,11 +460,12 @@ def closure_equations(
     generate its intersection with Q[z] (elimination property of the
     block order), the ideal of the closure of the image.
 
-    The basis is computed over Z/p, prime after prime, and its z-only
-    elements are lifted to Q and checked on psi by exactmath._lift,
-    whose docstring gives the restart and termination rule.  At DEBUG, logger orbitcal.elim gets one
-    line per call after buchberger's: the primes used, the restarts (a
-    prime whose z-only supports differ from the previous ones), the
+    exactmath._lift runs buchberger over Z/p, prime after prime, skipping
+    a prime that divides a denominator of the generators, and lifts the
+    z-only elements to Q and checks them on psi; its docstring gives the
+    restart and termination rule.  At DEBUG, logger orbitcal.elim gets
+    one line per call after buchberger's: the primes used, the restarts
+    (a prime whose z-only supports differ from the previous ones), the
     equations lifted and the time the checks took."""
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
@@ -499,15 +500,14 @@ def closure_equations(
 
     ring = OrderedRing(names, blocks)
     denominators = lcm(*(c.denominator for g in generators for c in g.values()))
-    used, check_s, equations = [], 0.0, None
+    check_s, equations = 0.0, None
 
-    def residues():
-        for prime in _primes():
-            if denominators % prime:
-                used.append(prime)
-                basis = buchberger(generators, ring, prime, max_pairs=max_pairs)
-                elements = [g for g in basis if not any(any(e[:z_start]) for e in g)]
-                yield [[e[z_start:] for e in g] for g in elements], [c for g in elements for c in g.values()], prime
+    def run(prime):
+        if denominators % prime == 0:
+            return None
+        basis = buchberger(generators, ring, prime, max_pairs=max_pairs)
+        elements = [g for g in basis if not any(any(e[:z_start]) for e in g)]
+        return [[e[z_start:] for e in g] for g in elements], [c for g in elements for c in g.values()]
 
     def vanish(support, values):
         nonlocal check_s, equations
@@ -519,10 +519,10 @@ def closure_equations(
         check_s += perf_counter() - start
         return vanishes
 
-    _, _, restarts = _lift(residues(), vanish, lambda support: "closure_equations: the check f(psi) = 0")
+    _, _, restarts, primes = _lift(run, vanish, lambda support: "closure_equations: the check f(psi) = 0")
     _log.debug(
         "closure_equations: primes %s, %d restarts, %d equations lifted, f(psi) = 0 checked in %.1f ms",
-        ",".join(map(str, used)), restarts, len(equations), 1000 * check_s,
+        ",".join(map(str, primes)), restarts, len(equations), 1000 * check_s,
     )
     return equations
 

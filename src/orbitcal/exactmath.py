@@ -5,14 +5,14 @@ determinants and the dense input of det; there is no floating point
 anywhere.  Linear systems are integer and stored by rows, one term
 dict per row; a system over Q comes in with one common denominator
 cleared, which changes neither its solutions nor its refuting
-combinations.  solve_or_refute eliminates modulo products of two
-word-size primes and returns a witness only after an exact plug-back in
+combinations.  solve_or_refute eliminates modulo one word-size prime
+per pass and returns a witness only after an exact plug-back in
 integers, so callers need neither trust the elimination nor check the
 witness again.  Its passes keep no row history: a refutation's
 combination solves a square transposed system on the pivot rows, by
-one more pass.  rank_mod runs the same elimination modulo one prime;
-det and integer_left_kernel share one unimodular row reduction.
-_lift, the one way from residues to Q for solve_or_refute and
+one more pass.  rank_mod runs the same elimination modulo one fixed
+prime; det and integer_left_kernel share one unimodular row reduction.
+_lift, the one prime loop from residues to Q for solve_or_refute and
 elim.closure_equations, states when a lift restarts and when it ends.
 """
 
@@ -22,7 +22,7 @@ import logging
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from random import Random
 
@@ -145,32 +145,26 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     columns, or the row combination that first reduces to 0 = nonzero,
     with coefficient 1 on that row.
 
-    Every pass runs over Z/pq for two consecutive primes p, q just below
-    2^62 (p1 p2, then p3 p4, and so on), which is Z/p x Z/q: every step
-    of the pass is a zero test or the inverse of a pivot, so when each
-    pivot and the final b of a 0 = b row is a unit mod pq, the pass
-    returns the CRT of the two one-prime passes, profile and residues,
-    and the two primes agree on the profile.  A non-unit means their
-    profiles differ, and the pass is dropped.  _lift lifts the completed
-    passes, with the profile as their shape and verify(), the only
-    plug-back a caller needs, as its check; see _lift for the restarts
-    and the end.  A profile other than the one over Q needs both primes
-    of a pass to divide a value that the elimination over Q keeps
+    Every pass runs modulo one prime below 2^62.  _lift runs the passes
+    prime after prime, the largest first, and lifts them, with the
+    profile as their shape and verify(), the only plug-back a caller
+    needs, as its check; see _lift for the restarts and the end.  A
+    profile other than the one over Q needs the prime to divide a pivot
+    or the final b of a 0 = b row that the elimination over Q keeps
     nonzero, or a false zero of the kernel fingerprint (_eliminate_mod),
     and either only makes the profile larger: its witness fails the
-    plug-back and the next pass restarts, or it passes as an exact
-    certificate, though not the one the profile over Q determines.  A
-    right-hand side that is not all ints raises ValueError.
+    plug-back and the next prime restarts the lift, or it passes as an
+    exact certificate, though not the one the profile over Q determines.
+    A right-hand side that is not all ints raises ValueError.
 
     At DEBUG, logger orbitcal.exactmath gets one line per solve: the
     system's shape and nonzeros, the witness kind, the pivots of the
-    profile, primes=K, the primes whose passes completed (two for each
-    pass), passes=P, the passes begun over the whole system (a pass
-    that met a non-unit counts; a refutation's transposed pass does
-    not), restarts=R, the completed passes whose profile differed from
-    the one before, skipped=S, the rows the accepted pass skipped by its
-    fingerprint (every 0 = 0 row after its first), and the bits of the
-    largest numerator or denominator of the witness.
+    profile, primes=K, the passes over the whole system (a refutation's
+    transposed pass is part of its pass), restarts=R, the passes whose
+    profile differed from the one before, skipped=S, the rows the
+    accepted pass skipped by its fingerprint (every 0 = 0 row after its
+    first), and the bits of the largest numerator or denominator of the
+    witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -180,21 +174,7 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     if not all(isinstance(b, int) for b in rhs):
         raise ValueError("the right-hand side must be integers")
 
-    passes = completed = 0
     witness = None
-
-    def residues():
-        nonlocal passes, completed
-        primes = _primes()
-        while True:
-            m = next(primes) * next(primes)
-            passes += 1
-            try:
-                profile, vector = _eliminate_mod(matrix.row_terms, rhs, matrix.cols, m)
-            except _NotUnit:
-                continue
-            completed += 1
-            yield profile, vector, m
 
     def kind(profile):
         return REFUTATION if profile[-1] == matrix.cols else SOLUTION
@@ -204,65 +184,68 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
         witness = ConsistencyWitness(kind(profile), values)
         return witness.verify(matrix, rhs)
 
-    profile, _, restarts = _lift(
-        residues(), verified, lambda profile: f"solve_or_refute: the plug-back of the {kind(profile).lower()}"
+    profile, _, restarts, primes = _lift(
+        lambda p: _eliminate_mod(matrix.row_terms, rhs, matrix.cols, p),
+        verified,
+        lambda profile: f"solve_or_refute: the plug-back of the {kind(profile).lower()}",
     )
     if _log.isEnabledFor(logging.DEBUG):
         bits = max(max(abs(v.numerator), v.denominator) for v in witness.vector).bit_length()
         _log.debug(
-            "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, passes=%d, restarts=%d, skipped=%d, witness_bits=%d",
+            "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, restarts=%d, skipped=%d, witness_bits=%d",
             matrix.rows, matrix.cols, matrix.nnz, witness.kind,
-            sum(c < matrix.cols for c in profile), 2 * completed, passes, restarts,
+            sum(c < matrix.cols for c in profile), len(primes), restarts,
             max(profile.count(matrix.cols + 1) - 1, 0), bits,
         )
     return witness
 
 
-def _lift(passes, holds, stage):
-    """(shape, values, restarts) for the first lift over Q of residues
-    that holds(shape, values) accepts: the one prime loop behind
-    solve_or_refute and elim.closure_equations.
+def _lift(run, holds, stage):
+    """(shape, values, restarts, primes) for the first lift over Q of
+    residues that holds(shape, values) accepts: the one prime loop
+    behind solve_or_refute and elim.closure_equations.
 
-    passes yields (shape, residues, modulus), with pairwise coprime
-    moduli: the shape of a result computed modulo `modulus` (a pivot
+    run(p) gives, modulo the prime p, the shape of a result (a pivot
     profile, the supports of some polynomials) and its values there, a
-    flat list of ints.  Residues of equal shapes are combined by CRT; a
-    shape unlike the one before replaces them and counts as a restart.
-    After each pass the residues are rationally reconstructed
-    (_reconstruct), and a value that does not reconstruct, or a lift
-    that holds rejects, takes the next pass.
+    flat list of ints; or None, which skips p.  The primes are _primes(),
+    and primes lists those that run did not skip.  Residues of equal
+    shapes are combined by CRT; a shape unlike the one before replaces
+    them and counts as a restart.  After each prime the residues are
+    rationally reconstructed (_reconstruct), and a value that does not
+    reconstruct, or a lift that holds rejects, takes the next prime.
 
     While the shape stays, the modulus grows until the values over Q
-    reconstruct, and from then on every pass lifts the same values.  So
-    a lift that holds rejects twice, unchanged under a larger modulus,
-    is final: it raises CertificateError, whose message begins with
-    stage(shape)."""
+    reconstruct, and from then on every prime lifts the same values.
+    So a lift that holds rejects twice, unchanged under a larger
+    modulus, is final: it raises CertificateError, whose message begins
+    with stage(shape)."""
     shape = residues = failed = None
     modulus = restarts = 0
-    for new, more, m in passes:
+    primes = []
+    for p in _primes():
+        result = run(p)
+        if result is None:
+            continue
+        primes.append(p)
+        new, more = result
         if new == shape:
-            residues = _crt(residues, modulus, more, m)
-            modulus *= m
+            residues = _crt(residues, modulus, more, p)
+            modulus *= p
         else:
             restarts += shape is not None
-            shape, residues, modulus, failed = new, more, m, None
+            shape, residues, modulus, failed = new, more, p, None
         values = _reconstruct(residues, modulus)
         if values is None:
             continue
         if holds(shape, values):
-            return shape, values, restarts
+            return shape, values, restarts, primes
         if values == failed:
             raise CertificateError(f"{stage(shape)} fails on a lift whose values repeat under a larger modulus")
         failed = values
 
 
-class _NotUnit(ArithmeticError):
-    """A pass modulo a product of primes met a pivot or a 0 = b row that
-    is zero modulo some of them but not all."""
-
-
-def _eliminate_mod(rows, values, ncols, m):
-    """One pass of the elimination over Z/m on the integer rows (dicts
+def _eliminate_mod(rows, values, ncols, p):
+    """One pass of the elimination over Z/p on the integer rows (dicts
     column -> value) and right-hand side values.  Returns the profile,
     the outcome of each row (its pivot column, ncols for 0 = nonzero,
     which ends the pass, ncols + 1 for 0 = 0), and the residues of the
@@ -272,98 +255,91 @@ def _eliminate_mod(rows, values, ncols, m):
     Each row is reduced against the pivots from the lowest column up
     and stops at its lowest column without a pivot (_reduce).  From the
     first row that reads 0 = 0 on, a row (r | b) is first tested against
-    z, a vector over Z/m in the kernel of the augmented pivot rows
+    z, a vector over Z/p in the kernel of the augmented pivot rows
     (_fingerprint), and recorded as 0 = 0 when (r | -b).z = 0, without a
     reduction.  A row in the span of the pivot rows reads 0 and would
     reduce to 0 = 0, so no outcome changes; a row that reads nonzero is
     reduced, and a new pivot keeps z in the kernel (_add_pivot).  A
     system without dependent rows never builds z.  z is pseudo-random on
     the columns without a pivot and the right-hand side, so a row
-    outside the span reads 0 with chance at most 1/p for each prime p of
-    m (Schwartz 1980); such a false zero turns its row's outcome into
-    ncols + 1, a lexicographically larger profile, which solve_or_refute
-    drops as it drops one of a prime that divides a pivot.
-
-    m is a prime or a product of distinct primes.  Every branch is a
-    zero test or the inverse of a pivot, so a pass that ends on units
-    mod m returns the CRT of the one-prime passes, profile and
-    residues; a pivot or a final b that is not a unit mod m means the
-    primes' profiles differ, and raises _NotUnit."""
+    outside the span reads 0 with chance at most 1/p (Schwartz 1980);
+    such a false zero turns its row's outcome into ncols + 1, a
+    lexicographically larger profile, on which the lift restarts as it
+    does for a prime that divides a pivot.  p is prime, so every nonzero
+    pivot and final b is a unit."""
     # pivot column -> (row without its pivot entry, rhs), normalized so
     # that the pivot entry is 1
     pivots: dict[int, tuple[dict[int, int], int]] = {}
     profile: list[int] = []
     z = users = None
     for idx, src in enumerate(rows):
-        b = values[idx] % m
-        if z is not None and not (sum(map(mul, src.values(), map(z.__getitem__, src))) - b * z[ncols]) % m:
+        b = values[idx] % p
+        if z is not None and not (sum(map(mul, src.values(), map(z.__getitem__, src))) - b * z[ncols]) % p:
             profile.append(ncols + 1)
             continue
-        row = {j: r for j, v in src.items() if (r := v % m)}
-        col, b = _reduce(row, b, pivots, m)
+        row = {j: r for j, v in src.items() if (r := v % p)}
+        col, b = _reduce(row, b, pivots, p)
         if col is None:
             if b:
-                if gcd(b, m) != 1:
-                    raise _NotUnit
                 profile.append(ncols)
-                return profile, _refutation(rows, profile, m)
+                return profile, _refutation(rows, profile, p)
             profile.append(ncols + 1)
             if z is None:
-                z, users = _fingerprint(pivots, ncols, m)
+                z, users = _fingerprint(pivots, ncols, p)
             continue
         profile.append(col)
-        pivots[col] = _normalized(row, b, col, m)
+        pivots[col] = _normalized(row, b, col, p)
         if z is not None:
-            _add_pivot(col, pivots, users, z, m)
+            _add_pivot(col, pivots, users, z, p)
 
     # the solution is the kernel vector with 0 on the free columns and
     # 1 in the right-hand side slot
     x = [0] * ncols + [1]
     for col in sorted(pivots, reverse=True):
-        x[col] = _kernel_entry(pivots[col], x, m)
+        x[col] = _kernel_entry(pivots[col], x, p)
     return profile, x[:-1]
 
 
-def _kernel_entry(pivot, z, m):
+def _kernel_entry(pivot, z, p):
     """The value on a pivot column that puts z, whose last slot is the
     right-hand side's, in the kernel of its augmented pivot row
     (1, row | -b)."""
     row, b = pivot
-    return (b * z[-1] - sum(v * z[j] for j, v in row.items())) % m
+    return (b * z[-1] - sum(v * z[j] for j, v in row.items())) % p
 
 
-def _fingerprint(pivots, ncols, m):
+def _fingerprint(pivots, ncols, p):
     """z, a vector in the kernel of the augmented pivot rows, and the
     index column -> the pivot columns whose rows hold it.  z has a slot
     for each column and, last, one for the right-hand side.  The slots
     of the columns without a pivot and of the right-hand side take
-    pseudo-random values derived from m, so that two runs give the same
+    pseudo-random values derived from p, so that two runs give the same
     pass; the pivots are then added from the highest column down, so
     that no change propagates: a pivot row holds only columns above its
     own."""
-    rng = Random(m)
-    bits = m.bit_length() + 64
-    z = [rng.getrandbits(bits) % m for _ in range(ncols + 1)]
+    rng = Random(p)
+    bits = p.bit_length() + 64
+    z = [rng.getrandbits(bits) % p for _ in range(ncols + 1)]
     users: dict[int, list[int]] = {}
     for col in sorted(pivots, reverse=True):
-        _add_pivot(col, pivots, users, z, m)
+        _add_pivot(col, pivots, users, z, p)
     return z, users
 
 
-def _add_pivot(col, pivots, users, z, m):
+def _add_pivot(col, pivots, users, z, p):
     """Keep z in the kernel when col, a free column until now, gets a
     pivot.  z[col] becomes the new row's kernel entry; a change of delta
     on a column changes each pivot column whose row holds it by -delta
     times that entry, taken from the highest column down so that each
     pivot column is settled once."""
-    pending = {col: _kernel_entry(pivots[col], z, m) - z[col]}
+    pending = {col: _kernel_entry(pivots[col], z, p) - z[col]}
     heap = [-col]
     while heap:
         c = -heappop(heap)
-        delta = pending.pop(c) % m
+        delta = pending.pop(c) % p
         if not delta:
             continue
-        z[c] = (z[c] + delta) % m
+        z[c] = (z[c] + delta) % p
         for pc in users.get(c, ()):
             change = -pivots[pc][0][c] * delta
             if pc in pending:
@@ -375,10 +351,10 @@ def _add_pivot(col, pivots, users, z, m):
         users.setdefault(j, []).append(col)
 
 
-def _refutation(rows, profile, m):
+def _refutation(rows, profile, p):
     """The refuting combination u of a pass whose last row, k, read 0 =
     nonzero: u_k = 1, and 0 off k and the pivot rows P.  Row k reduced
-    to zero against P, and A_P is invertible mod m on the pivot columns,
+    to zero against P, and A_P is invertible mod p on the pivot columns,
     where its echelon form is triangular with unit diagonal; so u_P, the
     u of any row history, is the one solution of A_P^T u_P = -A_k^T on
     those columns.  One _eliminate_mod pass solves it, with equations and
@@ -395,16 +371,16 @@ def _refutation(rows, profile, m):
         for j, v in rows[i].items():
             if (e := equation.get(j)) is not None:
                 terms[e][t] = v
-    _, x = _eliminate_mod(terms, [-row.pop(n, 0) for row in terms], n, m)
+    _, x = _eliminate_mod(terms, [-row.pop(n, 0) for row in terms], n, p)
     u = [0] * len(rows)
     for i, v in zip(used, x + [1]):
         u[i] = v
     return u
 
 
-def _reduce(row, b, pivots, m):
+def _reduce(row, b, pivots, p):
     """Reduce row (in place) and its right-hand side b against the
-    pivots mod m; returns the row's lowest column that has no pivot
+    pivots mod p; returns the row's lowest column that has no pivot
     (None if the row is emptied) and the reduced b."""
     # Eliminating pivot column c only adds columns above c, so the
     # columns come off the heap in increasing order; the row stops at
@@ -423,31 +399,26 @@ def _reduce(row, b, pivots, m):
         for j, v in prow.items():
             cur = row.get(j)
             if cur is None:
-                # zero mod m only if m is composite
-                if cur := -factor * v % m:
-                    row[j] = cur
-                    heappush(heap, j)
+                row[j] = -factor * v % p
+                heappush(heap, j)
             else:
-                cur = (cur - factor * v) % m
+                cur = (cur - factor * v) % p
                 if cur:
                     row[j] = cur
                 else:
                     del row[j]
-        b = (b - factor * pb) % m
+        b = (b - factor * pb) % p
     return None, b
 
 
-def _normalized(row, b, col, m):
+def _normalized(row, b, col, p):
     """(row, b) with the pivot entry on col removed from row and both
-    scaled so that it would be 1; _NotUnit if the pivot is not a unit
-    mod m."""
+    scaled so that it would be 1."""
     pivot = row.pop(col)
-    if gcd(pivot, m) != 1:
-        raise _NotUnit
-    inv = pow(pivot, -1, m)
+    inv = pow(pivot, -1, p)
     if inv != 1:
-        row = {j: v * inv % m for j, v in row.items()}
-        b = b * inv % m
+        row = {j: v * inv % p for j, v in row.items()}
+        b = b * inv % p
     return row, b
 
 
@@ -500,8 +471,8 @@ def _primes():
 
 
 def _crt(residues, modulus, more, p):
-    """Combine residues mod `modulus` with residues mod p, which is
-    coprime to `modulus` but need not be prime."""
+    """Combine residues mod `modulus` with residues mod a prime p that
+    does not divide it."""
     m_inv = pow(modulus, -1, p)
     return [x + modulus * ((y - x) * m_inv % p) for x, y in zip(residues, more)]
 
@@ -543,7 +514,7 @@ def _integer_matrix(rows) -> tuple[list[list[int]], int]:
     return out, scales
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
     x, next_x = 1, 0
     y, next_y = 0, 1
     g, next_g = a, b
@@ -559,7 +530,7 @@ def _integer_echelon(work: list[list[int]], width: int) -> tuple[int, int]:
     """Unimodular row reduction of the first `width` columns, pivots
     made positive.  Returns the number of pivot rows, which end up on
     top, and the determinant (+1 or -1) of the row operations: swaps
-    and negations flip it, the xgcd step has determinant 1."""
+    and negations flip it, the Bezout step has determinant 1."""
     nrows = len(work)
     r = 0
     sign = 1
@@ -582,7 +553,7 @@ def _integer_echelon(work: list[list[int]], width: int) -> tuple[int, int]:
                 q = b // a
                 work[i] = [vi - q * vr for vi, vr in zip(work[i], work[r])]
             else:
-                x, y, g = _xgcd(a, b)
+                x, y, g = _bezout(a, b)
                 ag, bg = a // g, b // g
                 new_r = [x * vr + y * vi for vr, vi in zip(work[r], work[i])]
                 new_i = [-bg * vr + ag * vi for vr, vi in zip(work[r], work[i])]

@@ -62,6 +62,9 @@ class Ambient:
         return self.r + self.s
 
     def check_exponent(self, exp) -> tuple[int, ...]:
+        if isinstance(exp, str):
+            # a JSON object's keys are strings: "12" would read as (1, 2)
+            raise TypeError(f"expected an exponent tuple, got {exp!r}")
         exp = tuple(int(e) for e in exp)
         if len(exp) != self.nvars:
             raise ValueError(f"exponent width {len(exp)} != {self.nvars}")

@@ -513,12 +513,15 @@ def test_malformed_reductive_data_file_exits_2(tmp_path, capsys):
         ("reductive", "exponents", "1"),
         ("reductive", "coroots", ["1"]),
         ("reductive", "polytope", [["-2", "0"], ["0", "2"]]),
+        ("rep", "rho", [[{"1": 1}, "0"], ["0", {"2": 1}]]),
+        ("subspace", "images", [{"1": 1}, "1"]),
     ],
 )
 def test_string_where_a_list_belongs_exits_2(tmp_path, torus12, capsys, kind, field, value):
     # iterating a string reads its characters as entries: "rho": ["12",
     # "34"] was the matrix [[1, 2], [3, 4]] and "images": "12" the point
-    # (1, 2), whose closure equations were printed with exit 0
+    # (1, 2), whose closure equations were printed with exit 0.  A JSON
+    # object's keys are strings too: {"2": 1} was read as the term x1^2
     payload, argv, data = {
         "rep": ({"n": 2, "r": 1, "s": 0, "rho": [["x1", "0"], ["0", "x1^2"]]}, ["degree", "parametric", "--rep"],
                 "representation"),
@@ -570,6 +573,7 @@ def test_non_integral_json_integers_exit_2(tmp_path, torus12, capsys, kind, fiel
 @pytest.mark.parametrize(
     "kind, text",
     [("rep", "x1^"), ("rep", "2/"), ("rep", "x1*"), ("rep", "+"), ("rep", "3/0*x1^2"),
+     ("rep", "x1 x2"), ("rep", "x1^a"), ("rep", "x1 $"),
      ("subspace", "y1^"), ("subspace", "2/"), ("subspace", "y1*"), ("subspace", "+"), ("subspace", "3/0*y1")],
 )
 def test_malformed_polynomial_text_exits_2(tmp_path, torus12, capsys, kind, text):
@@ -637,6 +641,60 @@ def test_zero_denominator_exits_2(tmp_path, torus12, capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_BAD_PARAMS == 2
     assert out == "" and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", "--a", "1,1", "--b", "1,1", "--degree-bound", "0"], "degree bound override must be >= 1"),
+        (["closure", "--point", "1,1,1"], "point must have length 2"),
+        (["oracle", "torus", "--weights", "1;2", "--a", "1,0,0", "--b", "1,1"], "vectors must have length 2"),
+        (["gen", "sl2"], "gen sl2 requires --h"),
+        (["gen", "torus"], "gen torus requires --weights"),
+        (["degree", "sl2"], "degree sl2 requires --h"),
+        (["degree", "binary-orbit"], "degree binary-orbit requires --h and --mults"),
+        (["degree", "parametric"], "degree parametric requires --rep"),
+    ],
+    ids=["decide-bound", "closure-point", "oracle-a", "gen-sl2", "gen-torus", "degree-sl2", "degree-binary-orbit",
+         "degree-parametric"],
+)
+def test_missing_or_misfit_options_exit_2(torus12, capsys, argv, message):
+    if argv[0] in ("decide", "closure"):
+        argv = argv[:1] + ["--rep", torus12] + argv[1:]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("rep", "n", 0, "module dimension must be >= 1"),
+        ("rep", "rho", [["x1", "0"], ["0"]], "rho must be an n x n matrix"),
+        ("rep", "degree_bound", 0, "degree bound must be >= 1"),
+        ("rep", "r", -1, "negative variable count"),
+        ("subspace", "l", -1, "negative parameter count"),
+        ("subspace", "images", ["y1"], "subspace image count must equal the dimension"),
+        ("subspace", "images", ["y1", "1", "0"], "subspace image count must equal the dimension"),
+        ("reductive", "weyl_order", 0, "Weyl group order must be >= 1"),
+        ("reductive", "kernel_order", 0, "kernel order must be >= 1"),
+        ("reductive", "coroots", [["1", "0"]], "coroot length disagrees with rank"),
+    ],
+)
+def test_out_of_range_file_fields_exit_2(tmp_path, torus12, capsys, kind, field, value, message):
+    payload, argv = {
+        "rep": ({"n": 2, "r": 1, "s": 0, "rho": [["x1", "0"], ["0", "x1^2"]], "degree_bound": 2},
+                ["degree", "parametric", "--rep"]),
+        "subspace": ({"l": 1, "images": ["y1", "1"]}, ["closure", "--rep", torus12, "--subspace"]),
+        "reductive": (dict(SL2_REDUCTIVE), ["degree", "kazarnovskii", "--data"]),
+    }[kind]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    assert run(argv + [str(path)], capsys)[0] == 0
+    path.write_text(json.dumps({**payload, field: value}))
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == "" and message in err and "internal error" not in err
 
 
 def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeypatch):

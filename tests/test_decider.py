@@ -12,7 +12,6 @@ from orbitcal import decider, repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
-    Decision,
     DecisionProblem,
     assemble_system,
     conic_problem,
@@ -560,21 +559,13 @@ def test_decision_json_round_trip():
         problem = DecisionProblem(rep2, a, b2, degree_bound_override=2, conic_asserted=True)
         decision = decide(problem)
         payload = decision.to_json()
-        back = Decision.from_json(json.loads(json.dumps(payload)))
-        assert back.verdict == decision.verdict
-        assert back.certificate == decision.certificate
-        assert back.transcript["degree_bound"] == 2
-        assert back.to_json() == payload
-        kinds.add(back.certificate.kind)
+        back = json.loads(json.dumps(payload))
+        assert back == payload and back["verdict"] == decision.verdict
+        cert = back["certificate"]
+        assert ConsistencyWitness(cert["kind"], map(Fraction, cert["vector"])) == decision.certificate
+        assert back["transcript"]["degree_bound"] == 2
+        kinds.add(cert["kind"])
     assert kinds == {SOLUTION, REFUTATION}
-
-
-@pytest.mark.parametrize("payload", [{"verdict": IN_CLOSURE}, {"verdict": IN_CLOSURE, "certificate": None}])
-def test_decision_from_json_requires_a_certificate(payload):
-    # every verdict carries a certificate: a payload without one is
-    # refused where it is read, not when it is written out again
-    with pytest.raises(ValueError, match="certificate"):
-        Decision.from_json(payload)
 
 
 @pytest.mark.parametrize(

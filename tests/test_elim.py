@@ -308,8 +308,9 @@ def _spy_check(monkeypatch, verdict=None):
     ],
 )
 def test_bad_lift_from_a_tiny_prime_is_rejected(monkeypatch, caplog, tiny, restarts, rejected_by_check):
-    first = next(exactmath._primes())
-    monkeypatch.setattr(elim, "_primes", lambda: chain([tiny], exactmath._primes()))
+    primes = exactmath._primes
+    first = next(primes())
+    monkeypatch.setattr(exactmath, "_primes", lambda: chain([tiny], primes()))
     checks = _spy_check(monkeypatch)
     rep2, _, b2 = make_conic(sl2_binary_forms(3), (0,) * 4, (1, 3, 3, 1))
     with caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):

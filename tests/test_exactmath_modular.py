@@ -15,7 +15,7 @@ import logging
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -31,11 +31,9 @@ from orbitcal.exactmath import (
 from orbitcal.fixtures import hyperbola_rep
 from support import sparse_matrix
 
+# the primes of solve_or_refute's passes, in order
 PRIMES = tuple(islice(exactmath._primes(), 8))
 FIRST_PRIME, SECOND_PRIME = PRIMES[:2]
-# the moduli of solve_or_refute's passes: p1 p2, then p3 p4, and so on
-PAIRS = tuple(p * q for p, q in zip(PRIMES[::2], PRIMES[1::2]))
-FIRST_PAIR, SECOND_PAIR = PAIRS[:2]
 
 
 def _dense(matrix):
@@ -127,64 +125,56 @@ def _assert_matches_reference(rows, rhs, factor=1):
     return ours
 
 
-def _primes_in(modulus):
-    """How many primes a pass modulo `modulus` covers."""
-    return sum(modulus % p == 0 for p in PRIMES)
-
-
 @pytest.fixture
 def primes_used(monkeypatch):
-    """The moduli of the passes over the whole system that
-    solve_or_refute begins, and their profiles; a refutation's
-    transposed pass runs inside one of them and is not recorded.  Each
-    modulus is the product of two consecutive primes, p1 p2 first; a
-    pass that met a non-unit is recorded with the profile None, and the
-    solve drops it."""
+    """The primes of the passes over the whole system that
+    solve_or_refute runs, and their profiles; a refutation's transposed
+    pass runs inside one of them and is not recorded."""
     calls = []
     running = []
     eliminate = exactmath._eliminate_mod
 
-    def spy(rows, values, ncols, m):
-        running.append(m)
-        profile = None
+    def spy(rows, values, ncols, p):
+        running.append(p)
         try:
-            profile, vector = eliminate(rows, values, ncols, m)
+            profile, vector = eliminate(rows, values, ncols, p)
         finally:
             running.pop()
-            if not running:
-                calls.append((m, profile))
+        if not running:
+            calls.append((p, profile))
         return profile, vector
 
     monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
     return calls
 
 
-def _assert_first_pair_dropped(primes_used):
-    """The pass modulo p1 p2 met a non-unit and was dropped; the passes
-    from p3 p4 on completed, all on one profile."""
-    moduli = [m for m, _ in primes_used]
+def _assert_restarted_on(primes_used, restarted):
+    """The passes ran modulo the first primes in order, at least one
+    after the pass modulo PRIMES[restarted], whose profile was larger
+    than the one of every other pass; the lift restarted on it and on
+    the pass after it."""
+    primes = [p for p, _ in primes_used]
     profiles = [profile for _, profile in primes_used]
-    assert len(moduli) >= 2 and moduli == list(PAIRS[: len(moduli)])
-    assert profiles[0] is None and profiles[1] is not None
-    assert profiles[1:] == [profiles[1]] * (len(profiles) - 1)
+    assert len(primes) > restarted + 1 and primes == list(PRIMES[: len(primes)])
+    wrong = profiles.pop(restarted)
+    assert profiles == [profiles[0]] * len(profiles) and wrong > profiles[0]
 
 
 def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
     # the common denominator is the first prime: mod it the cleared
-    # system [[1, p], [p, p]] loses its second pivot, so the second
-    # pivot of the pass modulo p1 p2 is not a unit, and that pass is
-    # dropped for the next pair's
+    # system [[1, p], [p, p]] loses its second pivot, so the pass modulo
+    # the first prime ends on a larger profile, whose witness fails the
+    # plug-back, and the lift restarts on the second prime
     _assert_matches_reference([[Fraction(1, FIRST_PRIME), 1], [1, 1]], [1, 2])
-    _assert_first_pair_dropped(primes_used)
+    _assert_restarted_on(primes_used, 0)
 
 
 @pytest.mark.parametrize(
     "rows, rhs",
     [
-        # mod the first prime the pivot moves to column 1 and x = (0, 1)
-        # plugs back exactly; only the second prime's smaller profile
-        # gives the Fraction loop's (1/p, 0)
-        ([[FIRST_PRIME, 1]], [1]),
+        # mod the first prime the pivot moves to column 1 and the second
+        # row reads 0 = 1
+        ([[FIRST_PRIME, 1], [0, 1]], [1, 2]),
         # mod the first prime the row reads 0 = 1
         ([[FIRST_PRIME]], [1]),
         # the second row reduces to 0 = 0 mod the first prime only
@@ -194,88 +184,66 @@ def test_system_multiplied_by_the_first_prime_drops_its_profile(primes_used):
     ],
 )
 def test_pivot_equal_to_the_first_prime(primes_used, rows, rhs):
-    # the pass modulo p1 p2 meets the pivot or final b p1, which is not
-    # a unit, and the pass modulo p3 p4 gives the reference witness
+    # the pass modulo the first prime meets the pivot or final b p1,
+    # which is zero there; its witness fails the plug-back, and the
+    # passes from the second prime on give the reference witness
     _assert_matches_reference(rows, rhs)
-    _assert_first_pair_dropped(primes_used)
+    _assert_restarted_on(primes_used, 0)
+
+
+def test_larger_profile_can_give_another_exact_witness(primes_used):
+    # mod the first prime the pivot of [[p1, 1]] x = [1] moves to column
+    # 1, and x = (0, 1) plugs back exactly: an exact certificate, though
+    # not the Fraction loop's (1/p1, 0)
+    rows, rhs = [[FIRST_PRIME, 1]], [1]
+    assert solve_or_refute(sparse_matrix(rows), rhs) == ConsistencyWitness(SOLUTION, [0, 1])
+    assert _reference_solve(rows, rhs) == ConsistencyWitness(SOLUTION, [Fraction(1, FIRST_PRIME), 0])
+    assert primes_used == [(FIRST_PRIME, [1])]
 
 
 @pytest.mark.parametrize(
     "rows, rhs",
     [
-        ([[SECOND_PRIME, 1]], [1]),
+        ([[SECOND_PRIME, 1], [0, 1]], [1, 2]),
         ([[SECOND_PRIME]], [1]),
         ([[1, 1], [1, 1 + SECOND_PRIME]], [1, 2]),
-        ([[1], [1]], [1, 1 + SECOND_PRIME]),
+        # a refutation with coefficient -1/3^40: the second row reads
+        # 0 = p2, which is 0 = 0 mod the second prime
+        ([[3**40], [1]], [0, SECOND_PRIME]),
     ],
 )
-def test_pivot_equal_to_the_second_prime(primes_used, rows, rhs):
-    # the shapes above for the second prime: the pass modulo both
-    # primes meets a pivot or a 0 = b row that is not a unit, so it is
-    # dropped and the next pair's pass gives the witness
-    _assert_matches_reference(rows, rhs)
-    _assert_first_pair_dropped(primes_used)
+def test_pivot_equal_to_the_second_prime(caplog, primes_used, rows, rhs):
+    # the witness has a denominator of 62 bits or more, which the first
+    # prime alone does not lift; the second prime meets a pivot or final
+    # b that is zero there, and its larger profile replaces the first
+    # prime's residues.  The third prime restarts on the right profile
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
+        _assert_matches_reference(rows, rhs)
+    _assert_restarted_on(primes_used, 1)
+    assert ", restarts=2," in caplog.records[-1].getMessage()
 
 
-def _assert_one_pass_is_the_crt(rows, rhs, ncols):
-    """The pass modulo the first two primes equals the CRT of their
-    one-prime passes when their profiles agree, and raises otherwise."""
-    first = exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME)
-    second = exactmath._eliminate_mod(rows, rhs, ncols, SECOND_PRIME)
-    if first[0] != second[0]:
-        with pytest.raises(exactmath._NotUnit):
-            exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME * SECOND_PRIME)
-        return False
-    profile, residues = exactmath._eliminate_mod(rows, rhs, ncols, FIRST_PRIME * SECOND_PRIME)
-    assert profile == first[0]
-    assert residues == exactmath._crt(first[1], FIRST_PRIME, second[1], SECOND_PRIME)
-    return True
-
-
-def test_pass_modulo_two_primes_is_the_crt_of_one_prime_passes():
-    # the d = 3 decide-sparse systems, the paper's and the evaluation
-    # system, then random systems cleared by D, by the first prime times
-    # D and by the second prime times D
-    for problem, _, scrambled in _problems():
-        if not scrambled:
-            for engine in (decider.paper_decide, decider.decide):
-                _, system = engine(problem, seed=1, keep_system=True)
-                rows = system.matrix.row_terms
-                assert _assert_one_pass_is_the_crt(rows, system.rhs, system.matrix.cols)
-    rng = random.Random(5)
-    outcomes = set()
-    for _ in range(200):
-        rows = _random_rational_rows(rng, rng.randint(1, 12), rng.randint(1, 12))
-        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
-        for factor in (1, FIRST_PRIME, SECOND_PRIME):
-            matrix, values = _cleared(rows, rhs, factor)
-            outcomes.add(_assert_one_pass_is_the_crt(matrix.row_terms, values, matrix.cols))
-    assert outcomes == {True, False}
-
-
-def _echelon_pass(rows, values, ncols, m):
+def _echelon_pass(rows, values, ncols, p):
     """The pass before it skipped rows by a kernel fingerprint: every
     row is reduced against the pivots until it stops at its lowest
     column without a pivot, and the solution is back-substituted."""
     pivots = {}
     profile = []
     for idx, src in enumerate(rows):
-        row = {j: r for j, v in src.items() if (r := v % m)}
-        col, b = exactmath._reduce(row, values[idx] % m, pivots, m)
+        row = {j: r for j, v in src.items() if (r := v % p)}
+        col, b = exactmath._reduce(row, values[idx] % p, pivots, p)
         if col is None:
             if b:
-                if gcd(b, m) != 1:
-                    raise exactmath._NotUnit
                 profile.append(ncols)
-                return profile, exactmath._refutation(rows, profile, m)
+                return profile, exactmath._refutation(rows, profile, p)
             profile.append(ncols + 1)
             continue
         profile.append(col)
-        pivots[col] = exactmath._normalized(row, b, col, m)
+        pivots[col] = exactmath._normalized(row, b, col, p)
     x = [0] * ncols
     for col in sorted(pivots, reverse=True):
         row, b = pivots[col]
-        x[col] = (b - sum(v * x[j] for j, v in row.items())) % m
+        x[col] = (b - sum(v * x[j] for j, v in row.items())) % p
     return profile, x
 
 
@@ -287,10 +255,10 @@ def reductions(monkeypatch):
     transposing = []
     reduce, refutation = exactmath._reduce, exactmath._refutation
 
-    def counting(row, b, pivots, m):
+    def counting(row, b, pivots, p):
         if not transposing:
-            calls.append(m)
-        return reduce(row, b, pivots, m)
+            calls.append(p)
+        return reduce(row, b, pivots, p)
 
     def transposed(*args):
         transposing.append(True)
@@ -306,19 +274,14 @@ def reductions(monkeypatch):
 
 def _assert_pass_equals_echelon(rows, values, ncols, reductions):
     """The pass equals the echelon pass, profile and residues, modulo
-    one prime and modulo the first two, and reduces every row up to the
-    first 0 = 0 and after it only the rows that do not end as 0 = 0;
-    returns the profiles."""
+    each of the first two primes, and reduces every row up to the first
+    0 = 0 and after it only the rows that do not end as 0 = 0; returns
+    the profiles."""
     profiles = []
-    for m in (FIRST_PRIME, FIRST_PRIME * SECOND_PRIME):
-        try:
-            want = _echelon_pass(rows, values, ncols, m)
-        except exactmath._NotUnit:
-            with pytest.raises(exactmath._NotUnit):
-                exactmath._eliminate_mod(rows, values, ncols, m)
-            continue
+    for p in (FIRST_PRIME, SECOND_PRIME):
+        want = _echelon_pass(rows, values, ncols, p)
         reductions.clear()
-        assert exactmath._eliminate_mod(rows, values, ncols, m) == want
+        assert exactmath._eliminate_mod(rows, values, ncols, p) == want
         profile = want[0]
         first = profile.index(ncols + 1) + 1 if ncols + 1 in profile else len(profile)
         assert len(reductions) == first + sum(c != ncols + 1 for c in profile[first:])
@@ -391,9 +354,9 @@ def test_skipping_pass_equals_the_echelon_pass(reductions):
 
 def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used):
     # a fingerprint of zeros reads every row after the first 0 = 0 row
-    # as 0 = 0, independent rows included; the pass modulo the first two
-    # primes then ends on a larger profile, whose witness fails the
-    # plug-back, and the pass modulo the next two gives the reference
+    # as 0 = 0, independent rows included; the pass modulo the first
+    # prime then ends on a larger profile, whose witness fails the
+    # plug-back, and the pass modulo the second gives the reference
     # witness
     small = [
         # x0 = 1 twice, then x1 = 2 is skipped
@@ -415,9 +378,9 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
     fingerprint = exactmath._fingerprint
     calls = []
 
-    def zero_once(pivots, ncols, m):
-        z, users = fingerprint(pivots, ncols, m)
-        calls.append(m)
+    def zero_once(pivots, ncols, p):
+        z, users = fingerprint(pivots, ncols, p)
+        calls.append(p)
         return ([0] * len(z) if len(calls) == 1 else z), users
 
     monkeypatch.setattr(exactmath, "_fingerprint", zero_once)
@@ -425,7 +388,7 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
         calls.clear()
         primes_used.clear()
         assert solve_or_refute(matrix, rhs) == want
-        assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+        assert [p for p, _ in primes_used] == [FIRST_PRIME, SECOND_PRIME]
         first, second = (profile for _, profile in primes_used)
         assert first > second
 
@@ -433,15 +396,14 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
 def test_transposed_pass_pivots_on_its_diagonal(monkeypatch):
     # a refutation's transposed system, in pivot-row order, is solved on
     # its diagonal with no 0 = 0 row and no refutation, so it always
-    # closes; small moduli, composite ones included, make non-units
-    # frequent in the pass over A
+    # closes; small primes make zero pivots frequent in the pass over A
     eliminate = exactmath._eliminate_mod
     running, transposed = [], []
 
-    def spy(rows, values, ncols, m):
-        running.append(m)
+    def spy(rows, values, ncols, p):
+        running.append(p)
         try:
-            profile, vector = eliminate(rows, values, ncols, m)
+            profile, vector = eliminate(rows, values, ncols, p)
         finally:
             running.pop()
         if running:
@@ -453,48 +415,13 @@ def test_transposed_pass_pivots_on_its_diagonal(monkeypatch):
     for _ in range(300):
         ncols = rng.randint(3, 12)
         rows, rhs = _random_tall_system(rng, ncols)
-        for m in (FIRST_PRIME, FIRST_PRIME * SECOND_PRIME, 7, 11 * 13):
-            try:
-                profile, u = exactmath._eliminate_mod(rows, rhs, ncols, m)
-            except exactmath._NotUnit:
-                continue
+        for p in (FIRST_PRIME, SECOND_PRIME, 7, 13):
+            profile, u = exactmath._eliminate_mod(rows, rhs, ncols, p)
             if profile[-1] == ncols:
-                assert all(sum(ui * row.get(j, 0) for ui, row in zip(u, rows)) % m == 0 for j in range(ncols))
-                assert sum(ui * b for ui, b in zip(u, rhs)) % m
+                assert all(sum(ui * row.get(j, 0) for ui, row in zip(u, rows)) % p == 0 for j in range(ncols))
+                assert sum(ui * b for ui, b in zip(u, rhs)) % p
     assert len(transposed) > 100
     assert all(profile == list(range(n)) for profile, n in transposed)
-
-
-def test_not_unit_in_the_transposed_pass_drops_the_pass(monkeypatch, caplog):
-    # the transposed pass modulo the first two primes raises _NotUnit;
-    # the whole pass is dropped, the pass modulo the next two primes and
-    # its transposed pass go through, and the witness is the reference's
-    eliminate = exactmath._eliminate_mod
-    running, outer, raised = [], [], []
-
-    def spy(rows, values, ncols, m):
-        if running and m == FIRST_PAIR:
-            raised.append(m)
-            raise exactmath._NotUnit
-        if not running:
-            outer.append(m)
-        running.append(m)
-        try:
-            return eliminate(rows, values, ncols, m)
-        finally:
-            running.pop()
-
-    monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
-    cases = [([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]), ([[2, 1, 0], [0, 3, 1], [2, 4, 1]], [1, 1, 3])]
-    for rows, rhs in cases:
-        outer.clear()
-        raised.clear()
-        with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
-            w = solve_or_refute(sparse_matrix(rows), rhs)
-        assert w == _reference_solve(rows, rhs) and w.kind == REFUTATION
-        assert raised == [FIRST_PAIR]
-        assert outer == [FIRST_PAIR, SECOND_PAIR]
-        assert "primes=2, passes=2" in caplog.records[-1].getMessage()
 
 
 def test_refutation_after_many_zero_rows():
@@ -532,7 +459,7 @@ def test_witness_of_80_bits_needs_several_primes(primes_used, rows, rhs, kind):
     w = _assert_matches_reference(rows, rhs)
     assert w.kind == kind
     assert max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in w.vector) >= 80
-    assert sum(_primes_in(m) for m, _ in primes_used) >= 3
+    assert len(primes_used) >= 3
 
 
 @pytest.mark.parametrize(
@@ -549,24 +476,22 @@ def test_false_zero_after_partial_residues_restarts_the_lift(monkeypatch, caplog
     # 80-bit witness; a fingerprint of zeros in the second pass reads
     # the last row as 0 = 0, a larger profile, which replaces the first
     # pass's residues.  The third pass restarts on the right profile and
-    # the fourth completes the lift
+    # the fifth completes the lift
     fingerprint = exactmath._fingerprint
     calls = []
 
-    def zero_second(pivots, ncols, m):
-        z, users = fingerprint(pivots, ncols, m)
-        calls.append(m)
+    def zero_second(pivots, ncols, p):
+        z, users = fingerprint(pivots, ncols, p)
+        calls.append(p)
         return ([0] * len(z) if len(calls) == 2 else z), users
 
     monkeypatch.setattr(exactmath, "_fingerprint", zero_second)
     with caplog.at_level(logging.DEBUG, logger="orbitcal.exactmath"):
         w = _assert_matches_reference(rows, rhs)
     assert w.kind == kind
-    assert calls == list(PAIRS[:4])
-    profiles = [profile for _, profile in primes_used]
-    assert [m for m, _ in primes_used] == list(PAIRS[:4])
-    assert profiles[1] > profiles[0] == profiles[2] == profiles[3]
-    assert "primes=8, passes=4, restarts=2," in caplog.records[-1].getMessage()
+    assert calls == list(PRIMES[:5])
+    _assert_restarted_on(primes_used, 1)
+    assert "primes=5, restarts=2," in caplog.records[-1].getMessage()
 
 
 def _spy_verify(monkeypatch, failures):
@@ -592,7 +517,7 @@ def test_witness_failing_one_plug_back_is_lifted_by_the_next_pass(monkeypatch, p
     answers = _spy_verify(monkeypatch, 1)
     assert solve_or_refute(sparse_matrix(rows), rhs) == _reference_solve(rows, rhs)
     assert answers == [False, True]
-    assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+    assert [p for p, _ in primes_used] == [FIRST_PRIME, SECOND_PRIME]
 
 
 @pytest.mark.parametrize("rows, rhs", SMALL_SYSTEMS)
@@ -602,37 +527,59 @@ def test_witness_failing_every_plug_back_raises_after_two_passes(monkeypatch, pr
     with pytest.raises(CertificateError, match=f"plug-back of the {kind} fails on a lift whose values repeat"):
         solve_or_refute(sparse_matrix(rows), rhs)
     assert answers == [False, False]
-    assert [m for m, _ in primes_used] == [FIRST_PAIR, SECOND_PAIR]
+    assert [p for p, _ in primes_used] == [FIRST_PRIME, SECOND_PRIME]
 
 
-def _encoded(values, m):
-    return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, m) % m for v in values]
+def _encoded(values, p):
+    return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in values]
 
 
-def test_lift_combines_equal_shapes_and_restarts_on_a_new_one():
+def _run_on(monkeypatch, results):
+    """Make _lift draw the primes of results, a dict prime -> what run
+    gives for it, in order; returns run and the primes it was called
+    with."""
+    monkeypatch.setattr(exactmath, "_primes", lambda: iter(results))
+    ran = []
+
+    def run(p):
+        ran.append(p)
+        return results[p]
+
+    return run, ran
+
+
+def test_lift_combines_equal_shapes_and_restarts_on_a_new_one(monkeypatch):
     # shape "a" lifts to [3], which the check rejects; shape "b" restarts
     # the residues.  Modulo 137 its values do not reconstruct, modulo
     # 137 * 101 they reconstruct to a wrong fraction, which the check
     # rejects, and modulo 137 * 101 * 103 to the values themselves
     target = [Fraction(200, 3), -5]
-    passes = iter(
-        [("a", _encoded([3], 131), 131)]
-        + [("b", _encoded(target, m), m) for m in (137, 101, 103, 107)]
-    )
+    results = {131: ("a", _encoded([3], 131))} | {p: ("b", _encoded(target, p)) for p in (137, 101, 103, 107)}
+    run, ran = _run_on(monkeypatch, results)
     checked = []
 
     def holds(shape, values):
         checked.append((shape, values))
         return values == target
 
-    assert exactmath._lift(passes, holds, str) == ("b", target, 1)
+    assert exactmath._lift(run, holds, str) == ("b", target, 1, [131, 137, 101, 103])
     assert checked == [("a", [3]), ("b", [Fraction(-79, 68), -5]), ("b", target)]
-    assert next(passes)[2] == 107  # the lift stops at the first accepted pass
+    assert ran == [131, 137, 101, 103]  # the lift stops at the first accepted prime
 
 
-def test_lift_rejected_twice_unchanged_raises():
+def test_lift_skips_a_prime_whose_run_gives_none(monkeypatch):
+    # 20/3 reconstructs modulo 101 * 107, not modulo 101 alone; 103 is
+    # skipped, neither counted nor combined, so the lift ends at 107
+    target = [Fraction(20, 3), -5]
+    results = {101: ("a", _encoded(target, 101)), 103: None, 107: ("a", _encoded(target, 107)), 109: None}
+    run, ran = _run_on(monkeypatch, results)
+    assert exactmath._lift(run, lambda shape, values: values == target, str) == ("a", target, 0, [101, 107])
+    assert ran == [101, 103, 107]
+
+
+def test_lift_rejected_twice_unchanged_raises(monkeypatch):
     # a new shape forgets the rejected lift; the same shape does not
-    passes = [("a", [3], 101), ("b", [3], 103), ("b", [3], 107), ("b", [3], 109)]
+    run, ran = _run_on(monkeypatch, {101: ("a", [3]), 103: ("b", [3]), 107: ("b", [3]), 109: ("b", [3])})
     checked = []
 
     def holds(shape, values):
@@ -640,8 +587,9 @@ def test_lift_rejected_twice_unchanged_raises():
         return False
 
     with pytest.raises(CertificateError, match="^stage b fails on a lift whose values repeat under a larger modulus"):
-        exactmath._lift(iter(passes), holds, lambda shape: f"stage {shape}")
+        exactmath._lift(run, holds, lambda shape: f"stage {shape}")
     assert checked == ["a", "b", "b"]
+    assert ran == [101, 103, 107]
 
 
 def _miller_rabin(n):
@@ -686,8 +634,8 @@ def test_one_debug_line_per_solve(caplog):
         solve_or_refute(A, [1, 3, 0, 1])
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.exactmath"]
     assert messages == [
-        "solve 4x2 nnz=7: SOLUTION, pivots=2, primes=2, passes=1, restarts=0, skipped=1, witness_bits=2",
-        "solve 4x2 nnz=7: REFUTATION, pivots=1, primes=2, passes=1, restarts=0, skipped=0, witness_bits=2",
+        "solve 4x2 nnz=7: SOLUTION, pivots=2, primes=1, restarts=0, skipped=1, witness_bits=2",
+        "solve 4x2 nnz=7: REFUTATION, pivots=1, primes=1, restarts=0, skipped=0, witness_bits=2",
     ]
 
 

@@ -3,7 +3,10 @@ orbitcal is referenced somewhere in src/orbitcal or perfbench, unless it
 is listed below as kept for the tests.  A function or class counts as
 referenced through a name, an attribute or an imported name; a method
 only through an attribute, so that a free function of the same name
-does not keep it.  A helper left behind by a refactor fails here."""
+does not keep it.  An attribute on self or cls inside class C, or on
+the name of a src class C, keeps only C's method of that name; on any
+other receiver it keeps the method of that name of every class.  A
+helper left behind by a refactor fails here."""
 
 import ast
 from pathlib import Path
@@ -24,39 +27,65 @@ def _tree(path):
 
 
 def _definitions():
-    """module.qualname -> (name, is a method) of every public
-    module-level function or class and every public method of such a
-    class."""
+    """module.qualname -> (name, the class of a method or None) of every
+    public module-level function or class and every public method of
+    such a class."""
     out = {}
     for path in SRC:
         for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out[f"{path.stem}.{node.name}"] = (node.name, False)
+                out[f"{path.stem}.{node.name}"] = (node.name, None)
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                            out[f"{path.stem}.{node.name}.{item.name}"] = (item.name, True)
+                            out[f"{path.stem}.{node.name}.{item.name}"] = (item.name, node.name)
     return out
 
 
+CLASSES = {node.name for path in SRC for node in _tree(path).body if isinstance(node, ast.ClassDef)}
+
+
 def _references(paths):
-    """(every name referenced, the names referenced as attributes)."""
+    """(every name referenced, the attributes referenced as (class,
+    name) pairs).  The class is C for an attribute on self or cls inside
+    class C or on the name of the src class C, and None, every class,
+    for one on any other receiver."""
     names, attributes = set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            if receiver in ("self", "cls"):
+                attributes.add((owner, node.attr))
+            else:
+                attributes.add((receiver if receiver in CLASSES else None, node.attr))
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
     for path in paths:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-    return names | attributes, attributes
+        visit(_tree(path), None)
+    return names | {name for _, name in attributes}, attributes
 
 
 def _unreferenced(paths, qualnames):
     names, attributes = _references(paths)
     definitions = _definitions()
-    return {q for q in qualnames if definitions[q][0] not in (attributes if definitions[q][1] else names)}
+    unreferenced = set()
+    for q in qualnames:
+        name, owner = definitions[q]
+        if owner is None:
+            referenced = name in names
+        else:
+            referenced = (owner, name) in attributes or (None, name) in attributes
+        if not referenced:
+            unreferenced.add(q)
+    return unreferenced
 
 
 def test_every_public_definition_runs_or_is_a_listed_test_reference():
