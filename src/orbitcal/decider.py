@@ -149,27 +149,36 @@ def _exponents(n: int, top: int):
         yield tuple(slots.count(i) for i in range(n))
 
 
-def _matrix(columns, decode, rows=(), extra_rows=0):
+def _matrix(columns, decode, max_nnz, rows=(), extra_rows=()):
     """The SparseMatrix whose column j is columns[j], a term dict on
     packed monomial keys: one row per key in rows or in the support of a
-    column, sorted by the decoded (degree, exponent), then extra_rows
-    empty rows.  Returns it with the row index of each key and the
-    sorted row monomials."""
+    column, sorted by the decoded (degree, exponent), then the rows of
+    extra_rows, dicts column -> nonzero int.  Raises ResourceLimitError
+    before any row is written when the nonzeros, those of the columns
+    and of extra_rows, exceed max_nnz.  Returns it with the row index of
+    each key and the sorted row monomials."""
     rows = set(rows)
     for column in columns:
         rows.update(column)
+    nnz = sum(map(len, columns)) + sum(map(len, extra_rows))
+    if nnz > max_nnz:
+        raise ResourceLimitError(
+            f"linear system too large: {nnz} nonzeros (limit {max_nnz}), "
+            f"{len(rows) + len(extra_rows)} rows x {len(columns)} columns"
+        )
     decoded = {decode(key): key for key in rows}
     row_monomials = sorted(decoded, key=lambda e: (sum(e), e))
     row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
-    matrix = SparseMatrix(len(row_monomials) + extra_rows, max(1, len(columns)))
+    matrix = SparseMatrix(len(row_monomials) + len(extra_rows), max(1, len(columns)))
     row_terms = matrix.row_terms
     for j, column in enumerate(columns):
         for row, coef in column.items():
             row_terms[row_index[row]][j] = coef
+    row_terms[len(row_monomials) :] = extra_rows
     return matrix, row_index, row_monomials
 
 
-def assemble_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
+def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
     """The paper's integer system A c = v for the combination at degree
     bound d and target alpha, the pullbacks term dicts in nvars
     parameters.  Column (p, q) holds the coefficients of (psi_p -
@@ -185,7 +194,8 @@ def assemble_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
     solution and every refuting row combination, and so the solver's
     witness, unchanged; scaling rows would change the refutations, and
     columns the solutions.  The images are asked for up to degree 2d -
-    1, |q + e_p|."""
+    1, |q + e_p|.  A system of more than max_nnz nonzeros raises
+    ResourceLimitError before its matrix is filled."""
     if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     D, phi, beta = _cleared(alpha, pullbacks)
@@ -201,13 +211,13 @@ def assemble_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
             if column:
                 columns[(p, q)] = column
     col_keys = sorted(columns)
-    matrix, row_index, row_monomials = _matrix([columns[key] for key in col_keys], decode, {one})
+    matrix, row_index, row_monomials = _matrix([columns[key] for key in col_keys], decode, max_nnz, {one})
     rhs = [0] * len(row_monomials)
     rhs[row_index[one]] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, row_monomials, col_keys)
 
 
-def evaluation_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
+def evaluation_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
     """The integer system [M ; beta^q] g = [0 ; 1] at degree bound d and
     target alpha, the pullbacks term dicts in nvars parameters.  Column
     q, for every q in N^n with |q| <= d in (degree, exponent) order,
@@ -220,16 +230,16 @@ def evaluation_system(d: int, alpha, pullbacks, nvars: int) -> LinearSystem:
     Column q is D^|q| times the expansion of psi^q and alpha^q, so g
     solves the system iff f_q = g_q D^|q| gives f(psi) = 0 and f(alpha)
     = 1; a refutation u has u_last != 0 and puts (beta^q) in the row
-    space of M."""
+    space of M.  A system of more than max_nnz nonzeros, the evaluation
+    row's included, raises ResourceLimitError before its matrix is
+    filled."""
     if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     _, phi, beta = _cleared(alpha, pullbacks)
     image, decode = monomial_images(phi, nvars, d)
     col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
-    matrix, _, row_monomials = _matrix([image(q) for q in col_keys], decode, extra_rows=1)
-    matrix.row_terms[-1].update(
-        (j, value) for j, q in enumerate(col_keys) if (value := prod(b**e for b, e in zip(beta, q)))
-    )
+    evaluation_row = {j: value for j, q in enumerate(col_keys) if (value := prod(b**e for b, e in zip(beta, q)))}
+    matrix, _, row_monomials = _matrix([image(q) for q in col_keys], decode, max_nnz, extra_rows=[evaluation_row])
     rhs = [0] * (matrix.rows - 1) + [1]
     return LinearSystem(matrix, rhs, row_monomials + [None], col_keys)
 
@@ -252,7 +262,10 @@ def _start(problem: DecisionProblem, seed: int):
 def _degree_bound(problem: DecisionProblem, transcript) -> int:
     """The bound d: 1 when the orbit fills the space (its closure is V,
     of degree 1), then the override, then the representation's own
-    bound, then the parametric fallback; recorded in the transcript."""
+    bound, then the parametric fallback; recorded in the transcript,
+    with a note when the bound rests on an unchecked assumption: the
+    parametric fallback, or an override below the representation's
+    bound."""
     rep = problem.rep
     if transcript["orbit_dimension"] >= rep.n:
         d = 1
@@ -260,6 +273,11 @@ def _degree_bound(problem: DecisionProblem, transcript) -> int:
     elif problem.degree_bound_override is not None:
         d = problem.degree_bound_override
         source = "override"
+        if rep.degree_bound is not None and d < rep.degree_bound:
+            transcript["degree_bound_note"] = (
+                f"override d = {d} below the representation's bound {rep.degree_bound}: "
+                f"IN is sound only if the closure has degree <= {d}"
+            )
     elif rep.degree_bound is not None:
         d = rep.degree_bound
         source = "representation"
@@ -272,15 +290,6 @@ def _degree_bound(problem: DecisionProblem, transcript) -> int:
     transcript["degree_bound"] = d
     transcript["degree_bound_source"] = source
     return d
-
-
-def _check_nonzeros(system: LinearSystem, max_nnz: int):
-    if system.matrix.nnz > max_nnz:
-        raise ResourceLimitError(
-            f"linear system too large: {system.matrix.nnz} nonzeros "
-            f"(limit {max_nnz}), {system.matrix.rows} rows x "
-            f"{len(system.col_keys)} columns"
-        )
 
 
 def _solved(system: LinearSystem, transcript, keep_system: bool):
@@ -304,11 +313,12 @@ def decide(
     Steps: the pullbacks and the orbit dimension (_start); pick the
     degree bound (_degree_bound); check the closed-form count of the
     columns and the evaluation row's entries against max_nnz before any
-    image is built; assemble the evaluation system and check its
-    nonzeros; solve with an exact witness, which solve_or_refute has
-    already checked by plug-back.  Returns the Decision, or (Decision,
-    LinearSystem) when keep_system is set.  The transcript records the
-    system's rows, columns and nonzeros."""
+    image is built; assemble the evaluation system, whose builder checks
+    its nonzeros before it fills the matrix; solve with an exact
+    witness, which solve_or_refute has already checked by plug-back.
+    Returns the Decision, or (Decision, LinearSystem) when keep_system
+    is set.  The transcript records the system's rows, columns and
+    nonzeros."""
     pullbacks, transcript = _start(problem, seed)
     d = _degree_bound(problem, transcript)
     # beta^q != 0 iff supp q is in supp a: the evaluation row has C(k +
@@ -323,11 +333,10 @@ def decide(
             f"+ {row} evaluation-row entries at degree bound d = {d} "
             f"(limit {max_nnz} nonzeros)"
         )
-    system = evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars)
+    system = evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars, max_nnz=max_nnz)
     transcript["rows"] = system.matrix.rows
     transcript["columns"] = system.matrix.cols
     transcript["nonzeros"] = system.matrix.nnz
-    _check_nonzeros(system, max_nnz)
     return _solved(system, transcript, keep_system)
 
 
@@ -346,8 +355,8 @@ def paper_decide(
     scramble the basis with find_scrambling's elementary matrix, which
     combines the pullbacks and a by the same matrix; pick the degree
     bound as decide does; check the c-variable count against max_nnz;
-    assemble the system and check its nonzeros; solve.  Returns what
-    decide returns."""
+    assemble the system, whose builder checks its nonzeros before it
+    fills the matrix; solve.  Returns what decide returns."""
     if not any(problem.b):
         raise PreconditionError("the base vector b must be nonzero")
     if not problem.conic_asserted:
@@ -379,9 +388,8 @@ def paper_decide(
             f"linear system too large: {c_variables} c-variables at degree "
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
-    system = assemble_system(d, a, pullbacks, problem.rep.ambient.nvars)
+    system = assemble_system(d, a, pullbacks, problem.rep.ambient.nvars, max_nnz=max_nnz)
     transcript["monomials"] = len(system.row_monomials)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz
-    _check_nonzeros(system, max_nnz)
     return _solved(system, transcript, keep_system)

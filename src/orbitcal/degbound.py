@@ -8,10 +8,12 @@ representation is
     weight polytope of the product of squared positive coroots,
 
 an exact rational integral that this module evaluates by barycentric
-simplex integration.  A closed form for binary forms of degree h
-(2*h^3 for odd h, h^3 for even h) and the classical orbit-degree
-formula for binary forms with finite stabilizer are included, together
-with a coarse parametric fallback bound usable for any representation.
+simplex integration; the caller triangulates the polytope (for binary
+forms, [-h, h] split at the origin).  A closed form for binary forms
+of degree h (2*h^3 for odd h, h^3 for even h) and the Aluffi-Faber
+orbit-degree formula for binary forms with finite stabilizer are
+included, together with a coarse parametric fallback bound usable for
+any representation.
 """
 
 from __future__ import annotations
@@ -98,24 +100,6 @@ class ReductiveData:
             return cls.from_json(json.load(fh))
 
 
-def split_interval(lo, hi) -> list[list[tuple[Fraction]]]:
-    """Rank-1 auto-triangulation: split [lo, hi] at the origin so the
-    integrand stays polynomial per piece and 0 is in the polytope."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo > 0 or hi < 0:
-        raise ValueError("rank-1 weight polytope must contain 0")
-    simplices = []
-    if lo < 0:
-        simplices.append([(lo,), (Fraction(0),)])
-    if hi > 0:
-        simplices.append([(Fraction(0),), (hi,)])
-    if not simplices:
-        raise ValueError("degenerate interval")
-    return simplices
-
-
 def simplex_integral(poly, simplex) -> Fraction:
     """Exact integral of a polynomial, a term dict with one exponent
     entry per coordinate, over a simplex of rank + 1 vertices in
@@ -200,7 +184,8 @@ def kazarnovskii_sl2(h: int) -> int:
 def sl2_reductive_data(h: int) -> ReductiveData:
     """Raw degree-formula inputs matching the binary-forms action:
     dimension 3, Weyl order 2, exponent 1, kernel of order 1 (h odd) or
-    2 (h even), single coroot, weight polytope [-h, h]."""
+    2 (h even), single coroot, weight polytope [-h, h] split at the
+    origin into two simplices."""
     if h < 1:
         raise ValueError("h must be >= 1")
     return ReductiveData(
@@ -209,7 +194,7 @@ def sl2_reductive_data(h: int) -> ReductiveData:
         exponents=[1],
         kernel_order=1 if h % 2 else 2,
         coroots=[(1,)],
-        polytope=split_interval(-h, h),
+        polytope=[[(-h,), (0,)], [(0,), (h,)]],
     )
 
 
@@ -218,11 +203,14 @@ def binary_form_orbit_degree(h: int, mults, stab_order: int = 1) -> Fraction:
     with root multiplicities mults = (n_1, ..., n_p):
 
         -2(p-1)h^3 - 4*sum (h-n_i)^3 + 3h^2*sum (h-n_i)
-        + 3h*sum (h-n_i)(h-2n_i),
+        + 3h*sum (h-n_i)(h-2n_i)  =  2*sum n_i(h-n_i)(h-2n_i),
 
-    divided by the stabilizer order.  Valid for p >= 3 and h/n_i >= 2;
-    inputs outside that domain are rejected, and a nonpositive value is
-    reported as inconsistent rather than returned."""
+    divided by the stabilizer order.  The published formula (left)
+    equals the short form (right) when sum n_i = h; the short form is
+    what is computed.  Valid for p >= 3 and h/n_i >= 2, and inputs
+    outside that domain are rejected.  On it every term of the short
+    form is >= 0, and with p >= 3 roots some n_i < h/2 makes one > 0, so
+    the value is positive."""
     mults = [int(n) for n in mults]
     p = len(mults)
     if p < 3:
@@ -235,16 +223,7 @@ def binary_form_orbit_degree(h: int, mults, stab_order: int = 1) -> Fraction:
         raise ValueError("each multiplicity must satisfy h/n >= 2")
     if stab_order < 1:
         raise ValueError("stabilizer order must be >= 1")
-    value = (
-        -2 * (p - 1) * h**3
-        - 4 * sum((h - n) ** 3 for n in mults)
-        + 3 * h**2 * sum(h - n for n in mults)
-        + 3 * h * sum((h - n) * (h - 2 * n) for n in mults)
-    )
-    if value <= 0:
-        raise InconsistentDataError(
-            f"orbit-degree formula produced {value} <= 0 for h={h}, mults={mults}"
-        )
+    value = 2 * sum(n * (h - n) * (h - 2 * n) for n in mults)
     return Fraction(value, stab_order)
 
 

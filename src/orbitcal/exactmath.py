@@ -19,7 +19,6 @@ elim.closure_equations, states when a lift restarts and when it ends.
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import isqrt, lcm, prod
@@ -36,8 +35,8 @@ REFUTATION = "REFUTATION"
 
 class SparseMatrix:
     """Sparse integer matrix stored by rows: row_terms[i] maps a column
-    to the nonzero int in row i, and entries is a read-only view of the
-    same values keyed by (row, col).  A matrix over Q is stored with one
+    to the nonzero int in row i, and entries is a new dict of the same
+    values keyed by (row, col).  A matrix over Q is stored with one
     common denominator cleared.  The constructor gives a zero matrix of
     the shape, whose row_terms the caller fills.  A negative dimension
     raises ValueError."""
@@ -52,8 +51,8 @@ class SparseMatrix:
         self.row_terms: list[dict[int, int]] = [{} for _ in range(rows)]
 
     @property
-    def entries(self) -> Mapping[tuple[int, int], int]:
-        return _Entries(self.row_terms)
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(i, j): v for i, row in enumerate(self.row_terms) for j, v in row.items()}
 
     @property
     def nnz(self) -> int:
@@ -61,27 +60,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-class _Entries(Mapping):
-    """Row term dicts as a read-only mapping (row, col) -> value."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __getitem__(self, key):
-        i, j = key
-        if 0 <= i < len(self._rows) and j in self._rows[i]:
-            return self._rows[i][j]
-        raise KeyError(key)
-
-    def __iter__(self):
-        for i, row in enumerate(self._rows):
-            for j in row:
-                yield i, j
-
-    def __len__(self):
-        return sum(map(len, self._rows))
 
 
 class ConsistencyWitness:

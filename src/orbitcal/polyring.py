@@ -8,8 +8,10 @@ that knows it: it parses text into a term dict and checks a given one
 (Fraction coefficients, no zero terms, the width and the signs of the
 exponents).  repmodel.RepresentationData and elim.SubspaceMap check
 what they are given through it, so outside input is checked where it
-enters.  Sums are add_scaled_inplace on the term dicts, and
-evaluate_terms gives the exact value at a point.
+enters.  Sums are add_scaled_inplace on the term dicts, evaluate_terms
+gives the exact value at a point, a plain sum of products of powers,
+and format_terms prints the terms in descending (degree, exponent)
+order.
 
 Every product runs on packed keys: monomial_images encodes an exponent
 tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
@@ -94,36 +96,14 @@ class Ambient:
         return f"Ambient(r={self.r}, s={self.s})"
 
 
-def _order_key(exp):
-    return (sum(exp), exp)
-
-
-def sorted_terms(terms) -> list:
-    """Terms in the storage/printing order: graded-lex, descending,
-    negative exponent entries compared as plain integers."""
-    return sorted(terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
-
-
 def evaluate_terms(terms, point) -> Fraction:
-    """Exact value of a term dict at a point of Fractions, each power of
-    a coordinate computed once."""
-    caches: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in point]
-
-    def power(i, e):
-        cache = caches[i]
-        got = cache.get(e)
-        if got is None:
-            got = point[i] ** e
-            cache[e] = got
-        return got
-
+    """Exact value of a term dict at a point of Fractions."""
     total = Fraction(0)
     for exp, coef in terms.items():
-        val = coef
         for i, e in enumerate(exp):
             if e:
-                val *= power(i, e)
-        total += val
+                coef *= point[i] ** e
+        total += coef
     return total
 
 
@@ -333,11 +313,13 @@ def json_list(value, depth: int = 1) -> list:
 
 
 def format_terms(terms, names) -> str:
-    """Render an exponent dict in the shared text format."""
+    """Render an exponent dict in the shared text format, terms in
+    descending (degree, exponent) order, negative exponent entries
+    compared as plain integers."""
     if not terms:
         return "0"
     parts = []
-    for exp, coef in sorted_terms(terms):
+    for exp, coef in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
         factors = []
         for i, e in enumerate(exp):
             if e == 0:

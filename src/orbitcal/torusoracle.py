@@ -11,8 +11,11 @@ character values of a single torus element, which over an
 algebraically closed field is a lattice condition on the ratio
 products.  Used as a second independent oracle on diagonal fixtures.
 
-The face condition is one exact linear feasibility question, answered
-by a phase-1 simplex over Fractions; no facet of the cone is computed.
+A vector enters through its weight spaces, its coordinate values
+grouped by weight, and its support is the set of weights whose group
+is nonzero.  The face condition is one exact linear feasibility
+question, answered by a phase-1 simplex over Fractions; no facet of
+the cone is computed.
 """
 
 from __future__ import annotations
@@ -22,33 +25,19 @@ from fractions import Fraction
 from orbitcal.exactmath import integer_left_kernel
 
 
-class WeightedVector:
-    """A vector together with one integer weight vector per coordinate."""
-
-    __slots__ = ("weights", "components")
-
-    def __init__(self, weights, components):
-        self.weights = [tuple(int(w) for w in wt) for wt in weights]
-        self.components = tuple(Fraction(x) for x in components)
-        if len(self.weights) != len(self.components):
-            raise ValueError("weights and components must have equal length")
-        if self.weights:
-            r = len(self.weights[0])
-            if any(len(wt) != r for wt in self.weights):
-                raise ValueError("inconsistent weight lengths")
-
-    def weight_spaces(self) -> dict[tuple[int, ...], list[Fraction]]:
-        """Aggregated projection onto each distinct weight (coordinate
-        values listed in coordinate order)."""
-        spaces: dict[tuple[int, ...], list[Fraction]] = {}
-        for wt, x in zip(self.weights, self.components):
-            spaces.setdefault(wt, []).append(x)
-        return spaces
-
-
-def support(wv: WeightedVector) -> set[tuple[int, ...]]:
-    """Weights whose full weight-space projection is nonzero."""
-    return {wt for wt, comp in wv.weight_spaces().items() if any(comp)}
+def _weight_spaces(weights, components) -> dict[tuple[int, ...], list[Fraction]]:
+    """The projection of a vector onto each distinct weight: its
+    coordinate values grouped by weight, in coordinate order."""
+    weights = [tuple(int(w) for w in wt) for wt in weights]
+    components = [Fraction(x) for x in components]
+    if len(weights) != len(components):
+        raise ValueError("weights and components must have equal length")
+    if any(len(wt) != len(weights[0]) for wt in weights):
+        raise ValueError("inconsistent weight lengths")
+    spaces: dict[tuple[int, ...], list[Fraction]] = {}
+    for wt, x in zip(weights, components):
+        spaces.setdefault(wt, []).append(x)
+    return spaces
 
 
 def _nonnegative_solution(columns, rhs):
@@ -125,10 +114,10 @@ def torus_decide(weights, a, b) -> bool:
     of cone(supp b) containing supp(a), the weight components of a and b
     are proportional with a single nonzero ratio per weight, and the
     ratios pass the lattice realizability check."""
-    wa = WeightedVector(weights, a)
-    wb = WeightedVector(weights, b)
-    Sa = support(wa)
-    Sb = support(wb)
+    spaces_a = _weight_spaces(weights, a)
+    spaces_b = _weight_spaces(weights, b)
+    Sa = {wt for wt, comp in spaces_a.items() if any(comp)}
+    Sb = {wt for wt, comp in spaces_b.items() if any(comp)}
     if not Sa <= Sb:
         return False
     if Sa != Sb:
@@ -142,8 +131,6 @@ def torus_decide(weights, a, b) -> bool:
         if _nonnegative_solution(columns, (0,) * len(weights[0]) + (1,)) is not None:
             return False
 
-    spaces_a = wa.weight_spaces()
-    spaces_b = wb.weight_spaces()
     pairs = []
     for wt in sorted(Sa):
         comp_a = spaces_a[wt]

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -44,6 +46,12 @@ def test_gen_sl2_entry(capsys):
     assert payload["rho"][1][1] == "1 + 2*x1^-2*x2*x3"
     assert payload["n"] == 3
     assert payload["degree_bound"] == 8
+
+
+def test_gen_label(capsys):
+    code, out, _ = run(["gen", "sl2", "--h", "2", "--label", "foo"], capsys)
+    assert code == 0
+    assert json.loads(out)["label"] == "foo"
 
 
 def test_gen_torus(capsys):
@@ -380,6 +388,20 @@ def test_crosscheck_quadratic_forms(tmp_path, capsys):
     assert "torus" not in payload["verdicts"]  # not a diagonal action
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [[["x1", "x1"], ["0", "x1^2"]], [["2*x1", "0"], ["0", "x1^2"]]],
+    ids=["off-diagonal-entry", "scaled-diagonal-entry"],
+)
+def test_crosscheck_runs_no_torus_oracle_off_diagonal_actions(tmp_path, capsys, rho):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "s": 0, "rho": rho, "degree_bound": None}))
+    code, out, _ = run(["crosscheck", "--rep", str(path), "--a", "0,0", "--b", "1,1", "--conify"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdicts"] == {"decider": "IN_CLOSURE", "elimination": "IN_CLOSURE"}
+
+
 
 def test_crosscheck_argument_handling(tmp_path, torus12, capsys):
     # crosscheck loads its problem exactly as decide does
@@ -654,9 +676,11 @@ def test_zero_denominator_exits_2(tmp_path, torus12, capsys, argv):
         (["degree", "sl2"], "degree sl2 requires --h"),
         (["degree", "binary-orbit"], "degree binary-orbit requires --h and --mults"),
         (["degree", "parametric"], "degree parametric requires --rep"),
+        (["degree", "kazarnovskii"], "degree kazarnovskii requires --data"),
+        (["oracle", "torus", "--weights", "1,0;1", "--a", "1,1", "--b", "1,1"], "inconsistent weight lengths"),
     ],
     ids=["decide-bound", "closure-point", "oracle-a", "gen-sl2", "gen-torus", "degree-sl2", "degree-binary-orbit",
-         "degree-parametric"],
+         "degree-parametric", "degree-kazarnovskii", "oracle-weights"],
 )
 def test_missing_or_misfit_options_exit_2(torus12, capsys, argv, message):
     if argv[0] in ("decide", "closure"):
@@ -722,3 +746,16 @@ def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeyp
         "evaluation system too large before assembly: 814385 columns + 814385 "
         "evaluation-row entries at degree bound d = 64 (limit 1000000 nonzeros)"
     ) in err
+
+
+def test_readme_cli_lines_parse():
+    # every command of README's CLI section is accepted by the parser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```text\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "orbitcal"
+        assert callable(parser.parse_args(argv[1:]).func), line

@@ -664,6 +664,44 @@ def test_evaluation_guard_after_assembly():
         decide(problem, max_nnz=count)
 
 
+@pytest.mark.parametrize("engine", [decide, paper_decide])
+def test_nonzero_guard_fires_before_the_matrix_is_filled(monkeypatch, engine):
+    # conified quadratic forms at d = 2 pass the counts checked before
+    # assembly (15 columns + 6 evaluation-row entries; 60 c-variables),
+    # but their systems hold more nonzeros: the builder raises with the
+    # system's shape before it makes the SparseMatrix
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), degree_bound_override=2)
+    limit = comb(6, 2) + comb(4, 2) if engine is decide else generic_coefficient_count(4, 2)
+    _, system = engine(problem, keep_system=True)
+    nonzeros, rows, cols = system.matrix.nnz, system.matrix.rows, len(system.col_keys)
+    assert limit < nonzeros
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("a SparseMatrix was made past the nonzero guard")
+
+    monkeypatch.setattr(decider, "SparseMatrix", unreachable)
+    with pytest.raises(ResourceLimitError, match=rf"^linear system too large: {nonzeros} nonzeros \(limit {limit}\), {rows} rows x {cols} columns$"):
+        engine(problem, max_nnz=limit)
+
+
+def test_override_below_the_representations_bound_is_noted():
+    # the conified cubic question of the README: its closure is a quartic
+    # and the representation's bound is 54, so IN at d = 3 rests on an
+    # unchecked degree
+    conic = make_conic(repmodel.sl2_binary_forms(3), (-1, 2, -1, -1), (-1, 1, 0, 2))
+    problem = DecisionProblem(*conic, degree_bound_override=3, conic_asserted=True)
+    note = "override d = 3 below the representation's bound 54: IN is sound only if the closure has degree <= 3"
+    decision = decide(problem)
+    assert decision.verdict == IN_CLOSURE
+    assert decision.transcript["degree_bound_note"] == note
+    assert paper_decide(problem).transcript["degree_bound_note"] == note
+    # an override equal to the bound gets no note
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), degree_bound_override=8)
+    decision = decide(problem)
+    assert (decision.verdict, decision.transcript["degree_bound_source"]) == (NOT_IN_CLOSURE, "override")
+    assert "degree_bound_note" not in decision.transcript
+
+
 def _denominator(alpha, pullbacks):
     return lcm(*(Fraction(c).denominator for c in [*alpha, *(c for psi in pullbacks for c in psi.values())]))
 

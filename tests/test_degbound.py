@@ -11,7 +11,6 @@ from orbitcal.degbound import (
     parametric_degree_bound,
     simplex_integral,
     sl2_reductive_data,
-    split_interval,
 )
 from orbitcal.errors import InconsistentDataError
 from orbitcal.polyring import Ambient
@@ -90,7 +89,7 @@ def test_kazarnovskii_sl2_raw_data():
         exponents=[1],
         kernel_order=2,
         coroots=[(1,)],
-        polytope=split_interval(-2, 2),
+        polytope=[[(-2,), (0,)], [(0,), (2,)]],
     )
     assert kazarnovskii(data) == 8
 
@@ -130,7 +129,7 @@ def test_kazarnovskii_h3_trivial_kernel():
         exponents=[1],
         kernel_order=1,
         coroots=[(1,)],
-        polytope=split_interval(-3, 3),
+        polytope=[[(-3,), (0,)], [(0,), (3,)]],
     )
     assert kazarnovskii(data) == 54
 
@@ -153,15 +152,6 @@ def test_kazarnovskii_rejects_non_integer():
         kazarnovskii(data)
 
 
-def test_split_interval_enforces_origin():
-    assert split_interval(-2, 2) == [
-        [(Fraction(-2),), (Fraction(0),)],
-        [(Fraction(0),), (Fraction(2),)],
-    ]
-    with pytest.raises(ValueError):
-        split_interval(1, 3)
-
-
 def test_binary_form_orbit_degree_simple_roots():
     assert binary_form_orbit_degree(3, (1, 1, 1)) == 12
     assert binary_form_orbit_degree(4, (1, 1, 1, 1)) == 48
@@ -176,6 +166,37 @@ def test_binary_form_orbit_degree_stabilizer_division():
 def test_binary_form_orbit_degree_double_root():
     # h=4, mults=(2,1,1): -256 - 4*(8+27+27) + 3*16*8 + 3*4*(0+6+6) = 24
     assert binary_form_orbit_degree(4, (2, 1, 1)) == 24
+
+
+def _published_orbit_degree(h, mults):
+    p = len(mults)
+    return (
+        -2 * (p - 1) * h**3
+        - 4 * sum((h - n) ** 3 for n in mults)
+        + 3 * h**2 * sum(h - n for n in mults)
+        + 3 * h * sum((h - n) * (h - 2 * n) for n in mults)
+    )
+
+
+def test_binary_form_orbit_degree_matches_the_published_formula():
+    # every multiplicity list of h = 3..12 in the domain (p >= 3, each
+    # n <= h/2), in every order: the short form computed equals the
+    # published formula, and is positive
+    def lists(h, top):
+        if h == 0:
+            yield ()
+        for n in range(1, min(h, top) + 1):
+            for rest in lists(h - n, top):
+                yield (n,) + rest
+
+    count = 0
+    for h in range(3, 13):
+        for mults in lists(h, h // 2):
+            if len(mults) >= 3:
+                value = binary_form_orbit_degree(h, mults)
+                assert value == _published_orbit_degree(h, mults) > 0, (h, mults)
+                count += 1
+    assert count > 1000
 
 
 def test_binary_form_orbit_degree_rejects_bad_inputs():

@@ -106,6 +106,9 @@ def test_diagonal_weights_extraction():
     rep = torus_diagonal([(1, 0), (0, 2)])
     assert diagonal_weights(rep) == [(1, 0), (0, 2)]
     assert diagonal_weights(sl2_binary_forms(1)) is None
+    # an off-diagonal entry, and a diagonal entry that is not a bare monomial
+    for rho in ([["x1", "x1"], ["0", "x1^2"]], [["2*x1", "0"], ["0", "x1^2"]]):
+        assert diagonal_weights(RepresentationData(2, 1, 0, rho)) is None
 
 
 def test_make_conic_torus():

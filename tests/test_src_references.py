@@ -6,7 +6,9 @@ only through an attribute, so that a free function of the same name
 does not keep it.  An attribute on self or cls inside class C, or on
 the name of a src class C, keeps only C's method of that name; on any
 other receiver it keeps the method of that name of every class.  A
-helper left behind by a refactor fails here."""
+private module-level function, class or constant (one underscore, not
+a dunder) must be named somewhere in src/orbitcal outside its own
+definition.  A helper left behind by a refactor fails here."""
 
 import ast
 from pathlib import Path
@@ -94,3 +96,46 @@ def test_every_public_definition_runs_or_is_a_listed_test_reference():
 
 def test_listed_test_references_are_used_by_the_tests():
     assert _unreferenced(TESTS, TEST_REFERENCES) == set()
+
+
+def _private_definitions(node):
+    """The private module-level names that node defines: a function, a
+    class or an assigned name starting with one underscore, not a
+    dunder."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [target.id for target in targets if isinstance(target, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_used(node):
+    """Every name that node reads: loaded names, attributes and imported
+    names."""
+    used = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+        elif isinstance(child, ast.alias):
+            used.add(child.name.rpartition(".")[2])
+    return used
+
+
+def _unused_private_definitions(paths):
+    nodes = [(path.stem, node) for path in paths for node in _tree(path).body]
+    used = [_names_used(node) for _, node in nodes]
+    unused = set()
+    for i, (module, node) in enumerate(nodes):
+        for name in _private_definitions(node):
+            if not any(name in names for k, names in enumerate(used) if k != i):
+                unused.add(f"{module}.{name}")
+    return unused
+
+
+def test_every_private_definition_is_named_elsewhere_in_src():
+    assert _unused_private_definitions(SRC) == set()

@@ -10,10 +10,9 @@ from orbitcal.exactmath import det
 from orbitcal.fixtures import diagonal_battery
 from orbitcal.repmodel import torus_diagonal
 from orbitcal.torusoracle import (
-    WeightedVector,
     _nonnegative_solution,
+    _weight_spaces,
     scaling_exists,
-    support,
     torus_decide,
 )
 
@@ -45,12 +44,26 @@ def _in_cone(point, gens):
     return False
 
 
+def _support(weights, components):
+    return {wt for wt, comp in _weight_spaces(weights, components).items() if any(comp)}
+
+
 def test_support_examples():
-    assert support(WeightedVector([(1,), (-1,)], (1, 0))) == {(1,)}
-    assert support(WeightedVector([(1,), (-1,)], (0, 0))) == set()
+    assert _support([(1,), (-1,)], (1, 0)) == {(1,)}
+    assert _support([(1,), (-1,)], (0, 0)) == set()
     # aggregation: the weight-1 projection (1, -1) is nonzero
-    assert support(WeightedVector([(1,), (1,), (2,)], (1, -1, 5))) == {(1,), (2,)}
-    assert support(WeightedVector([(1,), (1,), (2,)], (1, 1, 0))) == {(1,)}
+    assert _support([(1,), (1,), (2,)], (1, -1, 5)) == {(1,), (2,)}
+    assert _support([(1,), (1,), (2,)], (1, 1, 0)) == {(1,)}
+    assert _weight_spaces([(1,), (1,), (2,)], (1, -1, 5)) == {(1,): [1, -1], (2,): [5]}
+
+
+def test_torus_decide_checks_its_input():
+    with pytest.raises(ValueError, match="weights and components must have equal length"):
+        torus_decide([(1,), (2,)], (1, 0, 0), (1, 1))
+    with pytest.raises(ValueError, match="weights and components must have equal length"):
+        torus_decide([(1,), (2,)], (1, 0), (1,))
+    with pytest.raises(ValueError, match="inconsistent weight lengths"):
+        torus_decide([(1, 0), (1,)], (1, 1), (1, 1))
 
 
 def test_in_cone_rank_one():
