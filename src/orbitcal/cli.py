@@ -7,11 +7,14 @@ parameters, 3 violated precondition (crosscheck only), 4 resource limit
 (the decider's system size, the elimination's pair budget), 5
 inconsistent degree data, 6 oracle disagreement, 7 internal error (any
 other exception, such as a certificate that fails its exact plug-back).
+`cli.main(argv)` returns the exit code for every outcome, including usage
+errors, and a process builds its parser once.
 ORBITCAL_MAX_NNZ, a positive integer, overrides the system size limit."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -195,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="semicolon-separated integer tuples, e.g. '1,0;0,1'")
     p.add_argument("--label", default="")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
     # the options of decide and crosscheck
     question = argparse.ArgumentParser(add_help=False)
@@ -208,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     question.add_argument("--verbose", action="store_true")
     question.add_argument("--out")
 
-    p = sub.add_parser("decide", parents=[question], help="decide closure membership")
-    p.set_defaults(func=cmd_decide)
+    sub.add_parser("decide", parents=[question], help="decide closure membership")
 
     p = sub.add_parser("closure", help="emit defining equations of an orbit/subspace closure")
     p.add_argument("--rep", required=True)
@@ -217,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     swept.add_argument("--point", help="comma-separated rationals")
     swept.add_argument("--subspace", help="path to a subspace JSON file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("degree", help="exact degree values and bounds")
     p.add_argument("kind", choices=["sl2", "kazarnovskii", "binary-orbit", "parametric"])
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mults", help="comma-separated multiplicities")
     p.add_argument("--stab", type=int, default=1)
     p.add_argument("--rep")
-    p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("oracle", help="independent oracles")
     oracle_sub = p.add_subparsers(dest="oracle_kind", required=True)
@@ -234,20 +233,37 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--weights", required=True)
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
-    q.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("crosscheck", parents=[question], help="run all applicable oracles and compare")
     p.add_argument("--assume-conic", action="store_true", help="assert that the orbit of b is conic")
-    p.set_defaults(func=cmd_crosscheck)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; main never changes it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
+    # looked up on every call, not stored in the parser, so that a cmd_*
+    # function replaced after the parser was built (as perfbench's tracer
+    # does) is the one that runs
+    handler = {
+        "gen": cmd_gen,
+        "decide": cmd_decide,
+        "closure": cmd_closure,
+        "degree": cmd_degree,
+        "oracle": cmd_oracle,
+        "crosscheck": cmd_crosscheck,
+    }[args.command]
+    try:
+        return handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

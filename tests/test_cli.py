@@ -758,4 +758,93 @@ def test_readme_cli_lines_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)
         assert argv[0] == "orbitcal"
-        assert callable(parser.parse_args(argv[1:]).func), line
+        assert callable(getattr(cli, "cmd_" + parser.parse_args(argv[1:]).command)), line
+
+
+def test_usage_errors_return_their_exit_code(tmp_path, torus12, capsys):
+    # argparse's own outcomes come back from main, not as SystemExit, and
+    # leave the process's one parser fit for the next question
+    code = cli.main(["decide"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_PARAMS == 2
+    assert out == ""
+    assert "orbitcal decide: error: the following arguments are required: --rep, --a, --b" in err
+    sub = tmp_path / "line.json"
+    sub.write_text(json.dumps({"l": 1, "images": ["y1", "1"]}))
+    code = cli.main(["closure", "--rep", torus12, "--point", "1,1", "--subspace", str(sub)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "argument --subspace: not allowed with argument --point" in err
+    code = cli.main(["decide", "--help"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("usage: orbitcal decide") and err == ""
+    code = cli.main(["decide", "--rep", torus12, "--a", "0,0", "--b", "1,1", "--conify", "--degree-bound", "2"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["verdict"] == "IN_CLOSURE"
+
+
+def test_calls_sharing_the_parser_are_isolated():
+    # a value one call sets must not leak as a default into the next
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```text\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    assert len(lines) == 11
+    non_default = [
+        ["degree", "binary-orbit", "--h", "3", "--mults", "1,1,1", "--stab", "2"],
+        ["decide", "--rep", "rep.json", "--a", "0,0", "--b", "1,1", "--seed", "5", "--verbose", "--conify"],
+        ["closure", "--rep", "rep.json", "--subspace", "L.json"],
+    ]
+    shared = cli._parser()
+    for argv in lines + lines + lines[::-1]:
+        for args in non_default + [argv]:
+            assert vars(shared.parse_args(args)) == vars(cli.build_parser().parse_args(args)), args
+    assert cli._parser() is shared
+
+
+def test_verbose_does_not_outlive_its_call(torus12, capsys):
+    argv = ["decide", "--rep", torus12, "--a", "1,0", "--b", "1,1", "--conify", "--degree-bound", "2"]
+    code, out, _ = run(argv + ["--verbose"], capsys)
+    assert code == 1 and "transcript" in json.loads(out)
+    code, out, _ = run(argv, capsys)
+    assert code == 1 and "transcript" not in json.loads(out)
+
+
+def test_one_process_builds_one_parser(torus12, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    calls = [
+        (["degree", "sl2", "--h", "2"], 0),
+        (["oracle", "torus", "--weights", "1;2", "--a", "1,0", "--b", "1,1"], 1),
+        (["decide", "--rep", torus12, "--a", "0,0", "--b", "1,1", "--conify", "--degree-bound", "2"], 0),
+        (["degree", "sl2", "--h", "3"], 0),
+        (["oracle", "torus", "--weights", "1;2", "--a", "0,0", "--b", "1,1"], 0),
+    ]
+    for argv, want in calls:
+        assert run(argv, capsys)[0] == want, argv
+    assert len(built) == 1
+    assert build() is not build()
+
+
+def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
+    # a wrapper installed after the parser was built (perfbench's tracer
+    # wraps every cmd_*) still sees the call
+    assert run(["degree", "sl2", "--h", "2"], capsys)[:2] == (0, "8\n")
+    seen = []
+    original = cli.cmd_degree
+
+    def wrapped(args):
+        seen.append(args.kind)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_degree", wrapped)
+    assert run(["degree", "sl2", "--h", "3"], capsys)[:2] == (0, "54\n")
+    assert seen == ["sl2"]
