@@ -4,10 +4,13 @@ The image closure of the joint parametrization (group parameters x,
 subspace parameters y) -> rho(x) . tau(y) is cut out by the elements
 of a reduced Groebner basis that involve only the ambient coordinates
 z, computed under a block order t | x | y | z in which the auxiliary
-variables (the saturation variable t, the group parameters x, the
-subspace parameters y) all dominate the z's; closure_equations builds
-the generators straight from rho and tau as term dicts.  This is the
-independent oracle against the linear-system decider.
+variables all dominate the z's.  The saturation variable t enters as
+1 - t x^S over the set S of invertible parameters that the joined
+images psi invert, and there is no t when psi is polynomial;
+closure_equations builds the generators straight from rho and tau as
+term dicts, and its docstring says why saturating by S alone gives the
+same ideal.  This is the independent oracle against the linear-system
+decider.
 
 buchberger takes and returns term dicts keyed by exponent tuples, like
 the rest of orbitcal; inside, normal_form, s_polynomial and the pair
@@ -447,18 +450,26 @@ def closure_equations(
     """Polynomials in z1..zn whose common zero set is the closure of the
     swept subspace under the parametrized action.
 
-    The ring has the variables t | x | y | z, each block dominating the
-    next: the saturation variable t when there are invertible parameters
-    (r > 0), the r + s group parameters x, the l subspace parameters y
-    and the coordinates z; an empty x or y block is dropped.  Generator
-    p is x^m_p z_p - x^m_p psi_p, with psi_p = sum_q rho[p][q] tau_q the
-    joined image and x^m_p the monomial that clears its negative
-    exponents on the invertible variables; with r > 0 the generator
-    1 - t x1...xr saturates by those variables.  So the ideal is that of
-    the graph of (x, y) -> psi(x, y) over the invertible parameters
-    nonzero, and the basis elements with no exponent before the z block
-    generate its intersection with Q[z] (elimination property of the
-    block order), the ideal of the closure of the image.
+    Generator p is x^m_p z_p - x^m_p psi_p, with psi_p = sum_q
+    rho[p][q] tau_q the joined image and x^m_p the monomial that clears
+    its negative exponents on the invertible variables.  Let S be the
+    invertible x_k with m_p[k] > 0 for some p.  When S is nonempty, the
+    generator 1 - t x^S, x^S the product of the x_k in S, saturates by
+    them; when S is empty, psi is polynomial and the ring has no t.  The
+    ring has the variables t | x | y | z, each block dominating the
+    next: t, the r + s group parameters x, the l subspace parameters y
+    and the coordinates z; an empty block is dropped.
+
+    Why S suffices: let J be the ideal of the x^m_p (z_p - psi_p).  For
+    any T containing S, J : (x_T)^infinity is the kernel of the
+    substitution Q[x, y, z] -> Q[x, y, x_T^-1], z -> psi, the ideal of
+    the graph of (x, y) -> psi(x, y) over x_T nonzero.  psi lies in
+    Q[x, y, x_S^-1], a subring of Q[x, y, (x1...xr)^-1], so the kernel
+    is the same for T = S as for every invertible parameter; when S is
+    empty, J is already that kernel, and it is prime.  The basis
+    elements with no exponent before the z block generate its
+    intersection with Q[z] (elimination property of the block order),
+    the ideal of the closure of the image.
 
     exactmath._lift runs buchberger over Z/p, prime after prime, skipping
     a prime that divides a denominator of the generators, and lifts the
@@ -470,8 +481,21 @@ def closure_equations(
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
-    t = (0,) * (r > 0)
-    names = ["t"] * (r > 0) + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
+
+    # psi_p as a dict over (x..., y...) exponents: x and y are disjoint
+    # variables, so a product of terms joins their exponents
+    images, clearing = [], []
+    for p in range(n):
+        image: dict = {}
+        for q in range(n):
+            entry, tau_q = rep.rho[p][q].items(), tau.images[q].items()
+            add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
+        images.append(image)
+        clearing.append(tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l))
+    # the exponents of x^S: 1 on the invertible parameters that psi inverts
+    inverted = tuple(int(any(m[k] for m in clearing)) for k in range(r))
+    t = (0,) * any(inverted)
+    names = ["t"] * len(t) + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
     blocks, width = [], 0
     for size in (len(t), r + rep.s, l, n):
         if size:
@@ -479,24 +503,16 @@ def closure_equations(
         width += size
     z_start = width - n
 
-    # psi_p as a dict over (x..., y...) exponents: x and y are disjoint
-    # variables, so a product of terms joins their exponents.  The z term
-    # comes first, then the image terms in image order; no two keys
-    # collide, as only the z term has a z exponent
-    generators, images = [], []
-    for p in range(n):
-        image: dict = {}
-        for q in range(n):
-            entry, tau_q = rep.rho[p][q].items(), tau.images[q].items()
-            add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
-        images.append(image)
-        m = tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l)
+    # the z term comes first, then the image terms in image order; no two
+    # keys collide, as only the z term has a z exponent
+    generators = []
+    for p, (image, m) in enumerate(zip(images, clearing)):
         g = {t + m + (0,) * p + (1,) + (0,) * (n - 1 - p): Fraction(1)}
         for e, c in image.items():
             g[t + tuple(map(add, e, m)) + (0,) * n] = -c
         generators.append(g)
-    if r:
-        generators.append({(0,) * width: Fraction(1), (1,) * (r + 1) + (0,) * (width - r - 1): Fraction(-1)})
+    if t:
+        generators.append({(0,) * width: Fraction(1), (1,) + inverted + (0,) * (width - r - 1): Fraction(-1)})
 
     ring = OrderedRing(names, blocks)
     denominators = lcm(*(c.denominator for g in generators for c in g.values()))

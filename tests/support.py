@@ -1,13 +1,15 @@
 """Reference code that only the tests use: the numeric group action, the
 sl2 substitution rule written out by hand, the schoolbook product of
 term dicts, dense integer rows as a SparseMatrix, the rank over Q of
-dense rows, and the two ways of
-comparing elim's results over Z/p with rational ones: rational term
-dicts mapped into Z/p, and results over Z/p lifted to Q."""
+dense rows, the two ways of comparing elim's results over Z/p with
+rational ones (rational term dicts mapped into Z/p, and results over
+Z/p lifted to Q), and elim's closure over Z/p saturated by every
+invertible parameter."""
 
 from fractions import Fraction
 from math import comb
 
+from orbitcal.elim import OrderedRing, SubspaceMap, buchberger
 from orbitcal.exactmath import SparseMatrix, _crt, _primes, _reconstruct
 from orbitcal.polyring import evaluate_terms
 from orbitcal.repmodel import RepresentationData, Vec, vector
@@ -142,3 +144,51 @@ def lift(modular):
             if lifted == last:
                 return lifted
         last = lifted
+
+
+def joined_images(rep: RepresentationData, tau: SubspaceMap) -> list[dict]:
+    """psi_p = sum_q rho[p][q] tau_q, term dicts over the exponents of
+    the group parameters x followed by the subspace parameters y, by
+    schoolbook products."""
+    nx, l = rep.ambient.nvars, tau.l
+    images = []
+    for row in rep.rho:
+        image = {}
+        for entry, tau_q in zip(row, tau.images):
+            left = {e + (0,) * l: c for e, c in entry.items()}
+            right = {(0,) * nx + e: c for e, c in tau_q.items()}
+            for e, c in convolve(left, right).items():
+                image[e] = image.get(e, 0) + c
+        images.append({e: c for e, c in image.items() if c})
+    return images
+
+
+def saturated_by_all(rep: RepresentationData, tau: SubspaceMap, p) -> list[dict]:
+    """The z-only elements of the reduced Groebner basis over Z/p, under
+    the block order t | x | y | z, of the generators x^m_p (z_p - psi_p)
+    and, when r > 0, 1 - t*x1*...*xr: the saturation by every invertible
+    parameter, x^m_p clearing the negative exponents of psi_p.  Term
+    dicts keyed by z exponents, with residues in [0, p); the reference
+    for elim.closure_equations, which saturates by the parameters that
+    psi inverts."""
+    n, r, k = rep.n, rep.r, rep.ambient.nvars + tau.l
+    t = 1 if r else 0
+    names = ["t"] * t + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
+    blocks = [range(t), range(t, t + rep.ambient.nvars), range(t + rep.ambient.nvars, t + k), range(t + k, t + k + n)]
+    ring = OrderedRing(names, [block for block in blocks if block])
+    generators = []
+    for i, image in enumerate(joined_images(rep, tau)):
+        m = [max([0] + [-e[j] for e in image]) if j < r else 0 for j in range(k)]
+        z = [0] * n
+        z[i] = 1
+        g = {tuple([0] * t + m + z): Fraction(1)}
+        for e, c in image.items():
+            g[tuple([0] * t + [a + b for a, b in zip(e, m)] + [0] * n)] = -c
+        generators.append(g)
+    if r:
+        generators.append({(0,) * (t + k + n): Fraction(1), tuple([1] * (1 + r) + [0] * (k - r + n)): Fraction(-1)})
+    return [
+        {e[t + k :]: c for e, c in g.items()}
+        for g in buchberger(generators, ring, p)
+        if all(not any(e[: t + k]) for e in g)
+    ]

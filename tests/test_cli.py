@@ -23,10 +23,7 @@ SL2_REDUCTIVE = {
 
 
 def run(args, capsys):
-    try:
-        code = cli.main(args)
-    except SystemExit as exc:  # argparse errors
-        code = exc.code
+    code = cli.main(args)
     out, err = capsys.readouterr()
     return code, out, err
 

@@ -1,6 +1,7 @@
 """Conified binary-form orbits whose eliminations need the sugar strategy
-to close at the default pair budget: the cubic z1^2 z2, the quintic z1^5
-and the quartic z1^3 z2.
+and the saturation by the inverted parameters alone to close at the
+default pair budget: the cubic z1^2 z2, the quintic z1^5, the quartic
+z1^3 z2, the sextic z1^6 and the quintic z1^4 z2.
 
 Each equation set is checked the way the benchmark checks a closure:
 every equation vanishes at scaled orbit points (s, s*v), where v is the
@@ -58,18 +59,28 @@ def _cone_points(multiplicities):
 PINS = {
     (2, 1): (
         "001af654dca3fbb914c6c61c26783483568f1ccf549afd0a35b71b1101fb48d2",
-        "buchberger: 8430 pairs formed, 6953 dropped by criterion M, 505 by F, 291 by B, "
-        "681 S-polynomials reduced, 494 to zero, basis 193 elements",
+        "buchberger: 4714 pairs formed, 3619 dropped by criterion M, 355 by F, 317 by B, "
+        "423 S-polynomials reduced, 287 to zero, basis 142 elements",
     ),
     (5,): (
         "a3929c7ac60e4b5f02e720a32a743c22673fdb44a4b8563eb46b6f91fddb3f8f",
-        "buchberger: 112979 pairs formed, 101226 dropped by criterion M, 3604 by F, 5139 by B, "
-        "3010 S-polynomials reduced, 1971 to zero, basis 1047 elements",
+        "buchberger: 4999 pairs formed, 3779 dropped by criterion M, 265 by F, 457 by B, "
+        "498 S-polynomials reduced, 333 to zero, basis 173 elements",
     ),
     (3, 1): (
         "6931e5b9dc9ce14144704697f03772b0da71b8560dc66fa373511be98b8f36fb",
-        "buchberger: 79409 pairs formed, 71454 dropped by criterion M, 2880 by F, 2213 by B, "
-        "2862 S-polynomials reduced, 2134 to zero, basis 735 elements",
+        "buchberger: 12057 pairs formed, 9512 dropped by criterion M, 732 by F, 932 by B, "
+        "881 S-polynomials reduced, 600 to zero, basis 288 elements",
+    ),
+    (6,): (
+        "2c5e32b2c8e470d3156f495be1ac0ffad4e1e4169b9224efd021cb8151db4d1b",
+        "buchberger: 7065 pairs formed, 5382 dropped by criterion M, 346 by F, 621 by B, "
+        "716 S-polynomials reduced, 508 to zero, basis 217 elements",
+    ),
+    (4, 1): (
+        "86b3c9e247d0de22a55d9b88f3c3b38f9b92668a683121da7d328666c288a57b",
+        "buchberger: 48713 pairs formed, 41953 dropped by criterion M, 2132 by F, 2556 by B, "
+        "2072 S-polynomials reduced, 1434 to zero, basis 646 elements",
     ),
 }
 
@@ -80,8 +91,10 @@ PINS = {
         ((2, 1), [4]),  # the discriminant of the binary cubic
         ((5,), [2] * 10),  # the cone over the rational normal quintic
         ((3, 1), [2, 3, 4]),
+        ((6,), [2] * 15),  # the cone over the rational normal sextic
+        ((4, 1), [2, 2, 2, 3, 3, 4]),
     ],
-    ids=["cubic-z1^2z2", "quintic-z1^5", "quartic-z1^3z2"],
+    ids=["cubic-z1^2z2", "quintic-z1^5", "quartic-z1^3z2", "sextic-z1^6", "quintic-z1^4z2"],
 )
 def test_cone_closes_at_default_budget(multiplicities, degrees, caplog):
     h = sum(multiplicities)
