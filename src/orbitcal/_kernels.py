@@ -14,8 +14,8 @@ they produce unreduced: a sum that is a nonzero multiple of p stays in
 the dict, and elim.normal_form reduces each term mod p when it reads it.
 add_scaled_inplace works on any keys: it makes the sums of
 repmodel.combine (the coordinate pullbacks and paper_decide's
-scramble), the sl2 entries, the decider's columns, elim's joined images
-and its check, and substitute.  BACKEND names the implementation for
+scramble), the sl2 entries, the decider's columns, elim's check and
+substitute.  BACKEND names the implementation for
 run reports; there is only this pure-Python one.
 """
 

@@ -6,11 +6,14 @@ of a reduced Groebner basis that involve only the ambient coordinates
 z, computed under a block order t | x | y | z in which the auxiliary
 variables all dominate the z's.  The saturation variable t enters as
 1 - t x^S over the set S of invertible parameters that the joined
-images psi invert, and there is no t when psi is polynomial;
-closure_equations builds the generators straight from rho and tau as
-term dicts, and its docstring says why saturating by S alone gives the
-same ideal.  This is the independent oracle against the linear-system
-decider.
+images psi invert, and there is no t when psi is polynomial.  A
+parameter x_k that a coordinate's image equals up to a scalar, psi_p =
+c x_k (the scaling parameter of a conified orbit, say), is substituted
+out first: x_k becomes z_p / c in the other generators and p's
+generator goes.  closure_equations builds the generators straight from
+rho and tau as term dicts, and its docstring says why saturating by S
+alone and the substitution leave the ideal in Q[z] as it is.  This is
+the independent oracle against the linear-system decider.
 
 buchberger takes and returns term dicts keyed by exponent tuples, like
 the rest of orbitcal; inside, normal_form, s_polynomial and the pair
@@ -30,9 +33,10 @@ denominator of the generators.  _lift lifts the z-only elements to Q
 with their supports as the shape: CRT while the supports agree,
 rational reconstruction, and the next prime while a value does not
 reconstruct or a lift fails the check; it states when it restarts and
-when it gives up.  The check is exact: f(psi) = 0 over Q for every
-lifted f, on the joined images psi of the parametrization, so each
-returned equation vanishes on the image and on its closure.
+when it gives up.  The check is exact: f(psi) = 0 for every lifted f,
+on the joined images psi of the parametrization before any
+substitution, summed in integers (see _vanish_on), so each returned
+equation vanishes on the image and on its closure.
 
 The remaining risk is an unlucky prime for which the basis over Z/p is
 not the image of the one over Q but whose lift still passes the check:
@@ -152,10 +156,6 @@ class OrderedRing:
     def degree(self, key) -> int:
         return (key >> self._degree_shift) & _FIELD
 
-    def lcm(self, a, b) -> int:
-        """pack of the entrywise max of two checked monomials."""
-        return self.lift(self.plain_lcm(a, b))
-
     def plain_lcm(self, a, b) -> int:
         """The plain fields of lcm(a, b), each the larger of a's and b's,
         chosen through their guards."""
@@ -188,23 +188,20 @@ def _monic(poly, p):
     return {e: c * inv % p for e, c in poly.items()}
 
 
-def normal_form(poly, basis, ring: OrderedRing, p, leads=None):
+def normal_form(poly, reducers, ring: OrderedRing, p):
     """Remainder mod p of full multivariate division on packed monomials;
     zero iff poly is in the ideal generated by a Groebner basis over
-    Z/p.  poly's coefficients may be any ints, the remainder's are
-    residues in [0, p).  Every basis element must be monic with residue
-    coefficients, as buchberger keeps them, so a reduction step scales
-    by the term's residue alone.  leads, when given, lists the leading
-    monomials of basis in the same order.  A term is reduced mod p when
-    it is taken from the work polynomial and dropped if that is 0;
-    otherwise it is checked against the exponent range (see
-    OrderedRing) before it is reduced or kept."""
+    Z/p.  reducers lists the divisors as (element, lead) pairs, lead the
+    element's leading monomial.  poly's coefficients may be any ints,
+    the remainder's are residues in [0, p), with its terms in decreasing
+    order.  Every element must be monic with residue coefficients, as
+    buchberger keeps them, so a reduction step scales by the term's
+    residue alone.  A term is reduced mod p when it is taken from the
+    work polynomial and dropped if that is 0; otherwise it is checked
+    against the exponent range (see OrderedRing) before it is reduced
+    or kept."""
     work = dict(poly)
     remainder = {}
-    if leads is None:
-        reducers = [(g, max(g)) for g in basis if g]
-    else:
-        reducers = list(zip(basis, leads))
     guards = ring.guards
     while work:
         e = max(work)
@@ -231,12 +228,12 @@ def normal_form(poly, basis, ring: OrderedRing, p, leads=None):
     return remainder
 
 
-def s_polynomial(f, g, ring: OrderedRing):
-    """The S-polynomial of two monic polynomials on packed monomials.
-    Its int coefficients are left unreduced for normal_form; the leads
-    cancel exactly, 1 - 1, so no modulus is needed here."""
+def s_polynomial(f, g, lcm):
+    """The S-polynomial of two monic polynomials on packed monomials,
+    lcm the key of the lcm of their leads.  Its int coefficients are
+    left unreduced for normal_form; the leads cancel exactly, 1 - 1, so
+    no modulus is needed here."""
     lf, lg = max(f), max(g)
-    lcm = ring.lcm(lf, lg)
     out = {}
     term_times_into(out, f, lcm - lf, 1)
     term_times_into(out, g, lcm - lg, -1)
@@ -264,18 +261,21 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
     inverted by pow(c, -1, p), as s_polynomial and normal_form require,
     so no other scaling changes a pair, a lead or a remainder.  The
     result is the reduced monic basis, sorted by leading monomial, hence
-    canonical.
+    canonical, each element with its terms in decreasing order.
 
     One DEBUG line on the orbitcal.elim logger tells where the candidate
     pairs went: dropped by criterion M, by F (an equal lcm, or coprime
     leads), by B, or reduced; when the run finishes, these four add up
     to the pairs formed."""
     guards, plain, degree = ring.guards, ring.plain, ring.degree
+    plain_guards = guards & plain
     plain_lcm, lift = ring.plain_lcm, ring.lift
     basis: list = []
     leads: list = []
+    plains: list = []  # the leads' plain fields
     ecarts: list = []  # sugar minus lead degree
     active: list = []
+    reducers: list = []  # (element, lead) of the active elements, in step with active
     # queued pairs and their lcm in plain fields; the heap is keyed by the
     # sugar, then by the lcm in the order, then by the indices, so pops
     # are deterministic, and a popped pair no longer in queued was
@@ -293,18 +293,24 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
                 f"{len(basis)} elements, {reduced} S-polynomials reduced)"
             )
         new, lh = len(basis), max(h)
-        # the lcms with lh, in plain fields, of the active elements; they
-        # take the same divisibility test, and sorted() lists a proper
-        # divisor before its multiples
+        # the lcms with lh, in plain fields, of the active elements, each
+        # the larger field of the two chosen through the guards as in
+        # OrderedRing.plain_lcm; they take the same divisibility test, and
+        # sorted() lists a proper divisor before its multiples
         ph = lh & plain
+        above = ph | plain_guards
         lcms = {}
         partners, coprime = {}, set()  # per lcm: its active partners
+        retire = False
         for i in active:
-            lead = leads[i]
-            lcm = lcms[i] = plain_lcm(lead, lh)
+            pa = plains[i]
+            ge = (above - pa) & plain_guards  # guard set where lh's exponent is at least lead i's
+            lcm = lcms[i] = pa ^ ((pa ^ ph) & (ge - (ge >> (SLOT_BITS - 1))))
             partners.setdefault(lcm, []).append(i)
-            if lcm == (lead + lh) & plain:  # coprime leads
+            if lcm == pa + ph:  # coprime leads
                 coprime.add(lcm)
+            if lcm == pa:  # lh divides lead i
+                retire = True
         # criterion B: lh divides the pair's lcm, which neither new lcm equals
         for pair in [pair for pair, lcm in queued.items() if not (lcm - ph) & guards]:
             lcm = queued[pair]
@@ -334,9 +340,13 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
                     heappush(heap, (degree(key) + max(ecarts[i], ecart), key, (i, new)))
         basis.append(h)
         leads.append(lh)
+        plains.append(ph)
         ecarts.append(ecart)
-        active[:] = [i for i in active if (leads[i] - lh) & guards]
+        if retire:
+            active[:] = [i for i in active if lcms[i] != plains[i]]
+            reducers[:] = [(basis[i], leads[i]) for i in active]
         active.append(new)
+        reducers.append((h, lh))
 
     try:
         for g in generators:
@@ -353,13 +363,13 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
             raise ValueError("need at least one nonzero generator")
 
         while heap:
-            sugar, _, pair = heappop(heap)
+            sugar, lcm, pair = heappop(heap)
             if queued.pop(pair, None) is None:
                 continue
             i, j = pair
-            s = s_polynomial(basis[i], basis[j], ring)
+            s = s_polynomial(basis[i], basis[j], lcm)
             reduced += 1
-            r = normal_form(s, [basis[k] for k in active], ring, p, leads=[leads[k] for k in active])
+            r = normal_form(s, reducers, ring, p)
             if r:
                 add(_monic(r, p), sugar)
             else:
@@ -379,20 +389,22 @@ def _reduce_basis(basis, leads, ring: OrderedRing, p):
     # a proper divisor has a smaller degree, so scan by degree (stable,
     # so the first of equal leads is kept)
     guards, degree = ring.guards, ring.degree
-    keep, keep_leads = [], []
+    keep = []
     for g, lead in sorted(zip(basis, leads), key=lambda pair: degree(pair[1])):
-        if all((lead - other) & guards for other in keep_leads):
-            keep.append(g)
-            keep_leads.append(lead)
+        if all((lead - other) & guards for _, other in keep):
+            keep.append((g, lead))
     # interreduce: no lead divides another, so every lead survives, with
     # its coefficient 1, and one pass leaves no term divisible by another
-    # element's lead
-    for i in range(len(keep)):
-        others = keep[:i] + keep[i + 1 :]
-        if others:
-            keep[i] = normal_form(keep[i], others, ring, p, leads=keep_leads[:i] + keep_leads[i + 1 :])
-    keep.sort(key=max)
-    return keep
+    # element's lead.  An element's own lead divides none of its other
+    # terms, which are all smaller, nor any term their reduction makes,
+    # so its tail reduces by the whole list, itself included
+    for i, (g, lead) in enumerate(keep):
+        tail = dict(g)
+        element = {lead: tail.pop(lead)}
+        element.update(normal_form(tail, keep, ring, p))
+        keep[i] = element, lead
+    keep.sort(key=lambda pair: pair[1])
+    return [g for g, _ in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +483,54 @@ def closure_equations(
     intersection with Q[z] (elimination property of the block order),
     the ideal of the closure of the image.
 
+    Before that, the parameters that a coordinate equals are substituted
+    out (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 3.3).
+    A coordinate p whose image is psi_p = c x_k, c a nonzero rational and
+    x_k one parameter of x or y, has the generator z_p - c x_k; for each
+    x_k the first such p is taken.  Every x_k so taken is replaced by
+    z_p / c in the other generators, 1 - t x^S included, and p's
+    generator is dropped; x_k stays in the ring, unused.  Why the ideal
+    in Q[z] is the same: let I be the ideal of all the generators above
+    and sigma the ring map x_k -> z_p / c of Q[t, x, y, z].  sigma fixes
+    every polynomial free of the x_k, Q[z] included, and f - sigma(f)
+    lies in its kernel, spanned by the z_p - c x_k, which lie in I.  So
+    I is the ideal of the substituted generators plus that kernel, and
+    applying sigma to a combination that gives some f in Q[z] writes f
+    by the substituted generators alone: I and the ideal they generate
+    meet Q[z] in the same ideal, whose reduced basis in the z block's
+    order is the one returned.  When no generator is left, that ideal
+    is 0 and the closure is the whole space: the result is [].
+
     exactmath._lift runs buchberger over Z/p, prime after prime, skipping
     a prime that divides a denominator of the generators, and lifts the
-    z-only elements to Q and checks them on psi; its docstring gives the
-    restart and termination rule.  At DEBUG, logger orbitcal.elim gets
-    one line per call after buchberger's: the primes used, the restarts
-    (a prime whose z-only supports differ from the previous ones), the
-    equations lifted and the time the checks took."""
+    z-only elements to Q and checks them on the unsubstituted psi; its
+    docstring gives the restart and termination rule.  At DEBUG, logger
+    orbitcal.elim gets one line per call after buchberger's: the primes
+    used, the restarts (a prime whose z-only supports differ from the
+    previous ones), the equations lifted and the time the checks
+    took."""
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
+    params = r + rep.s + l
 
     # psi_p as a dict over (x..., y...) exponents: x and y are disjoint
     # variables, so a product of terms joins their exponents
-    images, clearing = [], []
+    images, clearing, equal = [], [], {}
     for p in range(n):
         image: dict = {}
-        for q in range(n):
-            entry, tau_q = rep.rho[p][q].items(), tau.images[q].items()
-            add_scaled_inplace(image, {ex + ey: cx * cy for ex, cx in entry for ey, cy in tau_q}, Fraction(1))
+        for entry, tau_q in zip(rep.rho[p], tau.images):
+            for ex, cx in entry.items():
+                for ey, cy in tau_q.items():
+                    e = ex + ey
+                    image[e] = image.get(e, 0) + cx * cy
+        image = {e: c for e, c in image.items() if c}
         images.append(image)
         clearing.append(tuple(max([0] + [-e[k] for e in image]) for k in range(r)) + (0,) * (rep.s + l))
+        if len(image) == 1:
+            ((e, c),) = image.items()
+            if sum(e) == 1 and e.count(0) == params - 1:  # psi_p = c x_k
+                equal.setdefault(e.index(1), (p, c))
     # the exponents of x^S: 1 on the invertible parameters that psi inverts
     inverted = tuple(int(any(m[k] for m in clearing)) for k in range(r))
     t = (0,) * any(inverted)
@@ -503,16 +542,37 @@ def closure_equations(
         width += size
     z_start = width - n
 
-    # the z term comes first, then the image terms in image order; no two
-    # keys collide, as only the z term has a z exponent
+    # the generators over t | x | y | z; the z term comes first, then the
+    # image terms in image order; no two keys collide, as only the z term
+    # has a z exponent
     generators = []
+    taken = {p for p, _ in equal.values()}
     for p, (image, m) in enumerate(zip(images, clearing)):
-        g = {t + m + (0,) * p + (1,) + (0,) * (n - 1 - p): Fraction(1)}
-        for e, c in image.items():
-            g[t + tuple(map(add, e, m)) + (0,) * n] = -c
-        generators.append(g)
+        if p not in taken:
+            g = {t + m + (0,) * p + (1,) + (0,) * (n - 1 - p): Fraction(1)}
+            for e, c in image.items():
+                g[t + tuple(map(add, e, m)) + (0,) * n] = -c
+            generators.append(g)
+    if not generators:
+        return []
     if t:
         generators.append({(0,) * width: Fraction(1), (1,) + inverted + (0,) * (width - r - 1): Fraction(-1)})
+
+    # x_k -> z_p / c; each term stays one term, and no two collide: a z
+    # term keeps its own z_p, which no x_k becomes.  x_k stays in the
+    # ring, unused: dropping it measured no faster
+    moves = [(len(t) + k, z_start + p, 1 / c) for k, (p, c) in equal.items()]
+    for i, g in enumerate(generators):
+        out = {}
+        for e, c in g.items():
+            e = list(e)
+            for k, z, inverse in moves:
+                if a := e[k]:
+                    e[k] = 0
+                    e[z] += a
+                    c *= inverse**a
+            out[tuple(e)] = c
+        generators[i] = out
 
     ring = OrderedRing(names, blocks)
     denominators = lcm(*(c.denominator for g in generators for c in g.values()))
@@ -531,7 +591,7 @@ def closure_equations(
         flat = iter(map(Fraction, values))
         equations = [{e: next(flat) for e in keys} for keys in support]
         start = perf_counter()
-        vanishes = _vanish_on(equations, images, z_start - len(t))
+        vanishes = _vanish_on(equations, images, params)
         check_s += perf_counter() - start
         return vanishes
 
@@ -545,15 +605,23 @@ def closure_equations(
 
 def _vanish_on(equations, images, nvars) -> bool:
     """True iff f(images) = 0 exactly for every f in equations, each
-    image a term dict of exponent width nvars.  One monomial_images
-    table holds every product of powers of the images that an equation
-    takes."""
+    image a term dict of exponent width nvars, summed in integers.  With
+    D the lcm of the images' denominators, phi = D images has int
+    coefficients; for f of degree d and L the lcm of its denominators,
+    sum_e L c_e D^(d - |e|) phi^e = L D^d f(images), which is 0 iff
+    f(images) is.  One monomial_images table holds every product of
+    powers of phi that an equation takes."""
     top = max((sum(e) for f in equations for e in f), default=0)
-    image, _ = monomial_images(images, nvars, top)
+    D = lcm(*(c.denominator for image in images for c in image.values()))
+    phi = [{e: c.numerator * (D // c.denominator) for e, c in image.items()} for image in images]
+    powers = [D**k for k in range(top + 1)]
+    image, _ = monomial_images(phi, nvars, top)
     for f in equations:
+        d = max(map(sum, f), default=0)
+        L = lcm(*(c.denominator for c in f.values()))
         total: dict = {}
         for e, c in f.items():
-            add_scaled_inplace(total, image(e), c)
+            add_scaled_inplace(total, image(e), c.numerator * (L // c.denominator) * powers[d - sum(e)])
         if total:
             return False
     return True

@@ -3,15 +3,17 @@ sl2 substitution rule written out by hand, the schoolbook product of
 term dicts, dense integer rows as a SparseMatrix, the rank over Q of
 dense rows, the two ways of comparing elim's results over Z/p with
 rational ones (rational term dicts mapped into Z/p, and results over
-Z/p lifted to Q), and elim's closure over Z/p saturated by every
-invertible parameter."""
+Z/p lifted to Q), elim's closure over Z/p saturated by every
+invertible parameter, with no parameter substituted out, and elim's
+check f(psi) = 0 over Fractions."""
 
 from fractions import Fraction
 from math import comb
 
-from orbitcal.elim import OrderedRing, SubspaceMap, buchberger
+from orbitcal.elim import OrderedRing, SubspaceMap, buchberger, s_polynomial
+from orbitcal._kernels import add_scaled_inplace
 from orbitcal.exactmath import SparseMatrix, _crt, _primes, _reconstruct
-from orbitcal.polyring import evaluate_terms
+from orbitcal.polyring import evaluate_terms, monomial_images
 from orbitcal.repmodel import RepresentationData, Vec, vector
 
 
@@ -115,6 +117,18 @@ def residues(poly, p) -> dict:
     return out
 
 
+def reducers(basis):
+    """The divisors elim.normal_form takes: each packed element of basis
+    with its leading monomial."""
+    return [(g, max(g)) for g in basis]
+
+
+def s_pair(f, g, ring):
+    """elim.s_polynomial of the packed f and g, given the key of the lcm
+    of their leads."""
+    return s_polynomial(f, g, ring.lift(ring.plain_lcm(max(f), max(g))))
+
+
 def lift(modular):
     """The list of term dicts over Q whose residues modulo p are
     modular(p), for large primes p: the primes of exactmath are tried in
@@ -192,3 +206,18 @@ def saturated_by_all(rep: RepresentationData, tau: SubspaceMap, p) -> list[dict]
         for g in buchberger(generators, ring, p)
         if all(not any(e[: t + k]) for e in g)
     ]
+
+
+def vanish_on_fractions(equations, images, nvars) -> bool:
+    """True iff f(images) = 0 for every f in equations, each image a term
+    dict of exponent width nvars, summed over Fractions: the reference
+    for elim._vanish_on, which sums in integers."""
+    top = max((sum(e) for f in equations for e in f), default=0)
+    image, _ = monomial_images(images, nvars, top)
+    for f in equations:
+        total: dict = {}
+        for e, c in f.items():
+            add_scaled_inplace(total, image(e), c)
+        if total:
+            return False
+    return True

@@ -22,7 +22,6 @@ from orbitcal.elim import (
     normal_form,
     parse_equation,
     point_in_closure,
-    s_polynomial,
 )
 from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness
 from orbitcal.fixtures import decision_battery, diagonal_battery, parabola_rep
@@ -33,7 +32,7 @@ from orbitcal.repmodel import (
     torus_diagonal,
 )
 from orbitcal.torusoracle import torus_decide
-from support import binary_substitution_matrix, sl2_parameter_matrix
+from support import binary_substitution_matrix, reducers, s_pair, sl2_parameter_matrix
 
 
 def _criterion(number, description):
@@ -262,7 +261,7 @@ def test_criterion_8_groebner_layer():
         basis = [{ring.pack(e): c for e, c in g.items()} for g in basis]
         for i, f in enumerate(basis):
             for g in basis[i + 1 :]:
-                assert normal_form(s_polynomial(f, g, ring), basis, ring, p) == {}
+                assert normal_form(s_pair(f, g, ring), reducers(basis), ring, p) == {}
 
     # parabola
     eqs = closure_equations(parabola_rep(), SubspaceMap.point((1, 1)))

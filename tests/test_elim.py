@@ -21,7 +21,7 @@ from orbitcal.elim import (
 from orbitcal.errors import CertificateError, ResourceLimitError
 from orbitcal.polyring import evaluate_terms, parse_terms
 from orbitcal.repmodel import make_conic, sl2_binary_forms, torus_diagonal
-from support import act, residues
+from support import act, reducers, residues, s_pair
 
 # a two-variable lexicographic-flavoured ring: x dominates y
 LEX_XY = OrderedRing(("x", "y"), ((0,), (1,)))
@@ -68,11 +68,11 @@ def test_duplicate_generators_collapse():
 
 def test_normal_form_examples():
     basis = [packed(g) for g in buchberger([p("x^2 - y")], LEX_XY, P)]
-    assert normal_form(packed(modp("x^2 - y")), basis, LEX_XY, P) == {}
-    assert unpacked(normal_form(packed(modp("x")), basis, LEX_XY, P)) == modp("x")
-    assert unpacked(normal_form(packed(modp("x^3")), basis, LEX_XY, P)) == modp("x*y")
+    assert normal_form(packed(modp("x^2 - y")), reducers(basis), LEX_XY, P) == {}
+    assert unpacked(normal_form(packed(modp("x")), reducers(basis), LEX_XY, P)) == modp("x")
+    assert unpacked(normal_form(packed(modp("x^3")), reducers(basis), LEX_XY, P)) == modp("x*y")
     # coefficients that are not residues are reduced as they are read
-    assert unpacked(normal_form(packed({(3, 0): 2 * P + 3, (0, 0): -P - 1}), basis, LEX_XY, P)) == modp("3*x*y - 1")
+    assert unpacked(normal_form(packed({(3, 0): 2 * P + 3, (0, 0): -P - 1}), reducers(basis), LEX_XY, P)) == modp("3*x*y - 1")
 
 
 def test_basis_is_canonical_under_permutation():
@@ -97,9 +97,9 @@ def test_spoly_reduction_and_membership_postconditions():
     basis = [packed(g) for g in buchberger(gens, LEX_XY, P)]
     for i, f in enumerate(basis):
         for g in basis[i + 1 :]:
-            assert normal_form(s_polynomial(f, g, LEX_XY), basis, LEX_XY, P) == {}
+            assert normal_form(s_pair(f, g, LEX_XY), reducers(basis), LEX_XY, P) == {}
     for g in gens:
-        assert normal_form(packed(residues(g, P)), basis, LEX_XY, P) == {}
+        assert normal_form(packed(residues(g, P)), reducers(basis), LEX_XY, P) == {}
 
 
 def test_pair_limit_enforced():
@@ -122,9 +122,9 @@ def test_sugar_strategy_reduces_few_s_polynomials(monkeypatch):
     # the normal strategy reduces 1,474 S-polynomials on this cone, sugar 345
     calls = []
 
-    def counting(f, g, ring):
+    def counting(f, g, lcm):
         calls.append(1)
-        return s_polynomial(f, g, ring)
+        return s_polynomial(f, g, lcm)
 
     monkeypatch.setattr(elim, "s_polynomial", counting)
     rep2, _, b2 = make_conic(sl2_binary_forms(3), (0,) * 4, (1, 0, 0, 0))

@@ -59,28 +59,28 @@ def _cone_points(multiplicities):
 PINS = {
     (2, 1): (
         "001af654dca3fbb914c6c61c26783483568f1ccf549afd0a35b71b1101fb48d2",
-        "buchberger: 4714 pairs formed, 3619 dropped by criterion M, 355 by F, 317 by B, "
-        "423 S-polynomials reduced, 287 to zero, basis 142 elements",
+        "buchberger: 4296 pairs formed, 3347 dropped by criterion M, 211 by F, 317 by B, "
+        "421 S-polynomials reduced, 287 to zero, basis 139 elements",
     ),
     (5,): (
         "a3929c7ac60e4b5f02e720a32a743c22673fdb44a4b8563eb46b6f91fddb3f8f",
-        "buchberger: 4999 pairs formed, 3779 dropped by criterion M, 265 by F, 457 by B, "
-        "498 S-polynomials reduced, 333 to zero, basis 173 elements",
+        "buchberger: 3893 pairs formed, 2837 dropped by criterion M, 72 by F, 433 by B, "
+        "551 S-polynomials reduced, 390 to zero, basis 168 elements",
     ),
     (3, 1): (
         "6931e5b9dc9ce14144704697f03772b0da71b8560dc66fa373511be98b8f36fb",
-        "buchberger: 12057 pairs formed, 9512 dropped by criterion M, 732 by F, 932 by B, "
-        "881 S-polynomials reduced, 600 to zero, basis 288 elements",
+        "buchberger: 10918 pairs formed, 8681 dropped by criterion M, 427 by F, 931 by B, "
+        "879 S-polynomials reduced, 601 to zero, basis 284 elements",
     ),
     (6,): (
         "2c5e32b2c8e470d3156f495be1ac0ffad4e1e4169b9224efd021cb8151db4d1b",
-        "buchberger: 7065 pairs formed, 5382 dropped by criterion M, 346 by F, 621 by B, "
-        "716 S-polynomials reduced, 508 to zero, basis 217 elements",
+        "buchberger: 5562 pairs formed, 4063 dropped by criterion M, 135 by F, 647 by B, "
+        "717 S-polynomials reduced, 511 to zero, basis 214 elements",
     ),
     (4, 1): (
         "86b3c9e247d0de22a55d9b88f3c3b38f9b92668a683121da7d328666c288a57b",
-        "buchberger: 48713 pairs formed, 41953 dropped by criterion M, 2132 by F, 2556 by B, "
-        "2072 S-polynomials reduced, 1434 to zero, basis 646 elements",
+        "buchberger: 45503 pairs formed, 39425 dropped by criterion M, 1455 by F, 2555 by B, "
+        "2068 S-polynomials reduced, 1434 to zero, basis 641 elements",
     ),
 }
 

@@ -1,9 +1,12 @@
 """closure_equations saturates by the parameters that psi inverts, not by
 every invertible one: with S the invertible x_k that some clearing
 monomial x^m_p contains, the ring carries 1 - t*x^S, or no t at all when
-S is empty.  The saturated ideal is the same either way, so over Z/p the
-z-only elements must equal those of the saturation by x1*...*xr, which
-tests/support.py computes independently."""
+S is empty.  Before that it substitutes out every parameter x_k that a
+coordinate's image equals up to a nonzero scalar, psi_p = c*x_k: x_k
+becomes z_p/c in the other generators, 1 - t*x^S included, and p's
+generator is dropped.  Neither changes the ideal in Q[z], so over Z/p
+the z-only elements must equal those of the unsubstituted saturation
+by x1*...*xr, which tests/support.py computes independently."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,26 +43,46 @@ def _inverted(rep, tau):
     return {k for image in joined_images(rep, tau) for e in image for k in range(rep.r) if e[k] < 0}
 
 
+def _taken(rep, tau):
+    """Per parameter k that some psi_p equals up to a scalar, c*x_k: the
+    first such coordinate p and c."""
+    taken = {}
+    for p, image in enumerate(joined_images(rep, tau)):
+        if len(image) == 1:
+            ((e, c),) = image.items()
+            support = [k for k, a in enumerate(e) if a]
+            if len(support) == 1 and e[support[0]] == 1:
+                taken.setdefault(support[0], (p, c))
+    return taken
+
+
 def _check(rep, tau):
     """closure_equations agrees mod RANK_PRIME with the saturation by
-    x1*...*xr, and its ring has t exactly when psi inverts a parameter,
-    saturated by 1 - t*x^S.  Returns S."""
+    x1*...*xr; no generator has a substituted parameter, and the ring
+    has t exactly when psi inverts a parameter, saturated by 1 - t*x^S
+    with each substituted x_k replaced by z_p/c.  Returns S."""
     with _spy_buchberger() as calls:
         equations = closure_equations(rep, tau)
     assert [residues(q, RANK_PRIME) for q in equations] == saturated_by_all(rep, tau, RANK_PRIME)
 
-    inverted = _inverted(rep, tau)
+    inverted, taken = _inverted(rep, tau), _taken(rep, tau)
+    if len(taken) == rep.n:  # every generator substituted away
+        assert calls == [] and equations == []
+        return inverted
     generators, ring = calls[0]
-    width = len(ring.names)
-    assert ring.names[0] == "t" if inverted else "t" not in ring.names
-    assert len(generators) == rep.n + bool(inverted)
+    params = rep.ambient.names + tau.ambient.names
+    assert ring.names == ("t",) * bool(inverted) + params + tuple(f"z{i + 1}" for i in range(rep.n))
+    assert len(generators) == rep.n - len(taken) + bool(inverted)
+    assert not any(e[k + bool(inverted)] for g in generators for e in g for k in taken)
     if inverted:
         assert ring.blocks[0] == (0,)
-        x_s = tuple(int(k in inverted) for k in range(rep.r))
-        assert generators[-1] == {
-            (0,) * width: Fraction(1),
-            (1,) + x_s + (0,) * (width - 1 - rep.r): Fraction(-1),
-        }
+        exp = [1] + [int(k in inverted and k not in taken) for k in range(len(params))] + [0] * rep.n
+        coef = Fraction(-1)
+        for k in inverted & taken.keys():
+            p, c = taken[k]
+            exp[1 + len(params) + p] += 1
+            coef /= c
+        assert generators[-1] == {(0,) * len(exp): Fraction(1), tuple(exp): coef}
     return inverted
 
 
@@ -78,8 +101,20 @@ def _conified(rep, b):
         (lambda: _conified(torus_diagonal([(1,), (3,)]), (1, 1)), set()),
         # a swept sl2 h = 2 line: x1 is the only invertible parameter
         (lambda: (sl2_binary_forms(2), SubspaceMap(1, ["y1", "1", "0"])), {0}),
+        # psi_1 = 2*x1 and psi_2 = -1/3*x2 are substituted with c != 1
+        (lambda: (torus_diagonal([(1, 0), (0, 1), (1, 1)]), SubspaceMap.point((2, Fraction(-1, 3), 5))), set()),
+        (lambda: (torus_diagonal([(1, 0), (0, 1), (1, -2)]), SubspaceMap.point((2, Fraction(-1, 3), 5))), {1}),
+        # psi_1 = 3*x1, and x1 is inverted: 1 - t*x1 becomes 1 - t*z1/3
+        (lambda: (torus_diagonal([(1,), (-1,)]), SubspaceMap.point((3, 1))), {0}),
+        # psi_1 = y1 in a swept line: y1 becomes z1
+        (lambda: (torus_diagonal([(0,), (1,), (2,)]), SubspaceMap(1, ["y1", "y1", "y1"])), set()),
+        # psi = (c*x1): no generator is left and the closure is the line
+        (lambda: (torus_diagonal([(1,)]), SubspaceMap.point((Fraction(-2, 3),))), set()),
     ],
-    ids=["cubic-cone", "conified-hyperbola", "curve-cone-3", "swept-sl2-line"],
+    ids=[
+        "cubic-cone", "conified-hyperbola", "curve-cone-3", "swept-sl2-line",
+        "torus-scaled", "torus-scaled-inverted", "hyperbola-inverted", "swept-line-y1", "scaled-line",
+    ],
 )
 def test_saturation_by_inverted_parameters_matches_all(question, inverted):
     assert _check(*question()) == inverted

@@ -17,7 +17,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from orbitcal import elim  # noqa: E402
 from orbitcal.elim import OrderedRing  # noqa: E402
-from support import lift, residues  # noqa: E402
+from support import lift, reducers, residues  # noqa: E402
 
 
 def buchberger(gens, ring):
@@ -27,7 +27,7 @@ def buchberger(gens, ring):
 
 def normal_form(poly, basis, ring):
     """elim.normal_form's remainder on rational input, lifted from Z/p to Q."""
-    return lift(lambda p: [elim.normal_form(residues(poly, p), [residues(g, p) for g in basis], ring, p)])[0]
+    return lift(lambda p: [elim.normal_form(residues(poly, p), reducers([residues(g, p) for g in basis]), ring, p)])[0]
 
 
 def _poly(n):
