@@ -6,14 +6,15 @@ of a reduced Groebner basis that involve only the ambient coordinates
 z, computed under a block order t | x | y | z in which the auxiliary
 variables all dominate the z's.  The saturation variable t enters as
 1 - t x^S over the set S of invertible parameters that the joined
-images psi invert, and there is no t when psi is polynomial.  A
-parameter x_k that a coordinate's image equals up to a scalar, psi_p =
-c x_k (the scaling parameter of a conified orbit, say), is substituted
-out first: x_k becomes z_p / c in the other generators and p's
-generator goes.  closure_equations builds the generators straight from
-rho and tau as term dicts, and its docstring says why saturating by S
-alone and the substitution leave the ideal in Q[z] as it is.  This is
-the independent oracle against the linear-system decider.
+images psi invert, there is no t when psi is polynomial, and the x
+block puts S last.  A parameter x_k that a coordinate's image equals
+up to a scalar, psi_p = c x_k (the scaling parameter of a conified
+orbit, say), is substituted out first: x_k becomes z_p / c in the
+other generators and p's generator goes.  closure_equations builds the
+generators straight from rho and tau as term dicts, and its docstring
+says why saturating by S alone, the substitution and the x order leave
+the equations as they are.  This is the independent oracle against
+the linear-system decider.
 
 buchberger takes and returns term dicts keyed by exponent tuples, like
 the rest of orbitcal; inside, normal_form, s_polynomial and the pair
@@ -470,7 +471,16 @@ def closure_equations(
     them; when S is empty, psi is polynomial and the ring has no t.  The
     ring has the variables t | x | y | z, each block dominating the
     next: t, the r + s group parameters x, the l subspace parameters y
-    and the coordinates z; an empty block is dropped.
+    and the coordinates z; an empty block is dropped.  Each block is
+    grevlex, and the x block lists the parameters outside S, then those
+    in S.  Any order inside the t, x and y blocks eliminates z, and the
+    z-only elements of the reduced basis are the unique reduced basis of
+    the ideal in Q[z] under the z block's grevlex, so that order changes
+    the cost alone.  Putting the saturating variables last follows Bayer
+    and Stillman (1987): with x_n last in reverse lex, in(I : x_n^inf) =
+    in(I) : x_n^inf for homogeneous I.  Here it is a measured heuristic,
+    not a proof: the cones of tests/test_elim_cones.py form 4% to 62%
+    fewer pairs with it.
 
     Why S suffices: let J be the ideal of the x^m_p (z_p - psi_p).  For
     any T containing S, J : (x_T)^infinity is the kernel of the
@@ -535,11 +545,13 @@ def closure_equations(
     inverted = tuple(int(any(m[k] for m in clearing)) for k in range(r))
     t = (0,) * any(inverted)
     names = ["t"] * len(t) + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
+    # the x block lists the parameters outside S, then those in S
+    x_order = sorted(range(r + rep.s), key=lambda k: k < r and inverted[k])
     blocks, width = [], 0
-    for size in (len(t), r + rep.s, l, n):
-        if size:
-            blocks.append(tuple(range(width, width + size)))
-        width += size
+    for block in (range(len(t)), x_order, range(l), range(n)):
+        if block:
+            blocks.append(tuple(width + i for i in block))
+        width += len(block)
     z_start = width - n
 
     # the generators over t | x | y | z; the z term comes first, then the

@@ -4,12 +4,15 @@ monomial x^m_p contains, the ring carries 1 - t*x^S, or no t at all when
 S is empty.  Before that it substitutes out every parameter x_k that a
 coordinate's image equals up to a nonzero scalar, psi_p = c*x_k: x_k
 becomes z_p/c in the other generators, 1 - t*x^S included, and p's
-generator is dropped.  Neither changes the ideal in Q[z], so over Z/p
-the z-only elements must equal those of the unsubstituted saturation
-by x1*...*xr, which tests/support.py computes independently."""
+generator is dropped, and its x block lists the parameters outside S
+before those in S.  None of this changes the ideal in Q[z] or its
+reduced basis, so over Z/p the z-only elements must equal those of the
+unsubstituted saturation by x1*...*xr in the natural x order, which
+tests/support.py computes independently."""
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -58,9 +61,10 @@ def _taken(rep, tau):
 
 def _check(rep, tau):
     """closure_equations agrees mod RANK_PRIME with the saturation by
-    x1*...*xr; no generator has a substituted parameter, and the ring
-    has t exactly when psi inverts a parameter, saturated by 1 - t*x^S
-    with each substituted x_k replaced by z_p/c.  Returns S."""
+    x1*...*xr; no generator has a substituted parameter, the ring has t
+    exactly when psi inverts a parameter, saturated by 1 - t*x^S with
+    each substituted x_k replaced by z_p/c, and its x block lists the
+    parameters outside S before those in S.  Returns S."""
     with _spy_buchberger() as calls:
         equations = closure_equations(rep, tau)
     assert [residues(q, RANK_PRIME) for q in equations] == saturated_by_all(rep, tau, RANK_PRIME)
@@ -72,6 +76,10 @@ def _check(rep, tau):
     generators, ring = calls[0]
     params = rep.ambient.names + tau.ambient.names
     assert ring.names == ("t",) * bool(inverted) + params + tuple(f"z{i + 1}" for i in range(rep.n))
+    # the x block: the parameters outside S, then those in S, in index order
+    group = range(rep.ambient.nvars)
+    x_block = [k for k in group if k not in inverted] + sorted(inverted)
+    assert ring.blocks[bool(inverted)] == tuple(k + bool(inverted) for k in x_block)
     assert len(generators) == rep.n - len(taken) + bool(inverted)
     assert not any(e[k + bool(inverted)] for g in generators for e in g for k in taken)
     if inverted:
@@ -110,10 +118,16 @@ def _conified(rep, b):
         (lambda: (torus_diagonal([(0,), (1,), (2,)]), SubspaceMap(1, ["y1", "y1", "y1"])), set()),
         # psi = (c*x1): no generator is left and the closure is the line
         (lambda: (torus_diagonal([(1,)]), SubspaceMap.point((Fraction(-2, 3),))), set()),
+        # conified sl2: its inverted parameter, x2 here, goes after the
+        # scaling x1 and after x3, x4
+        (lambda: _conified(sl2_binary_forms(4), (1, 0, 0, 0, 0)), {1}),
+        # raw sl2: x1 goes after x2 and x3
+        (lambda: (sl2_binary_forms(3), SubspaceMap.point((1, 3, 3, 1))), {0}),
     ],
     ids=[
         "cubic-cone", "conified-hyperbola", "curve-cone-3", "swept-sl2-line",
         "torus-scaled", "torus-scaled-inverted", "hyperbola-inverted", "swept-line-y1", "scaled-line",
+        "quartic-cone", "raw-cubic-power",
     ],
 )
 def test_saturation_by_inverted_parameters_matches_all(question, inverted):
@@ -134,4 +148,27 @@ def _torus_questions(draw):
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_torus_questions())
 def test_torus_saturation_matches_all(question):
+    _check(*question)
+
+
+@st.composite
+def _sl2_questions(draw):
+    """A nonzero quadratic form, or a cubic or quartic power of a linear
+    form: the generic raw cubic takes minutes to eliminate."""
+    h = draw(st.integers(2, 4))
+    if h == 2:
+        b = tuple(draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
+        hypothesis.assume(any(b))
+    else:
+        p, q = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        hypothesis.assume(p or q)
+        scale = draw(st.sampled_from([1, -1, 2]))
+        b = tuple(scale * comb(h, i) * p ** (h - i) * q**i for i in range(h + 1))
+    rep = sl2_binary_forms(h)
+    return _conified(rep, b) if draw(st.booleans()) else (rep, SubspaceMap.point(b))
+
+
+@hypothesis.settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_sl2_questions())
+def test_sl2_saturation_matches_all(question):
     _check(*question)
