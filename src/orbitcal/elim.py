@@ -3,18 +3,18 @@
 The image closure of the joint parametrization (group parameters x,
 subspace parameters y) -> rho(x) . tau(y) is cut out by the elements
 of a reduced Groebner basis that involve only the ambient coordinates
-z, computed under a block order t | x | y | z in which the auxiliary
-variables all dominate the z's.  The saturation variable t enters as
-1 - t x^S over the set S of invertible parameters that the joined
-images psi invert, there is no t when psi is polynomial, and the x
-block puts S last.  A parameter x_k that a coordinate's image equals
-up to a scalar, psi_p = c x_k (the scaling parameter of a conified
-orbit, say), is substituted out first: x_k becomes z_p / c in the
-other generators and p's generator goes.  closure_equations builds the
-generators straight from rho and tau as term dicts, and its docstring
-says why saturating by S alone, the substitution and the x order leave
-the equations as they are.  This is the independent oracle against
-the linear-system decider.
+z, computed under a block order x_N | t, x_S | y | z in which every
+auxiliary variable dominates the z's.  The saturation variable t enters
+as 1 - t x^S over the set S of invertible parameters that the joined
+images psi invert, and shares a grevlex block with S, after the
+parameters x_N outside S; there is no t when psi is polynomial.  A
+parameter x_k that a coordinate's image equals up to a scalar, psi_p =
+c x_k (the scaling parameter of a conified orbit, say), is substituted
+out first: x_k becomes z_p / c in the other generators and p's
+generator goes.  closure_equations builds the generators from rho and
+tau as term dicts; its docstring says why saturating by S alone, the
+substitution and the block layout leave the equations as they are.
+This is the independent oracle against the linear-system decider.
 
 buchberger takes and returns term dicts keyed by exponent tuples, like
 the rest of orbitcal; inside, normal_form, s_polynomial and the pair
@@ -267,7 +267,8 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
     One DEBUG line on the orbitcal.elim logger tells where the candidate
     pairs went: dropped by criterion M, by F (an equal lcm, or coprime
     leads), by B, or reduced; when the run finishes, these four add up
-    to the pairs formed."""
+    to the pairs formed.  Each time the pairs formed cross a multiple of
+    10,000, a "buchberger progress" line gives the running counters."""
     guards, plain, degree = ring.guards, ring.plain, ring.degree
     plain_guards = guards & plain
     plain_lcm, lift = ring.plain_lcm, ring.lift
@@ -288,6 +289,9 @@ def buchberger(generators, ring: OrderedRing, p, max_pairs: int = DEFAULT_MAX_PA
     def add(h, sugar):
         nonlocal formed, by_m, by_f, by_b
         formed += len(active)
+        if formed // 10_000 > (formed - len(active)) // 10_000:
+            _log.debug("buchberger progress: %d pairs formed, %d dropped by criterion M, %d by F, %d by B, "
+                       "%d S-polynomials reduced, %d to zero", formed, by_m, by_f, by_b, reduced, zeros)
         if formed > max_pairs:
             raise ResourceLimitError(
                 f"buchberger: pair limit {max_pairs} exceeded (basis "
@@ -469,18 +473,18 @@ def closure_equations(
     invertible x_k with m_p[k] > 0 for some p.  When S is nonempty, the
     generator 1 - t x^S, x^S the product of the x_k in S, saturates by
     them; when S is empty, psi is polynomial and the ring has no t.  The
-    ring has the variables t | x | y | z, each block dominating the
-    next: t, the r + s group parameters x, the l subspace parameters y
-    and the coordinates z; an empty block is dropped.  Each block is
-    grevlex, and the x block lists the parameters outside S, then those
-    in S.  Any order inside the t, x and y blocks eliminates z, and the
-    z-only elements of the reduced basis are the unique reduced basis of
-    the ideal in Q[z] under the z block's grevlex, so that order changes
-    the cost alone.  Putting the saturating variables last follows Bayer
-    and Stillman (1987): with x_n last in reverse lex, in(I : x_n^inf) =
-    in(I) : x_n^inf for homogeneous I.  Here it is a measured heuristic,
-    not a proof: the cones of tests/test_elim_cones.py form 4% to 62%
-    fewer pairs with it.
+    r + s group parameters x, t, the l subspace parameters y and the
+    coordinates z lie in the grevlex blocks x_N | t, x_S | y | z, each in
+    index order and dominating the next, x_N the x_k outside S; an empty
+    block is dropped.  Any split of t, x and y into blocks ranked before
+    z eliminates z, and the z-only elements of the reduced basis are the
+    unique reduced basis of the ideal in Q[z] under the z block's grevlex
+    (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 3.1), so the
+    layout changes the cost alone: it is a measured heuristic, not a
+    proof.  S last follows Bayer and Stillman (1987): with x_n last in
+    reverse lex, in(I : x_n^inf) = in(I) : x_n^inf for homogeneous I.
+    Against t | x | y | z with S last, the cones of tests/test_elim_cones.py
+    form 2% to 57% fewer pairs, though z1 z2^4 takes longer.
 
     Why S suffices: let J be the ideal of the x^m_p (z_p - psi_p).  For
     any T containing S, J : (x_T)^infinity is the kernel of the
@@ -494,31 +498,28 @@ def closure_equations(
     the ideal of the closure of the image.
 
     Before that, the parameters that a coordinate equals are substituted
-    out (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 3.3).
-    A coordinate p whose image is psi_p = c x_k, c a nonzero rational and
-    x_k one parameter of x or y, has the generator z_p - c x_k; for each
-    x_k the first such p is taken.  Every x_k so taken is replaced by
-    z_p / c in the other generators, 1 - t x^S included, and p's
-    generator is dropped; x_k stays in the ring, unused.  Why the ideal
-    in Q[z] is the same: let I be the ideal of all the generators above
-    and sigma the ring map x_k -> z_p / c of Q[t, x, y, z].  sigma fixes
-    every polynomial free of the x_k, Q[z] included, and f - sigma(f)
-    lies in its kernel, spanned by the z_p - c x_k, which lie in I.  So
-    I is the ideal of the substituted generators plus that kernel, and
-    applying sigma to a combination that gives some f in Q[z] writes f
-    by the substituted generators alone: I and the ideal they generate
-    meet Q[z] in the same ideal, whose reduced basis in the z block's
-    order is the one returned.  When no generator is left, that ideal
-    is 0 and the closure is the whole space: the result is [].
+    out (ibid., 3.3).  A coordinate p whose image is psi_p = c x_k, c a
+    nonzero rational and x_k one parameter of x or y, has the generator
+    z_p - c x_k; for each x_k the first such p is taken.  Every x_k so
+    taken becomes z_p / c in the other generators, 1 - t x^S included,
+    and p's generator is dropped; x_k stays in the ring, unused.  Why the
+    ideal in Q[z] is the same: let I be the ideal of all the generators
+    above and sigma the ring map x_k -> z_p / c.  sigma fixes every
+    polynomial free of the x_k, Q[z] included, and f - sigma(f) lies in
+    its kernel, spanned by the z_p - c x_k, which lie in I.  So I is the
+    ideal of the substituted generators plus that kernel, and applying
+    sigma to a combination that gives some f in Q[z] writes f by the
+    substituted generators alone: both ideals meet Q[z] in the same
+    ideal.  When no generator is left, that ideal is 0 and the closure
+    is the whole space: the result is [].
 
-    exactmath._lift runs buchberger over Z/p, prime after prime, skipping
-    a prime that divides a denominator of the generators, and lifts the
-    z-only elements to Q and checks them on the unsubstituted psi; its
-    docstring gives the restart and termination rule.  At DEBUG, logger
-    orbitcal.elim gets one line per call after buchberger's: the primes
-    used, the restarts (a prime whose z-only supports differ from the
-    previous ones), the equations lifted and the time the checks
-    took."""
+    exactmath._lift runs buchberger prime after prime, lifts the z-only
+    elements to Q and checks them on the unsubstituted psi (see the
+    module docstring).  At DEBUG, logger orbitcal.elim gets one line per
+    call after buchberger's: the primes used, the restarts (a prime
+    whose z-only supports differ from the previous ones), the equations
+    lifted, the blocks by variable name, the largest numerator or
+    denominator in bits and the time the checks took."""
     n, r, l = rep.n, rep.r, tau.l
     if len(tau.images) != n:
         raise ValueError("subspace image count must equal the dimension")
@@ -545,14 +546,11 @@ def closure_equations(
     inverted = tuple(int(any(m[k] for m in clearing)) for k in range(r))
     t = (0,) * any(inverted)
     names = ["t"] * len(t) + list(rep.ambient.names + tau.ambient.names) + [f"z{i + 1}" for i in range(n)]
-    # the x block lists the parameters outside S, then those in S
-    x_order = sorted(range(r + rep.s), key=lambda k: k < r and inverted[k])
-    blocks, width = [], 0
-    for block in (range(len(t)), x_order, range(l), range(n)):
-        if block:
-            blocks.append(tuple(width + i for i in block))
-        width += len(block)
-    z_start = width - n
+    # the blocks x_N | t, x_S | y | z over the indices t, x, y, z
+    z_start = len(t) + params
+    width, x_s = z_start + n, [len(t) + k for k in range(r) if inverted[k]]
+    x_n = [i for i in range(len(t), z_start - l) if i not in x_s]
+    blocks = [b for b in (x_n, [0] * len(t) + x_s, range(z_start - l, z_start), range(z_start, width)) if b]
 
     # the generators over t | x | y | z; the z term comes first, then the
     # image terms in image order; no two keys collide, as only the z term
@@ -608,10 +606,13 @@ def closure_equations(
         return vanishes
 
     _, _, restarts, primes = _lift(run, vanish, lambda support: "closure_equations: the check f(psi) = 0")
-    _log.debug(
-        "closure_equations: primes %s, %d restarts, %d equations lifted, f(psi) = 0 checked in %.1f ms",
-        ",".join(map(str, primes)), restarts, len(equations), 1000 * check_s,
-    )
+    if _log.isEnabledFor(logging.DEBUG):  # a run of three or more variables reads first..last
+        layout = " | ".join(f"{names[b[0]]}..{names[b[-1]]}" if len(b) > 2 and b[-1] - b[0] == len(b) - 1
+                            else ",".join(names[i] for i in b) for b in blocks)
+        bits = max((max(abs(c.numerator), c.denominator).bit_length() for f in equations for c in f.values()), default=0)
+        _log.debug("closure_equations: primes %s, %d restarts, %d equations lifted, blocks %s, coefficients up "
+                   "to %d bits, f(psi) = 0 checked in %.1f ms", ",".join(map(str, primes)), restarts,
+                   len(equations), layout, bits, 1000 * check_s)
     return equations
 
 

@@ -10,9 +10,10 @@ every equation vanishes at scaled orbit points (s, s*v), where v is the
 coefficient vector of a form with the cone's root pattern, and the
 equations do not all vanish at a form with distinct roots.  The exact
 equation lists and the pair counters are pinned as well, so a change of
-monomial representation or of the order inside a block (closure_equations
-puts the inverted parameters last in the x block) cannot alter a basis
-or its pair sequence unnoticed."""
+monomial representation or of the block layout (closure_equations ranks
+the parameters outside the inverted set S first, then t and S in one
+grevlex block, S last) cannot alter a basis or its pair sequence
+unnoticed."""
 
 import hashlib
 import logging
@@ -59,43 +60,53 @@ def _cone_points(multiplicities):
 # Per cone: the sha256 of repr(equations), pinning every exponent,
 # coefficient and term order, and buchberger's DEBUG line, pinning the
 # pair sequence through its counters.  closure_equations adds its own
-# line: one prime, no restart, and the equations it lifted and checked.
+# line: one prime, no restart, the equations it lifted, the blocks, the
+# largest coefficient in bits and the time of the check.
 PINS = {
     (3,): (
         "2d38408ded06499fdffe7979d6ac65fec6e2abedbaecd1c32d8ad9c089c187da",
-        "buchberger: 397 pairs formed, 226 dropped by criterion M, 13 by F, 59 by B, "
-        "99 S-polynomials reduced, 56 to zero, basis 48 elements",
+        "buchberger: 209 pairs formed, 100 dropped by criterion M, 18 by F, 26 by B, "
+        "65 S-polynomials reduced, 35 to zero, basis 35 elements",
     ),
     (4,): (
         "8eb918e4c1d1af76a2cd531ae08c0441904b4f2029f5ca198fd256b9ef5bdfd7",
-        "buchberger: 1292 pairs formed, 837 dropped by criterion M, 71 by F, 153 by B, "
-        "231 S-polynomials reduced, 145 to zero, basis 92 elements",
+        "buchberger: 1006 pairs formed, 620 dropped by criterion M, 69 by F, 130 by B, "
+        "187 S-polynomials reduced, 115 to zero, basis 78 elements",
     ),
     (2, 1): (
         "001af654dca3fbb914c6c61c26783483568f1ccf549afd0a35b71b1101fb48d2",
-        "buchberger: 1654 pairs formed, 1125 dropped by criterion M, 126 by F, 157 by B, "
-        "246 S-polynomials reduced, 161 to zero, basis 90 elements",
+        "buchberger: 712 pairs formed, 426 dropped by criterion M, 57 by F, 61 by B, "
+        "168 S-polynomials reduced, 116 to zero, basis 57 elements",
     ),
     (5,): (
         "a3929c7ac60e4b5f02e720a32a743c22673fdb44a4b8563eb46b6f91fddb3f8f",
-        "buchberger: 3120 pairs formed, 2225 dropped by criterion M, 167 by F, 309 by B, "
-        "419 S-polynomials reduced, 275 to zero, basis 151 elements",
+        "buchberger: 1771 pairs formed, 1157 dropped by criterion M, 118 by F, 207 by B, "
+        "289 S-polynomials reduced, 186 to zero, basis 110 elements",
     ),
     (3, 1): (
         "6931e5b9dc9ce14144704697f03772b0da71b8560dc66fa373511be98b8f36fb",
-        "buchberger: 8563 pairs formed, 6745 dropped by criterion M, 464 by F, 597 by B, "
-        "757 S-polynomials reduced, 533 to zero, basis 230 elements",
+        "buchberger: 6244 pairs formed, 4807 dropped by criterion M, 383 by F, 427 by B, "
+        "627 S-polynomials reduced, 449 to zero, basis 184 elements",
     ),
     (6,): (
         "2c5e32b2c8e470d3156f495be1ac0ffad4e1e4169b9224efd021cb8151db4d1b",
-        "buchberger: 5344 pairs formed, 3959 dropped by criterion M, 271 by F, 520 by B, "
-        "594 S-polynomials reduced, 400 to zero, basis 202 elements",
+        "buchberger: 2802 pairs formed, 1771 dropped by criterion M, 248 by F, 295 by B, "
+        "488 S-polynomials reduced, 344 to zero, basis 152 elements",
     ),
     (4, 1): (
         "86b3c9e247d0de22a55d9b88f3c3b38f9b92668a683121da7d328666c288a57b",
-        "buchberger: 17278 pairs formed, 14460 dropped by criterion M, 794 by F, 800 by B, "
-        "1224 S-polynomials reduced, 902 to zero, basis 329 elements",
+        "buchberger: 16898 pairs formed, 13901 dropped by criterion M, 927 by F, 850 by B, "
+        "1220 S-polynomials reduced, 907 to zero, basis 320 elements",
     ),
+}
+
+# buchberger's progress lines, one each time the pairs formed cross a
+# multiple of 10,000: only the quintic z1^4 z2 cone forms that many.
+PROGRESS = {
+    (4, 1): [
+        "buchberger progress: 10069 pairs formed, 7881 dropped by criterion M, 591 by F, 696 by B, "
+        "621 S-polynomials reduced, 379 to zero",
+    ],
 }
 
 
@@ -121,9 +132,14 @@ def test_cone_closes_at_default_budget(multiplicities, degrees, caplog):
     digest, debug_line = PINS[multiplicities]
     assert hashlib.sha256(repr(equations).encode()).hexdigest() == digest
     messages = [r.getMessage() for r in caplog.records if r.name == "orbitcal.elim"]
+    progress = [m for m in messages if m.startswith("buchberger progress: ")]
+    assert progress == PROGRESS.get(multiplicities, [])
+    messages = [m for m in messages if m not in progress]
     assert messages[:1] == [debug_line] and len(messages) == 2
+    bits = max(max(abs(c.numerator), c.denominator).bit_length() for q in equations for c in q.values())
     assert re.fullmatch(
         rf"closure_equations: primes {RANK_PRIME}, 0 restarts, {len(degrees)} equations lifted, "
+        rf"blocks x1,x3,x4 \| t,x2 \| z1\.\.z{h + 2}, coefficients up to {bits} bits, "
         r"f\(psi\) = 0 checked in \d+\.\d ms",
         messages[1],
     )

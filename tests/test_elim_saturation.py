@@ -4,12 +4,14 @@ monomial x^m_p contains, the ring carries 1 - t*x^S, or no t at all when
 S is empty.  Before that it substitutes out every parameter x_k that a
 coordinate's image equals up to a nonzero scalar, psi_p = c*x_k: x_k
 becomes z_p/c in the other generators, 1 - t*x^S included, and p's
-generator is dropped, and its x block lists the parameters outside S
-before those in S.  None of this changes the ideal in Q[z] or its
-reduced basis, so over Z/p the z-only elements must equal those of the
-unsubstituted saturation by x1*...*xr in the natural x order, which
-tests/support.py computes independently."""
+generator is dropped, and its blocks are x_N | t, x_S | y | z: the
+group parameters outside S, then t and those in S in one grevlex block.
+None of this changes the ideal in Q[z] or its reduced basis, so over
+Z/p the z-only elements must equal those of the unsubstituted
+saturation by x1*...*xr under t | x | y | z in the natural x order,
+which tests/support.py computes independently."""
 
+import logging
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
@@ -63,8 +65,8 @@ def _check(rep, tau):
     """closure_equations agrees mod RANK_PRIME with the saturation by
     x1*...*xr; no generator has a substituted parameter, the ring has t
     exactly when psi inverts a parameter, saturated by 1 - t*x^S with
-    each substituted x_k replaced by z_p/c, and its x block lists the
-    parameters outside S before those in S.  Returns S."""
+    each substituted x_k replaced by z_p/c, and its blocks are x_N, then
+    t and x_S, then y and z, an empty block dropped.  Returns S."""
     with _spy_buchberger() as calls:
         equations = closure_equations(rep, tau)
     assert [residues(q, RANK_PRIME) for q in equations] == saturated_by_all(rep, tau, RANK_PRIME)
@@ -76,14 +78,18 @@ def _check(rep, tau):
     generators, ring = calls[0]
     params = rep.ambient.names + tau.ambient.names
     assert ring.names == ("t",) * bool(inverted) + params + tuple(f"z{i + 1}" for i in range(rep.n))
-    # the x block: the parameters outside S, then those in S, in index order
-    group = range(rep.ambient.nvars)
-    x_block = [k for k in group if k not in inverted] + sorted(inverted)
-    assert ring.blocks[bool(inverted)] == tuple(k + bool(inverted) for k in x_block)
+    # x_N, then t and x_S, each in index order, then y and z
+    t, group, z = int(bool(inverted)), rep.ambient.nvars, len(ring.names) - rep.n
+    blocks = (
+        tuple(k + t for k in range(group) if k not in inverted),
+        (0,) * t + tuple(k + t for k in sorted(inverted)),
+        tuple(range(t + group, z)),
+        tuple(range(z, len(ring.names))),
+    )
+    assert ring.blocks == tuple(b for b in blocks if b)
     assert len(generators) == rep.n - len(taken) + bool(inverted)
     assert not any(e[k + bool(inverted)] for g in generators for e in g for k in taken)
     if inverted:
-        assert ring.blocks[0] == (0,)
         exp = [1] + [int(k in inverted and k not in taken) for k in range(len(params))] + [0] * rep.n
         coef = Fraction(-1)
         for k in inverted & taken.keys():
@@ -132,6 +138,35 @@ def _conified(rep, b):
 )
 def test_saturation_by_inverted_parameters_matches_all(question, inverted):
     assert _check(*question()) == inverted
+
+
+@pytest.mark.parametrize(
+    "question, blocks, layout",
+    [
+        # S empty: x | y | z, no t
+        (
+            lambda: (torus_diagonal([(0,), (1,), (2,)]), SubspaceMap(1, ["y1", "y1", "y1"])),
+            ((0,), (1,), (2, 3, 4)),
+            "x1 | y1 | z1..z3",
+        ),
+        # x_N empty: t and x_S come first
+        (lambda: (torus_diagonal([(1,), (-1,)]), SubspaceMap.point((3, 1))), ((0, 1), (2, 3)), "t,x1 | z1,z2"),
+        # conified sl2: the scaling x1 and x3, x4, then t and the inverted x2
+        (
+            lambda: _conified(sl2_binary_forms(3), (1, 0, 0, 0)),
+            ((1, 3, 4), (0, 2), (5, 6, 7, 8, 9)),
+            "x1,x3,x4 | t,x2 | z1..z5",
+        ),
+    ],
+    ids=["no-t", "no-x_N", "cubic-cone"],
+)
+def test_block_layout(question, blocks, layout, caplog):
+    rep, tau = question()
+    with _spy_buchberger() as calls, caplog.at_level(logging.DEBUG, logger="orbitcal.elim"):
+        closure_equations(rep, tau)
+    assert calls[0][1].blocks == blocks
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("closure_equations:")]
+    assert f", blocks {layout}, coefficients up to " in line
 
 
 @st.composite
