@@ -6,8 +6,9 @@ dicts in the representation's parameters, whose count nvars the caller
 passes.  With D the common denominator of psi and the target a, phi =
 D psi and beta = D a, and the images phi^q come from
 polyring.monomial_images on its packed monomial keys, which this
-module treats as opaque: only the distinct row monomials are decoded,
-once, to sort the rows.  A refutation certifies membership, a solution
+module treats as opaque: their int order is (degree, exponent) order,
+so rows are sorted as ints and decoded only when LinearSystem's
+row_monomials is read.  A refutation certifies membership, a solution
 certifies non-membership, and solve_or_refute returns either only
 after an exact plug-back, which ConsistencyWitness.verify repeats for
 anyone who holds the system.
@@ -31,12 +32,18 @@ collected monomial coefficient vanish.  The column of c[(p, q)] is
 therefore the expansion of (psi_p - a_p) psi^q (assemble_system), and
 the base is scrambled first when it has a zero coordinate.  It needs
 the orbit of b to be conic, which the caller asserts, and b != 0.
+
+At DEBUG, logger orbitcal.decider gets one line per system built: its
+rows, columns and nonzeros, and the milliseconds spent on the images and
+on the matrix.
 """
 
 from __future__ import annotations
 
+import logging
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
+from time import perf_counter
 
 from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
@@ -50,6 +57,8 @@ IN_CLOSURE = "IN_CLOSURE"
 NOT_IN_CLOSURE = "NOT_IN_CLOSURE"
 
 DEFAULT_MAX_NNZ = 10**6
+
+_log = logging.getLogger("orbitcal.decider")
 
 
 class DecisionProblem:
@@ -83,18 +92,27 @@ def conic_problem(rep, a, b, degree_bound_override=None) -> DecisionProblem:
 
 
 class LinearSystem:
-    """The integer system A x = v.  row_monomials[i] is the parameter
-    monomial of row i, or None for the evaluation row; col_keys[j] is
-    the label of column j: a generic coefficient (p, q) of the paper's
-    system, or the exponent q of the evaluation system."""
+    """The integer system A x = v.  row_keys[i] is the packed key of the
+    parameter monomial of row i, sorted as ints, and decode turns one
+    into its exponent tuple; rows past row_keys, the evaluation row, have
+    no monomial.  col_keys[j] is the label of column j: a generic
+    coefficient (p, q) of the paper's system, or the exponent q of the
+    evaluation system."""
 
-    __slots__ = ("matrix", "rhs", "row_monomials", "col_keys")
+    __slots__ = ("matrix", "rhs", "row_keys", "col_keys", "decode")
 
-    def __init__(self, matrix: SparseMatrix, rhs, row_monomials, col_keys):
+    def __init__(self, matrix: SparseMatrix, rhs, row_keys, col_keys, decode):
         self.matrix = matrix
         self.rhs = list(rhs)
-        self.row_monomials = list(row_monomials)
+        self.row_keys = row_keys
         self.col_keys = list(col_keys)
+        self.decode = decode
+
+    @property
+    def row_monomials(self) -> list:
+        """The exponent tuple of each row, None for the evaluation row,
+        decoded afresh on every read."""
+        return [*map(self.decode, self.row_keys)] + [None] * (self.matrix.rows - len(self.row_keys))
 
 
 class Decision:
@@ -149,14 +167,14 @@ def _exponents(n: int, top: int):
         yield tuple(slots.count(i) for i in range(n))
 
 
-def _matrix(columns, decode, max_nnz, rows=(), extra_rows=()):
+def _matrix(columns, max_nnz, rows=(), extra_rows=()):
     """The SparseMatrix whose column j is columns[j], a term dict on
     packed monomial keys: one row per key in rows or in the support of a
-    column, sorted by the decoded (degree, exponent), then the rows of
-    extra_rows, dicts column -> nonzero int.  Raises ResourceLimitError
-    before any row is written when the nonzeros, those of the columns
-    and of extra_rows, exceed max_nnz.  Returns it with the row index of
-    each key and the sorted row monomials."""
+    column, sorted as ints, which is (degree, exponent) order, then the
+    rows of extra_rows, dicts column -> nonzero int.  Raises
+    ResourceLimitError before any row is written when the nonzeros,
+    those of the columns and of extra_rows, exceed max_nnz.  Returns it
+    with the sorted row keys; nothing is decoded."""
     rows = set(rows)
     for column in columns:
         rows.update(column)
@@ -166,16 +184,24 @@ def _matrix(columns, decode, max_nnz, rows=(), extra_rows=()):
             f"linear system too large: {nnz} nonzeros (limit {max_nnz}), "
             f"{len(rows) + len(extra_rows)} rows x {len(columns)} columns"
         )
-    decoded = {decode(key): key for key in rows}
-    row_monomials = sorted(decoded, key=lambda e: (sum(e), e))
-    row_index = {decoded[exp]: i for i, exp in enumerate(row_monomials)}
-    matrix = SparseMatrix(len(row_monomials) + len(extra_rows), max(1, len(columns)))
+    keys = sorted(rows)
+    row_index = dict(zip(keys, range(len(keys))))
+    matrix = SparseMatrix(len(keys) + len(extra_rows), max(1, len(columns)))
     row_terms = matrix.row_terms
     for j, column in enumerate(columns):
         for row, coef in column.items():
             row_terms[row_index[row]][j] = coef
-    row_terms[len(row_monomials) :] = extra_rows
-    return matrix, row_index, row_monomials
+    row_terms[len(keys) :] = extra_rows
+    return matrix, keys
+
+
+def _logged(name, matrix, start, built):
+    """The DEBUG line of a system built: images from start, the matrix
+    from built, until now."""
+    if _log.isEnabledFor(logging.DEBUG):
+        done = perf_counter()
+        _log.debug("%s: %d rows x %d columns, %d nonzeros; images %.2f ms, matrix %.2f ms", name, matrix.rows,
+                   matrix.cols, matrix.nnz, 1000 * (built - start), 1000 * (done - built))
 
 
 def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
@@ -198,6 +224,7 @@ def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFA
     ResourceLimitError before its matrix is filled."""
     if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    start = perf_counter()
     D, phi, beta = _cleared(alpha, pullbacks)
     n = len(pullbacks)
     image, decode = monomial_images(phi, nvars, 2 * d - 1)
@@ -211,10 +238,12 @@ def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFA
             if column:
                 columns[(p, q)] = column
     col_keys = sorted(columns)
-    matrix, row_index, row_monomials = _matrix([columns[key] for key in col_keys], decode, max_nnz, {one})
-    rhs = [0] * len(row_monomials)
-    rhs[row_index[one]] = D ** (2 * d - 1)
-    return LinearSystem(matrix, rhs, row_monomials, col_keys)
+    built = perf_counter()
+    matrix, keys = _matrix([columns[key] for key in col_keys], max_nnz, {one})
+    _logged("assemble_system", matrix, start, built)
+    rhs = [0] * len(keys)
+    rhs[keys.index(one)] = D ** (2 * d - 1)
+    return LinearSystem(matrix, rhs, keys, col_keys, decode)
 
 
 def evaluation_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
@@ -235,13 +264,17 @@ def evaluation_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DE
     filled."""
     if d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    start = perf_counter()
     _, phi, beta = _cleared(alpha, pullbacks)
     image, decode = monomial_images(phi, nvars, d)
     col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
     evaluation_row = {j: value for j, q in enumerate(col_keys) if (value := prod(b**e for b, e in zip(beta, q)))}
-    matrix, _, row_monomials = _matrix([image(q) for q in col_keys], decode, max_nnz, extra_rows=[evaluation_row])
+    columns = [image(q) for q in col_keys]
+    built = perf_counter()
+    matrix, keys = _matrix(columns, max_nnz, extra_rows=[evaluation_row])
+    _logged("evaluation_system", matrix, start, built)
     rhs = [0] * (matrix.rows - 1) + [1]
-    return LinearSystem(matrix, rhs, row_monomials + [None], col_keys)
+    return LinearSystem(matrix, rhs, keys, col_keys, decode)
 
 
 def _start(problem: DecisionProblem, seed: int):
@@ -389,7 +422,7 @@ def paper_decide(
             f"bound d = {d} (limit {max_nnz} nonzeros)"
         )
     system = assemble_system(d, a, pullbacks, problem.rep.ambient.nvars, max_nnz=max_nnz)
-    transcript["monomials"] = len(system.row_monomials)
+    transcript["monomials"] = len(system.row_keys)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz
     return _solved(system, transcript, keep_system)

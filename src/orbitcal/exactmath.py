@@ -31,6 +31,7 @@ _log = logging.getLogger("orbitcal.exactmath")
 
 SOLUTION = "SOLUTION"
 REFUTATION = "REFUTATION"
+_ZERO = Fraction(0)
 
 
 class SparseMatrix:
@@ -64,7 +65,9 @@ class SparseMatrix:
 
 class ConsistencyWitness:
     """Either a solution x of A x = v or a refuting row combination u
-    with u A = 0 and u v != 0 (Kronecker-Capelli certificate)."""
+    with u A = 0 and u v != 0 (Kronecker-Capelli certificate).  The
+    vector holds Fractions: a Fraction entry is kept as it is, every
+    zero is one shared Fraction(0), and anything else is converted."""
 
     __slots__ = ("kind", "vector")
 
@@ -72,7 +75,7 @@ class ConsistencyWitness:
         if kind not in (SOLUTION, REFUTATION):
             raise ValueError(f"unknown witness kind {kind!r}")
         self.kind = kind
-        self.vector = tuple(Fraction(x) for x in vector)
+        self.vector = tuple(x if type(x) is Fraction else Fraction(x) if x else _ZERO for x in vector)
 
     def verify(self, matrix: SparseMatrix, rhs) -> bool:
         """Exact plug-back check of the witness against the integer

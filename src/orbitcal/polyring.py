@@ -14,8 +14,9 @@ and format_terms prints the terms in descending (degree, exponent)
 order.
 
 Every product runs on packed keys: monomial_images encodes an exponent
-tuple as one int, sum_i e_i W^i with W chosen from a degree bound so
-that no two monomials share a key, and a monomial product is then one
+tuple as one int, its degree and entries as digits base W, with W
+chosen from a degree bound so that no two monomials share a key and int
+order is (degree, exponent) order; a monomial product is then one
 integer addition, the _kernels.term_times_into loop.  The decider's
 pullback images, elim's check f(psi) = 0, substitute, the integrand of
 degbound.kazarnovskii and the matrix entries of
@@ -113,21 +114,29 @@ def monomial_images(images, nvars: int, top: int):
     for q in N^len(images) with |q| <= top, as a term dict on packed
     keys, and decode turns a packed key back into its exponent tuple.
 
-    A key packs an exponent e as sum_i e_i W^i.  Every monomial of an
-    image is a sum of at most top exponents of the given terms, so its
-    entry i lies in [lo_i, hi_i] = [top min(0, min e_i), top max(0,
-    max e_i)], negative entries included; W exceeds every hi_i - lo_i.
-    Packing adds exponents exactly, since it is linear, and is one to
-    one on that box, since digits from W consecutive values are unique.
-    So a product of images multiplies on int keys, each monomial
-    product one integer addition, and no two monomials share a key.
-    A request with |q| > top could leave the box and raises ValueError.
+    A key packs an exponent e as sum_i e_i (W^(n-1-i) + W^n), n = nvars:
+    the degree |e| as the top digit, then e_0 down to e_(n-1).  Every
+    monomial of an image is a sum of at most top exponents of the given
+    terms, so its entry i lies in [lo_i, hi_i] = [top min(0, min e_i),
+    top max(0, max e_i)], negative entries included; W exceeds every
+    hi_i - lo_i.  Packing adds exponents exactly, since it is linear, and
+    is one to one on that box, since digits from W consecutive values are
+    unique.  So a product of images multiplies on int keys, each monomial
+    product one integer addition, and no two monomials share a key.  A
+    request with |q| > top could leave the box and raises ValueError.
+
+    Int order on keys is (degree, exponent) order on the box: two
+    exponents differ by less than W in each entry, so below the top digit
+    the keys differ by sum_i (e_i - e'_i) W^(n-1-i), whose first nonzero
+    term outweighs the rest, and that whole part lies inside (-W^n, W^n),
+    which a difference in the top digit outweighs.
 
     Images are memoized: image(q) is one product, image(q - e_i) *
-    images[i] with i the last nonzero index of q, built bottom up in a
-    loop, one term_times_into call per term of the smaller factor.  The
-    cache holds only term dicts, so no reference cycle keeps it alive.
-    The returned dicts are shared: copy one before mutating it."""
+    images[i] with i the nonzero index of q whose factor has the fewest
+    terms, built bottom up in a loop, one term_times_into call per term
+    of the smaller factor.  The cache holds only term dicts, so no
+    reference cycle keeps it alive.  The returned dicts are shared: copy
+    one before mutating it."""
     lows, highs = [0] * nvars, [0] * nvars
     for terms in images:
         for exp in terms:
@@ -137,9 +146,10 @@ def monomial_images(images, nvars: int, top: int):
                 elif e > highs[i]:
                     highs[i] = e
     width = top * max((hi - lo for lo, hi in zip(lows, highs)), default=0) + 1
-    lows = [top * lo for lo in lows]
-    weights = [width**i for i in range(nvars)]
+    lows = [top * lo for lo in reversed(lows)]  # decode reads e_(n-1) first
+    weights = [width ** (nvars - 1 - i) + width**nvars for i in range(nvars)]
     factors = [{sum(map(mul, exp, weights)): c for exp, c in terms.items()} for terms in images]
+    sizes = [len(terms) for terms in factors]
     cache: dict[tuple[int, ...], dict] = {(0,) * len(images): {0: 1}}
 
     def image(exp):
@@ -148,7 +158,7 @@ def monomial_images(images, nvars: int, top: int):
             raise ValueError(f"image of {exp} requested; the images are built for q in N^{len(images)}, |q| <= {top}")
         chain = []
         while got is None:
-            i = max(k for k, e in enumerate(exp) if e)
+            i = min((k for k, e in enumerate(exp) if e), key=sizes.__getitem__)
             chain.append((exp, i))
             exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
             got = cache.get(exp)
@@ -165,7 +175,7 @@ def monomial_images(images, nvars: int, top: int):
             e = (key - lo) % width + lo
             exp.append(e)
             key = (key - e) // width
-        return tuple(exp)
+        return tuple(reversed(exp))
 
     return image, decode
 

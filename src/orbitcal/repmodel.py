@@ -284,8 +284,8 @@ def orbit_dimension(pullbacks, nvars: int, *, seed: int = 0) -> int:
         for exp, coef in psi.items():
             # d/dx_k of c x^e is e_k c x^e / x_k
             value = coef.numerator * (scale // coef.denominator)
-            for x, e in zip(point, exp):
-                value = value * pow(x, e, p) % p
+            for x, y, e in zip(point, inverse, exp):
+                value = value * (pow(x, e, p) if e >= 0 else pow(y, -e, p)) % p
             for k, e in enumerate(exp):
                 if e:
                     row[k] = (row.get(k, 0) + e * value * inverse[k]) % p

@@ -1,14 +1,16 @@
 import gc
 import hashlib
 import json
+import logging
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
 import pytest
 
-from orbitcal import decider, repmodel
+from orbitcal import decider, polyring, repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
@@ -824,3 +826,103 @@ def test_decide_verdicts_equal_the_papers():
         assert verdict == _checked(paper_decide, problem, seed=seed).verdict, (problem.rep.label, problem.a, problem.b)
         verdicts.add(verdict)
     assert verdicts == {IN_CLOSURE, NOT_IN_CLOSURE}
+
+
+def _decision_groups():
+    """The decisions whose JSON is pinned, by group: the decide-sparse
+    problems; the 16-case battery through paper_decide and decide,
+    conified at d = 2, and through decide raw at its own bound; the 15
+    diagonal cases through decide, conified at d = 3; and three points
+    on each monomial-curve cone z2^k = z1^(k-1) z3, at d = k."""
+    sl2 = repmodel.sl2_binary_forms(2)
+    battery = decision_battery()
+    conified = [conic_problem(case.rep, case.a, case.b, degree_bound_override=2) for case in battery]
+    curves = []
+    for k in (1, 2, 3, 4):
+        rep2, _, b2 = make_conic(torus_diagonal([(1,), (k,)]), (0, 0), (1, 1))
+        curves += [DecisionProblem(rep2, a2, b2, degree_bound_override=k, conic_asserted=True)
+                   for a2 in ((1, 2, 2**k), (2, 0, 0), (1, 1, 2))]
+    return {
+        "sparse": lambda: [decide(conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d))
+                           for d in (3, 4) for a in ((0, 1, 0), (1, 0, 0))],
+        "battery-paper": lambda: list(map(paper_decide, conified)),
+        "battery-decide": lambda: list(map(decide, conified)),
+        "battery-raw": lambda: [decide(DecisionProblem(case.rep, case.a, case.b)) for case in battery],
+        "diagonal": lambda: [decide(conic_problem(torus_diagonal(case.weights), case.a, case.b, degree_bound_override=3))
+                             for case in diagonal_battery()],
+        "curves": lambda: list(map(decide, curves)),
+    }
+
+
+# sha256 of json.dumps of each group's Decision.to_json() list, taken
+# while the rows were still sorted by their decoded exponents: a changed
+# verdict, certificate or transcript shows which group moved
+DECISION_PINS = {
+    "sparse": "0270573b41557204f1e8c04fae471ad550d57145acf874bc271242661737ec03",
+    "battery-paper": "0325d552c4bea5a3720bc36b8a6869351b77ed3dce54666e7cd0eed5a0b51f4a",
+    "battery-decide": "3de906f4ca97d6b7df914f55b02598d340d60cd3fad6df9d056a95f891017259",
+    "battery-raw": "036f3bebf23251fa76e68d50f1b40ebc8aff5e837399be998f5baaf1cbdbf6f5",
+    "diagonal": "b5a8897dc328bbdad00624952ee339f32a27fb60d1f4cf529cdea50c1778ccb7",
+    "curves": "3cc4ce437f1a80b78dfaa26da4f141eb8750154a332739708ff1a4c9759514ad",
+}
+
+
+@pytest.mark.parametrize("group", list(DECISION_PINS))
+def test_decisions_are_pinned(group):
+    decisions = _decision_groups()[group]()
+    payload = json.dumps([decision.to_json() for decision in decisions]).encode()
+    assert hashlib.sha256(payload).hexdigest() == DECISION_PINS[group]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        conic_problem(repmodel.sl2_binary_forms(2), (0, 1, 0), (1, 2, 1), degree_bound_override=3),
+        conic_problem(repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), degree_bound_override=3),
+        # a negative weight and denominators in both the pullbacks and a
+        conic_problem(torus_diagonal([(1, 0), (1, -2), (0, 1)]), (Fraction(1, 2), 3, -1), (Fraction(2, 3), 1, 5),
+                      degree_bound_override=2),
+    ],
+    ids=["sparse-d3-NOT", "sparse-d3-IN", "laurent-rational"],
+)
+def test_systems_are_built_and_solved_without_decoding(monkeypatch, problem):
+    # both deciders sort and fill their rows on packed keys: the decoder
+    # that monomial_images hands them runs only when row_monomials is
+    # read, once per row and read, and then gives the schoolbook rows
+    keys = []
+
+    def spied(*args):
+        image, decode = polyring.monomial_images(*args)
+        return image, lambda key: keys.append(key) or decode(key)
+
+    monkeypatch.setattr(decider, "monomial_images", spied)
+    decision, system = decide(problem, keep_system=True)
+    paper, paper_system = paper_decide(problem, keep_system=True)
+    assert keys == [] and paper.transcript["scramble"] is None
+    pullbacks = coordinate_pullbacks(problem.rep, problem.b)
+    nvars = problem.rep.ambient.nvars
+    d = decision.transcript["degree_bound"]
+    assert system.row_monomials == _reference_evaluation_system(d, problem.a, pullbacks, nvars)[4]
+    assert paper_system.row_monomials == _reference_system(d, problem.a, pullbacks, nvars)[4]
+    assert keys == system.row_keys + paper_system.row_keys
+    assert system.row_monomials == system.row_monomials
+    assert len(keys) == 3 * len(system.row_keys) + len(paper_system.row_keys)
+
+
+def test_one_debug_line_per_system(caplog):
+    # rows, columns and nonzeros as the transcript records them, and the
+    # two timings, which stay out of the transcript
+    problem = conic_problem(repmodel.sl2_binary_forms(2), (1, 0, 0), (1, 2, 1), degree_bound_override=3)
+    quiet = [decide(problem).to_json(), paper_decide(problem).to_json()]
+    with caplog.at_level(logging.DEBUG, logger="orbitcal.decider"):
+        decision, paper = decide(problem), paper_decide(problem)
+    lines = [r.getMessage() for r in caplog.records if r.name == "orbitcal.decider"]
+    shape = r"(\d+) rows x (\d+) columns, (\d+) nonzeros; images \d+\.\d\d ms, matrix \d+\.\d\d ms"
+    assert len(lines) == 2
+    evaluation = re.fullmatch("evaluation_system: " + shape, lines[0])
+    assembled = re.fullmatch("assemble_system: " + shape, lines[1])
+    t = decision.transcript
+    assert tuple(map(int, evaluation.groups())) == (t["rows"], t["columns"], t["nonzeros"])
+    t = paper.transcript
+    assert tuple(map(int, assembled.groups())) == (t["monomials"], t["c_variables"], t["nonzeros"])
+    assert [decision.to_json(), paper.to_json()] == quiet

@@ -2,11 +2,13 @@
 key by key, equals the product of powers computed by the schoolbook
 convolution of support.py on exponent tuples, also with negative
 exponents on the invertible variables, empty term dicts and one
-variable; a request above the degree bound raises
+variable; the keys of all images sort as ints in (degree, exponent)
+order, one key per exponent; a request above the degree bound raises
 ValueError; and substitute equals the sum of its terms' products of
 powers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -56,6 +58,25 @@ def test_images_equal_laurent_products(data):
         # no two keys decode to the same exponent, and none is a zero
         assert len(decoded) == len(got) and all(decoded.values())
         assert decoded == _reference(nvars, images, q), q
+
+
+@_settings
+@hypothesis.given(_images())
+def test_keys_sort_in_degree_then_exponent_order(data):
+    # for every q with |q| <= top the decoded image is the product, and
+    # the keys of all the images together, sorted as ints, decode to
+    # distinct exponents in strictly increasing (degree, exponent) order:
+    # one key per exponent, and each image's keys in that order
+    nvars, images, top, _ = data
+    image, decode = monomial_images(images, nvars, top)
+    exponents = {}
+    for q in product(range(top + 1), repeat=len(images)):
+        if sum(q) <= top:
+            got = image(q)
+            assert {decode(key): coef for key, coef in got.items()} == _reference(nvars, images, q), q
+            exponents.update((key, decode(key)) for key in got)
+    ranks = [(sum(e), e) for _, e in sorted(exponents.items())]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
 
 @_settings

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from orbitcal import exactmath
 from orbitcal.elim import SubspaceMap
 from orbitcal.exactmath import det
 from orbitcal.polyring import evaluate_terms
@@ -219,6 +221,39 @@ def test_orbit_dimension_invariances():
     for _ in range(5):
         assert orbit_dimension(coordinate_pullbacks(sl2, act(sl2, _random_param(rng), b)), 3) == base
     assert orbit_dimension(coordinate_pullbacks(sl2, (0, -3, 0)), 3) == base
+
+
+def test_orbit_dimension_rows_equal_direct_powers(monkeypatch):
+    # the Jacobian rows handed to rank_mod, negative powers taken from
+    # the inverses of the point, equal the rows built with pow(x, e, p)
+    # on random Laurent pullbacks
+    seen = []
+    monkeypatch.setattr(exactmath, "rank_mod", lambda rows: seen.append(rows) or 0)
+    p = exactmath.RANK_PRIME
+    rng = random.Random(3)
+    for seed in range(20):
+        r, s = rng.randint(1, 3), rng.randint(0, 2)
+        pullbacks = [
+            {tuple(rng.randint(-3, 3) for _ in range(r)) + tuple(rng.randint(0, 3) for _ in range(s)):
+             Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for _ in range(rng.randint(0, 4))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        orbit_dimension(pullbacks, r + s, seed=seed)
+        draw = random.Random(seed)  # the point orbit_dimension draws
+        point = [draw.randrange(1, p) for _ in range(r + s)]
+        direct = []
+        for psi in pullbacks:
+            scale = lcm(*(c.denominator for c in psi.values()))
+            row = {}
+            for exp, coef in psi.items():
+                value = coef.numerator * (scale // coef.denominator)
+                for x, e in zip(point, exp):
+                    value = value * pow(x, e, p) % p
+                for k, e in enumerate(exp):
+                    if e:
+                        row[k] = (row.get(k, 0) + e * value * pow(point[k], -1, p)) % p
+            direct.append(row)
+        assert seen.pop() == direct
 
 
 def test_pullbacks():
