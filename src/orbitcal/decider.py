@@ -24,6 +24,18 @@ the closure, of degree <= d, is cut out by equations of degree <= d
 (Heintz 1983, Prop. 3), which holds for any affine variety: decide
 needs neither a conic orbit nor a nonzero b.
 
+decide solves the transpose T, one row per column q in the same order:
+the coefficients of phi^q on M's rows, right-hand side -beta^q.  Its
+pass reads the columns (phi^q | beta^q) by degree and ends at the first
+equation that a violates.  A solution u of T is the refutation (u, 1);
+a refutation g of T, g_q* = 1, is the solution g / (beta.g).  Both are
+the certificates of the pass over the rows of [M ; beta^q], since a
+witness on independent rows or columns is the only one with its
+support.  That pass refutes on the first independent rows of M, which
+are T's pivot columns, and on the evaluation row; it solves on the
+greedy column basis of [M ; beta^q], which up to q* is T's pivot rows
+before q*, and q*, where g lives.
+
 paper_decide runs the paper's construction, which crosscheck uses as
 an oracle: with polynomials F_p of degree 2d-2 whose coefficients
 c[(p, q)] are unknowns, the combination (y_1 - a_1)F_1 + ... + (y_n -
@@ -35,7 +47,8 @@ the orbit of b to be conic, which the caller asserts, and b != 0.
 
 At DEBUG, logger orbitcal.decider gets one line per system built: its
 rows, columns and nonzeros, and the milliseconds spent on the images and
-on the matrix.
+on the matrix; decide's line adds how many columns its pass read, up to
+which degree.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from orbitcal import repmodel
 from orbitcal._kernels import add_scaled_inplace
 from orbitcal.degbound import parametric_degree_bound
 from orbitcal.errors import PreconditionError, ResourceLimitError
-from orbitcal.exactmath import REFUTATION, SparseMatrix, solve_or_refute
+from orbitcal.exactmath import REFUTATION, SOLUTION, ConsistencyWitness, SparseMatrix, solve_or_refute
 from orbitcal.polyring import monomial_images
 from orbitcal.repmodel import vector
 
@@ -167,14 +180,13 @@ def _exponents(n: int, top: int):
         yield tuple(slots.count(i) for i in range(n))
 
 
-def _matrix(columns, max_nnz, rows=(), extra_rows=()):
-    """The SparseMatrix whose column j is columns[j], a term dict on
-    packed monomial keys: one row per key in rows or in the support of a
-    column, sorted as ints, which is (degree, exponent) order, then the
-    rows of extra_rows, dicts column -> nonzero int.  Raises
-    ResourceLimitError before any row is written when the nonzeros,
-    those of the columns and of extra_rows, exceed max_nnz.  Returns it
-    with the sorted row keys; nothing is decoded."""
+def _row_index(columns, max_nnz, rows=(), extra_rows=()):
+    """The rows of a system whose columns are term dicts on packed
+    monomial keys: (keys, index), one key per row in rows or in the
+    support of a column, sorted as ints, which is (degree, exponent)
+    order, and the map key -> row.  Raises ResourceLimitError when the
+    nonzeros, those of the columns and of extra_rows, the dicts of the
+    rows after the keyed ones, exceed max_nnz; nothing is decoded."""
     rows = set(rows)
     for column in columns:
         rows.update(column)
@@ -185,23 +197,17 @@ def _matrix(columns, max_nnz, rows=(), extra_rows=()):
             f"{len(rows) + len(extra_rows)} rows x {len(columns)} columns"
         )
     keys = sorted(rows)
-    row_index = dict(zip(keys, range(len(keys))))
-    matrix = SparseMatrix(len(keys) + len(extra_rows), max(1, len(columns)))
-    row_terms = matrix.row_terms
-    for j, column in enumerate(columns):
-        for row, coef in column.items():
-            row_terms[row_index[row]][j] = coef
-    row_terms[len(keys) :] = extra_rows
-    return matrix, keys
+    return keys, dict(zip(keys, range(len(keys))))
 
 
-def _logged(name, matrix, start, built):
-    """The DEBUG line of a system built: images from start, the matrix
-    from built, until now."""
+def _logged(name, shape, start, built, made, read=None):
+    """The DEBUG line of a system built, of shape (rows, columns,
+    nonzeros): images from start to built, the matrix from built to
+    made, and read, (columns, of, degree), for a pass that stopped."""
     if _log.isEnabledFor(logging.DEBUG):
-        done = perf_counter()
-        _log.debug("%s: %d rows x %d columns, %d nonzeros; images %.2f ms, matrix %.2f ms", name, matrix.rows,
-                   matrix.cols, matrix.nnz, 1000 * (built - start), 1000 * (done - built))
+        tail = "; pass read %d of %d columns, to degree %d" % read if read else ""
+        _log.debug("%s: %d rows x %d columns, %d nonzeros; images %.2f ms, matrix %.2f ms%s", name, *shape,
+                   1000 * (built - start), 1000 * (made - built), tail)
 
 
 def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
@@ -239,11 +245,51 @@ def assemble_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFA
                 columns[(p, q)] = column
     col_keys = sorted(columns)
     built = perf_counter()
-    matrix, keys = _matrix([columns[key] for key in col_keys], max_nnz, {one})
-    _logged("assemble_system", matrix, start, built)
+    columns = [columns[key] for key in col_keys]
+    keys, index = _row_index(columns, max_nnz, {one})
+    matrix = SparseMatrix(len(keys), max(1, len(columns)))
+    row_terms = matrix.row_terms
+    for j, column in enumerate(columns):
+        for row, coef in column.items():
+            row_terms[index[row]][j] = coef
+    _logged("assemble_system", (matrix.rows, matrix.cols, matrix.nnz), start, built, perf_counter())
     rhs = [0] * len(keys)
     rhs[keys.index(one)] = D ** (2 * d - 1)
     return LinearSystem(matrix, rhs, keys, col_keys, decode)
+
+
+def _transposed_evaluation(d, alpha, pullbacks, nvars, max_nnz):
+    """(T, beta, keys, col_keys, decode, start, built): the transpose T
+    of the evaluation system at degree bound d without its evaluation
+    column, whose row j holds the coefficients of phi^q, q = col_keys[j],
+    on the row index of keys; the numbers beta^q in col_keys order; and
+    the times before and after the images.  Raises ResourceLimitError,
+    as evaluation_system's docstring says, before T is made."""
+    if d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    start = perf_counter()
+    _, phi, beta = _cleared(alpha, pullbacks)
+    image, decode = monomial_images(phi, nvars, d)
+    col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
+    values = [prod(b**e for b, e in zip(beta, q)) for q in col_keys]
+    columns = [image(q) for q in col_keys]
+    built = perf_counter()
+    keys, index = _row_index(columns, max_nnz, extra_rows=[[v for v in values if v]])
+    transposed = SparseMatrix(len(col_keys), len(keys))
+    transposed.row_terms = [{index[key]: coef for key, coef in column.items()} for column in columns]
+    return transposed, values, keys, col_keys, decode, start, built
+
+
+def _evaluation(transposed, values, keys, col_keys, decode) -> LinearSystem:
+    """The evaluation system whose columns are the rows of transposed
+    over the numbers values in the evaluation row."""
+    matrix = SparseMatrix(transposed.cols + 1, transposed.rows)
+    row_terms = matrix.row_terms
+    for j, column in enumerate(transposed.row_terms):
+        for i, coef in column.items():
+            row_terms[i][j] = coef
+    row_terms[-1] = {j: v for j, v in enumerate(values) if v}
+    return LinearSystem(matrix, [0] * (matrix.rows - 1) + [1], keys, col_keys, decode)
 
 
 def evaluation_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DEFAULT_MAX_NNZ) -> LinearSystem:
@@ -261,20 +307,13 @@ def evaluation_system(d: int, alpha, pullbacks, nvars: int, *, max_nnz: int = DE
     = 1; a refutation u has u_last != 0 and puts (beta^q) in the row
     space of M.  A system of more than max_nnz nonzeros, the evaluation
     row's included, raises ResourceLimitError before its matrix is
-    filled."""
-    if d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    start = perf_counter()
-    _, phi, beta = _cleared(alpha, pullbacks)
-    image, decode = monomial_images(phi, nvars, d)
-    col_keys = sorted(_exponents(len(pullbacks), d), key=lambda q: (sum(q), q))
-    evaluation_row = {j: value for j, q in enumerate(col_keys) if (value := prod(b**e for b, e in zip(beta, q)))}
-    columns = [image(q) for q in col_keys]
-    built = perf_counter()
-    matrix, keys = _matrix(columns, max_nnz, extra_rows=[evaluation_row])
-    _logged("evaluation_system", matrix, start, built)
-    rhs = [0] * (matrix.rows - 1) + [1]
-    return LinearSystem(matrix, rhs, keys, col_keys, decode)
+    filled.  decide builds the same system from the same transposed
+    parts."""
+    *parts, start, built = _transposed_evaluation(d, alpha, pullbacks, nvars, max_nnz)
+    system = _evaluation(*parts)
+    matrix = system.matrix
+    _logged("evaluation_system", (matrix.rows, matrix.cols, matrix.nnz), start, built, perf_counter())
+    return system
 
 
 def _start(problem: DecisionProblem, seed: int):
@@ -325,13 +364,6 @@ def _degree_bound(problem: DecisionProblem, transcript) -> int:
     return d
 
 
-def _solved(system: LinearSystem, transcript, keep_system: bool):
-    witness = solve_or_refute(system.matrix, system.rhs)
-    verdict = IN_CLOSURE if witness.kind == REFUTATION else NOT_IN_CLOSURE
-    decision = Decision(verdict, witness, transcript)
-    return (decision, system) if keep_system else decision
-
-
 def decide(
     problem: DecisionProblem,
     *,
@@ -346,11 +378,13 @@ def decide(
     Steps: the pullbacks and the orbit dimension (_start); pick the
     degree bound (_degree_bound); check the closed-form count of the
     columns and the evaluation row's entries against max_nnz before any
-    image is built; assemble the evaluation system, whose builder checks
-    its nonzeros before it fills the matrix; solve with an exact
-    witness, which solve_or_refute has already checked by plug-back.
+    image is built; build the transpose T of the evaluation system,
+    whose builder checks its nonzeros before it makes T; solve T with an
+    exact witness, which solve_or_refute has already checked by
+    plug-back on T, and map it back, as the module docstring says.
     Returns the Decision, or (Decision, LinearSystem) when keep_system
-    is set.  The transcript records the system's rows, columns and
+    is set, the evaluation system built in full from the parts of T.
+    The transcript records the evaluation system's rows, columns and
     nonzeros."""
     pullbacks, transcript = _start(problem, seed)
     d = _degree_bound(problem, transcript)
@@ -366,11 +400,24 @@ def decide(
             f"+ {row} evaluation-row entries at degree bound d = {d} "
             f"(limit {max_nnz} nonzeros)"
         )
-    system = evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars, max_nnz=max_nnz)
-    transcript["rows"] = system.matrix.rows
-    transcript["columns"] = system.matrix.cols
-    transcript["nonzeros"] = system.matrix.nnz
-    return _solved(system, transcript, keep_system)
+    transposed, values, keys, col_keys, decode, start, built = _transposed_evaluation(
+        d, problem.a, pullbacks, problem.rep.ambient.nvars, max_nnz
+    )
+    system = _evaluation(transposed, values, keys, col_keys, decode) if keep_system else None
+    made = perf_counter()
+    shape = (transposed.cols + 1, transposed.rows, transposed.nnz + sum(map(bool, values)))
+    transcript["rows"], transcript["columns"], transcript["nonzeros"] = shape
+    witness = solve_or_refute(transposed, [-v for v in values])
+    if witness.kind == SOLUTION:
+        certificate = ConsistencyWitness(REFUTATION, witness.vector + (1,))
+        read = len(col_keys)
+    else:
+        scale = sum(v * g for v, g in zip(values, witness.vector) if g)
+        certificate = ConsistencyWitness(SOLUTION, [g and g / scale for g in witness.vector])
+        read = 1 + max(j for j, g in enumerate(witness.vector) if g)
+    _logged("evaluation_system", shape, start, built, made, (read, len(col_keys), sum(col_keys[read - 1])))
+    decision = Decision(IN_CLOSURE if certificate.kind == REFUTATION else NOT_IN_CLOSURE, certificate, transcript)
+    return (decision, system) if keep_system else decision
 
 
 def paper_decide(
@@ -425,4 +472,6 @@ def paper_decide(
     transcript["monomials"] = len(system.row_keys)
     transcript["c_variables"] = c_variables
     transcript["nonzeros"] = system.matrix.nnz
-    return _solved(system, transcript, keep_system)
+    witness = solve_or_refute(system.matrix, system.rhs)
+    decision = Decision(IN_CLOSURE if witness.kind == REFUTATION else NOT_IN_CLOSURE, witness, transcript)
+    return (decision, system) if keep_system else decision

@@ -143,9 +143,8 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
     profile, primes=K, the passes over the whole system (a refutation's
     transposed pass is part of its pass), restarts=R, the passes whose
     profile differed from the one before, skipped=S, the rows the
-    accepted pass skipped by its fingerprint (every 0 = 0 row after its
-    first), and the bits of the largest numerator or denominator of the
-    witness.
+    accepted pass skipped by its fingerprint (_skipped), and the bits of
+    the largest numerator or denominator of the witness.
     """
     if matrix.rows < 1 or matrix.cols < 1:
         raise ValueError("system must have at least one row and one column")
@@ -176,7 +175,7 @@ def solve_or_refute(matrix: SparseMatrix, rhs) -> ConsistencyWitness:
             "solve %dx%d nnz=%d: %s, pivots=%d, primes=%d, restarts=%d, skipped=%d, witness_bits=%d",
             matrix.rows, matrix.cols, matrix.nnz, witness.kind,
             sum(c < matrix.cols for c in profile), len(primes), restarts,
-            max(profile.count(matrix.cols + 1) - 1, 0), bits,
+            _skipped(profile, matrix.rows, matrix.cols), bits,
         )
     return witness
 
@@ -234,14 +233,20 @@ def _eliminate_mod(rows, values, ncols, p):
     solution.
 
     Each row is reduced against the pivots from the lowest column up
-    and stops at its lowest column without a pivot (_reduce).  From the
-    first row that reads 0 = 0 on, a row (r | b) is first tested against
-    z, a vector over Z/p in the kernel of the augmented pivot rows
-    (_fingerprint), and recorded as 0 = 0 when (r | -b).z = 0, without a
-    reduction.  A row in the span of the pivot rows reads 0 and would
-    reduce to 0 = 0, so no outcome changes; a row that reads nonzero is
-    reduced, and a new pivot keeps z in the kernel (_add_pivot).  A
-    system without dependent rows never builds z.  z is pseudo-random on
+    and stops at its lowest column without a pivot (_reduce).  At the
+    first row that reads 0 = 0 while more rows remain than columns
+    without a pivot, so that a later row, too, must read 0 = 0 or
+    refute, the pass builds z, a vector over Z/p in the kernel of the
+    augmented pivot rows (_fingerprint).  From then on a row (r | b) is
+    first tested against z and recorded as 0 = 0 when (r | -b).z = 0,
+    without a reduction.  A row in the span of the pivot rows reads 0
+    and would reduce to 0 = 0, so no outcome changes; a row that reads
+    nonzero is reduced, and a new pivot keeps z in the kernel
+    (_add_pivot).  Building and keeping z costs about a pass over the
+    pivots, more than a few skipped rows save, and a system with no
+    more rows than columns never builds it.  The rule decides only how
+    much a pass costs, never its profile or residues: no outcome
+    depends on it.  z is pseudo-random on
     the columns without a pivot and the right-hand side, so a row
     outside the span reads 0 with chance at most 1/p (Schwartz 1980);
     such a false zero turns its row's outcome into ncols + 1, a
@@ -265,7 +270,7 @@ def _eliminate_mod(rows, values, ncols, p):
                 profile.append(ncols)
                 return profile, _refutation(rows, profile, p)
             profile.append(ncols + 1)
-            if z is None:
+            if z is None and len(rows) - idx - 1 > ncols - len(pivots):
                 z, users = _fingerprint(pivots, ncols, p)
             continue
         profile.append(col)
@@ -279,6 +284,18 @@ def _eliminate_mod(rows, values, ncols, p):
     for col in sorted(pivots, reverse=True):
         x[col] = _kernel_entry(pivots[col], x, p)
     return profile, x[:-1]
+
+
+def _skipped(profile, nrows, ncols):
+    """The rows that a pass of this profile over nrows rows skipped by
+    its fingerprint: the 0 = 0 rows after the one at which
+    _eliminate_mod built z."""
+    pivots = 0
+    for idx, col in enumerate(profile):
+        if col == ncols + 1 and nrows - idx - 1 > ncols - pivots:
+            return profile[idx + 1 :].count(ncols + 1)
+        pivots += col < ncols
+    return 0
 
 
 def _kernel_entry(pivot, z, p):

@@ -121,6 +121,21 @@ def test_benchmark_check_rejects_a_bumped_certificate(a, expected_in):
         checks.check_decision((decision, system), expected_in)
 
 
+@pytest.mark.parametrize("problem, expected_in, rational", [*_sparse_problems()])
+def test_kept_system_is_the_evaluation_system_built_in_full(problem, expected_in, rational):
+    # the benchmark reads system.matrix outside its timed region, so
+    # decide must return it fully built: equal to evaluation_system's,
+    # with its rows a plain list of dicts when the call returns
+    _, system = decider.decide(problem, keep_system=True)
+    assert type(system.matrix.row_terms) is list
+    assert all(type(row) is dict for row in system.matrix.row_terms)
+    pullbacks = repmodel.coordinate_pullbacks(problem.rep, problem.b)
+    d = problem.degree_bound_override
+    want = decider.evaluation_system(d, problem.a, pullbacks, problem.rep.ambient.nvars)
+    assert system.matrix.entries == want.matrix.entries
+    assert (system.rhs, system.row_keys, system.col_keys) == (want.rhs, want.row_keys, want.col_keys)
+
+
 def _resolves(span):
     if span.startswith(tracer.KERNEL_PREFIX):
         owner, path = _kernels, span[len(tracer.KERNEL_PREFIX) :].split(".")

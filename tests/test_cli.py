@@ -726,9 +726,9 @@ def test_decide_guard_fires_before_building_the_system(tmp_path, capsys, monkeyp
     from orbitcal import decider
 
     def unreachable(*args, **kwargs):
-        raise RuntimeError("evaluation_system reached past the size guard")
+        raise RuntimeError("the images were built past the size guard")
 
-    monkeypatch.setattr(decider, "evaluation_system", unreachable)
+    monkeypatch.setattr(decider, "monomial_images", unreachable)
     monkeypatch.delenv("ORBITCAL_MAX_NNZ", raising=False)
     path = tmp_path / "torus.json"
     code, _, _ = run(["gen", "torus", "--weights", "1,0;1,1;1,2", "--out", str(path)], capsys)

@@ -10,7 +10,7 @@ from math import comb, lcm
 
 import pytest
 
-from orbitcal import decider, polyring, repmodel
+from orbitcal import decider, exactmath, polyring, repmodel
 from orbitcal.decider import (
     IN_CLOSURE,
     NOT_IN_CLOSURE,
@@ -527,12 +527,15 @@ def test_decide_plugs_each_certificate_back_once(monkeypatch):
     # solve_or_refute returns a witness only after its plug-back, and
     # neither decide nor paper_decide checks it again: on the
     # decide-sparse problems and on one scrambled problem, each makes
-    # one verify call
+    # one verify call.  decide solves the transposed evaluation system,
+    # so it checks the witness of the other kind on the transpose, whose
+    # rows are the certificate's columns
     calls = []
     plug_back = ConsistencyWitness.verify
+    transposed = {REFUTATION: SOLUTION, SOLUTION: REFUTATION}
 
     def spy(self, matrix, rhs):
-        calls.append(self.kind)
+        calls.append((self.kind, matrix.rows))
         return plug_back(self, matrix, rhs)
 
     monkeypatch.setattr(ConsistencyWitness, "verify", spy)
@@ -547,9 +550,90 @@ def test_decide_plugs_each_certificate_back_once(monkeypatch):
     for engine in (decide, paper_decide):
         for problem in problems:
             calls.clear()
-            decision = engine(problem)
-            assert calls == [decision.certificate.kind]
+            decision, system = engine(problem, keep_system=True)
+            kind = decision.certificate.kind
+            if engine is decide:
+                assert calls == [(transposed[kind], system.matrix.cols)]
+            else:
+                assert calls == [(kind, system.matrix.rows)]
     assert decision.transcript["scramble"] is not None
+
+
+def test_the_column_pass_stops_at_the_first_violated_equation(monkeypatch, caplog):
+    # decide's pass reads the columns (phi^q | beta^q) of the evaluation
+    # system in (degree, exponent) order, as the rows of its transpose,
+    # and stops at the first equation that a violates: at d = 4 the
+    # decide-sparse NOT reads 9 of its 70 columns, up to a quadric, and
+    # the IN all 70; the DEBUG line says so, from the witness
+    eliminate = exactmath._eliminate_mod
+    running, read = [], []
+
+    def spy(rows, values, ncols, p):
+        running.append(p)
+        try:
+            profile, vector = eliminate(rows, values, ncols, p)
+        finally:
+            running.pop()
+        if not running and any(values):  # not the rank of orbit_dimension
+            read.append((len(profile), len(rows)))
+        return profile, vector
+
+    monkeypatch.setattr(exactmath, "_eliminate_mod", spy)
+    sl2 = repmodel.sl2_binary_forms(2)
+    for a, columns, degree in (((0, 1, 0), 9, 2), ((1, 0, 0), 70, 4)):
+        read.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="orbitcal.decider"):
+            decision = decide(conic_problem(sl2, a, (1, 2, 1), degree_bound_override=4))
+        assert read and set(read) == {(columns, 70)}
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "orbitcal.decider"]
+        assert line.endswith(f"; pass read {columns} of 70 columns, to degree {degree}")
+        if decision.certificate.kind == SOLUTION:
+            assert max(j for j, g in enumerate(decision.certificate.vector) if g) == columns - 1
+
+
+def test_decide_certificates_equal_the_row_pass_on_the_evaluation_system():
+    # a solution u of the transpose is the refutation (u, 1), and a
+    # refutation g the solution g / (beta . g); each is the only witness
+    # with its support, so decide's certificate is the one the pass over
+    # the rows of [M ; beta^q] gives: on tori and binary forms, conified
+    # and raw, with zero and rational coordinates, a = 0, b = 0 and a
+    # dense orbit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coordinates = st.sampled_from((0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)))
+
+    @st.composite
+    def questions(draw):
+        if draw(st.booleans()):
+            rep = repmodel.sl2_binary_forms(draw(st.integers(1, 3)))
+        else:
+            rank = draw(st.integers(1, 2))
+            n = draw(st.integers(1, 3))
+            rep = torus_diagonal([tuple(draw(st.integers(-2, 2)) for _ in range(rank)) for _ in range(n)])
+        a = [draw(coordinates) for _ in range(rep.n)]
+        b = [draw(coordinates) for _ in range(rep.n)]
+        d = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            return conic_problem(rep, a, b, degree_bound_override=d)
+        return DecisionProblem(rep, a, b, degree_bound_override=d)
+
+    sl2 = repmodel.sl2_binary_forms(2)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(questions())
+    @hypothesis.example(conic_problem(sl2, (0, 0, 0), (1, 2, 1), degree_bound_override=2))
+    @hypothesis.example(DecisionProblem(sl2, (1, 0, 0), (0, 0, 0), degree_bound_override=2))
+    @hypothesis.example(conic_problem(sl2, (1, 0, 0), (0, 1, 0), degree_bound_override=3))
+    @hypothesis.example(conic_problem(sl2, (Fraction(1, 4), 1, 1), (1, 2, 1), degree_bound_override=2))
+    @hypothesis.example(DecisionProblem(torus_diagonal([(1, 0), (0, 1)]), (3, Fraction(1, 2)), (1, 2),
+                                        degree_bound_override=3))
+    def check(problem):
+        decision, system = decide(problem, keep_system=True)
+        assert decision.certificate == solve_or_refute(system.matrix, system.rhs)
+        assert decision.in_closure == (decision.certificate.kind == REFUTATION)
+
+    check()
 
 
 def test_decision_json_round_trip():
@@ -623,9 +707,9 @@ def test_decide_and_substitute_leave_no_garbage_cycles():
 
 def test_evaluation_guard_fires_before_building_the_system(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise RuntimeError("evaluation_system reached past the size guard")
+        raise RuntimeError("the images were built past the size guard")
 
-    monkeypatch.setattr(decider, "evaluation_system", unreachable)
+    monkeypatch.setattr(decider, "monomial_images", unreachable)
     # no degree bound on the conified torus (1,0;1,1;1,2): parametric
     # d = 64 and C(68, 4) columns, under the limit; a' = (1,1,1,1) has no
     # zero coordinate, so the evaluation row has as many entries again
@@ -919,10 +1003,14 @@ def test_one_debug_line_per_system(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "orbitcal.decider"]
     shape = r"(\d+) rows x (\d+) columns, (\d+) nonzeros; images \d+\.\d\d ms, matrix \d+\.\d\d ms"
     assert len(lines) == 2
-    evaluation = re.fullmatch("evaluation_system: " + shape, lines[0])
+    # decide's line also says how far its pass over the columns read: an
+    # IN reads them all
+    read = r"; pass read (\d+) of (\d+) columns, to degree (\d+)"
+    evaluation = re.fullmatch("evaluation_system: " + shape + read, lines[0])
     assembled = re.fullmatch("assemble_system: " + shape, lines[1])
     t = decision.transcript
-    assert tuple(map(int, evaluation.groups())) == (t["rows"], t["columns"], t["nonzeros"])
+    assert tuple(map(int, evaluation.groups())) == (t["rows"], t["columns"], t["nonzeros"], t["columns"],
+                                                    t["columns"], t["degree_bound"])
     t = paper.transcript
     assert tuple(map(int, assembled.groups())) == (t["monomials"], t["c_variables"], t["nonzeros"])
     assert [decision.to_json(), paper.to_json()] == quiet

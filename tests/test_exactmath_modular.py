@@ -28,7 +28,7 @@ from orbitcal.exactmath import (
     SparseMatrix,
     solve_or_refute,
 )
-from orbitcal.fixtures import hyperbola_rep
+from orbitcal.fixtures import decision_battery, hyperbola_rep
 from support import sparse_matrix
 
 # the primes of solve_or_refute's passes, in order
@@ -272,18 +272,31 @@ def reductions(monkeypatch):
     return calls
 
 
+def _fingerprint_row(profile, nrows, ncols):
+    """The row at which a pass builds its fingerprint: the first that
+    reads 0 = 0 while more rows remain than columns without a pivot;
+    None if there is none."""
+    free = ncols
+    for idx, col in enumerate(profile):
+        if col == ncols + 1 and nrows - idx - 1 > free:
+            return idx
+        free -= col < ncols
+    return None
+
+
 def _assert_pass_equals_echelon(rows, values, ncols, reductions):
     """The pass equals the echelon pass, profile and residues, modulo
-    each of the first two primes, and reduces every row up to the first
-    0 = 0 and after it only the rows that do not end as 0 = 0; returns
-    the profiles."""
+    each of the first two primes, and reduces every row up to the one at
+    which it builds its fingerprint and after it only the rows that do
+    not end as 0 = 0; returns the profiles."""
     profiles = []
     for p in (FIRST_PRIME, SECOND_PRIME):
         want = _echelon_pass(rows, values, ncols, p)
         reductions.clear()
         assert exactmath._eliminate_mod(rows, values, ncols, p) == want
         profile = want[0]
-        first = profile.index(ncols + 1) + 1 if ncols + 1 in profile else len(profile)
+        first = _fingerprint_row(profile, len(rows), ncols)
+        first = len(profile) if first is None else first + 1
         assert len(reductions) == first + sum(c != ncols + 1 for c in profile[first:])
         profiles.append(profile)
     return profiles
@@ -352,6 +365,91 @@ def test_skipping_pass_equals_the_echelon_pass(reductions):
             assert all(c < ncols for c in profile)
 
 
+def _random_wide_system(rng, ncols):
+    """At most ncols integer rows, a third of them or more 0 = 0 rows:
+    multiples of an earlier row, right-hand side included, among rows
+    drawn at random."""
+    rows, rhs = [], []
+    for _ in range(rng.randint(3, ncols)):
+        if len(rows) > 1 and rng.random() < 0.4:
+            i = rng.randrange(len(rows))
+            c = rng.choice((-2, -1, 2, 3))
+            rows.append({j: c * v for j, v in rows[i].items()})
+            rhs.append(c * rhs[i])
+        else:
+            rows.append({j: v for j in range(ncols) if rng.random() < 0.3 and (v := rng.randint(-5, 5))})
+            rhs.append(rng.randint(-5, 5))
+    return rows, rhs
+
+
+def test_a_pass_builds_the_fingerprint_only_when_more_rows_remain_than_free_columns(monkeypatch, reductions):
+    # z is built at the first 0 = 0 row after which more rows remain than
+    # columns without a pivot, so some later row must read 0 = 0 too; a
+    # system with no more rows than columns never builds it
+    fingerprint = exactmath._fingerprint
+    calls = []
+
+    def counted(pivots, ncols, p):
+        calls.append(p)
+        return fingerprint(pivots, ncols, p)
+
+    monkeypatch.setattr(exactmath, "_fingerprint", counted)
+
+    def built(rows, values, ncols):
+        calls.clear()
+        profiles = _assert_pass_equals_echelon(rows, values, ncols, reductions)
+        return len(calls), profiles
+
+    # x0 = 1 twice, then x1 = 2 once: one row and one free column remain,
+    # so no z; with x1 = 2 twice, z is built at the second row
+    assert built([{0: 1}, {0: 1}, {1: 1}], [1, 1, 2], 2)[0] == 0
+    assert built([{0: 1}, {0: 1}, {1: 1}, {1: 1}], [1, 1, 2, 2], 2)[0] == 2
+
+    # wide random systems with 0 = 0 rows, and decide's transposed
+    # evaluation systems, whose passes stop at the first violated
+    # equation, are reduced row by row
+    rng = random.Random(36)
+    zero_rows = 0
+    for _ in range(100):
+        ncols = rng.randint(4, 14)
+        rows, rhs = _random_wide_system(rng, ncols)
+        count, profiles = built(rows, rhs, ncols)
+        assert count == 0
+        zero_rows += profiles[0].count(ncols + 1)
+    assert zero_rows > 100
+    sl2 = repmodel.sl2_binary_forms(2)
+    problems = [decider.conic_problem(sl2, a, (1, 2, 1), degree_bound_override=d)
+                for d in (3, 4) for a in ((0, 1, 0), (1, 0, 0))]
+    calls.clear()
+    for problem in problems:
+        decider.decide(problem)
+    # the transposes of the monomial-curve cones have one row more than
+    # columns, and their 0 = 0 row comes with as many rows left as free
+    # columns
+    for k in (1, 2, 3, 4):
+        rep2, _, b2 = repmodel.make_conic(repmodel.torus_diagonal([(1,), (k,)]), (0, 0), (1, 1))
+        decider.decide(decider.DecisionProblem(rep2, (2, 6, 2 * 3**k), b2, degree_bound_override=k))
+    assert calls == []
+
+    # the paper's 210 x 60 battery systems and decide's systems in their
+    # own orientation build z at their first 0 = 0 row, once per pass,
+    # and skip every 0 = 0 row after it
+    tall = [decider.paper_decide(decider.conic_problem(case.rep, case.a, case.b, degree_bound_override=2),
+                                  keep_system=True)[1]
+            for case in decision_battery() if case.name.startswith("quadratic")]
+    assert {(system.matrix.rows, system.matrix.cols) for system in tall} == {(210, 60)}
+    tall += [decider.decide(problem, keep_system=True)[1] for problem in problems]
+    skipped = []
+    for system in tall:
+        ncols = system.matrix.cols
+        count, profiles = built(system.matrix.row_terms, system.rhs, ncols)
+        assert count == 2 and profiles[0] == profiles[1]
+        profile = profiles[0]
+        assert _fingerprint_row(profile, system.matrix.rows, ncols) == profile.index(ncols + 1)
+        skipped.append(profile.count(ncols + 1) - 1)
+    assert sum(count > 100 for count in skipped) == 6
+
+
 def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used):
     # a fingerprint of zeros reads every row after the first 0 = 0 row
     # as 0 = 0, independent rows included; the pass modulo the first
@@ -359,8 +457,8 @@ def test_false_zero_in_the_first_pass_keeps_the_witness(monkeypatch, primes_used
     # plug-back, and the pass modulo the second gives the reference
     # witness
     small = [
-        # x0 = 1 twice, then x1 = 2 is skipped
-        ([[1, 0], [1, 0], [0, 1]], [1, 1, 2]),
+        # x0 = 1 twice, then x1 = 2 twice: both are skipped
+        ([[1, 0], [1, 0], [0, 1], [0, 1]], [1, 1, 2, 2]),
         # the refuting last row and the pivot before it are skipped
         ([[1, 0], [1, 0], [0, 1], [1, 1]], [1, 1, 2, 4]),
     ]
@@ -467,7 +565,9 @@ def test_witness_of_80_bits_needs_several_primes(primes_used, rows, rhs, kind):
     [
         # the 80-bit cases above with a copy of their first row, which
         # reads 0 = 0 and builds the fingerprint that skips the next row
-        ([[1, 0], [1, 0], [0, 3]], [2**80 + 1, 2**80 + 1, 2**81], SOLUTION),
+        # (the first case also with a copy of its last row, so that more
+        # rows than free columns remain after the copy)
+        ([[1, 0], [1, 0], [0, 3], [0, 3]], [2**80 + 1, 2**80 + 1, 2**81, 2**81], SOLUTION),
         ([[1], [1], [2**80 + 1]], [1, 1, 0], REFUTATION),
     ],
 )
